@@ -82,12 +82,12 @@ def _write_json(out_dir: str, name: str, payload: dict, sha: str) -> None:
         handle.write(text + "\n")
 
 
-def _write_csv(out_dir: str, name: str, header: list[str], rows, sha: str) -> None:
+def _write_csv(out_dir: str, name: str, header: list[str], lines, sha: str) -> None:
     with open(os.path.join(out_dir, name), "w", encoding="utf-8") as handle:
         handle.write(f"# config_sha256={sha}\n")
         handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(row) + "\n")
+        for line in lines:
+            handle.write(line + "\n")
 
 
 def _error_json(exc: Exception) -> str:
@@ -103,20 +103,18 @@ def _emit_spectrum(cfg: RunConfig, traj: Trajectory, sha: str) -> None:
     header = ["t", "k"]
     for comp in range(m):
         header += [f"re_V{comp}", f"im_V{comp}"]
-    v = traj.v_series()
-    modes = traj.modes
+    # one %-format per row with _fmt's %.17g; the float view interleaves
+    # each mode's cells as (re_V0, im_V0, re_V1, ...)
+    row_fmt = "%.17g,%d" + ",%.17g,%.17g" * m
+    v = np.ascontiguousarray(traj.v_series()).view(float)
+    modes = traj.modes.tolist()
 
-    def rows():
-        for i, t in enumerate(traj.times):
-            t_str = _fmt(t)
-            for idx, k in enumerate(modes):
-                cells = [t_str, str(int(k))]
-                for comp in range(m):
-                    z = v[i, idx, comp]
-                    cells += [_fmt(z.real), _fmt(z.imag)]
-                yield cells
+    def lines():
+        for t, snap in zip(traj.times.tolist(), v):
+            for k, cells in zip(modes, snap.tolist()):
+                yield row_fmt % (t, k, *cells)
 
-    _write_csv(cfg.output_dir, "spectrum.csv", header, rows(), sha)
+    _write_csv(cfg.output_dir, "spectrum.csv", header, lines(), sha)
 
 
 def _emit_energies(cfg: RunConfig, ledger, sha: str) -> None:
@@ -136,7 +134,7 @@ def _emit_energies(cfg: RunConfig, ledger, sha: str) -> None:
                 _fmt(ledger.master.per_time[i]),
             ]
 
-    _write_csv(cfg.output_dir, "energies.csv", header, rows(), sha)
+    _write_csv(cfg.output_dir, "energies.csv", header, map(",".join, rows()), sha)
 
 
 def _emit_radius(cfg: RunConfig, times, fits, sha: str) -> None:
@@ -156,7 +154,7 @@ def _emit_radius(cfg: RunConfig, times, fits, sha: str) -> None:
                     _fmt(fit.s),
                 ]
 
-    _write_csv(cfg.output_dir, "radius.csv", header, rows(), sha)
+    _write_csv(cfg.output_dir, "radius.csv", header, map(",".join, rows()), sha)
 
 
 def _certificate_payload(cfg: RunConfig) -> dict:
@@ -203,7 +201,6 @@ def _run_or_abort(cfg: RunConfig, sha: str) -> tuple[Trajectory | None, int]:
             dt=cfg.dt,
             G=cfg.grid,
             snapshot_interval=cfg.snapshot_interval,
-            conv_method=cfg.conv_method,
             blowup_ceiling=cfg.blowup_ceiling,
         )
     except StabilityError as exc:
@@ -314,7 +311,6 @@ def _cmd_analyze(cfg: RunConfig, sha: str) -> int:
             dt=cfg.dt,
             G=cfg.grid,
             snapshot_interval=cfg.snapshot_interval,
-            conv_method=cfg.conv_method,
             blowup_ceiling=cfg.blowup_ceiling,
         )
         report = master_estimate_check(

@@ -2,7 +2,7 @@
 
 The config file is YAML.  Top-level keys: m, T, coefficients, nu, initial,
 K, G, dt, snapshot_interval, seed, threads, output_dir, blowup_ceiling,
-conv_method, check_grid, plus three nested sections: ``diagnostics``
+check_grid, plus three nested sections: ``diagnostics``
 (energies, super_energies, radius, master_check, symmetrizer_certificate),
 ``constants`` (C0, N, C, c, r0, J_max, eta, s, k_gevrey, lambda_k) and
 ``certificate`` (eps_set, samples, nd_floor, times).  Unknown keys are
@@ -122,7 +122,6 @@ class RunConfig:
     threads: int = 1
     output_dir: str = "out"
     blowup_ceiling: float = 1e9
-    conv_method: str = "direct"
     check_grid: int = 201
 
     @classmethod
@@ -132,8 +131,7 @@ class RunConfig:
         top_allowed = {
             "m", "T", "coefficients", "nu", "initial", "K", "G", "dt",
             "snapshot_interval", "diagnostics", "constants", "certificate",
-            "seed", "threads", "output_dir", "blowup_ceiling", "conv_method",
-            "check_grid",
+            "seed", "threads", "output_dir", "blowup_ceiling", "check_grid",
         }
         _reject_unknown(data, top_allowed, "")
         for required in ("m", "T", "coefficients", "initial"):
@@ -266,9 +264,6 @@ class RunConfig:
         ceiling = _as_float(data.get("blowup_ceiling", 1e9), "blowup_ceiling")
         if ceiling <= 0:
             raise ConfigError("invariant violation: blowup_ceiling > 0", field="blowup_ceiling")
-        conv_method = data.get("conv_method", "direct")
-        if conv_method not in ("direct", "fft"):
-            raise ConfigError('expected "direct" or "fft"', field="conv_method")
         check_grid = _as_int(data.get("check_grid", 201), "check_grid")
         if check_grid < 3:
             raise ConfigError("invariant violation: check_grid >= 3", field="check_grid")
@@ -306,7 +301,6 @@ class RunConfig:
             threads=threads,
             output_dir=output_dir,
             blowup_ceiling=ceiling,
-            conv_method=conv_method,
             check_grid=check_grid,
         )
 
@@ -371,7 +365,6 @@ class RunConfig:
             },
             "seed": self.seed,
             "blowup_ceiling": self.blowup_ceiling,
-            "conv_method": self.conv_method,
             "check_grid": self.check_grid,
         }
 

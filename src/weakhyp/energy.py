@@ -439,9 +439,10 @@ def master_estimate_check(
     """Sup over (t, k) of e^rho |V_k(t)| / (<k>^N |V_k(0)| + <k>^(m-1) I_k(t)).
 
     I_k(t) = int_0^t e^(rho(s,k)) |F_k(s)| ds by trapezoid on the snapshots;
-    the denominator is floored at 1e-300.  Also scans integer exponents
-    N' in [m-1, 2m+4] and reports the smallest one whose sup ratio is at most
-    ``c_target`` (None when the scan fails).
+    the denominator is floored at eps times its maximum, so a mode that is
+    exactly zero in the data and the early forcing cannot inflate the sup.
+    Also scans integer exponents N' in [m-1, 2m+4] and reports the smallest
+    one whose sup ratio is at most ``c_target`` (None when the scan fails).
     """
     times = trajectory.times
     modes = trajectory.modes
@@ -456,7 +457,9 @@ def master_estimate_check(
     v0 = v_norms[0]
 
     def sup_ratio(n: int) -> tuple[float, np.ndarray]:
-        den = np.maximum(br**n * v0[None, :] + base, 1e-300)
+        den = br**n * v0[None, :] + base
+        floor = max(np.finfo(float).eps * float(den.max()), np.finfo(float).tiny)
+        den = np.maximum(den, floor)
         per_time = (weighted_v / den).max(axis=1)
         return float(per_time.max()), per_time
 

@@ -8,6 +8,20 @@ V' = -ik A(t) V + F, and at k = 0, where the leading components of V vanish
 identically, the chain still carries u_0 and its derivatives, which the
 convolution nonlinearity needs.
 
+The solution is real, so u_{-k} = conj(u_k).  The integrator stores only
+the half spectrum k = 0..K, shape (K+1, m), and every recorded snapshot is
+expanded to the full -K..K layout by the conjugate mirror (row -k is the
+conjugate of row k).  Reality therefore holds by construction: the k = 0 row
+stays real and ``reality_defect`` of every snapshot is exactly zero.
+
+The forcing u^nu is evaluated as irfft -> pointwise product -> rfft on a ring
+of N points, N the smallest power of two >= (nu+1)K + 1.  The product holds
+modes up to nu*K and mode j lands on j mod N; for |k| <= K no other j with
+|j| <= nu*K shares that residue once N - K > nu*K.  This is the 3/2 padding
+rule (Orszag 1971) generalised to degree nu, so the result equals the direct
+truncated convolution ``convolution_power``, kept as the test oracle, up to
+rounding.
+
 Time stepping is fixed-step classical RK4.  The linear part per mode has
 purely imaginary eigenvalues ik * (characteristic roots), so the stability
 guard bounds dt * (1 + max spectral radius of A(t)) * K by STABILITY_LIMIT,
@@ -127,16 +141,13 @@ class SpectralState:
         return float(np.abs(v[::-1] - v.conj()).max() / scale)
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
+def _next_power_of_two(n: int) -> int:
+    return 1 << max(n - 1, 0).bit_length()
 
 
 def default_grid_size(K: int) -> int:
     """Smallest power of two >= 4K."""
-    g = 1
-    while g < 4 * K:
-        g *= 2
-    return g
+    return _next_power_of_two(4 * K)
 
 
 def assemble_state(
@@ -147,32 +158,29 @@ def assemble_state(
     """Sample initial data on the uniform grid over [0, 2pi) and transform.
 
     ``initial`` lists the expressions (in x) for u(0,.), d_t u(0,.), ...;
-    entry h fills chain column h.  Requires G >= 4K and G a power of two.
+    entry h fills chain column h.  The data are real, so the rows -K..-1 are
+    the conjugate mirror of the rows 1..K.  Requires G >= 4K and G a power
+    of two.
     """
     if K < 1:
         raise ValueError("mode cutoff K must be >= 1")
     if G is None:
         G = default_grid_size(K)
-    if G < 4 * K or not _is_power_of_two(G):
+    if G < 4 * K or G != _next_power_of_two(G):
         raise ValueError(f"grid size G={G} must be a power of two with G >= 4K={4 * K}")
-    m = len(initial)
     x = 2.0 * np.pi * np.arange(G) / G
-    chain = np.empty((2 * K + 1, m), dtype=complex)
-    for h, expr in enumerate(initial):
-        values = evaluate_on_grid(expr, "x", x)
-        coeff = np.fft.fft(values) / G
-        chain[K:, h] = coeff[: K + 1]
-        chain[:K, h] = coeff[G - K :]
-    return SpectralState(K=K, t=0.0, chain=chain, real_symmetric=True)
+    half = np.stack(
+        [np.fft.fft(evaluate_on_grid(expr, "x", x))[: K + 1] / G for expr in initial], axis=1
+    )
+    return SpectralState(K=K, t=0.0, chain=_mirror(half), real_symmetric=True)
 
 
-def convolution_power(u: np.ndarray, nu: int, method: str = "direct") -> np.ndarray:
+def convolution_power(u: np.ndarray, nu: int) -> np.ndarray:
     """nu-fold discrete convolution of the truncated spectrum u, re-truncated.
 
     ``u`` holds modes -K..K.  Intermediates extend to nu*K before the final
-    center slice, so no contribution inside |k| <= K is lost.  The "fft"
-    method evaluates the same convolution on a large enough circular ring and
-    agrees with "direct" to near machine precision.
+    center slice, so no contribution inside |k| <= K is lost.  This direct
+    form is the reference the integrator's ring evaluation is tested against.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
@@ -180,66 +188,89 @@ def convolution_power(u: np.ndarray, nu: int, method: str = "direct") -> np.ndar
     K = (u.size - 1) // 2
     if u.size != 2 * K + 1:
         raise ValueError("spectrum length must be odd (modes -K..K)")
-    if nu == 1:
-        return u.copy()
-    if method == "direct":
-        acc = u
-        for _ in range(nu - 1):
-            acc = np.convolve(acc, u)
-        center = nu * K
-        return acc[center - K : center + K + 1]
-    if method == "fft":
-        ring = 1
-        while ring < 2 * nu * K + 1:
-            ring *= 2
-        c = np.zeros(ring, dtype=complex)
-        idx = np.arange(-K, K + 1) % ring
-        c[idx] = u
-        full = np.fft.ifft(np.fft.fft(c) ** nu)
-        return full[idx]
-    raise ValueError(f"unknown convolution method: {method!r}")
+    acc = u
+    for _ in range(nu - 1):
+        acc = np.convolve(acc, u)
+    center = (nu - 1) * K
+    return acc[center : center + 2 * K + 1].copy()
 
 
-def nonlinear_rhs(state: SpectralState, nu: int, method: str = "direct") -> np.ndarray:
+def _mirror(half: np.ndarray) -> np.ndarray:
+    """Full -K..K layout of a half spectrum k = 0..K: row -k is conj(row k)."""
+    return np.concatenate([half[:0:-1].conj(), half])
+
+
+def _ring_size(K: int, nu: int) -> int:
+    """Smallest power of two >= (nu+1)K + 1: u^nu is alias-free on |k| <= K."""
+    return _next_power_of_two((nu + 1) * K + 1)
+
+
+def _half_power(u: np.ndarray, nu: int, ring: int) -> np.ndarray:
+    """Modes 0..K of u^nu from the half spectrum u, evaluated on ``ring`` points."""
+    grid = np.fft.irfft(u, ring, norm="forward")
+    prod = grid
+    for _ in range(nu - 1):
+        prod = prod * grid
+    return np.fft.rfft(prod, norm="forward")[: u.size]
+
+
+def nonlinear_rhs(state: SpectralState, nu: int) -> np.ndarray:
     """Forcing vectors F_k = (0, ..., 0, f_k), f = nu-fold self-convolution of u_hat."""
     if nu < 1:
         raise ValueError("nu must be >= 1")
+    if not state.real_symmetric:
+        raise ValueError("the forcing is evaluated on the half spectrum of a real state")
     out = np.zeros_like(state.chain)
-    out[:, -1] = convolution_power(state.u_hat, nu, method)
+    out[:, -1] = _mirror(_half_power(state.chain[state.K :, 0], nu, _ring_size(state.K, nu)))
     return out
 
 
-def _ik_powers(modes: np.ndarray, m: int) -> np.ndarray:
-    """(2K+1, m+1) table of (ik)^h for h = 0..m."""
-    ik = 1j * modes
-    out = np.empty((modes.size, m + 1), dtype=complex)
-    out[:, 0] = 1.0
-    for h in range(1, m + 1):
-        out[:, h] = out[:, h - 1] * ik
-    return out
+class _HalfSpectrumRK4:
+    """Classical RK4 on the half-spectrum chain (K+1, m), with per-run tables."""
+
+    def __init__(self, K: int, m: int, nu: int):
+        self.nu = nu
+        self.ring = _ring_size(K, nu)
+        k = np.arange(K + 1)
+        ik_pow = np.empty((K + 1, m + 1), dtype=complex)
+        ik_pow[:, 0] = 1.0
+        for h in range(1, m + 1):
+            ik_pow[:, h] = ik_pow[:, h - 1] * (1j * k)
+        # column c carries -(ik)^(m-c), the weight of a_(m-c) on chain[:, c]
+        self.neg_ik_pow = -ik_pow[:, m:0:-1]
+        self.kmag_pow = k[:, None].astype(float) ** np.arange(m - 1, -1, -1)
+
+    def forcing(self, y: np.ndarray) -> np.ndarray:
+        """Modes 0..K of u^nu for the chain y; zero when nu = 0."""
+        if self.nu < 1:
+            return np.zeros(y.shape[0], dtype=complex)
+        return _half_power(y[:, 0], self.nu, self.ring)
+
+    def rhs(self, y: np.ndarray, coeff_row: np.ndarray) -> np.ndarray:
+        out = np.empty_like(y)
+        out[:, :-1] = y[:, 1:]
+        out[:, -1] = (self.neg_ik_pow * y) @ coeff_row[::-1] + self.forcing(y)
+        return out
+
+    def step(self, y: np.ndarray, dt: float, stage_coeffs: np.ndarray) -> np.ndarray:
+        k1 = self.rhs(y, stage_coeffs[0])
+        k2 = self.rhs(y + 0.5 * dt * k1, stage_coeffs[1])
+        k3 = self.rhs(y + 0.5 * dt * k2, stage_coeffs[1])
+        k4 = self.rhs(y + dt * k3, stage_coeffs[2])
+        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    def sup_v(self, y: np.ndarray) -> float:
+        """sup_k |V_k|; the mirrored modes -k have the same norms."""
+        return float(np.linalg.norm(np.abs(y) * self.kmag_pow, axis=1).max())
 
 
-def _chain_rhs(
-    chain: np.ndarray,
-    coeff_row: np.ndarray,
-    ik_pow: np.ndarray,
-    nu: int,
-    conv_method: str,
-) -> np.ndarray:
-    m = chain.shape[1]
-    out = np.empty_like(chain)
-    out[:, : m - 1] = chain[:, 1:]
-    top = np.zeros(chain.shape[0], dtype=complex)
-    for h in range(1, m + 1):
-        top -= coeff_row[h - 1] * ik_pow[:, h] * chain[:, m - h]
-    if nu >= 1:
-        top += convolution_power(chain[:, 0], nu, conv_method)
-    out[:, m - 1] = top
-    return out
-
-
-def _stage_radius(stage_coeffs: np.ndarray) -> float:
-    mats = np.stack([companion_matrix(row) for row in stage_coeffs])
+def _spectral_radius(coeff_rows: np.ndarray) -> float:
+    """Largest |eigenvalue| of the companion matrices of all coefficient rows."""
+    n, m = coeff_rows.shape
+    mats = np.zeros((n, m, m))
+    for i in range(m - 1):
+        mats[:, i, i + 1] = -1.0
+    mats[:, m - 1, :] = coeff_rows[:, ::-1]
     return float(np.abs(np.linalg.eigvals(mats)).max())
 
 
@@ -248,32 +279,30 @@ def step(
     dt: float,
     stage_coeffs: np.ndarray,
     nu: int,
-    conv_method: str = "direct",
     guard: bool = True,
 ) -> SpectralState:
     """One classical RK4 step of the full mode-coupled system.
 
     ``stage_coeffs`` holds the coefficient rows (a_1..a_m) at the three stage
     times t, t + dt/2, t + dt.  With ``guard`` on, the step refuses to run
-    outside the imaginary-axis stability region for these rows.
+    outside the imaginary-axis stability region for these rows.  The state
+    must be the spectrum of a real solution: the step advances the rows
+    k = 0..K and returns the rows -K..-1 as their conjugate mirror.
     """
+    if not state.real_symmetric:
+        raise ValueError("step integrates the half spectrum of a real state; real_symmetric is False")
     if dt <= 0:
         raise ValueError("dt must be positive")
     stage_coeffs = np.asarray(stage_coeffs, dtype=float)
     if stage_coeffs.shape != (3, state.order):
         raise ValueError(f"stage_coeffs must have shape (3, {state.order})")
     if guard:
-        radius = _stage_radius(stage_coeffs)
+        radius = _spectral_radius(stage_coeffs)
         if dt * (1.0 + radius) * state.K > STABILITY_LIMIT:
             raise StabilityError(dt, radius, state.K)
-    ik_pow = _ik_powers(state.modes, state.order)
-    y = state.chain
-    k1 = _chain_rhs(y, stage_coeffs[0], ik_pow, nu, conv_method)
-    k2 = _chain_rhs(y + 0.5 * dt * k1, stage_coeffs[1], ik_pow, nu, conv_method)
-    k3 = _chain_rhs(y + 0.5 * dt * k2, stage_coeffs[1], ik_pow, nu, conv_method)
-    k4 = _chain_rhs(y + dt * k3, stage_coeffs[2], ik_pow, nu, conv_method)
-    new_chain = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return replace(state, t=state.t + dt, chain=new_chain)
+    kernel = _HalfSpectrumRK4(state.K, state.order, nu)
+    half = kernel.step(state.chain[state.K :], dt, stage_coeffs)
+    return replace(state, t=state.t + dt, chain=_mirror(half))
 
 
 @dataclass
@@ -314,17 +343,12 @@ class Trajectory:
         return self.chains[:, :, 0]
 
 
-def _sup_v_norm(chain: np.ndarray, kmag_pow: np.ndarray) -> float:
-    return float(np.linalg.norm(np.abs(chain) * kmag_pow, axis=1).max())
-
-
 def simulate(
     problem: CoefficientSpec,
     K: int,
     dt: float,
     G: int | None = None,
     snapshot_interval: float | None = None,
-    conv_method: str = "direct",
     blowup_ceiling: float = 1e9,
 ) -> Trajectory:
     """Integrate the problem from t = 0 to T with fixed steps.
@@ -347,11 +371,7 @@ def simulate(
     stage_times = np.linspace(0.0, T, 2 * n_steps + 1)
     dt_eff = T / n_steps
     table = problem.coefficient_table(stage_times)
-    mats = np.zeros((stage_times.size, m, m))
-    for i in range(m - 1):
-        mats[:, i, i + 1] = -1.0
-    mats[:, m - 1, :] = table[:, ::-1]
-    radius = float(np.abs(np.linalg.eigvals(mats)).max())
+    radius = _spectral_radius(table)
     if dt_eff * (1.0 + radius) * K > STABILITY_LIMIT:
         raise StabilityError(dt_eff, radius, K)
 
@@ -360,22 +380,15 @@ def simulate(
     else:
         snap_every = max(1, int(round(snapshot_interval / dt_eff)))
 
-    kmag = np.abs(np.arange(-K, K + 1)).astype(float)
-    kmag_pow = np.empty((2 * K + 1, m))
-    for col in range(m):
-        kmag_pow[:, col] = kmag ** (m - 1 - col)
-
+    kernel = _HalfSpectrumRK4(K, m, nu)
     times: list[float] = []
     chains: list[np.ndarray] = []
     forcings: list[np.ndarray] = []
 
-    def record(s: SpectralState) -> None:
-        times.append(s.t)
-        chains.append(s.chain.copy())
-        if nu >= 1:
-            forcings.append(convolution_power(s.u_hat, nu, conv_method))
-        else:
-            forcings.append(np.zeros(2 * K + 1, dtype=complex))
+    def record(t: float, y: np.ndarray) -> None:
+        times.append(t)
+        chains.append(_mirror(y))
+        forcings.append(_mirror(kernel.forcing(y)))
 
     def bundle(completed: bool, reason: str | None, when: float | None) -> Trajectory:
         return Trajectory(
@@ -391,24 +404,25 @@ def simulate(
             abort_time=when,
         )
 
-    record(state)
+    y = state.chain[K:].copy()
+    record(0.0, y)
     for i in range(n_steps):
-        state = step(state, dt_eff, table[2 * i : 2 * i + 3], nu, conv_method, guard=False)
-        state = replace(state, t=float(stage_times[2 * i + 2]))
-        sup_v = _sup_v_norm(state.chain, kmag_pow)
+        y = kernel.step(y, dt_eff, table[2 * i : 2 * i + 3])
+        t = float(stage_times[2 * i + 2])
+        sup_v = kernel.sup_v(y)
         if not np.isfinite(sup_v):
             raise BlowUpError(
-                f"non-finite state at t = {state.t:.6g}",
+                f"non-finite state at t = {t:.6g}",
                 float(stage_times[2 * i]),
-                bundle(False, "non-finite", state.t),
+                bundle(False, "non-finite", t),
             )
         if sup_v > blowup_ceiling:
             raise BlowUpError(
                 f"blow-up: sup|V| = {sup_v:.6g} exceeds ceiling {blowup_ceiling:.6g} "
-                f"at t = {state.t:.6g}",
+                f"at t = {t:.6g}",
                 float(stage_times[2 * i]),
-                bundle(False, "blow-up", state.t),
+                bundle(False, "blow-up", t),
             )
         if (i + 1) % snap_every == 0 or i + 1 == n_steps:
-            record(state)
+            record(t, y)
     return bundle(True, None, None)

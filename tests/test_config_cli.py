@@ -9,11 +9,14 @@ config hash, which ignores threads and output_dir.
 import json
 import math
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from weakhyp import ConfigError, RunConfig, load_config
+from weakhyp import ConfigError, RunConfig, cli, load_config
 from weakhyp.cli import main
+from weakhyp.spectral import Trajectory
 
 
 def base() -> dict:
@@ -40,7 +43,6 @@ def test_defaults():
     assert cfg.j_max == 24
     assert cfg.threads == 1
     assert cfg.output_dir == "out"
-    assert cfg.conv_method == "direct"
 
 
 def test_grid_default_rounds_up_to_power_of_two():
@@ -115,9 +117,12 @@ def test_invariant_violations_name_the_field(patch, field):
 
 
 def test_conv_method_choices():
-    with pytest.raises(ConfigError) as err:
-        RunConfig.from_dict({**base(), "conv_method": "auto"})
-    assert err.value.field == "conv_method"
+    # the integrator has one convolution path, so the former key is unknown
+    for value in ("direct", "fft"):
+        with pytest.raises(ConfigError) as err:
+            RunConfig.from_dict({**base(), "conv_method": value})
+        assert err.value.field == "conv_method"
+        assert "unknown key" in str(err.value)
 
 
 def test_coefficient_expression_error_points_at_entry():
@@ -270,6 +275,38 @@ def test_cli_simulate_spectrum_values(tmp_path):
     assert report["completed"] is True
     assert report["final_sup_v"] == pytest.approx(0.5, rel=1e-3)
     assert report["final_reality_defect"] < 1e-12
+
+
+def reference_spectrum_bytes(traj, sha: str) -> bytes:
+    """spectrum.csv as formatted cell by cell with %.17g."""
+    m = traj.order
+    header = ["t", "k"] + [f"{p}_V{c}" for c in range(m) for p in ("re", "im")]
+    lines = [f"# config_sha256={sha}", ",".join(header)]
+    v = traj.v_series()
+    for i, t in enumerate(traj.times):
+        for idx, k in enumerate(traj.modes):
+            cells = ["%.17g" % float(t), str(int(k))]
+            for comp in range(m):
+                z = v[i, idx, comp]
+                cells += ["%.17g" % float(z.real), "%.17g" % float(z.imag)]
+            lines.append(",".join(cells))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf * 0 in V
+def test_spectrum_emitter_matches_cellwise_formatting(tmp_path):
+    rng = np.random.default_rng(11)
+    K, m, S = 5, 3, 4
+    chains = rng.standard_normal((S, 2 * K + 1, m)) * 10.0 ** rng.integers(-320, 300, (S, 2 * K + 1, m))
+    chains = chains + 1j * rng.standard_normal((S, 2 * K + 1, m))
+    chains[0, 0] = [np.nan, np.inf, -0.0]
+    chains[1, 1] = [-np.inf, 0.0, 1e-310]
+    traj = Trajectory(
+        order=m, K=K, dt=0.1, nu=0, times=np.array([0.0, 1 / 3, 0.7, 1.0]),
+        chains=chains, forcings=np.zeros((S, 2 * K + 1), dtype=complex), completed=True,
+    )
+    cli._emit_spectrum(SimpleNamespace(output_dir=str(tmp_path)), traj, "abc")
+    assert (tmp_path / "spectrum.csv").read_bytes() == reference_spectrum_bytes(traj, "abc")
 
 
 def test_cli_analyze_outputs(tmp_path):

@@ -302,6 +302,29 @@ def test_master_estimate_frozen():
     assert set(d) == {"ratio", "N", "fitted_N", "C_target", "ratios_by_N"}
 
 
+def test_master_ratio_finite_with_exactly_zero_mode():
+    # mode +-2 is exactly zero in V(0) and in the first two forcings, yet holds
+    # rounding-level mass at t = 0.5: the ratio must stay O(1), not 1e282
+    K = 2
+    times = np.array([0.0, 0.5, 1.0])
+    chains = np.zeros((3, 2 * K + 1, 2), dtype=complex)
+    chains[:, [1, 3], 1] = 0.5
+    chains[1:, [0, 4], 1] = 1e-18
+    forcings = np.zeros((3, 2 * K + 1), dtype=complex)
+    forcings[:, K] = 0.25
+    forcings[2, [0, 4]] = 1e-18
+    traj = Trajectory(
+        order=2, K=K, dt=0.5, nu=2, times=times, chains=chains,
+        forcings=forcings, completed=True,
+    )
+    rep = master_estimate_check(traj, UNIT, c_target=10.0)
+    assert np.isfinite(rep.ratio) and rep.ratio < 10.0
+    assert all(np.isfinite(r) and r < 10.0 for r in rep.ratios_by_n.values())
+    problem = CoefficientSpec.from_strings(2, 1.0, ["0", "-1"], 2, ["cos(x)", "0"])
+    ledger = build_energy_ledger(traj, problem, j_max=12)
+    assert np.isfinite(ledger.l_const)
+
+
 def wave_problem():
     return CoefficientSpec.from_strings(2, 1.0, ["0", "-1"], 0, ["cos(x)", "0"])
 

@@ -1,5 +1,7 @@
 """Solver tests: assembly, convolution, stepping vs a dense ODE oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -7,7 +9,9 @@ from scipy.integrate import solve_ivp
 from weakhyp.equation import CoefficientSpec
 from weakhyp.spectral import (
     BlowUpError,
+    SpectralState,
     StabilityError,
+    _ring_size,
     assemble_state,
     companion_matrix,
     convolution_power,
@@ -111,17 +115,38 @@ def test_convolution_keeps_edge_mass():
     assert f[0] == pytest.approx(3.0)
 
 
+def hermitian_state(rng, K, m, decay=0.05):
+    """Random state of a real solution: row -k is the conjugate of row k."""
+    half = rng.standard_normal((K + 1, m)) + 1j * rng.standard_normal((K + 1, m))
+    half *= np.exp(-decay * np.arange(K + 1))[:, None]
+    half[0] = half[0].real
+    chain = np.concatenate([half[:0:-1].conj(), half])
+    return SpectralState(K=K, t=0.0, chain=chain)
+
+
 def test_convolution_direct_vs_fft():
+    # the integrator's rfft ring against the direct oracle on Hermitian spectra
     rng = np.random.default_rng(29)
-    for nu in (2, 3):
+    for nu in (1, 2, 3):
         for _ in range(10):
             K = int(rng.integers(8, 48))
-            u = rng.standard_normal(2 * K + 1) + 1j * rng.standard_normal(2 * K + 1)
-            u *= np.exp(-0.05 * np.abs(np.arange(-K, K + 1)))
-            d = convolution_power(u, nu, "direct")
-            f = convolution_power(u, nu, "fft")
+            state = hermitian_state(rng, K, 2)
+            d = convolution_power(state.u_hat, nu)
+            f = nonlinear_rhs(state, nu)[:, -1]
             scale = np.abs(d).max()
             assert np.abs(d - f).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("nu, K", [(1, 16), (3, 16), (3, 32), (7, 8)])
+def test_ring_alias_free_at_power_of_two_boundary(nu, K):
+    # (nu+1)K is a power of two here, so a ring of (nu+1)K points would fold
+    # mode nu*K onto -K; the ring must be the next power of two
+    assert _ring_size(K, nu) == 2 * (nu + 1) * K
+    rng = np.random.default_rng(nu * 100 + K)
+    state = hermitian_state(rng, K, 2, decay=0.0)  # full mass out to |k| = K
+    d = convolution_power(state.u_hat, nu)
+    f = nonlinear_rhs(state, nu)[:, -1]
+    assert np.abs(d - f).max() <= 1e-12 * np.abs(d).max()
 
 
 def test_convolution_validation():
@@ -129,8 +154,6 @@ def test_convolution_validation():
         convolution_power(np.zeros(4, dtype=complex), 2)  # even length
     with pytest.raises(ValueError):
         convolution_power(np.zeros(5, dtype=complex), 0)
-    with pytest.raises(ValueError):
-        convolution_power(np.zeros(5, dtype=complex), 2, "banana")
 
 
 def test_nonlinear_rhs_shape():
@@ -187,6 +210,59 @@ def test_reality_preserved():
     assert traj.state_at(len(traj) - 1).reality_defect() < 1e-10
 
 
+@pytest.mark.parametrize("nu", [0, 2, 3])
+def test_every_snapshot_is_exactly_real(nu):
+    spec = CoefficientSpec.from_strings(
+        3, 0.5, ["sin(t)", "-1 - t^2", "0.3*t"], nu,
+        ["0.2/(1.25 - cos(x)) + 0.1*sin(2*x)", "0.1*cos(3*x)", "0.05*sin(x)"],
+    )
+    traj = simulate(spec, K=16, dt=1e-3, snapshot_interval=0.05)
+    for i in range(len(traj)):
+        assert traj.state_at(i).reality_defect() == 0.0
+    np.testing.assert_array_equal(traj.forcings[:, ::-1], traj.forcings.conj())
+
+
+def full_system_oracle(spec, K, chain0, T):
+    """DOP853 on all modes -K..K with a direct-convolution forcing.
+
+    The chain (2K+1, m) is integrated as stacked real and imaginary parts,
+    without assuming Hermitian symmetry.
+    """
+    m = spec.order
+    nu = spec.nonlinearity
+    ik = 1j * np.arange(-K, K + 1)
+    size = chain0.size
+
+    def rhs(t, y):
+        z = (y[:size] + 1j * y[size:]).reshape(2 * K + 1, m)
+        a = spec.coefficients_at(t)
+        dz = np.empty_like(z)
+        dz[:, :-1] = z[:, 1:]
+        dz[:, -1] = convolution_power(z[:, 0], nu) - sum(
+            a[h - 1] * ik**h * z[:, m - h] for h in range(1, m + 1)
+        )
+        return np.concatenate([dz.real.ravel(), dz.imag.ravel()])
+
+    y0 = np.concatenate([chain0.real.ravel(), chain0.imag.ravel()])
+    sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=1e-13, atol=1e-15)
+    assert sol.success
+    out = sol.y[:, -1]
+    return (out[:size] + 1j * out[size:]).reshape(2 * K + 1, m)
+
+
+@pytest.mark.parametrize("nu", [2, 3])
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("K", [8, 13])
+def test_nonlinear_modes_against_dense_oracle(nu, m, K):
+    coeffs = {2: ["0", "-t^2"], 3: ["0", "-1 - t^2", "0"]}[m]
+    initial = ["0.3/(1.25 - cos(x))", "0.1*sin(x)", "0"][:m]
+    spec = CoefficientSpec.from_strings(m, 0.5, coeffs, nu, initial)
+    traj = simulate(spec, K=K, dt=5e-4, snapshot_interval=0.5)
+    expected = full_system_oracle(spec, K, traj.chains[0], 0.5)
+    err = np.abs(traj.chains[-1] - expected).max() / np.abs(expected).max()
+    assert err < 1e-9, err
+
+
 def test_snapshot_cadence():
     spec = CoefficientSpec.from_strings(2, 1.0, ["0", "-1"], 0, ["cos(x)", "0"])
     traj = simulate(spec, K=8, dt=1e-3, snapshot_interval=0.1)
@@ -200,6 +276,25 @@ def test_stability_guard_simulate():
     spec = CoefficientSpec.from_strings(2, 1.0, ["0", "-1"], 0, ["cos(x)", "0"])
     with pytest.raises(StabilityError):
         simulate(spec, K=512, dt=0.01)
+
+
+def test_step_requires_real_symmetric_state():
+    state = hermitian_state(np.random.default_rng(3), 8, 2)
+    stage = np.array([[0.0, -1.0]] * 3)
+    with pytest.raises(ValueError, match="real_symmetric"):
+        step(replace(state, real_symmetric=False), 1e-3, stage, 2)
+
+
+def test_step_and_simulate_share_one_kernel():
+    spec = CoefficientSpec.from_strings(
+        2, 0.01, ["sin(t)", "-1 - t^2"], 2, ["0.2/(1.25 - cos(x))", "0.1*sin(x)"]
+    )
+    traj = simulate(spec, K=8, dt=1e-3)
+    table = spec.coefficient_table(np.linspace(0.0, 0.01, 21))
+    state = traj.state_at(0)
+    for i in range(10):
+        state = step(state, 1e-3, table[2 * i : 2 * i + 3], 2)
+        np.testing.assert_array_equal(state.chain, traj.chains[i + 1])
 
 
 def test_stability_guard_step():
