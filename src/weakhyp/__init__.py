@@ -45,6 +45,7 @@ from .spectral import (
     Trajectory,
     assemble_state,
     companion_matrix,
+    companion_stack,
     convolution_power,
     simulate,
 )
@@ -84,6 +85,7 @@ __all__ = [
     "characteristic_roots",
     "check_diam",
     "companion_matrix",
+    "companion_stack",
     "continuation_check",
     "convolution_power",
     "default_c0",

@@ -30,15 +30,13 @@ from .energy import (
 )
 from .parallel import ordered_map
 from .quasisym import (
-    SymmetrizerCertificate,
     build_quasi_symmetrizer,
     sample_unit_vectors,
     verify_quasi_symmetrizer,
 )
 from .radius import InsufficientBandError, fit_decay
-from .spectral import BlowUpError, StabilityError, Trajectory, companion_matrix, simulate
+from .spectral import BlowUpError, StabilityError, Trajectory, companion_stack, simulate
 from .symbol import (
-    UnsupportedOrderError,
     characteristic_roots,
     check_diam,
     discriminant_check,
@@ -58,6 +56,8 @@ def _sanitize(obj: Any) -> Any:
     if isinstance(obj, (list, tuple)):
         return [_sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and np.isfinite(obj).all():
+            return obj.tolist()  # finite floats need no conversion
         return [_sanitize(v) for v in obj.tolist()]
     if isinstance(obj, (np.integer,)):
         return int(obj)
@@ -158,21 +158,14 @@ def _emit_radius(cfg: RunConfig, times, fits, sha: str) -> None:
 
 
 def _certificate_payload(cfg: RunConfig) -> dict:
-    problem = cfg.problem()
-    m = cfg.order
     times = np.linspace(0.0, cfg.horizon, cfg.cert_times)
+    table = cfg.problem().coefficient_table(times)
     rng = np.random.default_rng(cfg.seed)
-    samples = sample_unit_vectors(m, cfg.samples, rng)
-
-    def one(t: float) -> SymmetrizerCertificate:
-        coeffs = problem.coefficients_at(float(t))
-        roots = characteristic_roots(coeffs)
-        qs = build_quasi_symmetrizer(roots)
-        return verify_quasi_symmetrizer(
-            qs, companion_matrix(coeffs), cfg.eps_set, samples, nd_floor=cfg.nd_floor
-        )
-
-    certs = ordered_map(one, [float(t) for t in times], cfg.threads)
+    samples = sample_unit_vectors(cfg.order, cfg.samples, rng)
+    qs = build_quasi_symmetrizer(characteristic_roots(table))
+    certs = verify_quasi_symmetrizer(
+        qs, companion_stack(table), cfg.eps_set, samples, nd_floor=cfg.nd_floor
+    )
     aggregate = {
         "C_lower": max(c.c_lower for c in certs),
         "C_upper": max(c.c_upper for c in certs),
@@ -182,7 +175,7 @@ def _certificate_payload(cfg: RunConfig) -> dict:
     }
     return {
         "command": "symmetrizer",
-        "times": [float(t) for t in times],
+        "times": times,
         "eps_set": list(cfg.eps_set),
         "samples": cfg.samples,
         "nd_floor": cfg.nd_floor,
@@ -241,27 +234,15 @@ def _cmd_check(cfg: RunConfig, sha: str) -> int:
     diam = check_diam(problem, grid)
     disc_payload = None
     if cfg.order in (2, 3):
-        holds = True
-        delta_min = float("inf")
-        ratio_min = float("inf")
-        failures: list[float] = []
-        for t in grid:
-            try:
-                result = discriminant_check(problem.coefficients_at(float(t)))
-            except UnsupportedOrderError:
-                break
-            delta_min = min(delta_min, result.delta)
-            ratio_min = min(ratio_min, result.ratio)
-            if not result.holds(cfg.disc_threshold):
-                holds = False
-                failures.append(float(t))
+        disc = discriminant_check(problem.coefficient_table(grid))
+        holds = disc.holds(cfg.disc_threshold)
         disc_payload = {
             "m": cfg.order,
             "c": cfg.disc_threshold,
-            "holds": holds,
-            "delta_min": delta_min,
-            "ratio_min": ratio_min,
-            "failure_times": failures[:32],
+            "holds": bool(holds.all()),
+            "delta_min": float(disc.delta.min()),
+            "ratio_min": float(disc.ratio.min()),
+            "failure_times": grid[~holds][:32],
         }
     payload = {
         "command": "check",

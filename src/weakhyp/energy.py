@@ -24,7 +24,7 @@ import numpy as np
 
 from .equation import CoefficientSpec
 from .quasisym import build_quasi_symmetrizer
-from .spectral import SpectralState, Trajectory
+from .spectral import SpectralState, Trajectory, companion_stack
 from .symbol import characteristic_roots
 
 __all__ = [
@@ -611,12 +611,7 @@ class EnergyLedger:
 def default_c0(problem: CoefficientSpec, grid_points: int = 10_000) -> float:
     """max(1, sup over a fine grid of the spectral norm of A(t))."""
     ts = np.linspace(0.0, problem.horizon, grid_points)
-    table = problem.coefficient_table(ts)
-    m = problem.order
-    mats = np.zeros((ts.size, m, m))
-    for i in range(m - 1):
-        mats[:, i, i + 1] = -1.0
-    mats[:, m - 1, :] = table[:, ::-1]
+    mats = companion_stack(problem.coefficient_table(ts))
     norms = np.linalg.svd(mats, compute_uv=False)[:, 0]
     return float(max(1.0, norms.max()))
 

@@ -45,14 +45,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuasiSymmetrizer:
-    """Layered symmetrizer family for one set of real roots."""
+    """Layered symmetrizer family for one set of real roots, or one per time.
+
+    ``roots`` has shape (m,) or (n, m); each layer then has shape (m, m) or
+    (n, m, m).
+    """
 
     roots: np.ndarray
-    layers: tuple[np.ndarray, ...]  # Q_0 ... Q_{m-1}, each (m, m) symmetric PSD
+    layers: tuple[np.ndarray, ...]  # Q_0 ... Q_{m-1}, each symmetric PSD
 
     @property
     def order(self) -> int:
-        return self.roots.size
+        return self.roots.shape[-1]
 
     def assemble(self, eps: float) -> np.ndarray:
         """Q_eps = sum_r eps^(2r) Q_r."""
@@ -62,39 +66,42 @@ class QuasiSymmetrizer:
         return q
 
 
-def _monic_from_roots(roots: Sequence[float], m: int) -> np.ndarray:
-    """Ascending-degree coefficients of prod (lam - root), padded to length m."""
-    coeffs = np.zeros(m)
-    coeffs[0] = 1.0
-    deg = 0
-    for root in roots:
-        prev = coeffs[: deg + 1].copy()
-        coeffs[: deg + 2] = 0.0
-        coeffs[1 : deg + 2] += prev  # lam * prev
-        coeffs[: deg + 1] -= root * prev
-        deg += 1
+def _monic_from_roots(roots: np.ndarray, m: int) -> np.ndarray:
+    """Ascending-degree coefficients of prod (lam - root) over the last axis, padded to length m."""
+    coeffs = np.zeros((*roots.shape[:-1], m))
+    coeffs[..., 0] = 1.0
+    for deg in range(roots.shape[-1]):
+        root = roots[..., deg : deg + 1]
+        prev = coeffs[..., : deg + 1].copy()
+        coeffs[..., : deg + 2] = 0.0
+        coeffs[..., 1 : deg + 2] += prev  # lam * prev
+        coeffs[..., : deg + 1] -= root * prev
     return coeffs
 
 
-def build_quasi_symmetrizer(roots: Sequence[float]) -> QuasiSymmetrizer:
-    """Build the layered family from a set of real roots (any order >= 2)."""
+def build_quasi_symmetrizer(roots: np.ndarray) -> QuasiSymmetrizer:
+    """Build the layered family from real roots (any order >= 2).
+
+    ``roots`` is one set, shape (m,), or one set per time, shape (n, m);
+    the layers are built for all times at once.
+    """
     r = np.asarray(roots, dtype=float)
-    if r.ndim != 1 or r.size < 2:
+    if r.ndim not in (1, 2) or r.shape[-1] < 2:
         raise ValueError("need at least two real roots")
-    m = r.size
+    rows = np.atleast_2d(r)
+    m = rows.shape[1]
     layers = []
     indices = range(m)
     for size in range(m):
-        layer = np.zeros((m, m))
+        layer = np.zeros((rows.shape[0], m, m))
         for subset in itertools.combinations(indices, size):
-            excluded = set(subset)
             for j in indices:
-                if j in excluded:
+                if j in subset:
                     continue
-                factors = [r[i] for i in indices if i not in excluded and i != j]
-                w = _monic_from_roots(factors, m)
-                layer += np.outer(w, w)
-        layers.append(layer)
+                factors = [i for i in indices if i not in subset and i != j]
+                w = _monic_from_roots(rows[:, factors], m)
+                layer += w[:, :, None] * w[:, None, :]
+        layers.append(layer if r.ndim == 2 else layer[0])
     return QuasiSymmetrizer(roots=r, layers=tuple(layers))
 
 
@@ -157,9 +164,12 @@ def verify_quasi_symmetrizer(
     eps_set: Sequence[float],
     samples: np.ndarray | None = None,
     nd_floor: float = 0.0,
-) -> SymmetrizerCertificate:
-    """Measure the certificate constants for one symmetrizer against one A.
+) -> SymmetrizerCertificate | list[SymmetrizerCertificate]:
+    """Measure the certificate constants for a symmetrizer against its A.
 
+    ``qs`` holds one set of roots with ``a_matrix`` of shape (m, m), and
+    gives one certificate; or n sets with ``a_matrix`` of shape (n, m, m),
+    and gives one certificate per set, every time and eps in one batch.
     Spectral bounds come from exact symmetric eigensolves; the commutator and
     near-diagonality constants are exact generalized-eigenvalue extremals,
     cross-audited on the supplied random direction ``samples`` (complex unit
@@ -167,7 +177,7 @@ def verify_quasi_symmetrizer(
     """
     m = qs.order
     a_matrix = np.asarray(a_matrix, dtype=float)
-    if a_matrix.shape != (m, m):
+    if a_matrix.shape != (*qs.roots.shape[:-1], m, m):
         raise ValueError(f"companion matrix shape {a_matrix.shape} does not match order {m}")
     eps_set = tuple(float(e) for e in eps_set)
     if any(e <= 0 for e in eps_set):
@@ -178,70 +188,115 @@ def verify_quasi_symmetrizer(
     if samples.size and samples.shape[1] != m:
         raise ValueError("sample vectors must have length m")
 
-    c_lower = 0.0
-    c_upper = 0.0
-    comm_by_eps: dict[float, float] = {}
-    nd_by_eps: dict[float, float] = {}
-    sampled_comm = 0.0
-    sampled_nd = float("inf")
+    # rows of every stack below run over (time, eps), eps fastest
+    roots = np.atleast_2d(qs.roots)
+    n, n_eps = roots.shape[0], len(eps_set)
+    a = np.repeat(a_matrix.reshape(n, m, m), n_eps, axis=0)
+    q = np.stack([qs.assemble(eps).reshape(n, m, m) for eps in eps_set], axis=1).reshape(-1, m, m)
+    eps_rows = np.tile(eps_set, n)
 
-    for eps in eps_set:
-        q = qs.assemble(eps)
-        w, u = np.linalg.eigh(q)
-        lam_min, lam_max = float(w[0]), float(w[-1])
-        c_upper = max(c_upper, lam_max)
-        c_lower = max(c_lower, eps ** (2 * (m - 1)) / lam_min if lam_min > 0 else float("inf"))
+    w, u = np.linalg.eigh(q)
+    lam_min, lam_max = w[:, 0], w[:, -1]
+    pos = lam_min > 0
+    top = np.tile([eps ** (2 * (m - 1)) for eps in eps_set], n)
+    lower = np.full(n * n_eps, np.inf)
+    lower[pos] = top[pos] / lam_min[pos]
 
-        b = q @ a_matrix - a_matrix.T @ q  # real antisymmetric
-        herm = 1j * b
-        if lam_min > 0:
-            inv_sqrt = u @ np.diag(w**-0.5) @ u.T
-            gen_eigs = np.linalg.eigvalsh(inv_sqrt @ herm @ inv_sqrt)
-            comm = float(np.abs(gen_eigs).max()) / eps
-        else:
-            comm = float("inf")
-        comm_by_eps[eps] = comm
+    b = q @ a - a.transpose(0, 2, 1) @ q  # real antisymmetric
+    comm = np.full(n * n_eps, np.inf)
+    if pos.any():
+        up = u[pos]
+        inv_sqrt = (up * w[pos, None, :] ** -0.5) @ up.transpose(0, 2, 1)
+        gen_eigs = np.linalg.eigvalsh(inv_sqrt @ (1j * b[pos]) @ inv_sqrt)
+        comm[pos] = np.abs(gen_eigs).max(axis=1) / eps_rows[pos]
 
-        d = np.diag(q)
-        if (d > 0).all():
-            norm = q / np.sqrt(np.outer(d, d))
-            nd_by_eps[eps] = float(np.linalg.eigvalsh(norm)[0])
-        else:
-            nd_by_eps[eps] = 0.0
+    d = np.diagonal(q, axis1=1, axis2=2)
+    dpos = (d > 0).all(axis=1)
+    nd = np.zeros(n * n_eps)
+    if dpos.any():
+        dd = d[dpos]
+        norm = q[dpos] / np.sqrt(dd[:, :, None] * dd[:, None, :])
+        nd[dpos] = np.linalg.eigvalsh(norm)[:, 0]
 
-        if samples.size:
-            qv = samples @ q.T
-            quad = np.einsum("ij,ij->i", samples.conj(), qv).real
-            bv = samples @ b.T
-            comm_num = np.abs(np.einsum("ij,ij->i", samples.conj(), bv))
-            good = quad > 0
-            if good.any():
-                sampled_comm = max(sampled_comm, float((comm_num[good] / (eps * quad[good])).max()))
-                diag_quad = (np.abs(samples) ** 2 * d).sum(axis=1)
-                sampled_nd = min(sampled_nd, float((quad[good] / diag_quad[good]).min()))
+    sampled_comm, sampled_nd = _sampled_audit(samples, q, b, d, eps_rows, n_eps)
+    diams = diam_ratio(roots).tolist()
 
-    c_comm = max(comm_by_eps.values())
-    c_nd = min(nd_by_eps.values())
-    qs1 = math.isfinite(c_lower) and math.isfinite(c_upper)
-    qs2 = math.isfinite(c_comm)
-    nd_ok = c_nd > nd_floor if nd_floor == 0.0 else c_nd >= nd_floor
-    return SymmetrizerCertificate(
-        eps_set=eps_set,
-        c_lower=c_lower,
-        c_upper=c_upper,
-        c_comm=c_comm,
-        c_comm_by_eps=comm_by_eps,
-        c_nd=c_nd,
-        c_nd_by_eps=nd_by_eps,
-        sampled_c_comm=sampled_comm,
-        sampled_c_nd=sampled_nd if samples.size else float("nan"),
-        diam=diam_ratio(qs.roots),
-        samples=int(samples.shape[0]),
-        nd_floor=nd_floor,
-        qs1_pass=qs1,
-        qs2_pass=qs2,
-        nd_pass=bool(nd_ok),
-    )
+    certs = []
+    for i in range(n):
+        rows = slice(i * n_eps, (i + 1) * n_eps)
+        comm_by_eps = dict(zip(eps_set, comm[rows].tolist()))
+        nd_by_eps = dict(zip(eps_set, nd[rows].tolist()))
+        c_lower = max([0.0, *lower[rows].tolist()])
+        c_upper = max([0.0, *lam_max[rows].tolist()])
+        c_comm = max(comm_by_eps.values())
+        c_nd = min(nd_by_eps.values())
+        nd_ok = c_nd > nd_floor if nd_floor == 0.0 else c_nd >= nd_floor
+        certs.append(
+            SymmetrizerCertificate(
+                eps_set=eps_set,
+                c_lower=c_lower,
+                c_upper=c_upper,
+                c_comm=c_comm,
+                c_comm_by_eps=comm_by_eps,
+                c_nd=c_nd,
+                c_nd_by_eps=nd_by_eps,
+                sampled_c_comm=max([0.0, *sampled_comm[rows].tolist()]),
+                sampled_c_nd=min(sampled_nd[rows].tolist()) if samples.size else float("nan"),
+                diam=diams[i],
+                samples=int(samples.shape[0]),
+                nd_floor=nd_floor,
+                qs1_pass=math.isfinite(c_lower) and math.isfinite(c_upper),
+                qs2_pass=math.isfinite(c_comm),
+                nd_pass=bool(nd_ok),
+            )
+        )
+    return certs if qs.roots.ndim == 2 else certs[0]
+
+
+def _sampled_audit(
+    samples: np.ndarray,
+    q: np.ndarray,
+    b: np.ndarray,
+    d: np.ndarray,
+    eps_rows: np.ndarray,
+    n_eps: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Directional audit per row of the stacks q, b (diagonals d).
+
+    Returns the largest |(B v, v)| / (eps (Q v, v)) and the smallest
+    (Q v, v) / sum_j q_jj |v_j|^2 over the sample directions v with
+    (Q v, v) > 0 (-inf and +inf where there are none).  The moments
+    conj(v_i) v_j are formed once: for real Q, (Q v, v) = Re(moments) . vec(Q),
+    and for real antisymmetric B, |(B v, v)| = |Im(moments) . vec(B)|.
+    The rows of one time (``n_eps`` of them) are taken at a time, so the
+    (rows, samples) temporaries stay near the size of the samples; blocks
+    of several times measured no faster and raised peak memory.
+    """
+    rows, m = q.shape[:2]
+    sampled_comm = np.full(rows, -np.inf)
+    sampled_nd = np.full(rows, np.inf)
+    if not samples.size:
+        return sampled_comm, sampled_nd
+    x, y = samples.real.T, samples.imag.T
+    # Re and Im of conj(v_i) v_j, row i*m + j, one column per sample
+    re = (x[:, None] * x[None, :] + y[:, None] * y[None, :]).reshape(m * m, -1)
+    im = (x[:, None] * y[None, :] - y[:, None] * x[None, :]).reshape(m * m, -1)
+    abs_sq = x * x + y * y
+    for lo in range(0, rows, n_eps):
+        blk = slice(lo, lo + n_eps)
+        quad = q[blk].reshape(-1, m * m) @ re  # (rows in block, samples)
+        comm_ratio = np.abs(b[blk].reshape(-1, m * m) @ im)
+        diag_quad = d[blk] @ abs_sq
+        with np.errstate(divide="ignore", invalid="ignore"):
+            comm_ratio /= eps_rows[blk, None] * quad
+            nd_ratio = np.divide(quad, diag_quad, out=diag_quad)
+        good = quad > 0
+        if not good.all():
+            comm_ratio[~good] = -np.inf
+            nd_ratio[~good] = np.inf
+        sampled_comm[blk] = comm_ratio.max(axis=1)
+        sampled_nd[blk] = nd_ratio.min(axis=1)
+    return sampled_comm, sampled_nd
 
 
 @dataclass

@@ -45,6 +45,7 @@ __all__ = [
     "SpectralState",
     "Trajectory",
     "companion_matrix",
+    "companion_stack",
     "assemble_state",
     "convolution_power",
     "nonlinear_rhs",
@@ -79,22 +80,30 @@ class BlowUpError(RuntimeError):
         super().__init__(message)
 
 
-def companion_matrix(coeffs: Sequence[float]) -> np.ndarray:
-    """Companion matrix A with superdiagonal -1 and last row (a_m, ..., a_1).
+def companion_stack(table: np.ndarray) -> np.ndarray:
+    """Companion matrices of the coefficient rows of ``table``, shape (n, m, m).
 
-    With this sign convention V' + ik A V = F is exactly equivalent to the
-    scalar equation; the eigenvalues of A are the negatives of the
-    characteristic roots.
+    Row i of ``table`` holds (a_1, ..., a_m) at one time; its matrix has
+    superdiagonal -1 and last row (a_m, ..., a_1).  With this sign
+    convention V' + ik A V = F is exactly equivalent to the scalar equation,
+    and the eigenvalues of A are the negatives of the characteristic roots.
     """
-    a = np.asarray(coeffs, dtype=float)
-    m = a.size
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2:
+        raise ValueError("coefficient table must be two-dimensional (times, m)")
+    n, m = table.shape
     if m < 2:
         raise ValueError("order must be at least 2")
-    mat = np.zeros((m, m))
-    for i in range(m - 1):
-        mat[i, i + 1] = -1.0
-    mat[m - 1, :] = a[::-1]
-    return mat
+    mats = np.zeros((n, m, m))
+    sup = np.arange(m - 1)
+    mats[:, sup, sup + 1] = -1.0
+    mats[:, m - 1, :] = table[:, ::-1]
+    return mats
+
+
+def companion_matrix(coeffs: Sequence[float]) -> np.ndarray:
+    """The companion matrix of one coefficient row: ``companion_stack`` of one row."""
+    return companion_stack(np.asarray(coeffs, dtype=float).reshape(1, -1))[0]
 
 
 @dataclass
@@ -266,12 +275,7 @@ class _HalfSpectrumRK4:
 
 def _spectral_radius(coeff_rows: np.ndarray) -> float:
     """Largest |eigenvalue| of the companion matrices of all coefficient rows."""
-    n, m = coeff_rows.shape
-    mats = np.zeros((n, m, m))
-    for i in range(m - 1):
-        mats[:, i, i + 1] = -1.0
-    mats[:, m - 1, :] = coeff_rows[:, ::-1]
-    return float(np.abs(np.linalg.eigvals(mats)).max())
+    return float(np.abs(np.linalg.eigvals(companion_stack(coeff_rows))).max())
 
 
 def step(

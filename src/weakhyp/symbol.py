@@ -15,7 +15,7 @@ which tolerates roots that coincide at zero but not elsewhere.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,9 +35,13 @@ __all__ = [
 
 
 class NonHyperbolicError(ValueError):
-    """A characteristic root has an imaginary part above tolerance."""
+    """A characteristic root has an imaginary part above tolerance.
 
-    def __init__(self, max_imag: float, tol: float, t: float | None = None):
+    ``index`` is the first offending row of a coefficient table (0 for a
+    single row); ``t`` is its time when the caller knows it.
+    """
+
+    def __init__(self, max_imag: float, tol: float, t: float | None = None, index: int = 0):
         at = "" if t is None else f" at t = {t!r}"
         super().__init__(
             f"non-real characteristic root{at}: |Im| = {max_imag:.3e} exceeds tol = {tol:.3e}"
@@ -45,49 +49,74 @@ class NonHyperbolicError(ValueError):
         self.max_imag = max_imag
         self.tol = tol
         self.t = t
+        self.index = index
 
 
 class UnsupportedOrderError(ValueError):
     """Discriminant reformulations are implemented for m = 2 and m = 3 only."""
 
 
-def characteristic_roots(coeffs: Sequence[float], tol: float | None = None) -> np.ndarray:
+def characteristic_roots(coeffs: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Real roots of lam^m + a_1 lam^(m-1) + ... + a_m, sorted ascending.
 
-    Roots are extracted as eigenvalues of a balanced companion matrix.  If any
-    root has |Im| > tol the polynomial is not (weakly) hyperbolic and
-    :class:`NonHyperbolicError` is raised.  Default tolerance:
-    1e-8 * (1 + max |a_h|).
+    ``coeffs`` is one row (a_1, ..., a_m) or a table of rows, shape (n, m);
+    the result has the same shape.  Roots are the eigenvalues of the
+    companion matrix ``np.roots`` builds, one batched eigensolve per group of
+    rows of equal degree: trailing coefficients that are exactly zero give
+    exact zero roots, as in ``np.roots``, so each row's roots are bit for
+    bit those of ``np.roots``.  If a root has |Im| > tol the polynomial is
+    not (weakly) hyperbolic and :class:`NonHyperbolicError` is raised for
+    the first such row.  Default tolerance per row: 1e-8 * (1 + max |a_h|).
     """
     a = np.asarray(coeffs, dtype=float)
-    if a.ndim != 1 or a.size < 1:
-        raise ValueError("coefficient vector must be one-dimensional and non-empty")
+    if a.ndim not in (1, 2) or a.shape[-1] < 1:
+        raise ValueError("coefficients must be a non-empty row or a table of rows")
+    rows = np.atleast_2d(a)
+    n, m = rows.shape
     if tol is None:
-        tol = 1e-8 * (1.0 + float(np.abs(a).max()))
-    roots = np.roots(np.concatenate(([1.0], a)))
-    max_imag = float(np.abs(roots.imag).max()) if roots.size else 0.0
-    if max_imag > tol:
-        raise NonHyperbolicError(max_imag, tol)
-    return np.sort(roots.real)
+        tols = 1e-8 * (1.0 + np.abs(rows).max(axis=1, initial=0.0))
+    else:
+        tols = np.full(n, float(tol))
+    nonzero = rows != 0.0
+    degree = np.where(nonzero.any(axis=1), m - np.argmax(nonzero[:, ::-1], axis=1), 0)
+    re = np.zeros((n, m))
+    im = np.zeros((n, m))
+    for d in np.unique(degree[degree > 0]).tolist():
+        sel = np.flatnonzero(degree == d)
+        mats = np.zeros((sel.size, d, d))
+        sub = np.arange(d - 1)
+        mats[:, sub + 1, sub] = 1.0
+        mats[:, 0, :] = -rows[sel, :d]
+        eigs = np.linalg.eigvals(mats)
+        re[sel, :d] = eigs.real
+        im[sel, :d] = eigs.imag
+    max_imag = np.abs(im).max(axis=1)
+    bad = np.flatnonzero(max_imag > tols)
+    if bad.size:
+        i = int(bad[0])
+        raise NonHyperbolicError(float(max_imag[i]), float(tols[i]), index=i)
+    return np.sort(re, axis=1).reshape(a.shape)
 
 
-def diam_ratio(roots: Sequence[float]) -> float:
+def diam_ratio(roots: np.ndarray) -> float | np.ndarray:
     """Largest pairwise separation ratio; conventions for coinciding pairs.
 
-    A pair coinciding at zero contributes 0; a coinciding nonzero pair makes
-    the ratio infinite.
+    ``roots`` is one set of roots or a table of sets, shape (n, m); a table
+    gives one ratio per row.  A pair coinciding at zero contributes 0; a
+    coinciding nonzero pair makes the ratio infinite.
     """
     r = np.asarray(roots, dtype=float)
-    best = 0.0
-    for i, j in itertools.combinations(range(r.size), 2):
-        num = r[i] ** 2 + r[j] ** 2
-        den = (r[i] - r[j]) ** 2
-        if den == 0.0:
-            if num == 0.0:
-                continue
-            return float("inf")
-        best = max(best, num / den)
-    return best
+    rows = np.atleast_2d(r)
+    best = np.zeros(rows.shape[0])
+    for i, j in itertools.combinations(range(rows.shape[1]), 2):
+        lo, hi = rows[:, i], rows[:, j]
+        num = lo * lo + hi * hi
+        gap = lo - hi
+        den = gap * gap
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(den == 0.0, np.where(num == 0.0, 0.0, np.inf), num / den)
+        best = np.maximum(best, ratio)
+    return best if r.ndim == 2 else float(best[0])
 
 
 @dataclass
@@ -102,11 +131,11 @@ class DiamReport:
 
     def to_dict(self) -> dict:
         return {
-            "grid": [float(t) for t in self.grid],
-            "M": [float(v) for v in self.ratios],
+            "grid": self.grid,
+            "M": self.ratios,
             "M_sup": float(self.sup_ratio),
             "satisfied": bool(self.satisfied),
-            "failure_times": [float(t) for t in self.failure_times],
+            "failure_times": self.failure_times,
         }
 
 
@@ -117,20 +146,20 @@ def check_diam(
 ) -> DiamReport:
     """Evaluate the separation ratio along a time grid.
 
-    The grid must lie inside [0, T].  Non-hyperbolicity at any grid time
-    propagates as :class:`NonHyperbolicError` with the offending time.
+    The grid must lie inside [0, T].  The coefficients are evaluated on the
+    whole grid at once and the roots extracted in one batch.
+    Non-hyperbolicity at any grid time propagates as
+    :class:`NonHyperbolicError` with the first offending time.
     """
     grid = np.asarray(grid, dtype=float)
-    if grid.size == 0 or grid.min() < 0.0 or grid.max() > spec.horizon:
+    if grid.ndim != 1 or grid.size == 0 or grid.min() < 0.0 or grid.max() > spec.horizon:
         raise ValueError("grid must be non-empty and contained in [0, T]")
-    ratios = np.empty(grid.size)
-    for i, t in enumerate(grid):
-        coeffs = spec.coefficients_at(float(t))
-        try:
-            roots = characteristic_roots(coeffs, tol=tol)
-        except NonHyperbolicError as exc:
-            raise NonHyperbolicError(exc.max_imag, exc.tol, t=float(t)) from None
-        ratios[i] = diam_ratio(roots)
+    try:
+        roots = characteristic_roots(spec.coefficient_table(grid), tol=tol)
+    except NonHyperbolicError as exc:
+        t = float(grid[exc.index])
+        raise NonHyperbolicError(exc.max_imag, exc.tol, t=t, index=exc.index) from None
+    ratios = diam_ratio(roots)
     finite = np.isfinite(ratios)
     sup_ratio = float(ratios.max()) if finite.all() else float("inf")
     return DiamReport(
@@ -144,15 +173,20 @@ def check_diam(
 
 @dataclass(frozen=True)
 class DiscriminantResult:
-    """Discriminant and the order-specific right-hand side at one time."""
+    """Discriminant and the order-specific right-hand side, per time.
+
+    The fields are floats for one coefficient row and arrays of shape (n,)
+    for a table of rows.
+    """
 
     order: int
-    delta: float
-    rhs: float
-    ratio: float
+    delta: float | np.ndarray
+    rhs: float | np.ndarray
+    ratio: float | np.ndarray
 
-    def holds(self, c: float) -> bool:
-        return self.delta >= 0.0 and self.ratio >= c
+    def holds(self, c: float) -> bool | np.ndarray:
+        ok = (np.asarray(self.delta) >= 0.0) & (np.asarray(self.ratio) >= c)
+        return bool(ok) if ok.ndim == 0 else ok
 
     def to_dict(self) -> dict:
         return {
@@ -163,39 +197,43 @@ class DiscriminantResult:
         }
 
 
-def discriminant_check(coeffs: Sequence[float]) -> DiscriminantResult:
+def discriminant_check(coeffs: np.ndarray) -> DiscriminantResult:
     """Discriminant-based separation check for m = 2 and m = 3.
 
     m = 2:  delta = a1^2 - 4 a2,            rhs = a1^2
     m = 3:  delta = -4 a2^3 - 27 a3^2 + a1^2 a2^2 - 4 a1^3 a3 + 18 a1 a2 a3,
             rhs = (a1 a2 - 9 a3)^2
 
-    In both cases delta equals the product of squared root differences.  The
-    ratio is delta/rhs with the conventions: rhs = 0 with delta > 0 gives
-    +inf, both zero gives 1, rhs = 0 with delta < 0 gives -inf.
+    ``coeffs`` is one row (a_1, ..., a_m) or a table of rows, shape (n, m),
+    evaluated row by row; powers are products, so every value is exact
+    IEEE arithmetic independent of the platform's ``pow``.  In both cases
+    delta equals the product of squared root differences.  The ratio is
+    delta/rhs with the conventions: rhs = 0 with delta > 0 gives +inf, both
+    zero gives 1, rhs = 0 with delta < 0 gives -inf.
     """
     a = np.asarray(coeffs, dtype=float)
-    if a.size == 2:
-        a1, a2 = a
+    m = a.shape[-1] if a.ndim else 0
+    if m == 2:
+        a1, a2 = np.moveaxis(a, -1, 0)
         delta = a1 * a1 - 4.0 * a2
         rhs = a1 * a1
-    elif a.size == 3:
-        a1, a2, a3 = a
+    elif m == 3:
+        a1, a2, a3 = np.moveaxis(a, -1, 0)
+        s1, s2 = a1 * a1, a2 * a2
         delta = (
-            -4.0 * a2**3
-            - 27.0 * a3**2
-            + a1**2 * a2**2
-            - 4.0 * a1**3 * a3
+            -4.0 * (s2 * a2)
+            - 27.0 * (a3 * a3)
+            + s1 * s2
+            - 4.0 * (s1 * a1) * a3
             + 18.0 * a1 * a2 * a3
         )
-        rhs = (a1 * a2 - 9.0 * a3) ** 2
+        lin = a1 * a2 - 9.0 * a3
+        rhs = lin * lin
     else:
-        raise UnsupportedOrderError(f"discriminant check supports m in {{2, 3}}, got m = {a.size}")
-    if rhs == 0.0:
-        if delta == 0.0:
-            ratio = 1.0
-        else:
-            ratio = float("inf") if delta > 0.0 else float("-inf")
-    else:
-        ratio = delta / rhs
-    return DiscriminantResult(order=int(a.size), delta=float(delta), rhs=float(rhs), ratio=float(ratio))
+        raise UnsupportedOrderError(f"discriminant check supports m in {{2, 3}}, got m = {m}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        signed_inf = np.where(delta > 0.0, np.inf, -np.inf)
+        ratio = np.where(rhs == 0.0, np.where(delta == 0.0, 1.0, signed_inf), delta / rhs)
+    if a.ndim == 1:
+        return DiscriminantResult(order=m, delta=float(delta), rhs=float(rhs), ratio=float(ratio))
+    return DiscriminantResult(order=m, delta=delta, rhs=rhs, ratio=ratio)

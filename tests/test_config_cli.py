@@ -309,6 +309,51 @@ def test_spectrum_emitter_matches_cellwise_formatting(tmp_path):
     assert (tmp_path / "spectrum.csv").read_bytes() == reference_spectrum_bytes(traj, "abc")
 
 
+def elementwise_sanitize(obj):
+    """The JSON sanitizer without its array fast path: every value converted one by one."""
+    if isinstance(obj, dict):
+        return {str(k): elementwise_sanitize(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [elementwise_sanitize(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [elementwise_sanitize(v) for v in obj.tolist()]
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        obj = float(obj)
+    if isinstance(obj, float):
+        if math.isnan(obj):
+            return "nan"
+        if math.isinf(obj):
+            return "inf" if obj > 0 else "-inf"
+        return obj
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    return obj
+
+
+def test_json_sanitizer_fast_path_keeps_bytes():
+    rng = np.random.default_rng(13)
+    finite = rng.standard_normal(500) * 10.0 ** rng.integers(-320, 300, 500)
+    finite[:4] = [-0.0, 0.0, 5e-324, -2.2250738585072014e-308]
+    special = finite.copy()
+    special[[3, 50, 99]] = [np.nan, np.inf, -np.inf]
+    payload = {
+        "finite": finite,
+        "special": special,
+        "table": finite[:12].reshape(3, 4),
+        "table_special": special[:100].reshape(10, 10),
+        "float32": rng.standard_normal(20).astype(np.float32),
+        "ints": np.arange(5),
+        "flags": np.array([True, False]),
+        "empty": np.zeros(0),
+        "nested": [{"x": np.float64(-0.0), "y": np.inf, "z": np.int64(3)}, (1.5, np.bool_(True))],
+    }
+    for indent in (None, 2):
+        want = json.dumps(elementwise_sanitize(payload), sort_keys=True, indent=indent)
+        assert json.dumps(cli._sanitize(payload), sort_keys=True, indent=indent) == want
+
+
 def test_cli_analyze_outputs(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
@@ -363,6 +408,20 @@ def test_cli_symmetrizer(tmp_path):
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["aggregate"]["pass"] is True
     assert (out / "run_meta.json").exists()
+
+
+def test_cli_symmetrizer_thread_count_is_invisible_in_outputs(tmp_path):
+    text = WAVE_YAML.replace('coefficients: ["0", "-1"]', 'coefficients: ["0", "-t^2", "0"]')
+    text = text.replace("m: 2", "m: 3").replace('initial: ["cos(x)", "0"]', 'initial: ["cos(x)", "0", "0"]')
+    text = text.replace("times: 3", "times: 9")
+    cfg = write_config(tmp_path, text)
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert main(["symmetrizer", "--config", cfg, "--threads", "1", "--output", str(one)]) == 0
+    assert main(["symmetrizer", "--config", cfg, "--threads", "2", "--output", str(two)]) == 0
+    for name in ("certificate.json", "run_meta.json"):
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+    cert = json.loads((one / "certificate.json").read_text())
+    assert len(cert["per_time"]) == 9 and cert["aggregate"]["pass"] is True
 
 
 def test_cli_blowup_exit_two(tmp_path, capsys):

@@ -12,6 +12,7 @@ eps; the near-diagonality constant for the double root (1,1) is
 1 - 1/sqrt(1+eps^2) ~ eps^2/2, decaying below any eps-linear floor.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from weakhyp.quasisym import (
     sample_unit_vectors,
     verify_quasi_symmetrizer,
 )
-from weakhyp.spectral import companion_matrix
+from weakhyp.spectral import companion_matrix, companion_stack
 
 
 def test_layers_frozen_double_zero():
@@ -190,3 +191,112 @@ def test_glaeser_quotient_unbounded():
     # f = t has f(0) = 0 with f'(0) = 1: quotient blows up at the zero
     grid = np.linspace(-1.0, 1.0, 2001)
     assert glaeser_quotient(lambda t: t, 1, grid) == float("inf")
+
+
+# -- batched certificate against the per-time algorithm ------------------------
+
+
+def reference_layers(roots):
+    """Layers Q_0..Q_{m-1} for one root set, built one rank-one term at a time."""
+    m = len(roots)
+    layers = []
+    for size in range(m):
+        layer = np.zeros((m, m))
+        for subset in itertools.combinations(range(m), size):
+            for j in (j for j in range(m) if j not in subset):
+                w = np.zeros(m)
+                w[0] = 1.0
+                factors = [roots[i] for i in range(m) if i not in subset and i != j]
+                for deg, root in enumerate(factors):
+                    prev = w[: deg + 1].copy()
+                    w[: deg + 2] = 0.0
+                    w[1 : deg + 2] += prev
+                    w[: deg + 1] -= root * prev
+                layer += np.outer(w, w)
+        layers.append(layer)
+    return layers
+
+
+def reference_certificate(layers, a, eps_set, samples):
+    """Certificate constants of one time, one eps after the other.
+
+    Also bounds how far the sampled ratios may move when (Q v, v) and
+    (B v, v) are summed in another order: each sum of m^2 terms then
+    changes by at most gamma times the same sum over absolute values.
+    """
+    m = a.shape[0]
+    out = {"c_lower": 0.0, "c_upper": 0.0, "comm": {}, "nd": {}, "s_comm": 0.0, "s_nd": math.inf}
+    gamma = 2 * (m * m + 3) * np.finfo(float).eps
+    av = np.abs(samples)
+    out["s_comm_tol"] = out["s_nd_tol"] = 0.0
+    for eps in eps_set:
+        q = np.zeros((m, m))
+        for r, layer in enumerate(layers):
+            q += eps ** (2 * r) * layer
+        w, u = np.linalg.eigh(q)
+        out["c_upper"] = max(out["c_upper"], float(w[-1]))
+        out["c_lower"] = max(out["c_lower"], eps ** (2 * (m - 1)) / w[0] if w[0] > 0 else math.inf)
+        b = q @ a - a.T @ q
+        inv_sqrt = u @ np.diag(w**-0.5) @ u.T
+        out["comm"][eps] = float(np.abs(np.linalg.eigvalsh(inv_sqrt @ (1j * b) @ inv_sqrt)).max()) / eps
+        d = np.diag(q)
+        out["nd"][eps] = float(np.linalg.eigvalsh(q / np.sqrt(np.outer(d, d)))[0])
+        quad = np.einsum("ij,ij->i", samples.conj(), samples @ q.T).real
+        comm_num = np.abs(np.einsum("ij,ij->i", samples.conj(), samples @ b.T))
+        out["s_comm"] = max(out["s_comm"], float((comm_num / (eps * quad)).max()))
+        diag_quad = (np.abs(samples) ** 2 * d).sum(axis=1)
+        out["s_nd"] = min(out["s_nd"], float((quad / diag_quad).min()))
+        q_abs = np.einsum("si,ij,sj->s", av, np.abs(q), av)
+        b_abs = np.einsum("si,ij,sj->s", av, np.abs(b), av)
+        comm_tol = gamma * (b_abs + comm_num / quad * q_abs) / (eps * quad)
+        out["s_comm_tol"] = max(out["s_comm_tol"], float(comm_tol.max()))
+        out["s_nd_tol"] = max(out["s_nd_tol"], float((gamma * (q_abs + quad) / diag_quad).max()))
+    return out
+
+
+@pytest.mark.parametrize("eps_set", [(1.0, 0.1, 0.01), (0.05,)])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_batched_certificate_matches_per_time_algorithm(m, eps_set):
+    rng = np.random.default_rng(40 + m)
+    roots = np.sort(rng.uniform(-2.0, 2.0, size=(24, m)), axis=1)
+    roots[::3, 0] = 0.0  # a zero root in every third set
+    roots[1::4, :2] = 0.0  # a double zero root
+    table = np.array([np.poly(r)[1:] for r in roots])
+    samples = sample_unit_vectors(m, 300, rng)
+    qs = build_quasi_symmetrizer(roots)
+    certs = verify_quasi_symmetrizer(qs, companion_stack(table), eps_set, samples)
+    assert len(certs) == roots.shape[0]
+    for i, cert in enumerate(certs):
+        layers = reference_layers(roots[i])
+        for got, want in zip(qs.layers, layers):
+            assert np.array_equal(got[i], want)
+        ref = reference_certificate(layers, companion_matrix(table[i]), eps_set, samples)
+        assert (cert.c_lower, cert.c_upper) == (ref["c_lower"], ref["c_upper"])
+        assert cert.c_comm_by_eps == ref["comm"] and cert.c_comm == max(ref["comm"].values())
+        assert cert.c_nd_by_eps == ref["nd"] and cert.c_nd == min(ref["nd"].values())
+        assert abs(cert.sampled_c_comm - ref["s_comm"]) <= ref["s_comm_tol"]
+        assert abs(cert.sampled_c_nd - ref["s_nd"]) <= ref["s_nd_tol"]
+        single = verify_quasi_symmetrizer(
+            build_quasi_symmetrizer(roots[i]), companion_matrix(table[i]), eps_set, samples
+        )
+        assert single == cert
+
+
+def test_batched_certificate_on_roots_minus_t_zero_t():
+    # lam^3 - t^2 lam, the root family {-t, 0, t} of the certify_m3 benchmark
+    t = np.linspace(0.0, 1.0, 129)
+    roots = np.stack([-t, 0.0 * t, t], axis=1)
+    table = np.stack([0.0 * t, -t * t, 0.0 * t], axis=1)
+    eps_set = (1.0, 0.1, 0.01)
+    samples = sample_unit_vectors(3, 10000, np.random.default_rng(7))
+    certs = verify_quasi_symmetrizer(
+        build_quasi_symmetrizer(roots), companion_stack(table), eps_set, samples
+    )
+    for i, cert in enumerate(certs):
+        ref = reference_certificate(
+            reference_layers(roots[i]), companion_matrix(table[i]), eps_set, samples
+        )
+        assert (cert.c_lower, cert.c_upper) == (ref["c_lower"], ref["c_upper"])
+        assert cert.c_comm_by_eps == ref["comm"] and cert.c_nd_by_eps == ref["nd"]
+        assert cert.sampled_c_comm == pytest.approx(ref["s_comm"], rel=1e-15, abs=0.0)
+        assert cert.sampled_c_nd == pytest.approx(ref["s_nd"], rel=1e-15, abs=0.0)

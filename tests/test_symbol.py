@@ -1,7 +1,12 @@
 """Root extraction, separation ratio, and discriminant identities."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakhyp.equation import CoefficientSpec
 from weakhyp.symbol import (
@@ -126,3 +131,169 @@ def test_discriminant_matches_root_products():
 def test_discriminant_unsupported_order():
     with pytest.raises(UnsupportedOrderError):
         discriminant_check([0.0, 0.0, 0.0, -1.0])
+
+
+# -- batched root diagnostics against per-row references ----------------------
+
+
+@st.composite
+def root_sets(draw, orders=(2, 3, 4)):
+    """(n, m) real root sets drawn from a small pool, so roots coincide often.
+
+    Zero is always in the pool: zero roots give exactly zero trailing
+    coefficients, and an all-zero set gives an all-zero row.
+    """
+    m = draw(st.sampled_from(orders))
+    n = draw(st.integers(1, 8))
+    scale = 10.0 ** draw(st.integers(-6, 3))
+    pool = [0.0] + draw(st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=m))
+    rows = draw(st.lists(st.lists(st.sampled_from(pool), min_size=m, max_size=m), min_size=n, max_size=n))
+    return np.sort(np.array(rows) * scale, axis=1)
+
+
+def coefficient_table(roots: np.ndarray) -> np.ndarray:
+    return np.array([np.poly(r)[1:] for r in roots])
+
+
+def per_row_roots(row: np.ndarray) -> tuple[np.ndarray, float, float]:
+    """Sorted real parts of np.roots, max |Im| and the default tolerance."""
+    roots = np.roots(np.concatenate(([1.0], row)))
+    max_imag = float(np.abs(roots.imag).max()) if roots.size else 0.0
+    return np.sort(roots.real), max_imag, 1e-8 * (1.0 + float(np.abs(row).max()))
+
+
+def assert_bitwise_equal(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64)), (got, want)
+
+
+def check_against_np_roots(table: np.ndarray) -> None:
+    refs = [per_row_roots(row) for row in table]
+    bad = [i for i, (_, max_imag, tol) in enumerate(refs) if max_imag > tol]
+    if bad:
+        with pytest.raises(NonHyperbolicError) as exc_info:
+            characteristic_roots(table)
+        assert exc_info.value.index == bad[0]
+        assert exc_info.value.max_imag == refs[bad[0]][1]
+        return
+    got = characteristic_roots(table)
+    assert_bitwise_equal(got, np.array([roots for roots, _, _ in refs]))
+    for row, roots in zip(table, got):
+        assert_bitwise_equal(characteristic_roots(row), roots)
+
+
+@settings(max_examples=200, deadline=None)
+@given(root_sets())
+def test_batched_roots_are_np_roots_bit_for_bit(roots):
+    check_against_np_roots(coefficient_table(roots))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 4).flatmap(
+        lambda m: st.lists(
+            st.tuples(
+                st.lists(st.floats(-1e3, 1e3), min_size=m, max_size=m),
+                st.integers(0, m),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+)
+def test_batched_roots_with_trailing_zeros_and_complex_rows(rows):
+    # arbitrary rows: some are not hyperbolic, and the last k coefficients are zeroed
+    table = np.array([[*coeffs[: len(coeffs) - k], *[0.0] * k] for coeffs, k in rows])
+    check_against_np_roots(table)
+
+
+def test_batched_roots_all_zero_and_one_row_shapes():
+    table = np.zeros((3, 4))
+    table[1, 1] = -1.0  # lam^4 - lam^2: roots -1, 0, 0, 1
+    got = characteristic_roots(table)
+    assert got.shape == (3, 4)
+    assert_bitwise_equal(got[0], np.zeros(4))
+    np.testing.assert_allclose(got[1], [-1.0, 0.0, 0.0, 1.0], atol=1e-15)
+    assert got[1, 1] == 0.0 and got[1, 2] == 0.0  # exact zero roots from trailing zeros
+    assert characteristic_roots([0.0, 0.0]).shape == (2,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    c=st.floats(0.02, 0.98),
+    n=st.integers(3, 80),
+    m=st.sampled_from([2, 3]),
+)
+def test_check_diam_names_first_nonreal_time(c, n, m):
+    # lam^2 + (t - c), times (lam - 1) for m = 3: roots leave the real line after t = c
+    coeffs = ["0", f"t - {c!r}"] if m == 2 else ["-1", f"t - {c!r}", f"{c!r} - t"]
+    spec = CoefficientSpec.from_strings(m, 1.0, coeffs, 0, ["cos(x)"] + ["0"] * (m - 1))
+    grid = np.linspace(0.0, 1.0, n)
+    refs = [per_row_roots(row) for row in spec.coefficient_table(grid)]
+    first = next(i for i, (_, max_imag, tol) in enumerate(refs) if max_imag > tol)
+    with pytest.raises(NonHyperbolicError) as exc_info:
+        check_diam(spec, grid)
+    assert exc_info.value.t == grid[first]
+    assert exc_info.value.index == first
+
+
+def scalar_diam(roots) -> float:
+    """The separation ratio of one root set in plain float arithmetic."""
+    best = 0.0
+    for lo, hi in itertools.combinations([float(r) for r in roots], 2):
+        num = lo * lo + hi * hi
+        gap = lo - hi
+        den = gap * gap
+        ratio = (0.0 if num == 0.0 else math.inf) if den == 0.0 else num / den
+        best = max(best, ratio)
+    return best
+
+
+def scalar_discriminant(coeffs) -> tuple[float, float, float]:
+    """(delta, rhs, ratio) of one coefficient row in plain float arithmetic."""
+    a = [float(x) for x in coeffs]
+    if len(a) == 2:
+        a1, a2 = a
+        delta, rhs = a1 * a1 - 4.0 * a2, a1 * a1
+    else:
+        a1, a2, a3 = a
+        delta = (
+            -4.0 * (a2 * a2 * a2)
+            - 27.0 * (a3 * a3)
+            + (a1 * a1) * (a2 * a2)
+            - 4.0 * (a1 * a1 * a1) * a3
+            + 18.0 * a1 * a2 * a3
+        )
+        lin = a1 * a2 - 9.0 * a3
+        rhs = lin * lin
+    if rhs == 0.0:
+        ratio = 1.0 if delta == 0.0 else (math.inf if delta > 0.0 else -math.inf)
+    else:
+        ratio = delta / rhs
+    return delta, rhs, ratio
+
+
+@settings(max_examples=200, deadline=None)
+@given(root_sets())
+def test_batched_diam_ratio_matches_scalar_closed_form(roots):
+    got = diam_ratio(roots)
+    assert_bitwise_equal(got, [scalar_diam(r) for r in roots])
+    for r, value in zip(roots, got):
+        assert diam_ratio(r) == value
+
+
+@settings(max_examples=200, deadline=None)
+@given(root_sets(orders=(2, 3)))
+def test_batched_discriminant_matches_scalar_closed_form(roots):
+    table = coefficient_table(roots)
+    res = discriminant_check(table)
+    want = np.array([scalar_discriminant(row) for row in table])
+    assert_bitwise_equal(res.delta, want[:, 0])
+    assert_bitwise_equal(res.rhs, want[:, 1])
+    assert_bitwise_equal(res.ratio, want[:, 2])
+    holds = res.holds(0.01)
+    for i, row in enumerate(table):
+        one = discriminant_check(row)
+        assert (one.delta, one.rhs, one.ratio) == tuple(want[i])
+        assert one.holds(0.01) is bool(holds[i])
