@@ -13,10 +13,11 @@ hash; CSV numbers use 17 significant digits so outputs diff bitwise.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
+import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 import numpy as np
@@ -74,10 +75,62 @@ def _sanitize(obj: Any) -> Any:
     return obj
 
 
+def _json_float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+def _json_text(obj: Any, indent: str = "") -> str:
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for str keys.
+
+    With an indent, CPython's ``json`` runs its pure-Python encoder; this
+    writer takes the same decisions in fewer calls, and joins a list of
+    floats with one ``float.__repr__`` map.
+    """
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        return _json_float(obj)
+    inner = indent + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        sep = ",\n" + inner
+        try:
+            body = sep.join(map(float.__repr__, obj))
+        except TypeError:  # not all floats
+            body = None
+        if body is None or "n" in body:  # json spells nan and inf as NaN and Infinity
+            body = sep.join([_json_text(v, inner) for v in obj])
+        return "[\n" + inner + body + "\n" + indent + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        body = ",\n".join(
+            [
+                inner + encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+                for key, value in sorted(obj.items())
+            ]
+        )
+        return "{\n" + body + "\n" + indent + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(out_dir: str, name: str, payload: dict, sha: str) -> None:
     payload = dict(payload)
     payload["config_sha256"] = sha
-    text = json.dumps(_sanitize(payload), sort_keys=True, indent=2)
+    text = _json_text(_sanitize(payload))
     with open(os.path.join(out_dir, name), "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
 
@@ -99,22 +152,41 @@ def _error_json(exc: Exception) -> str:
 
 
 def _emit_spectrum(cfg: RunConfig, traj: Trajectory, sha: str) -> None:
-    m = traj.order
+    """Write spectrum.csv, formatting each distinct cell once.
+
+    Row -k of a real run is the conjugate mirror of row k, so its cells reuse
+    the %.17g strings of row k with the imaginary signs toggled.  Cells whose
+    bits differ from that mirror (zeros of the other sign, a hand-built
+    non-mirrored trajectory) and NaN (whose sign %.17g drops) are formatted
+    directly, so the bytes equal cell-by-cell formatting for every input.
+    """
+    m, K = traj.order, traj.K
     header = ["t", "k"]
     for comp in range(m):
         header += [f"re_V{comp}", f"im_V{comp}"]
-    # one %-format per row with _fmt's %.17g; the float view interleaves
-    # each mode's cells as (re_V0, im_V0, re_V1, ...)
-    row_fmt = "%.17g,%d" + ",%.17g,%.17g" * m
-    v = np.ascontiguousarray(traj.v_series()).view(float)
-    modes = traj.modes.tolist()
+    width = 2 * m  # cells per row, interleaved (re_V0, im_V0, re_V1, ...)
+    cells = np.ascontiguousarray(traj.v_series()).view(float)  # (S, 2K+1, 2m)
+    mirror = cells[:, K + 1 :].view(np.uint64) ^ np.tile(np.uint64([0, 1 << 63]), m)
+    fresh = (cells[:, K - 1 :: -1].view(np.uint64) != mirror) | np.isnan(cells[:, K - 1 :: -1])
+    prefixes = [f",{k}," for k in traj.modes.tolist()]
 
-    def lines():
-        for t, snap in zip(traj.times.tolist(), v):
-            for k, cells in zip(modes, snap.tolist()):
-                yield row_fmt % (t, k, *cells)
+    def blocks():
+        for t, snap, snap_fresh in zip(traj.times.tolist(), cells, fresh):
+            upper = list(map("%.17g".__mod__, snap[K:].ravel().tolist()))
+            # rows k = 0..K of the mirror: imaginary strings sign-toggled
+            mirrored = upper.copy()
+            mirrored[1::2] = ("-" + ",-".join(upper[1::2])).replace("--", "").split(",")
+            at = np.flatnonzero(snap_fresh) + width
+            values = snap[K - 1 :: -1].ravel()[at - width].tolist()
+            for i, value in zip(at.tolist(), values):
+                mirrored[i] = "%.17g" % value
+            rows = [*mirrored[width:], *upper]
+            bodies = list(map(",".join, zip(*[iter(rows)] * width)))
+            bodies[:K] = bodies[K - 1 :: -1]
+            t_text = _fmt(t)
+            yield "\n".join([t_text + p + b for p, b in zip(prefixes, bodies)])
 
-    _write_csv(cfg.output_dir, "spectrum.csv", header, lines(), sha)
+    _write_csv(cfg.output_dir, "spectrum.csv", header, blocks(), sha)
 
 
 def _emit_energies(cfg: RunConfig, ledger, sha: str) -> None:
@@ -162,7 +234,7 @@ def _certificate_payload(cfg: RunConfig) -> dict:
     table = cfg.problem().coefficient_table(times)
     rng = np.random.default_rng(cfg.seed)
     samples = sample_unit_vectors(cfg.order, cfg.samples, rng)
-    qs = build_quasi_symmetrizer(characteristic_roots(table))
+    qs = build_quasi_symmetrizer(characteristic_roots(table, times=times))
     certs = verify_quasi_symmetrizer(
         qs, companion_stack(table), cfg.eps_set, samples, nd_floor=cfg.nd_floor
     )
@@ -184,8 +256,14 @@ def _certificate_payload(cfg: RunConfig) -> dict:
     }
 
 
-def _run_or_abort(cfg: RunConfig, sha: str) -> tuple[Trajectory | None, int]:
-    """Simulate; on abort write what exists plus the abort report."""
+def _run_or_abort(
+    cfg: RunConfig, sha: str, calibrate: bool = False
+) -> tuple[Trajectory | None, int]:
+    """Simulate; on abort write what exists plus the abort report.
+
+    A blow-up of the linear calibration member alone is not an abort of the
+    run: it propagates as an error (exit 1) and writes nothing.
+    """
     problem = cfg.problem()
     try:
         traj = simulate(
@@ -195,6 +273,7 @@ def _run_or_abort(cfg: RunConfig, sha: str) -> tuple[Trajectory | None, int]:
             G=cfg.grid,
             snapshot_interval=cfg.snapshot_interval,
             blowup_ceiling=cfg.blowup_ceiling,
+            calibrate=calibrate,
         )
     except StabilityError as exc:
         print(_error_json(exc), file=sys.stderr)
@@ -207,6 +286,8 @@ def _run_or_abort(cfg: RunConfig, sha: str) -> tuple[Trajectory | None, int]:
         _write_json(cfg.output_dir, "run_meta.json", cfg.to_meta(), sha)
         return None, 3
     except BlowUpError as exc:
+        if exc.member != 0:
+            raise
         print(_error_json(exc), file=sys.stderr)
         partial = exc.trajectory
         if len(partial):
@@ -277,25 +358,18 @@ def _cmd_simulate(cfg: RunConfig, sha: str) -> int:
 
 def _cmd_analyze(cfg: RunConfig, sha: str) -> int:
     problem = cfg.problem()
-    traj, code = _run_or_abort(cfg, sha)
+    # the loss exponent is calibrated on the linear version of the problem,
+    # integrated alongside it in the same loop
+    calibrate = cfg.n_override is None and cfg.nonlinearity >= 1
+    traj, code = _run_or_abort(cfg, sha, calibrate=calibrate)
     if traj is None:
         return code
     c_target = cfg.c_override if cfg.c_override is not None else 10.0
     c0 = cfg.c0_override if cfg.c0_override is not None else default_c0(problem)
     n_exponent = cfg.n_override
-    if n_exponent is None and cfg.nonlinearity >= 1:
-        # loss exponent is calibrated on the linear version of the problem
-        linear = dataclasses.replace(problem, nonlinearity=0)
-        calib = simulate(
-            linear,
-            K=cfg.modes,
-            dt=cfg.dt,
-            G=cfg.grid,
-            snapshot_interval=cfg.snapshot_interval,
-            blowup_ceiling=cfg.blowup_ceiling,
-        )
+    if calibrate:
         report = master_estimate_check(
-            calib,
+            traj.calibration,
             WeightParams(c0=c0, horizon=cfg.horizon, loss_exponent=cfg.order + 1),
             c_target,
         )
@@ -331,6 +405,13 @@ def _cmd_analyze(cfg: RunConfig, sha: str) -> int:
         "completed": True,
         "snapshots": len(traj),
         "ledger": ledger.to_dict(),
+        "integration": {
+            "steps": traj.steps,
+            "dt": traj.dt,
+            "stability_ratio": traj.stability_ratio,
+            "peak_sup_v_ratio": traj.peak_sup_v / cfg.blowup_ceiling,
+            "linear_calibration": traj.calibration is not None,
+        },
     }
     if cfg.radius:
         good = [f.r_hat for f in fits if f is not None]

@@ -30,6 +30,7 @@ comfortably inside RK4's imaginary-axis interval.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -74,9 +75,12 @@ class StabilityError(RuntimeError):
 class BlowUpError(RuntimeError):
     """State exceeded the blow-up ceiling (or became non-finite)."""
 
-    def __init__(self, message: str, last_valid_time: float, trajectory: "Trajectory"):
+    def __init__(
+        self, message: str, last_valid_time: float, trajectory: "Trajectory", member: int = 0
+    ):
         self.last_valid_time = last_valid_time
         self.trajectory = trajectory
+        self.member = member  # 0 the problem, 1 its linear calibration (``simulate``)
         super().__init__(message)
 
 
@@ -235,7 +239,12 @@ def nonlinear_rhs(state: SpectralState, nu: int) -> np.ndarray:
 
 
 class _HalfSpectrumRK4:
-    """Classical RK4 on the half-spectrum chain (K+1, m), with per-run tables."""
+    """Classical RK4 on a batch of half-spectrum chains (B, K+1, m), with per-run tables.
+
+    Every member shares the coefficient rows and stage times.  Member 0 is
+    forced by u^nu; the others are integrated with zero forcing, so they are
+    the linear (nu = 0) problem and cost no transform.
+    """
 
     def __init__(self, K: int, m: int, nu: int):
         self.nu = nu
@@ -250,27 +259,33 @@ class _HalfSpectrumRK4:
         self.kmag_pow = k[:, None].astype(float) ** np.arange(m - 1, -1, -1)
 
     def forcing(self, y: np.ndarray) -> np.ndarray:
-        """Modes 0..K of u^nu for the chain y; zero when nu = 0."""
-        if self.nu < 1:
-            return np.zeros(y.shape[0], dtype=complex)
-        return _half_power(y[:, 0], self.nu, self.ring)
-
-    def rhs(self, y: np.ndarray, coeff_row: np.ndarray) -> np.ndarray:
-        out = np.empty_like(y)
-        out[:, :-1] = y[:, 1:]
-        out[:, -1] = (self.neg_ik_pow * y) @ coeff_row[::-1] + self.forcing(y)
+        """Modes 0..K of each member's forcing, shape (B, K+1): u^nu for member 0, else zero."""
+        out = np.zeros(y.shape[:2], dtype=complex)
+        if self.nu >= 1:
+            out[0] = _half_power(y[0, :, 0], self.nu, self.ring)
         return out
 
-    def step(self, y: np.ndarray, dt: float, stage_coeffs: np.ndarray) -> np.ndarray:
-        k1 = self.rhs(y, stage_coeffs[0])
+    def rhs(self, y: np.ndarray, coeff_row: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
+        """Chain derivative; ``f`` is ``forcing(y)`` when the caller already has it."""
+        if f is None:
+            f = self.forcing(y)
+        out = np.empty_like(y)
+        out[..., :-1] = y[..., 1:]
+        out[..., -1] = (self.neg_ik_pow * y) @ coeff_row[::-1] + f
+        return out
+
+    def step(
+        self, y: np.ndarray, dt: float, stage_coeffs: np.ndarray, f: np.ndarray | None = None
+    ) -> np.ndarray:
+        k1 = self.rhs(y, stage_coeffs[0], f)
         k2 = self.rhs(y + 0.5 * dt * k1, stage_coeffs[1])
         k3 = self.rhs(y + 0.5 * dt * k2, stage_coeffs[1])
         k4 = self.rhs(y + dt * k3, stage_coeffs[2])
         return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
-    def sup_v(self, y: np.ndarray) -> float:
-        """sup_k |V_k|; the mirrored modes -k have the same norms."""
-        return float(np.linalg.norm(np.abs(y) * self.kmag_pow, axis=1).max())
+    def sup_v(self, y: np.ndarray) -> list[float]:
+        """sup_k |V_k| per member; the mirrored modes -k have the same norms."""
+        return np.linalg.norm(np.abs(y) * self.kmag_pow, axis=-1).max(axis=-1).tolist()
 
 
 def _spectral_radius(coeff_rows: np.ndarray) -> float:
@@ -305,13 +320,19 @@ def step(
         if dt * (1.0 + radius) * state.K > STABILITY_LIMIT:
             raise StabilityError(dt, radius, state.K)
     kernel = _HalfSpectrumRK4(state.K, state.order, nu)
-    half = kernel.step(state.chain[state.K :], dt, stage_coeffs)
+    half = kernel.step(state.chain[None, state.K :], dt, stage_coeffs)[0]
     return replace(state, t=state.t + dt, chain=_mirror(half))
 
 
 @dataclass
 class Trajectory:
-    """Snapshots of a run: chains and forcing spectra at recorded times."""
+    """Snapshots of a run: chains and forcing spectra at recorded times.
+
+    The run facts ``steps`` (RK4 steps taken), ``stability_ratio``
+    (dt (1 + rho) K / STABILITY_LIMIT) and ``peak_sup_v`` (largest sup_k |V_k|
+    over the accepted states) are filled in by ``simulate``.  ``calibration``
+    holds the linear member when ``simulate`` was asked for it.
+    """
 
     order: int
     K: int
@@ -323,6 +344,10 @@ class Trajectory:
     completed: bool
     abort_reason: str | None = None
     abort_time: float | None = None
+    steps: int | None = None
+    stability_ratio: float | None = None
+    peak_sup_v: float | None = None
+    calibration: "Trajectory | None" = None
 
     @property
     def modes(self) -> np.ndarray:
@@ -347,6 +372,49 @@ class Trajectory:
         return self.chains[:, :, 0]
 
 
+class _Snapshots:
+    """Preallocated snapshot arrays of one batch member, filled in place."""
+
+    def __init__(self, size: int, K: int, m: int, nu: int, dt: float, stability_ratio: float):
+        self.K, self.m, self.nu, self.dt = K, m, nu, dt
+        self.stability_ratio = stability_ratio
+        self.times = np.empty(size)
+        self.chains = np.empty((size, 2 * K + 1, m), dtype=complex)
+        self.forcings = np.empty((size, 2 * K + 1), dtype=complex)
+        self.count = 0
+        self.peak_sup_v = 0.0
+
+    def record(self, t: float, chain: np.ndarray, forcing: np.ndarray) -> None:
+        """Store one half-spectrum state and its forcing, expanded by the conjugate mirror."""
+        i, K = self.count, self.K
+        self.times[i] = t
+        self.chains[i, K:] = chain
+        np.conjugate(chain[:0:-1], out=self.chains[i, :K])
+        self.forcings[i, K:] = forcing
+        np.conjugate(forcing[:0:-1], out=self.forcings[i, :K])
+        self.count += 1
+
+    def bundle(
+        self, completed: bool, steps: int, reason: str | None = None, when: float | None = None
+    ) -> Trajectory:
+        n = self.count
+        return Trajectory(
+            order=self.m,
+            K=self.K,
+            dt=self.dt,
+            nu=self.nu,
+            times=self.times[:n],
+            chains=self.chains[:n],
+            forcings=self.forcings[:n],
+            completed=completed,
+            abort_reason=reason,
+            abort_time=when,
+            steps=steps,
+            stability_ratio=self.stability_ratio,
+            peak_sup_v=self.peak_sup_v,
+        )
+
+
 def simulate(
     problem: CoefficientSpec,
     K: int,
@@ -354,6 +422,7 @@ def simulate(
     G: int | None = None,
     snapshot_interval: float | None = None,
     blowup_ceiling: float = 1e9,
+    calibrate: bool = False,
 ) -> Trajectory:
     """Integrate the problem from t = 0 to T with fixed steps.
 
@@ -363,6 +432,13 @@ def simulate(
     ``blowup_ceiling`` or turns non-finite (the partial trajectory rides on
     the exception), and with StabilityError before the loop if the fixed-step
     guard fails anywhere on [0, T].
+
+    With ``calibrate`` the linear version of the problem (nu = 0) is
+    integrated from the same data in the same loop, as a second batch member
+    bit for bit equal to its own ``simulate`` run, and returned as the
+    result's ``calibration``.  A blow-up of that member does not stop the
+    run: its BlowUpError (``member`` 1) is raised once the problem itself has
+    completed, and a blow-up of the problem takes precedence.
     """
     T = problem.horizon
     n_steps = int(round(T / dt))
@@ -383,50 +459,56 @@ def simulate(
         snap_every = 1
     else:
         snap_every = max(1, int(round(snapshot_interval / dt_eff)))
+    size = 1 + n_steps // snap_every + (n_steps % snap_every != 0)
+    ratio = dt_eff * (1.0 + radius) * K / STABILITY_LIMIT
+    # batch rows: member 0 the problem, member 1 its linear calibration
+    members = [
+        _Snapshots(size, K, m, member_nu, dt_eff, ratio)
+        for member_nu in ([nu, 0] if calibrate else [nu])
+    ]
+    live = list(members)
 
     kernel = _HalfSpectrumRK4(K, m, nu)
-    times: list[float] = []
-    chains: list[np.ndarray] = []
-    forcings: list[np.ndarray] = []
-
-    def record(t: float, y: np.ndarray) -> None:
-        times.append(t)
-        chains.append(_mirror(y))
-        forcings.append(_mirror(kernel.forcing(y)))
-
-    def bundle(completed: bool, reason: str | None, when: float | None) -> Trajectory:
-        return Trajectory(
-            order=m,
-            K=K,
-            dt=dt_eff,
-            nu=nu,
-            times=np.array(times),
-            chains=np.array(chains),
-            forcings=np.array(forcings),
-            completed=completed,
-            abort_reason=reason,
-            abort_time=when,
-        )
-
-    y = state.chain[K:].copy()
-    record(0.0, y)
+    y = np.repeat(state.chain[None, K:], len(live), axis=0)
+    # the forcing of the current state serves its snapshot and the next step's first stage
+    f = kernel.forcing(y)
+    for snaps, sup_v, chain, forcing in zip(live, kernel.sup_v(y), y, f):
+        snaps.peak_sup_v = sup_v
+        snaps.record(0.0, chain, forcing)
+    calibration_error = None
     for i in range(n_steps):
-        y = kernel.step(y, dt_eff, table[2 * i : 2 * i + 3])
+        y = kernel.step(y, dt_eff, table[2 * i : 2 * i + 3], f)
         t = float(stage_times[2 * i + 2])
-        sup_v = kernel.sup_v(y)
-        if not np.isfinite(sup_v):
-            raise BlowUpError(
-                f"non-finite state at t = {t:.6g}",
+        # the calibration member first, so that an abort of the problem at the same step wins
+        for member, sup_v in reversed(list(enumerate(kernel.sup_v(y)))):
+            snaps = live[member]
+            if not math.isfinite(sup_v):
+                reason, message = "non-finite", f"non-finite state at t = {t:.6g}"
+            elif sup_v > blowup_ceiling:
+                reason, message = "blow-up", (
+                    f"blow-up: sup|V| = {sup_v:.6g} exceeds ceiling {blowup_ceiling:.6g} "
+                    f"at t = {t:.6g}"
+                )
+            else:
+                snaps.peak_sup_v = max(snaps.peak_sup_v, sup_v)
+                continue
+            error = BlowUpError(
+                message,
                 float(stage_times[2 * i]),
-                bundle(False, "non-finite", t),
+                snaps.bundle(False, i + 1, reason, t),
+                member=member,
             )
-        if sup_v > blowup_ceiling:
-            raise BlowUpError(
-                f"blow-up: sup|V| = {sup_v:.6g} exceeds ceiling {blowup_ceiling:.6g} "
-                f"at t = {t:.6g}",
-                float(stage_times[2 * i]),
-                bundle(False, "blow-up", t),
-            )
+            if member == 0:
+                raise error
+            calibration_error = error
+            live, y = live[:member], y[:member]
+        f = kernel.forcing(y)
         if (i + 1) % snap_every == 0 or i + 1 == n_steps:
-            record(t, y)
-    return bundle(True, None, None)
+            for snaps, chain, forcing in zip(live, y, f):
+                snaps.record(t, chain, forcing)
+    if calibration_error is not None:
+        raise calibration_error
+    traj = members[0].bundle(True, n_steps)
+    if calibrate:
+        traj.calibration = members[1].bundle(True, n_steps)
+    return traj

@@ -56,7 +56,9 @@ class UnsupportedOrderError(ValueError):
     """Discriminant reformulations are implemented for m = 2 and m = 3 only."""
 
 
-def characteristic_roots(coeffs: np.ndarray, tol: float | None = None) -> np.ndarray:
+def characteristic_roots(
+    coeffs: np.ndarray, tol: float | None = None, times: np.ndarray | None = None
+) -> np.ndarray:
     """Real roots of lam^m + a_1 lam^(m-1) + ... + a_m, sorted ascending.
 
     ``coeffs`` is one row (a_1, ..., a_m) or a table of rows, shape (n, m);
@@ -66,7 +68,8 @@ def characteristic_roots(coeffs: np.ndarray, tol: float | None = None) -> np.nda
     exact zero roots, as in ``np.roots``, so each row's roots are bit for
     bit those of ``np.roots``.  If a root has |Im| > tol the polynomial is
     not (weakly) hyperbolic and :class:`NonHyperbolicError` is raised for
-    the first such row.  Default tolerance per row: 1e-8 * (1 + max |a_h|).
+    the first such row, naming its time when ``times`` gives the time of
+    each row.  Default tolerance per row: 1e-8 * (1 + max |a_h|).
     """
     a = np.asarray(coeffs, dtype=float)
     if a.ndim not in (1, 2) or a.shape[-1] < 1:
@@ -94,7 +97,8 @@ def characteristic_roots(coeffs: np.ndarray, tol: float | None = None) -> np.nda
     bad = np.flatnonzero(max_imag > tols)
     if bad.size:
         i = int(bad[0])
-        raise NonHyperbolicError(float(max_imag[i]), float(tols[i]), index=i)
+        t = None if times is None else float(times[i])
+        raise NonHyperbolicError(float(max_imag[i]), float(tols[i]), t=t, index=i)
     return np.sort(re, axis=1).reshape(a.shape)
 
 
@@ -154,11 +158,7 @@ def check_diam(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or grid.min() < 0.0 or grid.max() > spec.horizon:
         raise ValueError("grid must be non-empty and contained in [0, T]")
-    try:
-        roots = characteristic_roots(spec.coefficient_table(grid), tol=tol)
-    except NonHyperbolicError as exc:
-        t = float(grid[exc.index])
-        raise NonHyperbolicError(exc.max_imag, exc.tol, t=t, index=exc.index) from None
+    roots = characteristic_roots(spec.coefficient_table(grid), tol=tol, times=grid)
     ratios = diam_ratio(roots)
     finite = np.isfinite(ratios)
     sup_ratio = float(ratios.max()) if finite.all() else float("inf")

@@ -8,15 +8,19 @@ config hash, which ignores threads and output_dir.
 
 import json
 import math
+import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weakhyp import ConfigError, RunConfig, cli, load_config
 from weakhyp.cli import main
-from weakhyp.spectral import Trajectory
+from weakhyp.equation import CoefficientSpec
+from weakhyp.spectral import Trajectory, simulate
 
 
 def base() -> dict:
@@ -309,6 +313,76 @@ def test_spectrum_emitter_matches_cellwise_formatting(tmp_path):
     assert (tmp_path / "spectrum.csv").read_bytes() == reference_spectrum_bytes(traj, "abc")
 
 
+@pytest.mark.parametrize(
+    "m, coeffs, initial",
+    [
+        (2, ["sin(t)", "-1 - t^2"], ["0.3/(1.25 - cos(x)) + 0.1*sin(2*x)", "0"]),
+        (3, ["0", "-1 - t^2", "0.3*t"], ["0.2/(1.25 - cos(x))", "0.1*cos(3*x)", "0.05*sin(x)"]),
+    ],
+)
+def test_spectrum_emitter_on_mirrored_runs(tmp_path, m, coeffs, initial):
+    spec = CoefficientSpec.from_strings(m, 0.1, coeffs, 2, initial)
+    traj = simulate(spec, K=16, dt=1e-3, snapshot_interval=0.05)
+    if m == 2:
+        # the all-zero u_t column at t = 0: both imaginary zeros are +0, not mirrored signs
+        zeros = traj.v_series()[0, :, 1].imag
+        assert not zeros.any() and not np.signbit(zeros).any()
+    cli._emit_spectrum(SimpleNamespace(output_dir=str(tmp_path)), traj, "abc")
+    assert (tmp_path / "spectrum.csv").read_bytes() == reference_spectrum_bytes(traj, "abc")
+
+
+SIGN = 1 << 63
+SPECIAL_BITS = [
+    0, SIGN,  # +-0
+    1, (1 << 52) - 1, SIGN | 1,  # subnormals
+    0x7FF0000000000000, 0xFFF0000000000000,  # +-inf
+    0x7FF8000000000000, 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF,  # NaN payloads
+    0x3FF0000000000000, 0x7FEFFFFFFFFFFFFF,  # 1.0, the largest finite
+]
+float_bits = st.one_of(st.sampled_from(SPECIAL_BITS), st.integers(0, 2**64 - 1))
+
+
+def draw_bits(data, n: int) -> np.ndarray:
+    return np.array(data.draw(st.lists(float_bits, min_size=n, max_size=n)), dtype=np.uint64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_spectrum_mirror_sign_toggle_over_raw_bits(data):
+    K = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(2, 3))
+    S = data.draw(st.integers(1, 2))
+    upper = draw_bits(data, S * (K + 1) * m * 2).reshape(S, K + 1, m, 2)
+    # rows -K..-1: the conjugate mirror of rows K..1, then some cells replaced by arbitrary bits
+    lower = upper[:, :0:-1] ^ np.uint64([0, SIGN])
+    stray = np.array(data.draw(st.lists(st.booleans(), min_size=lower.size, max_size=lower.size)))
+    lower.reshape(-1)[stray] = draw_bits(data, lower.size)[stray]
+    v = np.concatenate([lower, upper], axis=1).view(complex).reshape(S, 2 * K + 1, m)
+    traj = SimpleNamespace(
+        order=m, K=K, times=np.linspace(0.0, 1.0, S), modes=np.arange(-K, K + 1), v_series=lambda: v
+    )
+    with tempfile.TemporaryDirectory() as out:
+        cli._emit_spectrum(SimpleNamespace(output_dir=out), traj, "abc")
+        assert (Path(out) / "spectrum.csv").read_bytes() == reference_spectrum_bytes(traj, "abc")
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.lists(st.floats(), max_size=6),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+@example({})
+@example([])
+@example({"é": [], "ß": {}, "a": [1.5, -0.0, 5e-324], "b": [1.0, 2, True, None, "x"]})
+def test_json_writer_matches_json_dumps(obj):
+    assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+
 def elementwise_sanitize(obj):
     """The JSON sanitizer without its array fast path: every value converted one by one."""
     if isinstance(obj, dict):
@@ -446,6 +520,74 @@ blowup_ceiling: 1000.0
     assert report["abort_reason"] == "blow-up"
     assert 0.0 < report["last_valid_time"] <= report["abort_time"] < 1.0
     assert (out / "spectrum.csv").exists()  # partial trajectory still written
+
+
+ZERO_MODE_YAML = """\
+m: 2
+T: {horizon}
+coefficients: ["0", "-1"]
+nu: 2
+initial: ["2", "-1"]
+K: 8
+dt: 0.01
+snapshot_interval: 0.1
+blowup_ceiling: 0.99
+"""
+
+
+def test_cli_analyze_calibration_abort_exit_one(tmp_path, capsys):
+    # the linear calibration member keeps |u_0'| = 1 above the ceiling; the problem completes
+    cfg = write_config(tmp_path, ZERO_MODE_YAML.format(horizon=0.4))
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {
+        "error": "BlowUpError",
+        "message": "blow-up: sup|V| = 1 exceeds ceiling 0.99 at t = 0.01",
+    }
+    assert list(out.iterdir()) == []
+
+
+def test_cli_analyze_problem_abort_exit_two_after_calibration_abort(tmp_path, capsys):
+    # both members abort, the calibration first: the problem's abort decides
+    cfg = write_config(tmp_path, ZERO_MODE_YAML.format(horizon=1.0))
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--output", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "BlowUpError" and err["message"].endswith("at t = 0.55")
+    report = json.loads((out / "report.json").read_text())
+    assert report["abort_reason"] == "blow-up" and report["abort_time"] == pytest.approx(0.55)
+    assert (out / "spectrum.csv").exists()
+
+
+def test_cli_analyze_integration_facts(tmp_path):
+    text = WAVE_YAML.replace('initial: ["cos(x)", "0"]', 'nu: 2\ninitial: ["0.1*cos(x)", "0"]')
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", cfg, "--output", str(out)]) == 0
+    facts = json.loads((out / "report.json").read_text())["integration"]
+    assert facts["steps"] == 100 and facts["dt"] == 0.01
+    assert facts["stability_ratio"] == pytest.approx(0.01 * 2.0 * 8 / 2.5)
+    assert 0.0 < facts["peak_sup_v_ratio"] < 1e-9
+    assert facts["linear_calibration"] is True
+    # an explicit loss exponent needs no calibration member
+    out = tmp_path / "fixed"
+    text = text.replace("  J_max: 8", "  J_max: 8\n  N: 3")
+    cfg = write_config(tmp_path, text, "fixed.yaml")
+    assert main(["analyze", "--config", cfg, "--output", str(out)]) == 0
+    facts = json.loads((out / "report.json").read_text())["integration"]
+    assert facts["linear_calibration"] is False
+
+
+def test_cli_symmetrizer_non_hyperbolic_names_the_time(tmp_path, capsys):
+    text = WAVE_YAML.replace('coefficients: ["0", "-1"]', 'coefficients: ["0", "1 - 2*t", "0"]')
+    text = text.replace("m: 2", "m: 3").replace('initial: ["cos(x)", "0"]', 'initial: ["cos(x)", "0", "0"]')
+    cfg = write_config(tmp_path, text)
+    for command in ("check", "symmetrizer"):
+        assert main([command, "--config", cfg, "--output", str(tmp_path / command)]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "NonHyperbolicError"
+        assert err["message"].startswith("non-real characteristic root at t = 0.0: |Im| = 1.0")
 
 
 def test_cli_stability_exit_three(tmp_path, capsys):

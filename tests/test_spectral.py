@@ -327,3 +327,62 @@ def test_trajectory_v_series_matches_states():
     v = traj.v_series()
     for i in range(len(traj)):
         np.testing.assert_allclose(v[i], traj.state_at(i).V)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+@pytest.mark.parametrize("m", [2, 3])
+def test_calibration_member_matches_separate_runs(nu, m):
+    coeffs = {2: ["sin(t)", "-1 - t^2"], 3: ["0", "-1 - t^2", "0.3*t"]}[m]
+    initial = ["0.3/(1.25 - cos(x))", "0.1*sin(x)", "0"][:m]
+    spec = CoefficientSpec.from_strings(m, 0.2, coeffs, nu, initial)
+    kw = dict(K=13, dt=1e-3, snapshot_interval=0.05)
+    both = simulate(spec, calibrate=True, **kw)
+    linear = replace(spec, nonlinearity=0)
+    for got, want in [(both, simulate(spec, **kw)), (both.calibration, simulate(linear, **kw))]:
+        for name in ("times", "chains", "forcings"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape, name
+            # bits, so that signed zeros count too
+            np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64), err_msg=name)
+        assert (got.nu, got.steps, got.peak_sup_v) == (want.nu, want.steps, want.peak_sup_v)
+    assert both.calibration.nu == 0 and both.calibration.calibration is None
+
+
+def test_run_facts():
+    spec = CoefficientSpec.from_strings(2, 1.0, ["0", "-1"], 0, ["cos(x)", "0"])
+    traj = simulate(spec, K=8, dt=1e-3, snapshot_interval=0.5)
+    assert traj.steps == 1000 and traj.calibration is None
+    assert traj.stability_ratio == pytest.approx(1e-3 * 2.0 * 8 / 2.5)
+    # u = cos x cos t: |V_1| = |(i u_1, u_1')| = 0.5 is the largest
+    assert traj.peak_sup_v == pytest.approx(0.5, rel=1e-12)
+
+
+# u_0 starts at 2 with u_0' = -1.  The linear member keeps |u_0'| = 1 above
+# the 0.99 ceiling from its first step; u^2 > 0 lifts u_0' of the problem
+# through zero, and with the longer horizon it crosses 0.99 near t = 0.55.
+ZERO_MODE_CEILING = 0.99
+
+
+def zero_mode_spec(horizon):
+    return CoefficientSpec.from_strings(2, horizon, ["0", "-1"], 2, ["2", "-1"])
+
+
+def test_calibration_abort_waits_for_the_problem():
+    spec = zero_mode_spec(0.4)
+    simulate(spec, K=8, dt=0.01, blowup_ceiling=ZERO_MODE_CEILING)  # the problem alone completes
+    with pytest.raises(BlowUpError) as exc_info:
+        simulate(spec, K=8, dt=0.01, blowup_ceiling=ZERO_MODE_CEILING, calibrate=True)
+    err = exc_info.value
+    assert err.member == 1
+    assert err.trajectory.nu == 0 and err.trajectory.abort_time == pytest.approx(0.01)
+    assert str(err).startswith("blow-up: sup|V| = 1 exceeds ceiling 0.99 at t = 0.01")
+
+
+def test_problem_abort_takes_precedence_over_calibration_abort():
+    spec = zero_mode_spec(1.0)
+    with pytest.raises(BlowUpError) as exc_info:
+        simulate(spec, K=8, dt=0.01, blowup_ceiling=ZERO_MODE_CEILING, calibrate=True)
+    err = exc_info.value
+    assert err.member == 0 and err.trajectory.nu == 2
+    assert 0.5 < err.trajectory.abort_time < 0.6
+    assert err.trajectory.times[-1] <= err.last_valid_time
