@@ -639,18 +639,16 @@ def build_energy_ledger(
     T = problem.horizon
     if c0 is None:
         c0 = default_c0(problem)
-    trial = WeightParams(c0=c0, horizon=T, loss_exponent=m + 1)
-    master_trial = master_estimate_check(trajectory, trial, c_target)
+    master = None
     if n_exponent is None:
-        n_exponent = master_trial.fitted_n if master_trial.fitted_n is not None else m + 1
+        trial = WeightParams(c0=c0, horizon=T, loss_exponent=m + 1)
+        master = master_estimate_check(trajectory, trial, c_target)
+        n_exponent = master.fitted_n if master.fitted_n is not None else m + 1
     if n_exponent > j_max:
         raise ValueError(f"loss exponent N={n_exponent} exceeds J_max={j_max}")
     params = WeightParams(c0=c0, horizon=T, loss_exponent=n_exponent)
-    master = (
-        master_trial
-        if n_exponent == trial.loss_exponent
-        else master_estimate_check(trajectory, params, c_target)
-    )
+    if master is None or master.n_used != n_exponent:
+        master = master_estimate_check(trajectory, params, c_target)
     if c_const is None:
         c_const = master.ratio
 

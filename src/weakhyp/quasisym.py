@@ -218,7 +218,7 @@ def verify_quasi_symmetrizer(
         norm = q[dpos] / np.sqrt(dd[:, :, None] * dd[:, None, :])
         nd[dpos] = np.linalg.eigvalsh(norm)[:, 0]
 
-    sampled_comm, sampled_nd = _sampled_audit(samples, q, b, d, eps_rows, n_eps)
+    sampled_comm, sampled_nd = _sampled_audit(samples, q, b, eps_rows, n_eps)
     diams = diam_ratio(roots).tolist()
 
     certs = []
@@ -257,45 +257,61 @@ def _sampled_audit(
     samples: np.ndarray,
     q: np.ndarray,
     b: np.ndarray,
-    d: np.ndarray,
     eps_rows: np.ndarray,
     n_eps: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Directional audit per row of the stacks q, b (diagonals d).
+    """Directional audit per row of the stacks q (symmetric), b (antisymmetric).
 
     Returns the largest |(B v, v)| / (eps (Q v, v)) and the smallest
     (Q v, v) / sum_j q_jj |v_j|^2 over the sample directions v with
-    (Q v, v) > 0 (-inf and +inf where there are none).  The moments
-    conj(v_i) v_j are formed once: for real Q, (Q v, v) = Re(moments) . vec(Q),
-    and for real antisymmetric B, |(B v, v)| = |Im(moments) . vec(B)|.
-    The rows of one time (``n_eps`` of them) are taken at a time, so the
-    (rows, samples) temporaries stay near the size of the samples; blocks
-    of several times measured no faster and raised peak memory.
+    (Q v, v) > 0 (-inf and +inf where there are none).
+
+    The forms are taken in a symmetric moment basis.  With the moments
+    r_ij + i s_ij = conj(v_i) v_j, r symmetric and s antisymmetric,
+
+        (Q v, v)             = sum_{i<=j} r_ij (q_ij + q_ji [i < j]),
+        sum_j q_jj |v_j|^2   = sum_j r_jj q_jj,
+        |(B v, v)|           = |sum_{i<j} s_ij (b_ij - b_ji)|,
+
+    so m(m+1)/2 and m(m-1)/2 moment rows stand in for m^2 each.  The rows of
+    one time (``n_eps`` of them) are taken at a time, so the (rows, samples)
+    temporaries stay near the size of the samples.  The coefficient stacks
+    are made C-contiguous: fancy indexing leaves them column-major, a row
+    block of which is no BLAS operand, and numpy's own loop sums in another
+    order, so a time's bits would depend on the stack it sits in.
     """
     rows, m = q.shape[:2]
     sampled_comm = np.full(rows, -np.inf)
     sampled_nd = np.full(rows, np.inf)
     if not samples.size:
         return sampled_comm, sampled_nd
+    iu, ju = np.triu_indices(m)
+    il, jl = np.triu_indices(m, 1)
     x, y = samples.real.T, samples.imag.T
-    # Re and Im of conj(v_i) v_j, row i*m + j, one column per sample
-    re = (x[:, None] * x[None, :] + y[:, None] * y[None, :]).reshape(m * m, -1)
-    im = (x[:, None] * y[None, :] - y[:, None] * x[None, :]).reshape(m * m, -1)
-    abs_sq = x * x + y * y
-    for lo in range(0, rows, n_eps):
-        blk = slice(lo, lo + n_eps)
-        quad = q[blk].reshape(-1, m * m) @ re  # (rows in block, samples)
-        comm_ratio = np.abs(b[blk].reshape(-1, m * m) @ im)
-        diag_quad = d[blk] @ abs_sq
-        with np.errstate(divide="ignore", invalid="ignore"):
-            comm_ratio /= eps_rows[blk, None] * quad
+    re = x[iu] * x[ju] + y[iu] * y[ju]
+    im = x[il] * y[jl] - y[il] * x[jl]
+    on_diag = iu == ju
+    upper = q[:, iu, ju]
+    q_rows = np.where(on_diag, upper, upper + q[:, ju, iu]).reshape(-1, n_eps, iu.size)
+    d_rows = np.where(on_diag, upper, 0.0).reshape(-1, n_eps, iu.size)
+    # per time: the n_eps rows of (Q v, v), then those of sum_j q_jj |v_j|^2
+    qd_coef = np.ascontiguousarray(np.concatenate((q_rows, d_rows), axis=1))
+    b_coef = np.ascontiguousarray(b[:, il, jl] - b[:, jl, il]).reshape(-1, n_eps, il.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(rows // n_eps):
+            blk = slice(i * n_eps, (i + 1) * n_eps)
+            quad, diag_quad = np.split(qd_coef[i] @ re, 2)
+            c = b_coef[i] @ im
+            c /= quad
+            np.abs(c, out=c)
             nd_ratio = np.divide(quad, diag_quad, out=diag_quad)
-        good = quad > 0
-        if not good.all():
-            comm_ratio[~good] = -np.inf
-            nd_ratio[~good] = np.inf
-        sampled_comm[blk] = comm_ratio.max(axis=1)
-        sampled_nd[blk] = nd_ratio.min(axis=1)
+            if not quad.min() > 0:  # also when some (Q v, v) is NaN
+                bad = ~(quad > 0)
+                c[bad] = -np.inf
+                nd_ratio[bad] = np.inf
+            sampled_comm[blk] = c.max(axis=1)
+            sampled_nd[blk] = nd_ratio.min(axis=1)
+    sampled_comm /= eps_rows
     return sampled_comm, sampled_nd
 
 

@@ -284,8 +284,24 @@ class _HalfSpectrumRK4:
         return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def sup_v(self, y: np.ndarray) -> list[float]:
-        """sup_k |V_k| per member; the mirrored modes -k have the same norms."""
-        return np.linalg.norm(np.abs(y) * self.kmag_pow, axis=-1).max(axis=-1).tolist()
+        """sup_k |V_k| per member; the mirrored modes -k have the same norms.
+
+        The bits are those of ``np.linalg.norm``.  Below 8 terms numpy sums
+        left to right, so the squares are added column by column in place;
+        from 8 terms on it sums pairwise, so its own reduction is called.
+        sqrt is monotone and correctly rounded, so it is taken once, after
+        the max.
+        """
+        a = np.abs(y)
+        a *= self.kmag_pow
+        a *= a
+        if a.shape[-1] < 8:
+            sq = a[..., 0].copy()
+            for col in range(1, a.shape[-1]):
+                sq += a[..., col]
+        else:
+            sq = np.add.reduce(a, axis=-1)
+        return np.sqrt(sq.max(axis=-1)).tolist()
 
 
 def _spectral_radius(coeff_rows: np.ndarray) -> float:

@@ -8,6 +8,8 @@ config hash, which ignores threads and output_dir.
 
 import json
 import math
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -621,3 +623,19 @@ def test_cli_config_errors_are_structured(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"
     assert err["field"] == "mystery"
+
+
+def test_cli_import_loads_no_test_tooling():
+    # every CLI process pays for its imports; scipy, hypothesis and mpmath
+    # are for tests and references only
+    probe = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import weakhyp.cli; "
+        "print(json.dumps(sorted({name.split('.')[0] for name in sys.modules})))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True
+    ).stdout
+    loaded = set(json.loads(out))
+    assert "weakhyp" in loaded
+    assert loaded.isdisjoint({"scipy", "hypothesis", "mpmath"})

@@ -12,12 +12,14 @@ Gevrey weight |xi|^(2(m-1)/k) int_t^T Lambda + (T-t):
     m=3, k=8, Lambda=2, |xi|=16:    4*2 + 1 = 9
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from weakhyp import energy
 from weakhyp.energy import (
     EnergyConsistencyError,
     GevreyOrderWarning,
@@ -365,6 +367,31 @@ def test_build_energy_ledger_wave_relations():
     for key in ("C0", "N", "C", "M0", "K_N", "M", "L", "r0", "eta", "phi_L",
                 "nu", "J_max", "diverging", "tail_ratio_t0", "master", "continuation"):
         assert key in d
+
+
+def test_build_energy_ledger_runs_one_master_check_per_exponent(monkeypatch):
+    # the trial scan at N = m+1 runs only when N is not given
+    problem = wave_problem()
+    traj = simulate(problem, K=16, dt=1e-3, snapshot_interval=0.05)
+    calls = []
+
+    def counted(trajectory, params, c_target=10.0):
+        calls.append(params.loss_exponent)
+        return master_estimate_check(trajectory, params, c_target)
+
+    monkeypatch.setattr(energy, "master_estimate_check", counted)
+    fitted = build_energy_ledger(traj, problem, j_max=12)
+    assert calls == [3, 1] and fitted.n_exponent == 1
+    for n in (1, 3, 5):
+        calls.clear()
+        ledger = build_energy_ledger(traj, problem, n_exponent=n, j_max=12)
+        assert calls == [n] and ledger.n_exponent == n
+    given = build_energy_ledger(traj, problem, n_exponent=1, j_max=12)
+    assert json.dumps(given.to_dict(), sort_keys=True) == json.dumps(fitted.to_dict(), sort_keys=True)
+    calls.clear()
+    with pytest.raises(ValueError):
+        build_energy_ledger(traj, problem, n_exponent=20, j_max=12)
+    assert calls == []
 
 
 def test_build_energy_ledger_rejects_oversized_n():

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from weakhyp.quasisym import (
+    _sampled_audit,
     build_quasi_symmetrizer,
     entry_derivative_bound,
     glaeser_quotient,
@@ -300,3 +301,108 @@ def test_batched_certificate_on_roots_minus_t_zero_t():
         assert cert.c_comm_by_eps == ref["comm"] and cert.c_nd_by_eps == ref["nd"]
         assert cert.sampled_c_comm == pytest.approx(ref["s_comm"], rel=1e-15, abs=0.0)
         assert cert.sampled_c_nd == pytest.approx(ref["s_nd"], rel=1e-15, abs=0.0)
+
+
+# -- the sampled audit against a plain per-sample reference ---------------------
+
+
+def plain_audit(samples, q, b, eps_rows):
+    """The audit's two ratios per row, over the full Q and B of every sample.
+
+    Also returns their rounding tolerances (the gamma bound of
+    ``reference_certificate``), the forms (Q v, v), and the smallest margin
+    |(Q v, v)| / (gamma sum |q_ij| |v_i| |v_j|) of a nonzero form, which must
+    be large for the sign of (Q v, v) to be the same in any summation order.
+    """
+    m = q.shape[1]
+    gamma = 2 * (m * m + 3) * np.finfo(float).eps
+    av = np.abs(samples)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quad = np.einsum("si,rij,sj->rs", samples.conj(), q, samples).real
+        comm = np.abs(np.einsum("si,rij,sj->rs", samples.conj(), b, samples))
+        diag_quad = np.einsum("rj,sj->rs", np.diagonal(q, axis1=1, axis2=2), av * av)
+        q_abs = np.einsum("si,rij,sj->rs", av, np.abs(q), av)
+        b_abs = np.einsum("si,rij,sj->rs", av, np.abs(b), av)
+        eps = eps_rows[:, None]
+        good = quad > 0
+        comm_ratio = np.where(good, comm / (eps * quad), -np.inf)
+        nd_ratio = np.where(good, quad / diag_quad, np.inf)
+        comm_tol = np.where(good, gamma * (b_abs + comm / quad * q_abs) / (eps * quad), 0.0)
+        nd_tol = np.where(good, gamma * (q_abs + quad) / np.abs(diag_quad), 0.0)
+        nonzero = (quad != 0) & np.isfinite(quad)
+        margin = np.min(np.abs(quad[nonzero]) / (gamma * q_abs[nonzero]), initial=np.inf)
+    return {
+        "comm": comm_ratio.max(axis=1, initial=-np.inf),
+        "nd": nd_ratio.min(axis=1, initial=np.inf),
+        "comm_tol": comm_tol.max(axis=1, initial=0.0),
+        "nd_tol": nd_tol.max(axis=1, initial=0.0),
+        "quad": quad,
+        "margin": margin,
+    }
+
+
+def audit_stack(m, rng):
+    """Rows of symmetric q and antisymmetric b, in this order: positive
+    definite, singular PSD, indefinite, negative definite (every sample
+    masked), NaN in q (every form NaN), and NaN in b."""
+    s = rng.standard_normal((m, m))
+    pd = s @ s.T + 0.1 * np.eye(m)
+    singular = np.zeros((m, m))
+    singular[1:, 1:] = pd[1:, 1:]  # (Q v, v) = 0 exactly on v = e_0
+    indefinite = rng.standard_normal((m, m))
+    indefinite += indefinite.T
+    indefinite[0, 0], indefinite[1, 1] = 1.5, -1.5
+    nan_q = pd.copy()
+    nan_q[0, 1] = nan_q[1, 0] = np.nan
+    q = np.stack([pd, singular, indefinite, -pd, nan_q, pd])
+    b = rng.standard_normal(q.shape)
+    b -= b.transpose(0, 2, 1)
+    b[5, 0, 1], b[5, 1, 0] = np.nan, np.nan
+    return q, b
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_sampled_audit_against_plain_reference(m):
+    rng = np.random.default_rng(70 + m)
+    samples = sample_unit_vectors(m, 400, rng)
+    samples[:25] = 0.0
+    samples[:25, 0] = 1.0
+    q, b = audit_stack(m, rng)
+    eps_rows = np.array([1.0, 0.1, 0.01, 1.0, 0.5, 0.05])
+    ref = plain_audit(samples, q, b, eps_rows)
+    assert ref["margin"] > 1e3  # no form sits within rounding of 0
+    for row in (1, 2):  # some samples masked, some not
+        assert (ref["quad"][row] <= 0).any() and (ref["quad"][row] > 0).any()
+    for n_eps in (1, 2, 3, 6):
+        comm, nd = _sampled_audit(samples, q, b, eps_rows, n_eps)
+        assert np.all(np.abs(comm[:3] - ref["comm"][:3]) <= ref["comm_tol"][:3])
+        assert np.all(np.abs(nd[:3] - ref["nd"][:3]) <= ref["nd_tol"][:3])
+        assert np.isfinite(comm[:3]).all() and np.isfinite(nd[:3]).all()
+        assert comm[3:5].tolist() == [-np.inf] * 2 and nd[3:5].tolist() == [np.inf] * 2
+        assert np.isnan(comm[5]) and np.isnan(ref["comm"][5])
+        assert abs(nd[5] - ref["nd"][5]) <= ref["nd_tol"][5]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_sampled_audit_without_samples(m):
+    q, b = audit_stack(m, np.random.default_rng(m))
+    comm, nd = _sampled_audit(np.zeros((0, m), dtype=complex), q, b, np.ones(6), 3)
+    assert (comm == -np.inf).all() and (nd == np.inf).all()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_sampled_audit_masking_leaves_positive_rows_alone(m):
+    # positive rows once paired with masked rows (the block is masked) and
+    # once with positive rows (no masking): both give the same bits
+    rng = np.random.default_rng(90 + m)
+    samples = sample_unit_vectors(m, 500, rng)
+    q, b = audit_stack(m, rng)
+    positive = [q[0], 2.0 * q[0], q[0] + np.eye(m)]
+    masked = np.stack([positive[0], q[3], positive[1], q[4], positive[2], 0.0 * q[1]])
+    paired = np.stack([positive[0], positive[0], positive[1], positive[1], positive[2], positive[2]])
+    bb = b[[0, 1, 2, 0, 1, 2]]
+    eps_rows = np.full(6, 0.1)
+    comm_m, nd_m = _sampled_audit(samples, masked, bb, eps_rows, 2)
+    comm_f, nd_f = _sampled_audit(samples, paired, bb, eps_rows, 2)
+    assert np.array_equal(comm_m[::2], comm_f[::2]) and np.array_equal(nd_m[::2], nd_f[::2])
+    assert (comm_m[1::2] == -np.inf).all() and (nd_m[1::2] == np.inf).all()

@@ -11,6 +11,7 @@ from weakhyp.spectral import (
     BlowUpError,
     SpectralState,
     StabilityError,
+    _HalfSpectrumRK4,
     _ring_size,
     assemble_state,
     companion_matrix,
@@ -386,3 +387,23 @@ def test_problem_abort_takes_precedence_over_calibration_abort():
     assert err.member == 0 and err.trajectory.nu == 2
     assert 0.5 < err.trajectory.abort_time < 0.6
     assert err.trajectory.times[-1] <= err.last_valid_time
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 7, 8, 9, 17])
+def test_sup_v_keeps_the_bits_of_the_norm(m):
+    # the blow-up monitor prints sup|V|, so it must keep the bits of
+    # max_k ||(|k|^(m-1-c) |V_k,c|)_c||, non-finite members included
+    K = 512
+    kernel = _HalfSpectrumRK4(K, m, 2)
+    rng = np.random.default_rng(m)
+    scale = 10.0 ** rng.uniform(-120.0, 120.0, (6, K + 1, 1)) / kernel.kmag_pow.clip(1.0)
+    y = (rng.standard_normal((6, K + 1, m)) + 1j * rng.standard_normal((6, K + 1, m))) * scale
+    y[1, 40, m - 1] = complex(np.nan, 0.0)
+    y[2, 3, 0] = complex(np.inf, 1.0)
+    y[3, 7, 1] = complex(np.inf, np.nan)
+    y[4] = 0.0
+    y[5, K, 0] = 1e200  # overflows when squared
+    with np.errstate(over="ignore"):
+        want = np.linalg.norm(np.abs(y) * kernel.kmag_pow, axis=-1).max(axis=-1).tolist()
+        got = kernel.sup_v(y)
+    assert repr(got) == repr(want)  # repr round-trips every finite float
