@@ -154,37 +154,32 @@ def _error_json(exc: Exception) -> str:
 def _emit_spectrum(cfg: RunConfig, traj: Trajectory, sha: str) -> None:
     """Write spectrum.csv, formatting each distinct cell once.
 
-    Row -k of a real run is the conjugate mirror of row k, so its cells reuse
-    the %.17g strings of row k with the imaginary signs toggled.  Cells whose
-    bits differ from that mirror (zeros of the other sign, a hand-built
-    non-mirrored trajectory) and NaN (whose sign %.17g drops) are formatted
+    The half spectrum k = 0..K of a snapshot is formatted by one %-template
+    in which a ';' marks the mode number and every imaginary cell.  Row -k of
+    a real run is the conjugate mirror of row k, so rows -K..-1 are the same
+    text with the marked signs toggled.  Rows holding a cell whose bits
+    differ from that mirror (zeros of the other sign, a hand-built
+    non-mirrored trajectory) or a NaN (whose sign %.17g drops) are formatted
     directly, so the bytes equal cell-by-cell formatting for every input.
     """
     m, K = traj.order, traj.K
     header = ["t", "k"]
     for comp in range(m):
         header += [f"re_V{comp}", f"im_V{comp}"]
-    width = 2 * m  # cells per row, interleaved (re_V0, im_V0, re_V1, ...)
     cells = np.ascontiguousarray(traj.v_series()).view(float)  # (S, 2K+1, 2m)
     mirror = cells[:, K + 1 :].view(np.uint64) ^ np.tile(np.uint64([0, 1 << 63]), m)
     fresh = (cells[:, K - 1 :: -1].view(np.uint64) != mirror) | np.isnan(cells[:, K - 1 :: -1])
-    prefixes = [f",{k}," for k in traj.modes.tolist()]
+    row = ",".join(["%.17g;%.17g"] * m)
+    # '@' stands for the snapshot time, which no formatted number contains
+    half = "\n".join([f"@;{k}," + row for k in range(K + 1)])
 
     def blocks():
         for t, snap, snap_fresh in zip(traj.times.tolist(), cells, fresh):
-            upper = list(map("%.17g".__mod__, snap[K:].ravel().tolist()))
-            # rows k = 0..K of the mirror: imaginary strings sign-toggled
-            mirrored = upper.copy()
-            mirrored[1::2] = ("-" + ",-".join(upper[1::2])).replace("--", "").split(",")
-            at = np.flatnonzero(snap_fresh) + width
-            values = snap[K - 1 :: -1].ravel()[at - width].tolist()
-            for i, value in zip(at.tolist(), values):
-                mirrored[i] = "%.17g" % value
-            rows = [*mirrored[width:], *upper]
-            bodies = list(map(",".join, zip(*[iter(rows)] * width)))
-            bodies[:K] = bodies[K - 1 :: -1]
-            t_text = _fmt(t)
-            yield "\n".join([t_text + p + b for p, b in zip(prefixes, bodies)])
+            upper = half % tuple(snap[K:].ravel().tolist())
+            lower = upper.replace(";", ";-").replace(";--", ";").split("\n")[:0:-1]  # rows -K..-1
+            for i in np.flatnonzero(snap_fresh.any(axis=1)).tolist():  # row -(i+1)
+                lower[K - 1 - i] = (f"@;{-1 - i}," + row) % tuple(snap[K - 1 - i].tolist())
+            yield ("\n".join(lower) + "\n" + upper).replace(";", ",").replace("@", _fmt(t))
 
     _write_csv(cfg.output_dir, "spectrum.csv", header, blocks(), sha)
 
@@ -309,6 +304,16 @@ def _run_or_abort(
     return traj, 0
 
 
+def _integration_facts(cfg: RunConfig, traj: Trajectory) -> dict:
+    """How far a completed run went and how close it came to the step and blow-up limits."""
+    return {
+        "steps": traj.steps,
+        "dt": traj.dt,
+        "stability_ratio": traj.stability_ratio,
+        "peak_sup_v_ratio": traj.peak_sup_v / cfg.blowup_ceiling,
+    }
+
+
 def _cmd_check(cfg: RunConfig, sha: str) -> int:
     problem = cfg.problem()
     grid = np.linspace(0.0, cfg.horizon, cfg.check_grid)
@@ -350,6 +355,7 @@ def _cmd_simulate(cfg: RunConfig, sha: str) -> int:
         "final_time": float(traj.times[-1]),
         "final_sup_v": float(np.linalg.norm(final.V, axis=1).max()),
         "final_reality_defect": final.reality_defect(),
+        "integration": _integration_facts(cfg, traj),
     }
     _write_json(cfg.output_dir, "report.json", payload, sha)
     _write_json(cfg.output_dir, "run_meta.json", cfg.to_meta(), sha)
@@ -406,10 +412,7 @@ def _cmd_analyze(cfg: RunConfig, sha: str) -> int:
         "snapshots": len(traj),
         "ledger": ledger.to_dict(),
         "integration": {
-            "steps": traj.steps,
-            "dt": traj.dt,
-            "stability_ratio": traj.stability_ratio,
-            "peak_sup_v_ratio": traj.peak_sup_v / cfg.blowup_ceiling,
+            **_integration_facts(cfg, traj),
             "linear_calibration": traj.calibration is not None,
         },
     }

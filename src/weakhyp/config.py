@@ -24,6 +24,7 @@ import yaml
 
 from .equation import CoefficientSpec
 from .exprdsl import ExpressionError, parse
+from .spectral import _next_power_of_two, default_grid_size
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
@@ -80,10 +81,6 @@ def _as_expr_list(value: Any, count: int, var: str, field: str) -> tuple[str, ..
             raise ConfigError(str(exc), field=f"{field}[{i}]") from exc
         out.append(source)
     return tuple(out)
-
-
-def _power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -152,13 +149,8 @@ class RunConfig:
         modes = _as_int(data.get("K", 64), "K")
         if modes < 8:
             raise ConfigError(f"invariant violation: modes K >= 8 (got {modes})", field="K")
-        if "G" in data:
-            grid = _as_int(data["G"], "G")
-        else:
-            grid = 1
-            while grid < 4 * modes:
-                grid *= 2
-        if grid < 4 * modes or not _power_of_two(grid):
+        grid = _as_int(data["G"], "G") if "G" in data else default_grid_size(modes)
+        if grid < 4 * modes or grid != _next_power_of_two(grid):
             raise ConfigError(
                 f"invariant violation: G must be a power of two with G >= 4K = {4 * modes} "
                 f"(got {grid})",

@@ -37,7 +37,6 @@ __all__ = [
     "gevrey_weight",
     "star_epsilon",
     "mode_energy",
-    "cinf_energy",
     "derivative_energies",
     "initial_weighted_moments",
     "super_energies",
@@ -183,10 +182,40 @@ def _guarded_sum(log_factors: np.ndarray, mags: np.ndarray) -> float:
     return math.exp(total_log) if total_log <= 709.0 else float("inf")
 
 
-def cinf_energy(state: SpectralState, params: WeightParams) -> float:
-    """Weighted spectral sum sum_k e^(rho(t,k)) |V_k| (unit mode spacing)."""
-    rho = np.atleast_1d(rho_weight(state.t, state.modes, params))
-    return _guarded_sum(rho, state.v_norms())
+def _weight_rows(kmag: np.ndarray, j_max: int) -> np.ndarray:
+    """Rows |k|^j for j = 0..j_max, shape (j_max+1, len(kmag)), by repeated products."""
+    rows = np.empty((j_max + 1, kmag.size))
+    rows[0] = 1.0
+    for j in range(1, j_max + 1):
+        rows[j] = rows[j - 1] * kmag
+    return rows
+
+
+def _moment_rows(
+    rho: np.ndarray, norms: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """([E_j], [M_j]) of one snapshot from rho(t, k), |V_k| and the rows |k|^j.
+
+    Every row is summed on its own, so each value has the bits of
+    ``_guarded_sum`` and of a 1-D sum of that row.  Consecutive rows with the
+    same positive mask share one exp(rho[mask]); that is every j >= 1, since
+    |k|^j >= 1 wherever k != 0.
+    """
+    terms = weights * norms
+    mo = terms.sum(axis=1)
+    e = np.empty(len(terms))
+    positive = terms > 0.0
+    cuts = np.flatnonzero((positive[1:] != positive[:-1]).any(axis=1)) + 1
+    bounds = [0, *cuts.tolist(), len(terms)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        mask = positive[lo]
+        lf = rho[mask]
+        if lf.size and float(lf.max()) <= 700.0:
+            # compress keeps the rows C-contiguous, so each is summed like a 1-D array
+            e[lo:hi] = (terms[lo:hi].compress(mask, axis=1) * np.exp(lf)).sum(axis=1)
+        else:  # nothing to sum, or the log-domain path
+            e[lo:hi] = [_guarded_sum(rho, row) for row in terms[lo:hi]]
+    return e, mo
 
 
 def derivative_energies(
@@ -202,17 +231,23 @@ def derivative_energies(
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     rho = np.atleast_1d(rho_weight(state.t, state.modes, params))
-    norms = state.v_norms()
-    kmag = np.abs(state.modes).astype(float)
-    e = np.empty(j_max + 1)
-    mo = np.empty(j_max + 1)
-    w = np.ones_like(kmag)
-    for j in range(j_max + 1):
-        if j > 0:
-            w = w * kmag
-        mo[j] = float((w * norms).sum())
-        e[j] = _guarded_sum(rho, w * norms)
-    return e, mo
+    weights = _weight_rows(np.abs(state.modes).astype(float), j_max)
+    return _moment_rows(rho, state.v_norms(), weights)
+
+
+def _moment_table(
+    trajectory: Trajectory, params: WeightParams, j_max: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """``derivative_energies`` of every snapshot, rows (S, j_max+1), with one weight table."""
+    weights = _weight_rows(np.abs(trajectory.modes).astype(float), j_max)
+    S = len(trajectory)
+    e_j = np.empty((S, j_max + 1))
+    m_j = np.empty((S, j_max + 1))
+    for i in range(S):
+        state = trajectory.state_at(i)
+        rho = np.atleast_1d(rho_weight(state.t, state.modes, params))
+        e_j[i], m_j[i] = _moment_rows(rho, state.v_norms(), weights)
+    return e_j, m_j
 
 
 def initial_weighted_moments(
@@ -221,16 +256,9 @@ def initial_weighted_moments(
     j_max: int,
 ) -> np.ndarray:
     """A_j = sum_k |k|^j <k>^N |V_k(0)| for j = 0..j_max."""
-    norms = state0.v_norms()
-    kmag = np.abs(state0.modes).astype(float)
+    weights = _weight_rows(np.abs(state0.modes).astype(float), j_max)
     loss = bracket(state0.modes) ** params.loss_exponent
-    out = np.empty(j_max + 1)
-    w = np.ones_like(kmag)
-    for j in range(j_max + 1):
-        if j > 0:
-            w = w * kmag
-        out[j] = float((w * loss * norms).sum())
-    return out
+    return (weights * loss * state0.v_norms()).sum(axis=1)
 
 
 def _factorials(j_max: int) -> np.ndarray:
@@ -652,11 +680,7 @@ def build_energy_ledger(
     if c_const is None:
         c_const = master.ratio
 
-    S = trajectory.times.size
-    e_j = np.empty((S, j_max + 1))
-    m_j = np.empty((S, j_max + 1))
-    for i in range(S):
-        e_j[i], m_j[i] = derivative_energies(trajectory.state_at(i), params, j_max)
+    e_j, m_j = _moment_table(trajectory, params, j_max)
     cinf = e_j[:, 0]
     m0 = float(cinf.max())
     k_caps = m_j.max(axis=0)

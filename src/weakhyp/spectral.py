@@ -218,15 +218,6 @@ def _ring_size(K: int, nu: int) -> int:
     return _next_power_of_two((nu + 1) * K + 1)
 
 
-def _half_power(u: np.ndarray, nu: int, ring: int) -> np.ndarray:
-    """Modes 0..K of u^nu from the half spectrum u, evaluated on ``ring`` points."""
-    grid = np.fft.irfft(u, ring, norm="forward")
-    prod = grid
-    for _ in range(nu - 1):
-        prod = prod * grid
-    return np.fft.rfft(prod, norm="forward")[: u.size]
-
-
 def nonlinear_rhs(state: SpectralState, nu: int) -> np.ndarray:
     """Forcing vectors F_k = (0, ..., 0, f_k), f = nu-fold self-convolution of u_hat."""
     if nu < 1:
@@ -234,7 +225,8 @@ def nonlinear_rhs(state: SpectralState, nu: int) -> np.ndarray:
     if not state.real_symmetric:
         raise ValueError("the forcing is evaluated on the half spectrum of a real state")
     out = np.zeros_like(state.chain)
-    out[:, -1] = _mirror(_half_power(state.chain[state.K :, 0], nu, _ring_size(state.K, nu)))
+    kernel = _HalfSpectrumRK4(state.K, state.order, nu)
+    out[:, -1] = _mirror(kernel.forcing(state.chain[None, state.K :])[0])
     return out
 
 
@@ -244,6 +236,11 @@ class _HalfSpectrumRK4:
     Every member shares the coefficient rows and stage times.  Member 0 is
     forced by u^nu; the others are integrated with zero forcing, so they are
     the linear (nu = 0) problem and cost no transform.
+
+    The stages, their sums and the transforms write into a workspace that
+    lives as long as the kernel and is reallocated only when the batch shape
+    changes.  ``step`` and ``forcing`` return fresh arrays, so nothing a
+    caller keeps aliases the workspace.
     """
 
     def __init__(self, K: int, m: int, nu: int):
@@ -257,31 +254,72 @@ class _HalfSpectrumRK4:
         # column c carries -(ik)^(m-c), the weight of a_(m-c) on chain[:, c]
         self.neg_ik_pow = -ik_pow[:, m:0:-1]
         self.kmag_pow = k[:, None].astype(float) ** np.arange(m - 1, -1, -1)
+        self.grid = np.empty(self.ring)
+        self.prod = np.empty(self.ring)
+        self.spec = np.empty(self.ring // 2 + 1, dtype=complex)
+        self.shape: tuple[int, ...] | None = None
+
+    def _workspace(self, shape: tuple[int, ...]) -> None:
+        if shape == self.shape:
+            return
+        self.shape = shape
+        self.k = [np.empty(shape, dtype=complex) for _ in range(4)]
+        self.stage = np.empty(shape, dtype=complex)
+        self.term = np.empty(shape, dtype=complex)
+        self.lin = np.empty(shape[:2], dtype=complex)
+        self.stage_f = np.zeros(shape[:2], dtype=complex)  # rows >= 1 stay zero
+
+    def _force(self, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write u^nu of member 0 into ``out[0]``; the other rows are left as they are."""
+        if self.nu >= 1:
+            grid = np.fft.irfft(y[0, :, 0], self.ring, norm="forward", out=self.grid)
+            prod = grid
+            if self.nu >= 2:
+                prod = np.multiply(grid, grid, out=self.prod)
+                for _ in range(self.nu - 2):
+                    np.multiply(prod, grid, out=prod)
+            out[0] = np.fft.rfft(prod, norm="forward", out=self.spec)[: y.shape[1]]
+        return out
 
     def forcing(self, y: np.ndarray) -> np.ndarray:
         """Modes 0..K of each member's forcing, shape (B, K+1): u^nu for member 0, else zero."""
-        out = np.zeros(y.shape[:2], dtype=complex)
-        if self.nu >= 1:
-            out[0] = _half_power(y[0, :, 0], self.nu, self.ring)
-        return out
+        return self._force(y, np.zeros(y.shape[:2], dtype=complex))
 
-    def rhs(self, y: np.ndarray, coeff_row: np.ndarray, f: np.ndarray | None = None) -> np.ndarray:
-        """Chain derivative; ``f`` is ``forcing(y)`` when the caller already has it."""
-        if f is None:
-            f = self.forcing(y)
-        out = np.empty_like(y)
+    def _rhs(self, y: np.ndarray, coeff_row: np.ndarray, f: np.ndarray, out: np.ndarray) -> None:
+        """Chain derivative of ``y`` under forcing ``f``, written into ``out``."""
         out[..., :-1] = y[..., 1:]
-        out[..., -1] = (self.neg_ik_pow * y) @ coeff_row[::-1] + f
-        return out
+        np.multiply(self.neg_ik_pow, y, out=self.term)
+        np.matmul(self.term, coeff_row[::-1], out=self.lin)
+        np.add(self.lin, f, out=out[..., -1])
+
+    def _stage(self, y: np.ndarray, h: float, k: np.ndarray) -> np.ndarray:
+        """y + h*k, in the stage buffer."""
+        np.multiply(h, k, out=self.term)
+        return np.add(y, self.term, out=self.stage)
 
     def step(
         self, y: np.ndarray, dt: float, stage_coeffs: np.ndarray, f: np.ndarray | None = None
     ) -> np.ndarray:
-        k1 = self.rhs(y, stage_coeffs[0], f)
-        k2 = self.rhs(y + 0.5 * dt * k1, stage_coeffs[1])
-        k3 = self.rhs(y + 0.5 * dt * k2, stage_coeffs[1])
-        k4 = self.rhs(y + dt * k3, stage_coeffs[2])
-        return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        """One RK4 step of the batch; ``f`` is ``forcing(y)`` when the caller already has it."""
+        self._workspace(y.shape)
+        k1, k2, k3, k4 = self.k
+        if f is None:
+            f = self._force(y, self.stage_f)
+        self._rhs(y, stage_coeffs[0], f, k1)
+        half = 0.5 * dt
+        stage = self._stage(y, half, k1)
+        self._rhs(stage, stage_coeffs[1], self._force(stage, self.stage_f), k2)
+        stage = self._stage(y, half, k2)
+        self._rhs(stage, stage_coeffs[1], self._force(stage, self.stage_f), k3)
+        stage = self._stage(y, dt, k3)
+        self._rhs(stage, stage_coeffs[2], self._force(stage, self.stage_f), k4)
+        # ((k1 + 2 k2) + 2 k3) + k4, as the expression associates left to right,
+        # summed in the stage buffer, which k4 no longer needs
+        acc = np.multiply(2.0, k2, out=self.stage)
+        np.add(k1, acc, out=acc)
+        np.add(acc, np.multiply(2.0, k3, out=self.term), out=acc)
+        np.add(acc, k4, out=acc)
+        return y + np.multiply(dt / 6.0, acc, out=self.term)
 
     def sup_v(self, y: np.ndarray) -> list[float]:
         """sup_k |V_k| per member; the mirrored modes -k have the same norms.

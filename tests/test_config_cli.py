@@ -572,6 +572,11 @@ def test_cli_analyze_integration_facts(tmp_path):
     assert facts["stability_ratio"] == pytest.approx(0.01 * 2.0 * 8 / 2.5)
     assert 0.0 < facts["peak_sup_v_ratio"] < 1e-9
     assert facts["linear_calibration"] is True
+    # simulate reports the same run facts, without the calibration flag
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--output", str(sim)]) == 0
+    sim_facts = json.loads((sim / "report.json").read_text())["integration"]
+    assert sim_facts == {k: v for k, v in facts.items() if k != "linear_calibration"}
     # an explicit loss exponent needs no calibration member
     out = tmp_path / "fixed"
     text = text.replace("  J_max: 8", "  J_max: 8\n  N: 3")

@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from weakhyp import energy
@@ -26,7 +28,6 @@ from weakhyp.energy import (
     WeightParams,
     bracket,
     build_energy_ledger,
-    cinf_energy,
     continuation_check,
     default_c0,
     derivative_energies,
@@ -153,21 +154,80 @@ def test_mode_energy_psd_contract():
         mode_energy(np.array([[-1.0]]), np.array([1.0]))
 
 
-def test_cinf_energy_frozen():
-    # |V| = 1/2 at k = +-1: E = 2 * e^rho(0,1) / 2 = e^2
+def test_derivative_energies_frozen():
+    # |V| = 1/2 at k = +-1: E_0 = 2 * e^rho(0,1) / 2 = e^2
     state = make_state(4, 2, [(1, 0, 0.5), (-1, 0, 0.5)])
-    assert cinf_energy(state, UNIT) == pytest.approx(math.e**2, rel=1e-12)
+    e, _ = derivative_energies(state, UNIT, 0)
+    assert e[0] == pytest.approx(math.e**2, rel=1e-12)
 
 
-def test_cinf_energy_log_domain_guard():
-    # rho ~ 939 overflows exp; tiny amplitudes must still give a finite sum
-    params = WeightParams(c0=3.0, horizon=300.0, loss_exponent=0)
-    state = make_state(512, 2, [(512, 0, 1e-120), (-512, 0, 1e-120)])
-    val = cinf_energy(state, params)
-    assert np.isfinite(val) and val > 1e150
-    # order-one amplitudes at the same weight do overflow, reported as inf
-    state_big = make_state(512, 2, [(512, 0, 1.0), (-512, 0, 1.0)])
-    assert cinf_energy(state_big, params) == float("inf")
+def reference_moments(state, params, j_max):
+    """``derivative_energies`` as a loop over j, one ``_guarded_sum`` per row."""
+    rho = np.atleast_1d(rho_weight(state.t, state.modes, params))
+    norms = state.v_norms()
+    kmag = np.abs(state.modes).astype(float)
+    e = np.empty(j_max + 1)
+    mo = np.empty(j_max + 1)
+    w = np.ones_like(kmag)
+    for j in range(j_max + 1):
+        if j > 0:
+            w = w * kmag
+        mo[j] = float((w * norms).sum())
+        e[j] = energy._guarded_sum(rho, w * norms)
+    return e, mo
+
+
+# rho(t, k) exceeds 700 (the log-domain path) for every mode at T = 300 and
+# C0 = 3, for none at T = 1, and from k of about 18 on at T = 225.
+GUARD = dict(K=512, m=2, S=1, j_max=2, horizon=300.0, c0=3.0, zero_frac=0.0, all_zero=False, seed=0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    K=st.integers(1, 40),
+    m=st.integers(2, 4),
+    S=st.integers(1, 3),
+    j_max=st.integers(0, 24),
+    horizon=st.sampled_from([1.0, 225.0, 300.0]),
+    c0=st.sampled_from([1.0, 3.0]),
+    log_amp=st.floats(-320.0, 300.0),
+    zero_frac=st.sampled_from([0.0, 0.3, 0.9]),
+    all_zero=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    expect=st.just(None),
+)
+# exp(rho) overflows at every mode: tiny amplitudes still give a finite sum,
+# order-one amplitudes at the same weights overflow to inf
+@example(**GUARD, log_amp=-120.0, expect="finite")
+@example(**GUARD, log_amp=0.0, expect="inf")
+def test_moment_table_matches_the_per_snapshot_reference(
+    K, m, S, j_max, horizon, c0, log_amp, zero_frac, all_zero, seed, expect
+):
+    rng = np.random.default_rng(seed)
+    shape = (S, 2 * K + 1, m)
+    chains = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0**log_amp
+    chains[rng.random(shape) < zero_frac] = 0.0  # exactly-zero modes
+    if all_zero:
+        chains[0] = 0.0
+    traj = Trajectory(
+        order=m, K=K, dt=0.1, nu=0, times=np.linspace(0.0, 0.9 * horizon, S), chains=chains,
+        forcings=np.zeros(shape[:2], dtype=complex), completed=True,
+    )
+    params = WeightParams(c0=c0, horizon=horizon, loss_exponent=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_j, m_j = energy._moment_table(traj, params, j_max)
+        for i in range(S):
+            state = traj.state_at(i)
+            want = reference_moments(state, params, j_max)
+            for got in [(e_j[i], m_j[i]), derivative_energies(state, params, j_max)]:
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+    if all_zero:
+        assert not e_j[0].any() and not m_j[0].any()
+    if expect == "finite":
+        assert (np.isfinite(e_j) & (e_j > 1e150)).all()
+    elif expect == "inf":
+        assert (e_j == np.inf).all()
 
 
 def test_derivative_energies_match_brute_force():

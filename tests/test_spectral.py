@@ -407,3 +407,95 @@ def test_sup_v_keeps_the_bits_of_the_norm(m):
         want = np.linalg.norm(np.abs(y) * kernel.kmag_pow, axis=-1).max(axis=-1).tolist()
         got = kernel.sup_v(y)
     assert repr(got) == repr(want)  # repr round-trips every finite float
+
+
+def reference_forcing(kernel, y):
+    """The allocating u^nu transform that the workspace kernel replaced."""
+    out = np.zeros(y.shape[:2], dtype=complex)
+    if kernel.nu >= 1:
+        grid = np.fft.irfft(y[0, :, 0], kernel.ring, norm="forward")
+        prod = grid
+        for _ in range(kernel.nu - 1):
+            prod = prod * grid
+        out[0] = np.fft.rfft(prod, norm="forward")[: y.shape[1]]
+    return out
+
+
+def reference_kernel_step(kernel, y, dt, stage_coeffs, f=None):
+    """The allocating RK4 step that the workspace kernel replaced, as the bit-for-bit reference."""
+
+    def rhs(z, coeff_row, f=None):
+        if f is None:
+            f = reference_forcing(kernel, z)
+        out = np.empty_like(z)
+        out[..., :-1] = z[..., 1:]
+        out[..., -1] = (kernel.neg_ik_pow * z) @ coeff_row[::-1] + f
+        return out
+
+    k1 = rhs(y, stage_coeffs[0], f)
+    k2 = rhs(y + 0.5 * dt * k1, stage_coeffs[1])
+    k3 = rhs(y + 0.5 * dt * k2, stage_coeffs[1])
+    k4 = rhs(y + dt * k3, stage_coeffs[2])
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def workspace_arrays(kernel):
+    return [a for a in vars(kernel).values() if isinstance(a, np.ndarray)] + list(kernel.k)
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("B", [1, 2])
+def test_workspace_kernel_keeps_the_bits_of_the_allocating_step(nu, m, B):
+    K, dt = 12, 2e-3
+    kernel = _HalfSpectrumRK4(K, m, nu)
+    rng = np.random.default_rng(100 * nu + 10 * m + B)
+    y = (rng.standard_normal((B, K + 1, m)) + 1j * rng.standard_normal((B, K + 1, m))) * 0.3
+    y[:, 0] = y[:, 0].real
+    y[:, K, 1] = -0.0  # signed zeros must survive too
+    for i in range(8):
+        coeffs = rng.standard_normal((3, m))
+        if i == 4 and B == 2:
+            # the calibration member blows up and leaves the batch, as in ``simulate``
+            y = y[:1]
+        f = kernel.forcing(y)
+        assert_same_bits(f, reference_forcing(kernel, y))
+        want = reference_kernel_step(kernel, y, dt, coeffs)
+        got = kernel.step(y, dt, coeffs, f)
+        assert_same_bits(got, want)
+        # the first stage's forcing computed inside the step gives the same bits
+        assert_same_bits(kernel.step(y, dt, coeffs), want)
+        assert not any(np.shares_memory(got, a) for a in workspace_arrays(kernel))
+        assert not any(np.shares_memory(f, a) for a in workspace_arrays(kernel))
+        y = got
+    assert kernel.shape == y.shape
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3])
+def test_public_step_after_simulate_uses_no_stale_workspace(nu):
+    spec = CoefficientSpec.from_strings(
+        3, 0.02, ["0", "-1 - t^2", "0.3*t"], nu, ["0.3/(1.25 - cos(x))", "0.1*sin(x)", "0"]
+    )
+    K, dt = 10, 1e-3
+    traj = simulate(spec, K=K, dt=dt, snapshot_interval=0.01, calibrate=True)
+    table = spec.coefficient_table(np.linspace(0.0, 0.02, 41))
+    # simulate's recorded states follow the reference step from the same data
+    kernel = _HalfSpectrumRK4(K, 3, nu)
+    y = assemble_state(spec.initial, K).chain[None, K:]
+    for i in range(20):
+        y = reference_kernel_step(kernel, y, dt, table[2 * i : 2 * i + 3])
+    assert_same_bits(traj.chains[-1, K:], y[0])
+    # a public step afterwards agrees with the reference and leaves the trajectory alone
+    before = traj.chains.copy()
+    state = traj.state_at(len(traj) - 1)
+    stage = table[-3:]
+    for _ in range(2):
+        advanced = step(state, dt, stage, nu)
+        assert_same_bits(advanced.chain[K:], reference_kernel_step(kernel, y, dt, stage)[0])
+        assert not np.shares_memory(advanced.chain, traj.chains)
+    assert_same_bits(traj.chains, before)
