@@ -192,7 +192,7 @@ def _emit_energies(cfg: RunConfig, ledger, sha: str) -> None:
         for i, t in enumerate(ledger.times):
             yield [
                 _fmt(t),
-                _fmt(ledger.cinf[i]),
+                _fmt(ledger.e_j[i, 0]),
                 *[_fmt(ledger.e_j[i, j]) for j in subset],
                 _fmt(ledger.f_values[i]),
                 _fmt(ledger.g_values[i]),
@@ -353,7 +353,7 @@ def _cmd_simulate(cfg: RunConfig, sha: str) -> int:
         "snapshots": len(traj),
         "dt": traj.dt,
         "final_time": float(traj.times[-1]),
-        "final_sup_v": float(np.linalg.norm(final.V, axis=1).max()),
+        "final_sup_v": float(final.v_norms().max()),
         "final_reality_defect": final.reality_defect(),
         "integration": _integration_facts(cfg, traj),
     }

@@ -3,7 +3,7 @@
 The config file is YAML.  Top-level keys: m, T, coefficients, nu, initial,
 K, G, dt, snapshot_interval, seed, threads, output_dir, blowup_ceiling,
 check_grid, plus three nested sections: ``diagnostics``
-(energies, super_energies, radius, master_check, symmetrizer_certificate),
+(energies, radius, symmetrizer_certificate),
 ``constants`` (C0, N, C, c, r0, J_max, eta, s, k_gevrey, lambda_k) and
 ``certificate`` (eps_set, samples, nd_floor, times).  Unknown keys are
 rejected; every violation names the offending field path.
@@ -97,9 +97,7 @@ class RunConfig:
     dt: float = 1e-3
     snapshot_interval: float = 0.01
     energies: bool = True
-    super_energies: bool = True
     radius: bool = True
-    master_check: bool = True
     symmetrizer_certificate: bool = False
     c0_override: float | None = None
     n_override: int | None = None
@@ -171,14 +169,9 @@ class RunConfig:
         diag = data.get("diagnostics", {})
         if not isinstance(diag, Mapping):
             raise ConfigError("expected a mapping", field="diagnostics")
-        diag_allowed = {
-            "energies", "super_energies", "radius", "master_check", "symmetrizer_certificate",
-        }
-        _reject_unknown(diag, diag_allowed, "diagnostics")
+        _reject_unknown(diag, {"energies", "radius", "symmetrizer_certificate"}, "diagnostics")
         energies = _as_bool(diag.get("energies", True), "diagnostics.energies")
-        super_en = _as_bool(diag.get("super_energies", True), "diagnostics.super_energies")
         radius_on = _as_bool(diag.get("radius", True), "diagnostics.radius")
-        master_on = _as_bool(diag.get("master_check", True), "diagnostics.master_check")
         cert_on = _as_bool(
             diag.get("symmetrizer_certificate", False), "diagnostics.symmetrizer_certificate"
         )
@@ -271,9 +264,7 @@ class RunConfig:
             dt=dt,
             snapshot_interval=snapshot_interval,
             energies=energies,
-            super_energies=super_en,
             radius=radius_on,
-            master_check=master_on,
             symmetrizer_certificate=cert_on,
             c0_override=c0,
             n_override=n_exp,
@@ -332,9 +323,7 @@ class RunConfig:
             "snapshot_interval": self.snapshot_interval,
             "diagnostics": {
                 "energies": self.energies,
-                "super_energies": self.super_energies,
                 "radius": self.radius,
-                "master_check": self.master_check,
                 "symmetrizer_certificate": self.symmetrizer_certificate,
             },
             "constants": {

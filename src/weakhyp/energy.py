@@ -7,11 +7,12 @@ tau(xi) = T - 1/|xi|.  Its tail integral rho(t, xi) = int_t^T Phi(s, xi) ds
 has the closed form implemented in rho_weight, continuous across the switch
 and bounded by a constant times log<xi> + 1.
 
-On top of rho sit the mode energies (quasi-symmetrizer quadratic forms), the
-weighted spectral sums E_j and moments M_j, the generating-function
-super-energies F and G with the shrinking radius schedule, and the two
-run-time monitors: the master linear estimate (sup ratio R, fitted loss
-exponent N) and the continuation threshold G < L.
+On top of rho sit the weighted spectral sums E_j and moments M_j of the
+companion vectors, the generating-function super-energies F and G with the
+shrinking radius schedule, and the run-time monitors: the master linear
+estimate (sup ratio R, fitted loss exponent N), the continuation threshold
+G < L, and the finite-difference audit of the per-mode energy inequality,
+whose quadratic forms come from the quasi-symmetrizer.
 """
 
 from __future__ import annotations
@@ -30,13 +31,10 @@ from .symbol import characteristic_roots
 __all__ = [
     "WeightParams",
     "GevreyOrderWarning",
-    "EnergyConsistencyError",
     "bracket",
     "phi_weight",
     "rho_weight",
     "gevrey_weight",
-    "star_epsilon",
-    "mode_energy",
     "derivative_energies",
     "initial_weighted_moments",
     "super_energies",
@@ -78,10 +76,6 @@ class WeightParams:
 
 class GevreyOrderWarning(UserWarning):
     """Gevrey order below the sub-additivity threshold 2(m-1)."""
-
-
-class EnergyConsistencyError(RuntimeError):
-    """A quadratic form that must be PSD evaluated significantly negative."""
 
 
 def phi_weight(t: float, xi, params: WeightParams):
@@ -145,28 +139,6 @@ def gevrey_weight(t: float, xi, k: int, lam, m: int, horizon: float):
     return float(out) if out.ndim == 0 else out
 
 
-def star_epsilon(modes) -> np.ndarray | float:
-    """Per-mode epsilon choice 1/<k>."""
-    return 1.0 / bracket(modes)
-
-
-def mode_energy(q: np.ndarray, v: np.ndarray) -> float:
-    """Quadratic form (Q v, v), checked real and nonnegative.
-
-    Values more negative than -1e-12 * |Q| |v|^2 raise
-    EnergyConsistencyError; rounding-level negatives clip to 0.
-    """
-    q = np.asarray(q)
-    v = np.asarray(v)
-    value = float(np.real(np.vdot(v, q @ v)))
-    scale = float(np.linalg.norm(q) * np.vdot(v, v).real)
-    if value < -1e-12 * max(scale, 1e-300):
-        raise EnergyConsistencyError(
-            f"quadratic form value {value:.6g} negative beyond tolerance (scale {scale:.6g})"
-        )
-    return max(value, 0.0)
-
-
 def _guarded_sum(log_factors: np.ndarray, mags: np.ndarray) -> float:
     """sum(mags * exp(log_factors)) with a log-domain path for large exponents."""
     mask = mags > 0.0
@@ -191,62 +163,48 @@ def _weight_rows(kmag: np.ndarray, j_max: int) -> np.ndarray:
     return rows
 
 
-def _moment_rows(
-    rho: np.ndarray, norms: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """([E_j], [M_j]) of one snapshot from rho(t, k), |V_k| and the rows |k|^j.
-
-    Every row is summed on its own, so each value has the bits of
-    ``_guarded_sum`` and of a 1-D sum of that row.  Consecutive rows with the
-    same positive mask share one exp(rho[mask]); that is every j >= 1, since
-    |k|^j >= 1 wherever k != 0.
-    """
-    terms = weights * norms
-    mo = terms.sum(axis=1)
-    e = np.empty(len(terms))
-    positive = terms > 0.0
-    cuts = np.flatnonzero((positive[1:] != positive[:-1]).any(axis=1)) + 1
-    bounds = [0, *cuts.tolist(), len(terms)]
-    for lo, hi in zip(bounds, bounds[1:]):
-        mask = positive[lo]
-        lf = rho[mask]
-        if lf.size and float(lf.max()) <= 700.0:
-            # compress keeps the rows C-contiguous, so each is summed like a 1-D array
-            e[lo:hi] = (terms[lo:hi].compress(mask, axis=1) * np.exp(lf)).sum(axis=1)
-        else:  # nothing to sum, or the log-domain path
-            e[lo:hi] = [_guarded_sum(rho, row) for row in terms[lo:hi]]
-    return e, mo
+def _rho_table(trajectory: Trajectory, params: WeightParams) -> np.ndarray:
+    """rho(t, k) at every snapshot time and mode, shape (S, 2K+1)."""
+    modes = trajectory.modes
+    rows = [np.atleast_1d(rho_weight(t, modes, params)) for t in trajectory.times.tolist()]
+    return np.stack(rows)
 
 
 def derivative_energies(
-    state: SpectralState,
+    trajectory: Trajectory,
     params: WeightParams,
     j_max: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays ([E_j], [M_j]) for j = 0..j_max.
+    """Arrays ([E_j], [M_j]) for j = 0..j_max at every snapshot, shape (S, j_max+1) each.
 
     E_j = sum_k e^rho |k|^j |V_k| (the state of the j-th spatial derivative
-    carries the extra (ik)^j) and M_j = sum_k |k|^j |V_k|.
+    carries the extra (ik)^j) and M_j = sum_k |k|^j |V_k|.  Every row is
+    summed on its own, so each value has the bits of ``_guarded_sum`` and of
+    a 1-D sum of that row.  Consecutive rows with the same positive mask
+    share one exp(rho[mask]); that is every j >= 1, since |k|^j >= 1 wherever
+    k != 0.
     """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
-    rho = np.atleast_1d(rho_weight(state.t, state.modes, params))
-    weights = _weight_rows(np.abs(state.modes).astype(float), j_max)
-    return _moment_rows(rho, state.v_norms(), weights)
-
-
-def _moment_table(
-    trajectory: Trajectory, params: WeightParams, j_max: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """``derivative_energies`` of every snapshot, rows (S, j_max+1), with one weight table."""
+    # norms first: their temporaries are the largest arrays here, and are freed before the tables
+    v_norms = trajectory.v_norms()
     weights = _weight_rows(np.abs(trajectory.modes).astype(float), j_max)
-    S = len(trajectory)
-    e_j = np.empty((S, j_max + 1))
-    m_j = np.empty((S, j_max + 1))
-    for i in range(S):
-        state = trajectory.state_at(i)
-        rho = np.atleast_1d(rho_weight(state.t, state.modes, params))
-        e_j[i], m_j[i] = _moment_rows(rho, state.v_norms(), weights)
+    e_j = np.empty((len(trajectory), j_max + 1))
+    m_j = np.empty_like(e_j)
+    for rho, norms, e, mo in zip(_rho_table(trajectory, params), v_norms, e_j, m_j):
+        terms = weights * norms
+        mo[:] = terms.sum(axis=1)
+        positive = terms > 0.0
+        cuts = np.flatnonzero((positive[1:] != positive[:-1]).any(axis=1)) + 1
+        bounds = [0, *cuts.tolist(), len(terms)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            mask = positive[lo]
+            lf = rho[mask]
+            if lf.size and float(lf.max()) <= 700.0:
+                # compress keeps the rows C-contiguous, so each is summed like a 1-D array
+                e[lo:hi] = (terms[lo:hi].compress(mask, axis=1) * np.exp(lf)).sum(axis=1)
+            else:  # nothing to sum, or the log-domain path
+                e[lo:hi] = [_guarded_sum(rho, row) for row in terms[lo:hi]]
     return e_j, m_j
 
 
@@ -473,14 +431,13 @@ def master_estimate_check(
     one whose sup ratio is at most ``c_target`` (None when the scan fails).
     """
     times = trajectory.times
-    modes = trajectory.modes
     m = trajectory.order
-    v_norms = np.linalg.norm(trajectory.v_series(), axis=2)  # (S, 2K+1)
+    v_norms = trajectory.v_norms()
     f_mags = np.abs(trajectory.forcings)
-    rho = np.stack([np.atleast_1d(rho_weight(float(t), modes, params)) for t in times])
+    rho = _rho_table(trajectory, params)
     weighted_v = np.exp(rho) * v_norms
     forcing_integral = _cumtrapz(np.exp(rho) * f_mags, times)
-    br = np.atleast_1d(bracket(modes)).astype(float)
+    br = np.atleast_1d(bracket(trajectory.modes)).astype(float)
     base = br ** (m - 1) * forcing_integral
     v0 = v_norms[0]
 
@@ -590,7 +547,6 @@ class EnergyLedger:
     """Every recorded series and measured constant of one analysis pass."""
 
     times: np.ndarray
-    cinf: np.ndarray
     e_j: np.ndarray  # (S, j_max+1)
     m_j: np.ndarray  # (S, j_max+1)
     f_values: np.ndarray
@@ -680,9 +636,8 @@ def build_energy_ledger(
     if c_const is None:
         c_const = master.ratio
 
-    e_j, m_j = _moment_table(trajectory, params, j_max)
-    cinf = e_j[:, 0]
-    m0 = float(cinf.max())
+    e_j, m_j = derivative_energies(trajectory, params, j_max)
+    m0 = float(e_j[:, 0].max())
     k_caps = m_j.max(axis=0)
     m_const = float(k_caps[n_exponent] + m0)
 
@@ -703,7 +658,6 @@ def build_energy_ledger(
     )
     return EnergyLedger(
         times=trajectory.times,
-        cinf=cinf,
         e_j=e_j,
         m_j=m_j,
         f_values=super_report.f_values,

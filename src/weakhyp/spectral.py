@@ -134,12 +134,7 @@ class SpectralState:
     @property
     def V(self) -> np.ndarray:
         """Companion vectors, component l = (ik)^(m-1-l) * chain[:, l]."""
-        m = self.order
-        ik = 1j * self.modes
-        out = np.empty_like(self.chain)
-        for col in range(m):
-            out[:, col] = ik ** (m - 1 - col) * self.chain[:, col]
-        return out
+        return _ik_powers(self.modes, self.order - 1)[:, ::-1] * self.chain
 
     def v_norms(self) -> np.ndarray:
         """Euclidean norm of V_k per mode."""
@@ -152,6 +147,11 @@ class SpectralState:
         if scale == 0.0:
             return 0.0
         return float(np.abs(v[::-1] - v.conj()).max() / scale)
+
+
+def _ik_powers(modes: np.ndarray, top: int) -> np.ndarray:
+    """(ik)^p for p = 0..top, shape (len(modes), top+1): the one table behind V and the kernel."""
+    return (1j * modes)[:, None] ** np.arange(top + 1)
 
 
 def _next_power_of_two(n: int) -> int:
@@ -246,14 +246,10 @@ class _HalfSpectrumRK4:
     def __init__(self, K: int, m: int, nu: int):
         self.nu = nu
         self.ring = _ring_size(K, nu)
-        k = np.arange(K + 1)
-        ik_pow = np.empty((K + 1, m + 1), dtype=complex)
-        ik_pow[:, 0] = 1.0
-        for h in range(1, m + 1):
-            ik_pow[:, h] = ik_pow[:, h - 1] * (1j * k)
+        ik_pow = _ik_powers(np.arange(K + 1), m)
         # column c carries -(ik)^(m-c), the weight of a_(m-c) on chain[:, c]
         self.neg_ik_pow = -ik_pow[:, m:0:-1]
-        self.kmag_pow = k[:, None].astype(float) ** np.arange(m - 1, -1, -1)
+        self.kmag_pow = np.abs(ik_pow[:, m - 1 :: -1])  # |k|^(m-1-c), the scale of V's column c
         self.grid = np.empty(self.ring)
         self.prod = np.empty(self.ring)
         self.spec = np.empty(self.ring // 2 + 1, dtype=complex)
@@ -415,12 +411,11 @@ class Trajectory:
 
     def v_series(self) -> np.ndarray:
         """(S, 2K+1, m) array of companion vectors at every snapshot."""
-        m = self.order
-        ik = 1j * self.modes
-        out = np.empty_like(self.chains)
-        for col in range(m):
-            out[:, :, col] = ik ** (m - 1 - col) * self.chains[:, :, col]
-        return out
+        return _ik_powers(self.modes, self.order - 1)[:, ::-1] * self.chains
+
+    def v_norms(self) -> np.ndarray:
+        """(S, 2K+1) array of the Euclidean norms |V_k| at every snapshot."""
+        return np.linalg.norm(self.v_series(), axis=2)
 
     def u_hat_series(self) -> np.ndarray:
         return self.chains[:, :, 0]

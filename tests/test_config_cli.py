@@ -6,6 +6,7 @@ JSON on stderr for errors; every output file stamped with the semantic
 config hash, which ignores threads and output_dir.
 """
 
+import importlib.util
 import json
 import math
 import subprocess
@@ -73,6 +74,9 @@ def test_numeric_coefficient_entries_are_stringified():
         ({"diagnostics": {"foo": True}}, "diagnostics.foo"),
         ({"constants": {"Q": 1}}, "constants.Q"),
         ({"certificate": {"width": 2}}, "certificate.width"),
+        # keys of the schema once, which nothing read
+        ({"diagnostics": {"super_energies": True}}, "diagnostics.super_energies"),
+        ({"diagnostics": {"master_check": True}}, "diagnostics.master_check"),
     ],
 )
 def test_unknown_keys_rejected_with_path(patch, field):
@@ -644,3 +648,18 @@ def test_cli_import_loads_no_test_tooling():
     loaded = set(json.loads(out))
     assert "weakhyp" in loaded
     assert loaded.isdisjoint({"scipy", "hypothesis", "mpmath"})
+
+
+def test_traced_names_resolve():
+    # the benchmark tracer rebinds these names from outside; a renamed or
+    # deleted one must fail here rather than break the traced benchmark run
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attr_path, _ in [*tracing.TARGETS, tracing.MAP_TARGET]:
+        owner = importlib.import_module(module_name)
+        for part in attr_path.split("."):
+            assert hasattr(owner, part), f"{module_name}.{attr_path}"
+            owner = getattr(owner, part)
+        assert callable(owner), f"{module_name}.{attr_path}"

@@ -23,7 +23,6 @@ from scipy.integrate import quad
 
 from weakhyp import energy
 from weakhyp.energy import (
-    EnergyConsistencyError,
     GevreyOrderWarning,
     WeightParams,
     bracket,
@@ -35,12 +34,10 @@ from weakhyp.energy import (
     initial_weighted_moments,
     energy_inequality_check,
     master_estimate_check,
-    mode_energy,
     phi_growth,
     phi_weight,
     radius_schedule,
     rho_weight,
-    star_epsilon,
     super_energies,
 )
 from weakhyp.equation import CoefficientSpec
@@ -55,6 +52,15 @@ def make_state(K, m, entries, t=0.0):
     for k, col, value in entries:
         chain[k + K, col] = value
     return SpectralState(K=K, t=t, chain=chain)
+
+
+def one_snapshot(state):
+    """The ``Trajectory`` whose only snapshot is ``state``."""
+    return Trajectory(
+        order=state.order, K=state.K, dt=0.1, nu=0, times=np.array([state.t]),
+        chains=state.chain[None], forcings=np.zeros((1, 2 * state.K + 1), dtype=complex),
+        completed=True,
+    )
 
 
 def test_weight_params_validation():
@@ -141,28 +147,16 @@ def test_gevrey_weight_profile_integration():
     assert val == pytest.approx(4.0 * 0.5 + 1.0, rel=1e-12)
 
 
-def test_star_epsilon():
-    np.testing.assert_allclose(star_epsilon(np.array([-2, 0, 2])), [1 / 3, 1.0, 1 / 3])
-
-
-def test_mode_energy_psd_contract():
-    assert mode_energy(np.array([[1.0]]), np.array([0.0])) == 0.0
-    q = np.array([[2.0, 0.0], [0.0, 1.0]])
-    v = np.array([1.0 + 1j, -2.0])
-    assert mode_energy(q, v) == pytest.approx(2.0 * 2.0 + 4.0)
-    with pytest.raises(EnergyConsistencyError):
-        mode_energy(np.array([[-1.0]]), np.array([1.0]))
-
-
 def test_derivative_energies_frozen():
     # |V| = 1/2 at k = +-1: E_0 = 2 * e^rho(0,1) / 2 = e^2
     state = make_state(4, 2, [(1, 0, 0.5), (-1, 0, 0.5)])
-    e, _ = derivative_energies(state, UNIT, 0)
-    assert e[0] == pytest.approx(math.e**2, rel=1e-12)
+    e, mo = derivative_energies(one_snapshot(state), UNIT, 0)
+    assert e.shape == mo.shape == (1, 1)
+    assert e[0, 0] == pytest.approx(math.e**2, rel=1e-12)
 
 
 def reference_moments(state, params, j_max):
-    """``derivative_energies`` as a loop over j, one ``_guarded_sum`` per row."""
+    """``derivative_energies`` of one state as a loop over j, one ``_guarded_sum`` per row."""
     rho = np.atleast_1d(rho_weight(state.t, state.modes, params))
     norms = state.v_norms()
     kmag = np.abs(state.modes).astype(float)
@@ -215,11 +209,12 @@ def test_moment_table_matches_the_per_snapshot_reference(
     )
     params = WeightParams(c0=c0, horizon=horizon, loss_exponent=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        e_j, m_j = energy._moment_table(traj, params, j_max)
+        e_j, m_j = derivative_energies(traj, params, j_max)
         for i in range(S):
             state = traj.state_at(i)
             want = reference_moments(state, params, j_max)
-            for got in [(e_j[i], m_j[i]), derivative_energies(state, params, j_max)]:
+            alone = derivative_energies(one_snapshot(state), params, j_max)
+            for got in [(e_j[i], m_j[i]), (alone[0][0], alone[1][0])]:
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
     if all_zero:
@@ -235,7 +230,7 @@ def test_derivative_energies_match_brute_force():
     K, m, j_max = 6, 2, 5
     chain = rng.standard_normal((2 * K + 1, m)) + 1j * rng.standard_normal((2 * K + 1, m))
     state = SpectralState(K=K, t=0.3, chain=chain)
-    e, mo = derivative_energies(state, UNIT, j_max)
+    (e,), (mo,) = derivative_energies(one_snapshot(state), UNIT, j_max)
     k = state.modes
     rho = rho_weight(0.3, k.astype(float), UNIT)
     norms = state.v_norms()

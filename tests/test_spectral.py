@@ -11,6 +11,7 @@ from weakhyp.spectral import (
     BlowUpError,
     SpectralState,
     StabilityError,
+    Trajectory,
     _HalfSpectrumRK4,
     _ring_size,
     assemble_state,
@@ -322,12 +323,58 @@ def test_blowup_carries_partial_trajectory():
     assert (np.diff(err.trajectory.times) > 0).all()
 
 
-def test_trajectory_v_series_matches_states():
-    spec = CoefficientSpec.from_strings(2, 1.0, ["0", "-1"], 0, ["cos(x)", "0"])
-    traj = simulate(spec, K=8, dt=1e-2, snapshot_interval=0.5)
-    v = traj.v_series()
-    for i in range(len(traj)):
-        np.testing.assert_allclose(v[i], traj.state_at(i).V)
+def reference_v(modes, chains):
+    """Companion vectors by the per-column formula (ik)^(m-1-c) * chain[..., c]."""
+    m = chains.shape[-1]
+    ik = 1j * modes
+    out = np.empty_like(chains)
+    for c in range(m):
+        out[..., c] = ik ** (m - 1 - c) * chains[..., c]
+    return out
+
+
+def reference_kernel_tables(K, m):
+    """The kernel's -(ik)^(m-c) and |k|^(m-1-c) tables as repeated products and float powers."""
+    k = np.arange(K + 1)
+    ik_pow = np.empty((K + 1, m + 1), dtype=complex)
+    ik_pow[:, 0] = 1.0
+    for h in range(1, m + 1):
+        ik_pow[:, h] = ik_pow[:, h - 1] * (1j * k)
+    return -ik_pow[:, m:0:-1], k[:, None].astype(float) ** np.arange(m - 1, -1, -1)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_companion_table_keeps_the_bits_of_the_per_column_formula(m):
+    K, S = 7, 3
+    rng = np.random.default_rng(m)
+    shape = (S, 2 * K + 1, m)
+    chains = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    # signed zeros in either part, the k = 0 row included
+    cells = chains.view(float)
+    cells[rng.random(cells.shape) < 0.2] = 0.0
+    cells[rng.random(cells.shape) < 0.2] = -0.0
+    cells[:, K] = -0.0
+    traj = Trajectory(
+        order=m, K=K, dt=0.1, nu=0, times=np.array([0.0, 0.5, 1.0]), chains=chains,
+        forcings=np.zeros(shape[:2], dtype=complex), completed=True,
+    )
+    want = reference_v(traj.modes, chains)
+    assert_same_bits(traj.v_series(), want)
+    assert_same_bits(traj.v_norms(), np.linalg.norm(want, axis=2))
+    for i in range(S):
+        state = traj.state_at(i)
+        assert_same_bits(state.V, want[i])
+        assert_same_bits(state.v_norms(), traj.v_norms()[i])
+    kernel = _HalfSpectrumRK4(K, m, 1)
+    neg_ik_pow, kmag_pow = reference_kernel_tables(K, m)
+    if m <= 3:
+        assert_same_bits(kernel.neg_ik_pow, neg_ik_pow)
+        assert_same_bits(kernel.kmag_pow, kmag_pow)
+    else:
+        # numpy's power squares where the old table multiplied once more, so
+        # the two agree in value but may differ in the sign of a zero part
+        np.testing.assert_array_equal(kernel.neg_ik_pow, neg_ik_pow)
+        np.testing.assert_array_equal(kernel.kmag_pow, kmag_pow)
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3])
