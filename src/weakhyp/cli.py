@@ -36,7 +36,7 @@ from .quasisym import (
     verify_quasi_symmetrizer,
 )
 from .radius import InsufficientBandError, fit_decay
-from .spectral import BlowUpError, StabilityError, Trajectory, companion_stack, simulate
+from .spectral import BlowUpError, StabilityError, Trajectory, _ik_powers, companion_stack, simulate
 from .symbol import (
     characteristic_roots,
     check_diam,
@@ -152,21 +152,33 @@ def _error_json(exc: Exception) -> str:
 
 
 def _emit_spectrum(cfg: RunConfig, traj: Trajectory, sha: str) -> None:
-    """Write spectrum.csv, formatting each distinct cell once.
+    """Write spectrum.csv, modes -K..K, from the trajectory's modes 0..K.
+
+    The one place that builds the rows -K..-1: column c of V_{-k} is
+    (-ik)^(m-1-c) conj(chain_k), the formula of V at mode -k of a real run.
+    """
+    K = traj.K
+    lower = _ik_powers(np.arange(-K, 0), traj.order - 1)[:, ::-1] * traj.chains[:, :0:-1].conj()
+    v = np.concatenate([lower, traj.v_series()], axis=1)
+    _write_spectrum(cfg.output_dir, traj.times, v, sha)
+
+
+def _write_spectrum(out_dir: str, times: np.ndarray, v: np.ndarray, sha: str) -> None:
+    """Write spectrum.csv from companion vectors ``v`` (S, 2K+1, m), each distinct cell once.
 
     The half spectrum k = 0..K of a snapshot is formatted by one %-template
     in which a ';' marks the mode number and every imaginary cell.  Row -k of
-    a real run is the conjugate mirror of row k, so rows -K..-1 are the same
-    text with the marked signs toggled.  Rows holding a cell whose bits
-    differ from that mirror (zeros of the other sign, a hand-built
-    non-mirrored trajectory) or a NaN (whose sign %.17g drops) are formatted
-    directly, so the bytes equal cell-by-cell formatting for every input.
+    a real run is nearly the conjugate mirror of row k, so rows -K..-1 are
+    the same text with the marked signs toggled.  Rows holding a cell whose
+    bits differ from that mirror (zeros of the other sign, last bits of the
+    powers of -ik) or a NaN (whose sign %.17g drops) are formatted directly,
+    so the bytes equal cell-by-cell formatting for every input.
     """
-    m, K = traj.order, traj.K
+    K, m = (v.shape[1] - 1) // 2, v.shape[2]
     header = ["t", "k"]
     for comp in range(m):
         header += [f"re_V{comp}", f"im_V{comp}"]
-    cells = np.ascontiguousarray(traj.v_series()).view(float)  # (S, 2K+1, 2m)
+    cells = np.ascontiguousarray(v).view(float)  # (S, 2K+1, 2m)
     mirror = cells[:, K + 1 :].view(np.uint64) ^ np.tile(np.uint64([0, 1 << 63]), m)
     fresh = (cells[:, K - 1 :: -1].view(np.uint64) != mirror) | np.isnan(cells[:, K - 1 :: -1])
     row = ",".join(["%.17g;%.17g"] * m)
@@ -174,14 +186,14 @@ def _emit_spectrum(cfg: RunConfig, traj: Trajectory, sha: str) -> None:
     half = "\n".join([f"@;{k}," + row for k in range(K + 1)])
 
     def blocks():
-        for t, snap, snap_fresh in zip(traj.times.tolist(), cells, fresh):
+        for t, snap, snap_fresh in zip(times.tolist(), cells, fresh):
             upper = half % tuple(snap[K:].ravel().tolist())
             lower = upper.replace(";", ";-").replace(";--", ";").split("\n")[:0:-1]  # rows -K..-1
             for i in np.flatnonzero(snap_fresh.any(axis=1)).tolist():  # row -(i+1)
                 lower[K - 1 - i] = (f"@;{-1 - i}," + row) % tuple(snap[K - 1 - i].tolist())
             yield ("\n".join(lower) + "\n" + upper).replace(";", ",").replace("@", _fmt(t))
 
-    _write_csv(cfg.output_dir, "spectrum.csv", header, blocks(), sha)
+    _write_csv(out_dir, "spectrum.csv", header, blocks(), sha)
 
 
 def _emit_energies(cfg: RunConfig, ledger, sha: str) -> None:
@@ -346,15 +358,13 @@ def _cmd_simulate(cfg: RunConfig, sha: str) -> int:
     if traj is None:
         return code
     _emit_spectrum(cfg, traj, sha)
-    final = traj.state_at(len(traj) - 1)
     payload = {
         "command": "simulate",
         "completed": True,
         "snapshots": len(traj),
         "dt": traj.dt,
         "final_time": float(traj.times[-1]),
-        "final_sup_v": float(final.v_norms().max()),
-        "final_reality_defect": final.reality_defect(),
+        "final_sup_v": float(traj.v_norms()[-1].max()),
         "integration": _integration_facts(cfg, traj),
     }
     _write_json(cfg.output_dir, "report.json", payload, sha)

@@ -8,7 +8,8 @@ has the closed form implemented in rho_weight, continuous across the switch
 and bounded by a constant times log<xi> + 1.
 
 On top of rho sit the weighted spectral sums E_j and moments M_j of the
-companion vectors, the generating-function super-energies F and G with the
+companion vectors (over -K..K, taken on k = 0..K with multiplicity 2 for
+k >= 1), the generating-function super-energies F and G with the
 shrinking radius schedule, and the run-time monitors: the master linear
 estimate (sup ratio R, fitted loss exponent N), the continuation threshold
 G < L, and the finite-difference audit of the per-mode energy inequality,
@@ -25,7 +26,7 @@ import numpy as np
 
 from .equation import CoefficientSpec
 from .quasisym import build_quasi_symmetrizer
-from .spectral import SpectralState, Trajectory, companion_stack
+from .spectral import Trajectory, companion_stack
 from .symbol import characteristic_roots
 
 __all__ = [
@@ -154,17 +155,22 @@ def _guarded_sum(log_factors: np.ndarray, mags: np.ndarray) -> float:
     return math.exp(total_log) if total_log <= 709.0 else float("inf")
 
 
-def _weight_rows(kmag: np.ndarray, j_max: int) -> np.ndarray:
-    """Rows |k|^j for j = 0..j_max, shape (j_max+1, len(kmag)), by repeated products."""
-    rows = np.empty((j_max + 1, kmag.size))
-    rows[0] = 1.0
+def _weight_rows(K: int, j_max: int) -> np.ndarray:
+    """Rows (1, 2, 2, ...) * k^j for k = 0..K, j = 0..j_max, by repeated products.
+
+    Row 0 counts |k| in -K..K, so a row sum over k = 0..K is the sum over
+    -K..K of a term even in k; doubling is exact, so each term keeps its bits.
+    """
+    kmag = np.arange(K + 1, dtype=float)
+    rows = np.empty((j_max + 1, K + 1))
+    rows[0] = np.where(kmag > 0.0, 2.0, 1.0)
     for j in range(1, j_max + 1):
         rows[j] = rows[j - 1] * kmag
     return rows
 
 
 def _rho_table(trajectory: Trajectory, params: WeightParams) -> np.ndarray:
-    """rho(t, k) at every snapshot time and mode, shape (S, 2K+1)."""
+    """rho(t, k) at every snapshot time and mode, shape (S, K+1); it does not depend on N."""
     modes = trajectory.modes
     rows = [np.atleast_1d(rho_weight(t, modes, params)) for t in trajectory.times.tolist()]
     return np.stack(rows)
@@ -174,24 +180,27 @@ def derivative_energies(
     trajectory: Trajectory,
     params: WeightParams,
     j_max: int,
+    *,
+    _tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Arrays ([E_j], [M_j]) for j = 0..j_max at every snapshot, shape (S, j_max+1) each.
 
     E_j = sum_k e^rho |k|^j |V_k| (the state of the j-th spatial derivative
-    carries the extra (ik)^j) and M_j = sum_k |k|^j |V_k|.  Every row is
-    summed on its own, so each value has the bits of ``_guarded_sum`` and of
-    a 1-D sum of that row.  Consecutive rows with the same positive mask
-    share one exp(rho[mask]); that is every j >= 1, since |k|^j >= 1 wherever
-    k != 0.
+    carries the extra (ik)^j) and M_j = sum_k |k|^j |V_k|, both over -K..K.
+    Every row is summed on its own, so each value has the bits of
+    ``_guarded_sum`` and of a 1-D sum of that row.  Consecutive rows with the
+    same positive mask share one exp(rho[mask]); that is every j >= 1, since
+    |k|^j >= 1 wherever k != 0.  ``_tables`` holds (v_norms, rho) when the
+    caller has them.
     """
     if j_max < 0:
         raise ValueError("j_max must be >= 0")
     # norms first: their temporaries are the largest arrays here, and are freed before the tables
-    v_norms = trajectory.v_norms()
-    weights = _weight_rows(np.abs(trajectory.modes).astype(float), j_max)
+    v_norms, rho_table = _tables or (trajectory.v_norms(), _rho_table(trajectory, params))
+    weights = _weight_rows(trajectory.K, j_max)
     e_j = np.empty((len(trajectory), j_max + 1))
     m_j = np.empty_like(e_j)
-    for rho, norms, e, mo in zip(_rho_table(trajectory, params), v_norms, e_j, m_j):
+    for rho, norms, e, mo in zip(rho_table, v_norms, e_j, m_j):
         terms = weights * norms
         mo[:] = terms.sum(axis=1)
         positive = terms > 0.0
@@ -209,14 +218,14 @@ def derivative_energies(
 
 
 def initial_weighted_moments(
-    state0: SpectralState,
+    v0_norms: np.ndarray,
     params: WeightParams,
     j_max: int,
 ) -> np.ndarray:
-    """A_j = sum_k |k|^j <k>^N |V_k(0)| for j = 0..j_max."""
-    weights = _weight_rows(np.abs(state0.modes).astype(float), j_max)
-    loss = bracket(state0.modes) ** params.loss_exponent
-    return (weights * loss * state0.v_norms()).sum(axis=1)
+    """A_j = sum_k |k|^j <k>^N |V_k(0)| over -K..K for j = 0..j_max; v0_norms holds k = 0..K."""
+    K = v0_norms.size - 1
+    loss = bracket(np.arange(K + 1)) ** params.loss_exponent
+    return (_weight_rows(K, j_max) * loss * v0_norms).sum(axis=1)
 
 
 def _factorials(j_max: int) -> np.ndarray:
@@ -421,6 +430,8 @@ def master_estimate_check(
     trajectory: Trajectory,
     params: WeightParams,
     c_target: float = 10.0,
+    *,
+    _tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> MasterEstimateReport:
     """Sup over (t, k) of e^rho |V_k(t)| / (<k>^N |V_k(0)| + <k>^(m-1) I_k(t)).
 
@@ -429,12 +440,13 @@ def master_estimate_check(
     exactly zero in the data and the early forcing cannot inflate the sup.
     Also scans integer exponents N' in [m-1, 2m+4] and reports the smallest
     one whose sup ratio is at most ``c_target`` (None when the scan fails).
+    Every term is even in k, so the sup runs over k = 0..K.  ``_tables`` is
+    as in ``derivative_energies``.
     """
     times = trajectory.times
     m = trajectory.order
-    v_norms = trajectory.v_norms()
+    v_norms, rho = _tables or (trajectory.v_norms(), _rho_table(trajectory, params))
     f_mags = np.abs(trajectory.forcings)
-    rho = _rho_table(trajectory, params)
     weighted_v = np.exp(rho) * v_norms
     forcing_integral = _cumtrapz(np.exp(rho) * f_mags, times)
     br = np.atleast_1d(bracket(trajectory.modes)).astype(float)
@@ -498,27 +510,22 @@ def energy_inequality_check(
     E*(t, k) is the quasi-symmetrizer energy at epsilon = <k>^-1 built from
     the roots at each snapshot time.  The derivative is a centered difference
     at interior snapshot times; the verdict allows the configured relative
-    slack.  Modes where both sides vanish are skipped.
+    slack.  Modes where both sides vanish are skipped.  The inequality at
+    mode -k is the one at k, so the modes 0..K are evaluated and ``checked``
+    counts the (t, k) points of -K..K.
     """
     times = trajectory.times
     if times.size < 3:
         raise ValueError("need at least three snapshots for interior differences")
     v = trajectory.v_series()
     f_mags = np.abs(trajectory.forcings)
-    modes = trajectory.modes
-    absk = np.abs(modes)
-    K = trajectory.K
-    S = times.size
-    e_star = np.empty((S, modes.size))
-    for i in range(S):
+    e_star = np.empty(f_mags.shape)
+    for i in range(times.size):
         roots = characteristic_roots(problem.coefficients_at(float(times[i])))
         qs = build_quasi_symmetrizer(roots)
-        for kk in range(K + 1):
-            q = qs.assemble(1.0 / (1.0 + kk))
-            sel = absk == kk
-            rows = v[i, sel, :]
-            vals = np.einsum("ij,jl,il->i", rows.conj(), q, rows).real
-            e_star[i, sel] = np.maximum(vals, 0.0)
+        for kk, row in enumerate(v[i]):
+            val = np.einsum("j,jl,l->", row.conj(), qs.assemble(1.0 / (1.0 + kk)), row).real
+            e_star[i, kk] = max(val, 0.0)
     s_vals = np.sqrt(e_star)
     t_col = times.reshape(-1, 1)
     lhs = (s_vals[2:] - s_vals[:-2]) / (t_col[2:] - t_col[:-2])
@@ -538,7 +545,7 @@ def energy_inequality_check(
         passed=bool(max_ratio <= 1.0 + slack),
         slack=slack,
         c0=params.c0,
-        checked=int(active.sum()),
+        checked=int(active.sum() + active[:, 1:].sum()),  # k >= 1 stands for -k too
     )
 
 
@@ -623,25 +630,28 @@ def build_energy_ledger(
     T = problem.horizon
     if c0 is None:
         c0 = default_c0(problem)
+    # rho does not depend on N: one norm and one rho table serve every pass below
+    v_norms = trajectory.v_norms()
+    tables = (v_norms, _rho_table(trajectory, WeightParams(c0=c0, horizon=T, loss_exponent=0)))
     master = None
     if n_exponent is None:
         trial = WeightParams(c0=c0, horizon=T, loss_exponent=m + 1)
-        master = master_estimate_check(trajectory, trial, c_target)
+        master = master_estimate_check(trajectory, trial, c_target, _tables=tables)
         n_exponent = master.fitted_n if master.fitted_n is not None else m + 1
     if n_exponent > j_max:
         raise ValueError(f"loss exponent N={n_exponent} exceeds J_max={j_max}")
     params = WeightParams(c0=c0, horizon=T, loss_exponent=n_exponent)
     if master is None or master.n_used != n_exponent:
-        master = master_estimate_check(trajectory, params, c_target)
+        master = master_estimate_check(trajectory, params, c_target, _tables=tables)
     if c_const is None:
         c_const = master.ratio
 
-    e_j, m_j = derivative_energies(trajectory, params, j_max)
+    e_j, m_j = derivative_energies(trajectory, params, j_max, _tables=tables)
     m0 = float(e_j[:, 0].max())
     k_caps = m_j.max(axis=0)
     m_const = float(k_caps[n_exponent] + m0)
 
-    a_moments = initial_weighted_moments(trajectory.state_at(0), params, j_max)
+    a_moments = initial_weighted_moments(v_norms[0], params, j_max)
     fact = _factorials(j_max)
     r0_eff = eta * r0
     g0, _ = _series_with_tail(a_moments, r0_eff, fact)

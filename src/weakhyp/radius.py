@@ -2,7 +2,7 @@
 
 Analyticity in a strip of half-width r shows up on the Fourier side as
 |u_k| ~ C e^(-r|k|); Gevrey-s regularity as e^(-r|k|^(1/s)).  fit_decay
-reads r off a weighted band of the spectrum by least squares.  The dual
+reads r off a band of the half spectrum k >= 0 by least squares.  The dual
 estimate fit_moment_radius reads 1/Lambda off the factorial growth
 M_j ~ C Lambda^j j! of spectral moments via the ratio test.
 """
@@ -39,7 +39,7 @@ class RadiusEstimate:
     prefactor: float
     band_lo: int
     band_hi: int
-    n_modes: int
+    n_modes: int  # modes k >= 2 in the band; each stands for k and -k
     residual: float
     s: float
 
@@ -49,38 +49,36 @@ def fit_decay(
     s: float = 1.0,
     floor: float | None = None,
 ) -> RadiusEstimate:
-    """Least-squares fit ln|u_k| ~ ln C - r |k|^(1/s) over the usable band.
+    """Least-squares fit ln|u_k| ~ ln C - r k^(1/s) over the usable band.
 
-    ``u_hat`` holds modes -K..K.  The band keeps |k| >= 2 (the low modes only
-    carry prefactor information) and |u_k| > floor, where the floor defaults
-    to 1e-13 times the spectral peak to cut the round-off plateau.  Fewer
-    than 8 surviving modes raise InsufficientBandError.  The residual is the
-    RMS misfit of the linear model in log space.
+    ``u_hat`` holds modes k = 0..K of a real solution; the modes -k carry the
+    same magnitudes, so fitting them too would only double every normal
+    equation.  The band keeps k >= 2 (the low modes only carry prefactor
+    information) and |u_k| > floor, where the floor defaults to 1e-13 times
+    the spectral peak to cut the round-off plateau.  Fewer than 4 surviving
+    modes raise InsufficientBandError.  The residual is the RMS misfit of the
+    linear model in log space.
     """
     if s <= 0:
         raise ValueError("Gevrey order s must be positive")
-    u_hat = np.asarray(u_hat)
-    K = (u_hat.size - 1) // 2
-    if u_hat.size != 2 * K + 1:
-        raise ValueError("spectrum length must be odd (modes -K..K)")
     mags = np.abs(u_hat)
     peak = float(mags.max())
     if floor is None:
         floor = 1e-13 * peak
-    modes = np.arange(-K, K + 1)
-    keep = (np.abs(modes) >= 2) & (mags > floor)
+    modes = np.arange(mags.size)
+    keep = (modes >= 2) & (mags > floor)
     n = int(keep.sum())
-    if n < 8:
+    if n < 4:
         raise InsufficientBandError(
-            f"only {n} modes above floor {floor:.3g} with |k| >= 2; need at least 8"
+            f"only {n} modes above floor {floor:.3g} with k >= 2; need at least 4"
         )
-    x = np.abs(modes[keep]).astype(float) ** (1.0 / s)
+    band = modes[keep]
+    x = band.astype(float) ** (1.0 / s)
     y = np.log(mags[keep])
     design = np.column_stack([np.ones_like(x), -x])
     (log_c, r), *_ = np.linalg.lstsq(design, y, rcond=None)
     fitted = design @ np.array([log_c, r])
     residual = float(np.sqrt(np.mean((y - fitted) ** 2)))
-    band = np.abs(modes[keep])
     return RadiusEstimate(
         r_hat=float(r),
         prefactor=float(np.exp(log_c)),

@@ -8,19 +8,19 @@ V' = -ik A(t) V + F, and at k = 0, where the leading components of V vanish
 identically, the chain still carries u_0 and its derivatives, which the
 convolution nonlinearity needs.
 
-The solution is real, so u_{-k} = conj(u_k).  The integrator stores only
-the half spectrum k = 0..K, shape (K+1, m), and every recorded snapshot is
-expanded to the full -K..K layout by the conjugate mirror (row -k is the
-conjugate of row k).  Reality therefore holds by construction: the k = 0 row
-stays real and ``reality_defect`` of every snapshot is exactly zero.
+The data and f(u) = u^nu are real, so u_{-k} = conj(u_k): every state,
+snapshot and forcing holds only the half spectrum k = 0..K, row k for mode
+k.  Reality holds by construction.  The k = 0 row starts real (the mean of
+real data) and stays real: there every a_h (ik)^h vanishes, and the rfft of
+the real forcing has a real mean.
 
 The forcing u^nu is evaluated as irfft -> pointwise product -> rfft on a ring
 of N points, N the smallest power of two >= (nu+1)K + 1.  The product holds
 modes up to nu*K and mode j lands on j mod N; for |k| <= K no other j with
 |j| <= nu*K shares that residue once N - K > nu*K.  This is the 3/2 padding
 rule (Orszag 1971) generalised to degree nu, so the result equals the direct
-truncated convolution ``convolution_power``, kept as the test oracle, up to
-rounding.
+truncated convolution ``convolution_power`` (the test oracle, on -K..K) up
+to rounding.
 
 Time stepping is fixed-step classical RK4.  The linear part per mode has
 purely imaginary eigenvalues ik * (characteristic roots), so the stability
@@ -112,12 +112,11 @@ def companion_matrix(coeffs: Sequence[float]) -> np.ndarray:
 
 @dataclass
 class SpectralState:
-    """Truncated Fourier state: derivative chains for modes -K..K at time t."""
+    """Truncated Fourier state of a real solution: derivative chains for modes 0..K at time t."""
 
     K: int
     t: float
-    chain: np.ndarray  # (2K+1, m) complex; row k+K holds mode k
-    real_symmetric: bool = True
+    chain: np.ndarray  # (K+1, m) complex; row k holds mode k
 
     @property
     def order(self) -> int:
@@ -125,28 +124,11 @@ class SpectralState:
 
     @property
     def modes(self) -> np.ndarray:
-        return np.arange(-self.K, self.K + 1)
+        return np.arange(self.K + 1)
 
     @property
     def u_hat(self) -> np.ndarray:
         return self.chain[:, 0]
-
-    @property
-    def V(self) -> np.ndarray:
-        """Companion vectors, component l = (ik)^(m-1-l) * chain[:, l]."""
-        return _ik_powers(self.modes, self.order - 1)[:, ::-1] * self.chain
-
-    def v_norms(self) -> np.ndarray:
-        """Euclidean norm of V_k per mode."""
-        return np.linalg.norm(self.V, axis=1)
-
-    def reality_defect(self) -> float:
-        """max_k |V_{-k} - conj(V_k)| relative to the largest component."""
-        v = self.V
-        scale = float(np.abs(v).max())
-        if scale == 0.0:
-            return 0.0
-        return float(np.abs(v[::-1] - v.conj()).max() / scale)
 
 
 def _ik_powers(modes: np.ndarray, top: int) -> np.ndarray:
@@ -171,9 +153,8 @@ def assemble_state(
     """Sample initial data on the uniform grid over [0, 2pi) and transform.
 
     ``initial`` lists the expressions (in x) for u(0,.), d_t u(0,.), ...;
-    entry h fills chain column h.  The data are real, so the rows -K..-1 are
-    the conjugate mirror of the rows 1..K.  Requires G >= 4K and G a power
-    of two.
+    entry h fills chain column h.  The data are real, so the state holds the
+    modes k = 0..K only.  Requires G >= 4K and G a power of two.
     """
     if K < 1:
         raise ValueError("mode cutoff K must be >= 1")
@@ -185,15 +166,16 @@ def assemble_state(
     half = np.stack(
         [np.fft.fft(evaluate_on_grid(expr, "x", x))[: K + 1] / G for expr in initial], axis=1
     )
-    return SpectralState(K=K, t=0.0, chain=_mirror(half), real_symmetric=True)
+    return SpectralState(K=K, t=0.0, chain=half)
 
 
 def convolution_power(u: np.ndarray, nu: int) -> np.ndarray:
     """nu-fold discrete convolution of the truncated spectrum u, re-truncated.
 
-    ``u`` holds modes -K..K.  Intermediates extend to nu*K before the final
-    center slice, so no contribution inside |k| <= K is lost.  This direct
-    form is the reference the integrator's ring evaluation is tested against.
+    ``u`` holds modes -K..K, with no symmetry assumed.  Intermediates extend
+    to nu*K before the final center slice, so no contribution inside |k| <= K
+    is lost.  This direct form is the reference the integrator's ring
+    evaluation is tested against.
     """
     if nu < 1:
         raise ValueError("nu must be >= 1")
@@ -208,25 +190,18 @@ def convolution_power(u: np.ndarray, nu: int) -> np.ndarray:
     return acc[center : center + 2 * K + 1].copy()
 
 
-def _mirror(half: np.ndarray) -> np.ndarray:
-    """Full -K..K layout of a half spectrum k = 0..K: row -k is conj(row k)."""
-    return np.concatenate([half[:0:-1].conj(), half])
-
-
 def _ring_size(K: int, nu: int) -> int:
     """Smallest power of two >= (nu+1)K + 1: u^nu is alias-free on |k| <= K."""
     return _next_power_of_two((nu + 1) * K + 1)
 
 
 def nonlinear_rhs(state: SpectralState, nu: int) -> np.ndarray:
-    """Forcing vectors F_k = (0, ..., 0, f_k), f = nu-fold self-convolution of u_hat."""
+    """Forcing vectors F_k = (0, ..., 0, f_k) for k = 0..K, f = u^nu of the real solution."""
     if nu < 1:
         raise ValueError("nu must be >= 1")
-    if not state.real_symmetric:
-        raise ValueError("the forcing is evaluated on the half spectrum of a real state")
     out = np.zeros_like(state.chain)
     kernel = _HalfSpectrumRK4(state.K, state.order, nu)
-    out[:, -1] = _mirror(kernel.forcing(state.chain[None, state.K :])[0])
+    out[:, -1] = kernel.forcing(state.chain[None])[0]
     return out
 
 
@@ -318,7 +293,7 @@ class _HalfSpectrumRK4:
         return y + np.multiply(dt / 6.0, acc, out=self.term)
 
     def sup_v(self, y: np.ndarray) -> list[float]:
-        """sup_k |V_k| per member; the mirrored modes -k have the same norms.
+        """sup_k |V_k| per member; the modes -k have the same norms.
 
         The bits are those of ``np.linalg.norm``.  Below 8 terms numpy sums
         left to right, so the squares are added column by column in place;
@@ -350,16 +325,12 @@ def step(
     nu: int,
     guard: bool = True,
 ) -> SpectralState:
-    """One classical RK4 step of the full mode-coupled system.
+    """One classical RK4 step of the mode-coupled system, modes k = 0..K.
 
     ``stage_coeffs`` holds the coefficient rows (a_1..a_m) at the three stage
     times t, t + dt/2, t + dt.  With ``guard`` on, the step refuses to run
-    outside the imaginary-axis stability region for these rows.  The state
-    must be the spectrum of a real solution: the step advances the rows
-    k = 0..K and returns the rows -K..-1 as their conjugate mirror.
+    outside the imaginary-axis stability region for these rows.
     """
-    if not state.real_symmetric:
-        raise ValueError("step integrates the half spectrum of a real state; real_symmetric is False")
     if dt <= 0:
         raise ValueError("dt must be positive")
     stage_coeffs = np.asarray(stage_coeffs, dtype=float)
@@ -370,13 +341,12 @@ def step(
         if dt * (1.0 + radius) * state.K > STABILITY_LIMIT:
             raise StabilityError(dt, radius, state.K)
     kernel = _HalfSpectrumRK4(state.K, state.order, nu)
-    half = kernel.step(state.chain[None, state.K :], dt, stage_coeffs)[0]
-    return replace(state, t=state.t + dt, chain=_mirror(half))
+    return replace(state, t=state.t + dt, chain=kernel.step(state.chain[None], dt, stage_coeffs)[0])
 
 
 @dataclass
 class Trajectory:
-    """Snapshots of a run: chains and forcing spectra at recorded times.
+    """Snapshots of a run: chains and forcing spectra of modes 0..K at recorded times.
 
     The run facts ``steps`` (RK4 steps taken), ``stability_ratio``
     (dt (1 + rho) K / STABILITY_LIMIT) and ``peak_sup_v`` (largest sup_k |V_k|
@@ -389,8 +359,8 @@ class Trajectory:
     dt: float
     nu: int
     times: np.ndarray  # (S,)
-    chains: np.ndarray  # (S, 2K+1, m)
-    forcings: np.ndarray  # (S, 2K+1); zeros when nu = 0
+    chains: np.ndarray  # (S, K+1, m)
+    forcings: np.ndarray  # (S, K+1); zeros when nu = 0
     completed: bool
     abort_reason: str | None = None
     abort_time: float | None = None
@@ -401,20 +371,17 @@ class Trajectory:
 
     @property
     def modes(self) -> np.ndarray:
-        return np.arange(-self.K, self.K + 1)
+        return np.arange(self.K + 1)
 
     def __len__(self) -> int:
         return self.times.size
 
-    def state_at(self, i: int) -> SpectralState:
-        return SpectralState(K=self.K, t=float(self.times[i]), chain=self.chains[i])
-
     def v_series(self) -> np.ndarray:
-        """(S, 2K+1, m) array of companion vectors at every snapshot."""
+        """(S, K+1, m) array of companion vectors at every snapshot."""
         return _ik_powers(self.modes, self.order - 1)[:, ::-1] * self.chains
 
     def v_norms(self) -> np.ndarray:
-        """(S, 2K+1) array of the Euclidean norms |V_k| at every snapshot."""
+        """(S, K+1) array of the Euclidean norms |V_k| at every snapshot."""
         return np.linalg.norm(self.v_series(), axis=2)
 
     def u_hat_series(self) -> np.ndarray:
@@ -428,19 +395,17 @@ class _Snapshots:
         self.K, self.m, self.nu, self.dt = K, m, nu, dt
         self.stability_ratio = stability_ratio
         self.times = np.empty(size)
-        self.chains = np.empty((size, 2 * K + 1, m), dtype=complex)
-        self.forcings = np.empty((size, 2 * K + 1), dtype=complex)
+        self.chains = np.empty((size, K + 1, m), dtype=complex)
+        self.forcings = np.empty((size, K + 1), dtype=complex)
         self.count = 0
         self.peak_sup_v = 0.0
 
     def record(self, t: float, chain: np.ndarray, forcing: np.ndarray) -> None:
-        """Store one half-spectrum state and its forcing, expanded by the conjugate mirror."""
-        i, K = self.count, self.K
+        """Store one state and its forcing."""
+        i = self.count
         self.times[i] = t
-        self.chains[i, K:] = chain
-        np.conjugate(chain[:0:-1], out=self.chains[i, :K])
-        self.forcings[i, K:] = forcing
-        np.conjugate(forcing[:0:-1], out=self.forcings[i, :K])
+        self.chains[i] = chain
+        self.forcings[i] = forcing
         self.count += 1
 
     def bundle(
@@ -518,7 +483,7 @@ def simulate(
     live = list(members)
 
     kernel = _HalfSpectrumRK4(K, m, nu)
-    y = np.repeat(state.chain[None, K:], len(live), axis=0)
+    y = np.repeat(state.chain[None], len(live), axis=0)
     # the forcing of the current state serves its snapshot and the next step's first stage
     f = kernel.forcing(y)
     for snaps, sup_v, chain, forcing in zip(live, kernel.sup_v(y), y, f):

@@ -284,17 +284,32 @@ def test_cli_simulate_spectrum_values(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["completed"] is True
     assert report["final_sup_v"] == pytest.approx(0.5, rel=1e-3)
-    assert report["final_reality_defect"] < 1e-12
+    assert "final_reality_defect" not in report  # zero by construction, so not reported
 
 
-def reference_spectrum_bytes(traj, sha: str) -> bytes:
-    """spectrum.csv as formatted cell by cell with %.17g."""
+def full_layout_v(traj) -> np.ndarray:
+    """Companion vectors of modes -K..K, as the full-layout trajectory computed them.
+
+    Rows -K..-1 of the chains are the conjugate mirror of rows K..1, and
+    column c of V at mode k is (ik)^(m-1-c) * chain[..., c].
+    """
+    chains = np.concatenate([traj.chains[:, :0:-1].conj(), traj.chains], axis=1)
+    ik = 1j * np.arange(-traj.K, traj.K + 1)
     m = traj.order
+    v = np.empty_like(chains)
+    for c in range(m):
+        v[..., c] = ik ** (m - 1 - c) * chains[..., c]
+    return v
+
+
+def reference_spectrum_bytes(times, v, sha: str) -> bytes:
+    """spectrum.csv of the companion vectors v (S, 2K+1, m), formatted cell by cell with %.17g."""
+    m = v.shape[2]
+    K = (v.shape[1] - 1) // 2
     header = ["t", "k"] + [f"{p}_V{c}" for c in range(m) for p in ("re", "im")]
     lines = [f"# config_sha256={sha}", ",".join(header)]
-    v = traj.v_series()
-    for i, t in enumerate(traj.times):
-        for idx, k in enumerate(traj.modes):
+    for i, t in enumerate(times):
+        for idx, k in enumerate(range(-K, K + 1)):
             cells = ["%.17g" % float(t), str(int(k))]
             for comp in range(m):
                 z = v[i, idx, comp]
@@ -307,16 +322,19 @@ def reference_spectrum_bytes(traj, sha: str) -> bytes:
 def test_spectrum_emitter_matches_cellwise_formatting(tmp_path):
     rng = np.random.default_rng(11)
     K, m, S = 5, 3, 4
-    chains = rng.standard_normal((S, 2 * K + 1, m)) * 10.0 ** rng.integers(-320, 300, (S, 2 * K + 1, m))
-    chains = chains + 1j * rng.standard_normal((S, 2 * K + 1, m))
-    chains[0, 0] = [np.nan, np.inf, -0.0]
+    chains = rng.standard_normal((S, K + 1, m)) * 10.0 ** rng.integers(-320, 300, (S, K + 1, m))
+    chains = chains + 1j * rng.standard_normal((S, K + 1, m))
+    # non-finite, signed-zero and subnormal cells reach the rows -K..-1 through the formula
+    chains[0, K] = [np.nan, np.inf, -0.0]
     chains[1, 1] = [-np.inf, 0.0, 1e-310]
+    chains[2, 0] = [-0.0, complex(0.0, -0.0), 5e-324]
     traj = Trajectory(
         order=m, K=K, dt=0.1, nu=0, times=np.array([0.0, 1 / 3, 0.7, 1.0]),
-        chains=chains, forcings=np.zeros((S, 2 * K + 1), dtype=complex), completed=True,
+        chains=chains, forcings=np.zeros((S, K + 1), dtype=complex), completed=True,
     )
     cli._emit_spectrum(SimpleNamespace(output_dir=str(tmp_path)), traj, "abc")
-    assert (tmp_path / "spectrum.csv").read_bytes() == reference_spectrum_bytes(traj, "abc")
+    want = reference_spectrum_bytes(traj.times, full_layout_v(traj), "abc")
+    assert (tmp_path / "spectrum.csv").read_bytes() == want
 
 
 @pytest.mark.parametrize(
@@ -329,12 +347,13 @@ def test_spectrum_emitter_matches_cellwise_formatting(tmp_path):
 def test_spectrum_emitter_on_mirrored_runs(tmp_path, m, coeffs, initial):
     spec = CoefficientSpec.from_strings(m, 0.1, coeffs, 2, initial)
     traj = simulate(spec, K=16, dt=1e-3, snapshot_interval=0.05)
+    v = full_layout_v(traj)
     if m == 2:
         # the all-zero u_t column at t = 0: both imaginary zeros are +0, not mirrored signs
-        zeros = traj.v_series()[0, :, 1].imag
+        zeros = v[0, :, 1].imag
         assert not zeros.any() and not np.signbit(zeros).any()
     cli._emit_spectrum(SimpleNamespace(output_dir=str(tmp_path)), traj, "abc")
-    assert (tmp_path / "spectrum.csv").read_bytes() == reference_spectrum_bytes(traj, "abc")
+    assert (tmp_path / "spectrum.csv").read_bytes() == reference_spectrum_bytes(traj.times, v, "abc")
 
 
 SIGN = 1 << 63
@@ -364,12 +383,10 @@ def test_spectrum_mirror_sign_toggle_over_raw_bits(data):
     stray = np.array(data.draw(st.lists(st.booleans(), min_size=lower.size, max_size=lower.size)))
     lower.reshape(-1)[stray] = draw_bits(data, lower.size)[stray]
     v = np.concatenate([lower, upper], axis=1).view(complex).reshape(S, 2 * K + 1, m)
-    traj = SimpleNamespace(
-        order=m, K=K, times=np.linspace(0.0, 1.0, S), modes=np.arange(-K, K + 1), v_series=lambda: v
-    )
+    times = np.linspace(0.0, 1.0, S)
     with tempfile.TemporaryDirectory() as out:
-        cli._emit_spectrum(SimpleNamespace(output_dir=out), traj, "abc")
-        assert (Path(out) / "spectrum.csv").read_bytes() == reference_spectrum_bytes(traj, "abc")
+        cli._write_spectrum(out, times, v, "abc")
+        assert (Path(out) / "spectrum.csv").read_bytes() == reference_spectrum_bytes(times, v, "abc")
 
 
 json_values = st.recursive(

@@ -10,6 +10,10 @@ Gevrey weight |xi|^(2(m-1)/k) int_t^T Lambda + (T-t):
 
     m=2, k=2, Lambda=1, t=0:        |xi| + 1
     m=3, k=8, Lambda=2, |xi|=16:    4*2 + 1 = 9
+
+Trajectories hold the modes k = 0..K of a real solution; every sum over
+-K..K counts mode k >= 1 twice.  The full-layout references below rebuild
+the modes -K..-1 with ``mirror``.
 """
 
 import json
@@ -41,26 +45,48 @@ from weakhyp.energy import (
     super_energies,
 )
 from weakhyp.equation import CoefficientSpec
-from weakhyp.spectral import SpectralState, Trajectory, simulate
+from weakhyp.spectral import Trajectory, simulate
 
 UNIT = WeightParams(c0=1.0, horizon=1.0, loss_exponent=1)
+U = 2.0**-53  # unit roundoff
+ETA = 2.0**-1074  # the absolute error of one operation whose result is subnormal
 
 
-def make_state(K, m, entries, t=0.0):
-    """State with chain[k + K, col] = value for each (k, col, value)."""
-    chain = np.zeros((2 * K + 1, m), dtype=complex)
+def gamma(n):
+    """Higham's gamma_n = n u / (1 - n u): the relative error bound of an n-term sum."""
+    return n * U / (1.0 - n * U)
+
+
+def mirror(half, axis=-1):
+    """The full layout -K..K of a half spectrum along ``axis``: mode -k is conj(mode k)."""
+    half = np.moveaxis(half, axis, 0)
+    return np.moveaxis(np.concatenate([half[:0:-1].conj(), half]), 0, axis)
+
+
+def half_chain(K, m, entries):
+    """Chain of modes 0..K with chain[k, col] = value for each (k, col, value)."""
+    chain = np.zeros((K + 1, m), dtype=complex)
     for k, col, value in entries:
-        chain[k + K, col] = value
-    return SpectralState(K=K, t=t, chain=chain)
+        chain[k, col] = value
+    return chain
 
 
-def one_snapshot(state):
-    """The ``Trajectory`` whose only snapshot is ``state``."""
+def one_snapshot(chain, t=0.0):
+    """The ``Trajectory`` whose only snapshot is ``chain`` (modes 0..K) at time t."""
     return Trajectory(
-        order=state.order, K=state.K, dt=0.1, nu=0, times=np.array([state.t]),
-        chains=state.chain[None], forcings=np.zeros((1, 2 * state.K + 1), dtype=complex),
+        order=chain.shape[1], K=chain.shape[0] - 1, dt=0.1, nu=0, times=np.array([t]),
+        chains=chain[None], forcings=np.zeros((1, chain.shape[0]), dtype=complex),
         completed=True,
     )
+
+
+def full_norms(traj):
+    """|V_k| at modes -K..K by the per-column formula on the mirrored chains, shape (S, 2K+1)."""
+    chains = mirror(traj.chains, axis=1)
+    ik = 1j * np.arange(-traj.K, traj.K + 1)
+    m = traj.order
+    v = np.stack([ik ** (m - 1 - c) * chains[..., c] for c in range(m)], axis=-1)
+    return np.linalg.norm(v, axis=2)
 
 
 def test_weight_params_validation():
@@ -148,27 +174,45 @@ def test_gevrey_weight_profile_integration():
 
 
 def test_derivative_energies_frozen():
-    # |V| = 1/2 at k = +-1: E_0 = 2 * e^rho(0,1) / 2 = e^2
-    state = make_state(4, 2, [(1, 0, 0.5), (-1, 0, 0.5)])
-    e, mo = derivative_energies(one_snapshot(state), UNIT, 0)
+    # |V| = 1/2 at k = +-1 (mode -1 implied): E_0 = 2 * e^rho(0,1) / 2 = e^2
+    traj = one_snapshot(half_chain(4, 2, [(1, 0, 0.5)]))
+    e, mo = derivative_energies(traj, UNIT, 0)
     assert e.shape == mo.shape == (1, 1)
     assert e[0, 0] == pytest.approx(math.e**2, rel=1e-12)
 
 
-def reference_moments(state, params, j_max):
-    """``derivative_energies`` of one state as a loop over j, one ``_guarded_sum`` per row."""
-    rho = np.atleast_1d(rho_weight(state.t, state.modes, params))
-    norms = state.v_norms()
-    kmag = np.abs(state.modes).astype(float)
+def reference_moments(traj, params, j_max):
+    """``derivative_energies`` of a one-snapshot trajectory as a loop over j.
+
+    One ``_guarded_sum`` per row; the rows start at the multiplicity
+    (1, 2, 2, ...) of |k| in -K..K.
+    """
+    kmag = np.arange(traj.K + 1, dtype=float)
+    rho = np.atleast_1d(rho_weight(float(traj.times[0]), kmag, params))
+    norms = traj.v_norms()[0]
     e = np.empty(j_max + 1)
     mo = np.empty(j_max + 1)
-    w = np.ones_like(kmag)
+    w = np.where(kmag > 0, 2.0, 1.0)
     for j in range(j_max + 1):
         if j > 0:
             w = w * kmag
         mo[j] = float((w * norms).sum())
         e[j] = energy._guarded_sum(rho, w * norms)
     return e, mo
+
+
+def random_trajectory(K, m, S, horizon, log_amp, zero_frac, all_zero, seed):
+    """Random half-spectrum chains with exactly-zero modes and, if asked, an all-zero snapshot."""
+    rng = np.random.default_rng(seed)
+    shape = (S, K + 1, m)
+    chains = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0**log_amp
+    chains[rng.random(shape) < zero_frac] = 0.0  # exactly-zero modes
+    if all_zero:
+        chains[0] = 0.0
+    return Trajectory(
+        order=m, K=K, dt=0.1, nu=0, times=np.linspace(0.0, 0.9 * horizon, S), chains=chains,
+        forcings=np.zeros(shape[:2], dtype=complex), completed=True,
+    )
 
 
 # rho(t, k) exceeds 700 (the log-domain path) for every mode at T = 300 and
@@ -197,23 +241,14 @@ GUARD = dict(K=512, m=2, S=1, j_max=2, horizon=300.0, c0=3.0, zero_frac=0.0, all
 def test_moment_table_matches_the_per_snapshot_reference(
     K, m, S, j_max, horizon, c0, log_amp, zero_frac, all_zero, seed, expect
 ):
-    rng = np.random.default_rng(seed)
-    shape = (S, 2 * K + 1, m)
-    chains = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * 10.0**log_amp
-    chains[rng.random(shape) < zero_frac] = 0.0  # exactly-zero modes
-    if all_zero:
-        chains[0] = 0.0
-    traj = Trajectory(
-        order=m, K=K, dt=0.1, nu=0, times=np.linspace(0.0, 0.9 * horizon, S), chains=chains,
-        forcings=np.zeros(shape[:2], dtype=complex), completed=True,
-    )
+    traj = random_trajectory(K, m, S, horizon, log_amp, zero_frac, all_zero, seed)
     params = WeightParams(c0=c0, horizon=horizon, loss_exponent=0)
     with np.errstate(over="ignore", invalid="ignore"):
         e_j, m_j = derivative_energies(traj, params, j_max)
         for i in range(S):
-            state = traj.state_at(i)
-            want = reference_moments(state, params, j_max)
-            alone = derivative_energies(one_snapshot(state), params, j_max)
+            snapshot = one_snapshot(traj.chains[i], traj.times[i])
+            want = reference_moments(snapshot, params, j_max)
+            alone = derivative_energies(snapshot, params, j_max)
             for got in [(e_j[i], m_j[i]), (alone[0][0], alone[1][0])]:
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -225,15 +260,194 @@ def test_moment_table_matches_the_per_snapshot_reference(
         assert (e_j == np.inf).all()
 
 
+def full_layout_sums(traj, params, j_max):
+    """E_j and M_j at every snapshot and A_j at t = 0, summed over -K..K as the full layout did.
+
+    Rows |k|^j by repeated products, one ``_guarded_sum`` per E_j row, and
+    one row sum per M_j and A_j row.
+    """
+    modes = np.arange(-traj.K, traj.K + 1)
+    kmag = np.abs(modes).astype(float)
+    weights = np.empty((j_max + 1, modes.size))
+    weights[0] = 1.0
+    for j in range(1, j_max + 1):
+        weights[j] = weights[j - 1] * kmag
+    norms = full_norms(traj)
+    e = np.empty((len(traj), j_max + 1))
+    mo = np.empty_like(e)
+    for i, t in enumerate(traj.times.tolist()):
+        rho = np.atleast_1d(rho_weight(t, modes, params))
+        terms = weights * norms[i]
+        mo[i] = terms.sum(axis=1)
+        e[i] = [energy._guarded_sum(rho, row) for row in terms]
+    loss = bracket(modes) ** params.loss_exponent
+    return e, mo, (weights * loss * norms[0]).sum(axis=1)
+
+
+def sum_bound(n, value):
+    """|half - full| for two sums of the same n >= 1 nonnegative terms, in different orders.
+
+    Each computed sum is within gamma_(n-1) of the exact sum S <= value / (1 - gamma_n).
+    No term is subnormal: a norm is 0 or at least sqrt(2^-1074), every weight 0 or at least 1.
+    """
+    return 2.0 * gamma(n) * value / (1.0 - gamma(n))
+
+
+def log_sum_bound(n, value, rho, mags):
+    """|half - full| for two log-domain ``_guarded_sum`` evaluations of the same exact sum.
+
+    With B = max(|rho| + |ln mag|) + ln 2 (the half doubles mags) and log and
+    exp each within 2 ulp (4u): the log terms are off by at most 5uB, the
+    shift by the max 2uB, each exp 4u, the sum of n terms in [0, 1]
+    gamma_n, the outer log 4u ln n + gamma_n + 4u, the outer addition
+    u (B + ln n) and the final exp 4u.  So each side is within a relative
+    delta = 8uB + 2 gamma_n + 5u ln n + 12u of the exact sum.
+    """
+    positive = mags > 0.0
+    big = float((np.abs(rho[positive]) + np.abs(np.log(mags[positive]))).max()) + math.log(2.0)
+    delta = 8 * U * big + 2 * gamma(n) + 5 * U * math.log(n) + 12 * U
+    return 2.0 * delta * value / (1.0 - delta)
+
+
+def assert_within(got, want, bound):
+    if got == want or (math.isnan(got) and math.isnan(want)):  # zero, inf, or an inf*0 norm
+        return
+    assert math.isfinite(got) and math.isfinite(want), (got, want)
+    assert abs(got - want) <= bound, (got, want, abs(got - want), bound)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    K=st.integers(1, 40),
+    m=st.integers(2, 4),
+    S=st.integers(1, 3),
+    j_max=st.integers(0, 24),
+    n_loss=st.integers(0, 8),
+    horizon=st.sampled_from([1.0, 225.0, 300.0]),
+    c0=st.sampled_from([1.0, 3.0]),
+    log_amp=st.floats(-320.0, 300.0),
+    zero_frac=st.sampled_from([0.0, 0.3, 0.9]),
+    all_zero=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(**GUARD, n_loss=2, log_amp=-120.0)  # the log-domain path, finite
+@example(**GUARD, n_loss=2, log_amp=0.0)  # the log-domain path, inf on both sides
+@example(**{**GUARD, "all_zero": True, "S": 2}, n_loss=3, log_amp=-3.0)
+def test_half_layout_sums_match_the_full_layout_within_rounding(
+    K, m, S, j_max, n_loss, horizon, c0, log_amp, zero_frac, all_zero, seed
+):
+    # the half layout doubles each term exactly, so only the summation order moves
+    traj = random_trajectory(K, m, S, horizon, log_amp, zero_frac, all_zero, seed)
+    params = WeightParams(c0=c0, horizon=horizon, loss_exponent=n_loss)
+    n = 2 * K + 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        e_j, m_j = derivative_energies(traj, params, j_max)
+        a_j = initial_weighted_moments(traj.v_norms()[0], params, j_max)
+        full_e, full_m, full_a = full_layout_sums(traj, params, j_max)
+        modes = np.arange(-K, K + 1)
+        kmag = np.abs(modes).astype(float)
+        norms = full_norms(traj)
+        for i, t in enumerate(traj.times.tolist()):
+            rho = np.atleast_1d(rho_weight(t, modes, params))
+            for j in range(j_max + 1):
+                terms = kmag**j * norms[i]
+                assert_within(m_j[i, j], full_m[i, j], sum_bound(n, max(m_j[i, j], full_m[i, j])))
+                value = max(e_j[i, j], full_e[i, j])
+                positive = terms > 0.0
+                if positive.any() and rho[positive].max() > 700.0:
+                    bound = log_sum_bound(n, value, rho, terms)
+                else:
+                    bound = sum_bound(n, value)
+                assert_within(e_j[i, j], full_e[i, j], bound)
+    for got, want in zip(a_j, full_a):
+        assert_within(got, want, sum_bound(n, max(got, want)))
+    if all_zero:
+        assert not e_j[0].any() and not m_j[0].any() and not a_j.any()
+
+
+def full_layout_master(traj, params, exponents):
+    """rho(t, k) and the per-time sup ratios of ``master_estimate_check`` as the full layout computed them."""
+    modes = np.arange(-traj.K, traj.K + 1)
+    rho = np.stack([np.atleast_1d(rho_weight(t, modes, params)) for t in traj.times.tolist()])
+    v_norms = full_norms(traj)
+    f_mags = np.abs(mirror(traj.forcings, axis=1))
+    weighted_v = np.exp(rho) * v_norms
+    forcing_integral = energy._cumtrapz(np.exp(rho) * f_mags, traj.times)
+    br = np.atleast_1d(bracket(modes)).astype(float)
+    base = br ** (traj.order - 1) * forcing_integral
+    per_time = {}
+    for n in exponents:
+        den = br**n * v_norms[0][None, :] + base
+        floor = max(np.finfo(float).eps * float(den.max()), np.finfo(float).tiny)
+        per_time[n] = (weighted_v / np.maximum(den, floor)).max(axis=1)
+    return rho, per_time
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def master_cases():
+    """Simulated runs (m 2 and 3, nu 0 and 2) and the exactly-zero-mode trajectory."""
+    for m, nu in [(2, 0), (2, 2), (3, 0), (3, 2)]:
+        coeffs = {2: ["sin(t)", "-1 - t^2"], 3: ["0", "-1 - t^2", "0.3*t"]}[m]
+        initial = ["0.3/(1.25 - cos(x))", "0.1*sin(x)", "0"][:m]
+        spec = CoefficientSpec.from_strings(m, 0.5, coeffs, nu, initial)
+        yield spec, simulate(spec, K=24, dt=1e-3, snapshot_interval=0.05)
+    K = 2
+    chains = np.zeros((3, K + 1, 2), dtype=complex)
+    chains[:, 1, 1] = 0.5
+    chains[1:, 2, 1] = 1e-18
+    forcings = np.zeros((3, K + 1), dtype=complex)
+    forcings[:, 0] = 0.25
+    forcings[2, 2] = 1e-18
+    traj = Trajectory(
+        order=2, K=K, dt=0.5, nu=2, times=np.array([0.0, 0.5, 1.0]), chains=chains,
+        forcings=forcings, completed=True,
+    )
+    yield CoefficientSpec.from_strings(2, 1.0, ["0", "-1"], 2, ["cos(x)", "0"]), traj
+
+
+def test_master_check_keeps_the_bits_of_the_full_layout():
+    # every term of the sup is even in k, bit for bit, so the half-layout sup
+    # and the per-time maxima keep their bits; so does the shared-table path
+    for spec, traj in master_cases():
+        c0 = default_c0(spec)
+        m = traj.order
+        for n in (m - 1, m + 1):
+            params = WeightParams(c0=c0, horizon=spec.horizon, loss_exponent=n)
+            exponents = sorted({*range(m - 1, 2 * m + 5), n})
+            rho, per_time = full_layout_master(traj, params, exponents)
+            assert_same_bits(energy._rho_table(traj, params), rho[:, traj.K :])
+            tables = (traj.v_norms(), energy._rho_table(traj, params))
+            for report in (
+                master_estimate_check(traj, params, 10.0),
+                master_estimate_check(traj, params, 10.0, _tables=tables),
+            ):
+                assert_same_bits(report.per_time, per_time[n])
+                assert report.ratios_by_n.keys() == per_time.keys()
+                for k, v in report.ratios_by_n.items():
+                    assert_same_bits(v, per_time[k].max())
+                passing = [k for k in exponents if k < 2 * m + 5 and per_time[k].max() <= 10.0]
+                assert report.fitted_n == (passing[0] if passing else None)
+        ledger = build_energy_ledger(traj, spec, c0=c0, j_max=12)
+        _, per_time = full_layout_master(
+            traj, WeightParams(c0, spec.horizon, ledger.n_exponent), [ledger.n_exponent]
+        )
+        assert_same_bits(ledger.master.per_time, per_time[ledger.n_exponent])
+
+
 def test_derivative_energies_match_brute_force():
     rng = np.random.default_rng(31)
     K, m, j_max = 6, 2, 5
-    chain = rng.standard_normal((2 * K + 1, m)) + 1j * rng.standard_normal((2 * K + 1, m))
-    state = SpectralState(K=K, t=0.3, chain=chain)
-    (e,), (mo,) = derivative_energies(one_snapshot(state), UNIT, j_max)
-    k = state.modes
+    chain = rng.standard_normal((K + 1, m)) + 1j * rng.standard_normal((K + 1, m))
+    traj = one_snapshot(chain, 0.3)
+    (e,), (mo,) = derivative_energies(traj, UNIT, j_max)
+    k = np.arange(-K, K + 1)
     rho = rho_weight(0.3, k.astype(float), UNIT)
-    norms = state.v_norms()
+    (norms,) = full_norms(traj)
     for j in range(j_max + 1):
         brute_m = (np.abs(k) ** j * norms).sum()
         brute_e = (np.exp(rho) * np.abs(k) ** j * norms).sum()
@@ -242,9 +456,9 @@ def test_derivative_energies_match_brute_force():
 
 
 def test_initial_weighted_moments_frozen():
-    # k = +-1, |V| = 1/2, N = 1: A_j = sum |k|^j <k>^1 |V| = 2 for every j
-    state = make_state(4, 2, [(1, 1, 0.5), (-1, 1, 0.5)])
-    a = initial_weighted_moments(state, UNIT, 6)
+    # k = +-1 (mode -1 implied), |V| = 1/2, N = 1: A_j = sum |k|^j <k>^1 |V| = 2 for every j
+    traj = one_snapshot(half_chain(4, 2, [(1, 1, 0.5)]))
+    a = initial_weighted_moments(traj.v_norms()[0], UNIT, 6)
     np.testing.assert_allclose(a, 2.0)
 
 
@@ -336,10 +550,10 @@ def constant_trajectory():
     """|V_k| = 1 for every mode at three times, no forcing."""
     K = 2
     times = np.array([0.0, 0.5, 1.0])
-    chain = np.zeros((2 * K + 1, 2), dtype=complex)
+    chain = np.zeros((K + 1, 2), dtype=complex)
     chain[:, 1] = 1.0  # V = (ik u, u'): second slot carries norm 1 at all k
     chains = np.stack([chain] * 3)
-    forcings = np.zeros((3, 2 * K + 1), dtype=complex)
+    forcings = np.zeros((3, K + 1), dtype=complex)
     return Trajectory(
         order=2, K=K, dt=0.5, nu=0, times=times, chains=chains,
         forcings=forcings, completed=True,
@@ -364,12 +578,12 @@ def test_master_ratio_finite_with_exactly_zero_mode():
     # rounding-level mass at t = 0.5: the ratio must stay O(1), not 1e282
     K = 2
     times = np.array([0.0, 0.5, 1.0])
-    chains = np.zeros((3, 2 * K + 1, 2), dtype=complex)
-    chains[:, [1, 3], 1] = 0.5
-    chains[1:, [0, 4], 1] = 1e-18
-    forcings = np.zeros((3, 2 * K + 1), dtype=complex)
-    forcings[:, K] = 0.25
-    forcings[2, [0, 4]] = 1e-18
+    chains = np.zeros((3, K + 1, 2), dtype=complex)
+    chains[:, 1, 1] = 0.5
+    chains[1:, 2, 1] = 1e-18
+    forcings = np.zeros((3, K + 1), dtype=complex)
+    forcings[:, 0] = 0.25
+    forcings[2, 2] = 1e-18
     traj = Trajectory(
         order=2, K=K, dt=0.5, nu=2, times=times, chains=chains,
         forcings=forcings, completed=True,
@@ -430,9 +644,9 @@ def test_build_energy_ledger_runs_one_master_check_per_exponent(monkeypatch):
     traj = simulate(problem, K=16, dt=1e-3, snapshot_interval=0.05)
     calls = []
 
-    def counted(trajectory, params, c_target=10.0):
+    def counted(trajectory, params, c_target=10.0, **tables):
         calls.append(params.loss_exponent)
-        return master_estimate_check(trajectory, params, c_target)
+        return master_estimate_check(trajectory, params, c_target, **tables)
 
     monkeypatch.setattr(energy, "master_estimate_check", counted)
     fitted = build_energy_ledger(traj, problem, j_max=12)

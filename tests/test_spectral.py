@@ -1,4 +1,8 @@
-"""Solver tests: assembly, convolution, stepping vs a dense ODE oracle."""
+"""Solver tests: assembly, convolution, stepping vs a dense ODE oracle.
+
+States and trajectories hold the modes k = 0..K of a real solution; the
+oracles work on the full layout -K..K, which ``mirror`` rebuilds.
+"""
 
 from dataclasses import replace
 
@@ -13,6 +17,7 @@ from weakhyp.spectral import (
     StabilityError,
     Trajectory,
     _HalfSpectrumRK4,
+    _ik_powers,
     _ring_size,
     assemble_state,
     companion_matrix,
@@ -22,6 +27,12 @@ from weakhyp.spectral import (
     simulate,
     step,
 )
+
+
+def mirror(half: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The full layout -K..K of a half spectrum along ``axis``: mode -k is conj(mode k)."""
+    half = np.moveaxis(half, axis, 0)
+    return np.moveaxis(np.concatenate([half[:0:-1].conj(), half]), 0, axis)
 
 
 def scalar_mode_oracle(spec, k, y0, T, rtol=1e-12, atol=1e-14):
@@ -71,18 +82,19 @@ def test_assemble_state_cosine():
     spec = CoefficientSpec.from_strings(2, 1.0, ["0", "-1"], 0, ["cos(x)", "0"])
     state = assemble_state(spec.initial, 8)
     k = state.modes
+    np.testing.assert_array_equal(k, np.arange(9))
     u = state.u_hat
     assert u[k == 1][0] == pytest.approx(0.5, abs=1e-14)
-    assert u[k == -1][0] == pytest.approx(0.5, abs=1e-14)
-    assert np.abs(u[np.abs(k) != 1]).max() < 1e-14
+    assert np.abs(u[k != 1]).max() < 1e-14
     assert np.abs(state.chain[:, 1]).max() < 1e-14
 
 
 def test_assemble_state_mean_mode():
     spec = CoefficientSpec.from_strings(2, 1.0, ["0", "-1"], 0, ["1 + cos(x)", "2"])
     state = assemble_state(spec.initial, 4)
-    assert state.u_hat[4] == pytest.approx(1.0, abs=1e-14)  # k = 0 slot
-    assert state.chain[4, 1] == pytest.approx(2.0, abs=1e-14)
+    assert state.chain.shape == (5, 2)
+    assert state.u_hat[0] == pytest.approx(1.0, abs=1e-14)  # k = 0 slot
+    assert state.chain[0, 1] == pytest.approx(2.0, abs=1e-14)
 
 
 def test_assemble_state_grid_validation():
@@ -117,26 +129,25 @@ def test_convolution_keeps_edge_mass():
     assert f[0] == pytest.approx(3.0)
 
 
-def hermitian_state(rng, K, m, decay=0.05):
-    """Random state of a real solution: row -k is the conjugate of row k."""
+def real_state(rng, K, m, decay=0.05):
+    """Random state of a real solution, modes 0..K: the k = 0 row is real."""
     half = rng.standard_normal((K + 1, m)) + 1j * rng.standard_normal((K + 1, m))
     half *= np.exp(-decay * np.arange(K + 1))[:, None]
     half[0] = half[0].real
-    chain = np.concatenate([half[:0:-1].conj(), half])
-    return SpectralState(K=K, t=0.0, chain=chain)
+    return SpectralState(K=K, t=0.0, chain=half)
 
 
 def test_convolution_direct_vs_fft():
-    # the integrator's rfft ring against the direct oracle on Hermitian spectra
+    # the integrator's rfft ring against the direct oracle on the mirrored spectra
     rng = np.random.default_rng(29)
     for nu in (1, 2, 3):
         for _ in range(10):
             K = int(rng.integers(8, 48))
-            state = hermitian_state(rng, K, 2)
-            d = convolution_power(state.u_hat, nu)
+            state = real_state(rng, K, 2)
+            d = convolution_power(mirror(state.u_hat), nu)
             f = nonlinear_rhs(state, nu)[:, -1]
             scale = np.abs(d).max()
-            assert np.abs(d - f).max() <= 1e-12 * scale
+            assert np.abs(d[K:] - f).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("nu, K", [(1, 16), (3, 16), (3, 32), (7, 8)])
@@ -145,10 +156,10 @@ def test_ring_alias_free_at_power_of_two_boundary(nu, K):
     # mode nu*K onto -K; the ring must be the next power of two
     assert _ring_size(K, nu) == 2 * (nu + 1) * K
     rng = np.random.default_rng(nu * 100 + K)
-    state = hermitian_state(rng, K, 2, decay=0.0)  # full mass out to |k| = K
-    d = convolution_power(state.u_hat, nu)
+    state = real_state(rng, K, 2, decay=0.0)  # full mass out to |k| = K
+    d = convolution_power(mirror(state.u_hat), nu)
     f = nonlinear_rhs(state, nu)[:, -1]
-    assert np.abs(d - f).max() <= 1e-12 * np.abs(d).max()
+    assert np.abs(d[K:] - f).max() <= 1e-12 * np.abs(d).max()
 
 
 def test_convolution_validation():
@@ -181,9 +192,8 @@ def test_zero_mode_chain_survives():
     # at k = 0 every a_h (ik)^h term vanishes: u_0'' = 0, so u_0 = 1 + 2t
     spec = CoefficientSpec.from_strings(2, 0.5, ["0", "-t^2"], 0, ["1", "2"])
     traj = simulate(spec, K=8, dt=1e-3)
-    final = traj.state_at(len(traj) - 1)
-    assert final.u_hat[8] == pytest.approx(2.0, rel=1e-12)
-    assert final.chain[8, 1] == pytest.approx(2.0, rel=1e-12)
+    assert traj.chains[-1, 0, 0] == pytest.approx(2.0, rel=1e-12)
+    assert traj.chains[-1, 0, 1] == pytest.approx(2.0, rel=1e-12)
 
 
 def test_single_mode_against_dense_oracle():
@@ -196,32 +206,35 @@ def test_single_mode_against_dense_oracle():
         for coeffs in coeff_sets:
             spec = CoefficientSpec.from_strings(m, 1.0, coeffs, 0, initial)
             traj = simulate(spec, K=8, dt=1e-3)
-            state = traj.state_at(len(traj) - 1)
-            idx = 8 + 3  # mode k = 3
             y0 = np.zeros(m, dtype=complex)
             y0[0] = 0.5
             oracle = scalar_mode_oracle(spec, 3, y0, 1.0)
-            assert np.abs(state.chain[idx] - oracle).max() < 1e-9, (m, coeffs)
+            assert np.abs(traj.chains[-1, 3] - oracle).max() < 1e-9, (m, coeffs)
 
 
-def test_reality_preserved():
-    spec = CoefficientSpec.from_strings(
-        2, 1.0, ["sin(t)", "-1"], 0, ["cos(x) + 0.3*sin(2*x)", "0.1*cos(3*x)"]
-    )
-    traj = simulate(spec, K=16, dt=1e-3)
-    assert traj.state_at(len(traj) - 1).reality_defect() < 1e-10
+REALITY_COEFFS = {
+    2: ["sin(t)", "-1 - t^2"],
+    3: ["sin(t)", "-1 - t^2", "0.3*t"],
+    4: ["0", "-5 - t", "0.2*sin(t)", "4"],
+}
+REALITY_DATA = ["0.2/(1.25 - cos(x)) + 0.1*sin(2*x)", "0.1*cos(3*x)", "0.05*sin(x)", "0.02*cos(2*x)"]
 
 
-@pytest.mark.parametrize("nu", [0, 2, 3])
-def test_every_snapshot_is_exactly_real(nu):
-    spec = CoefficientSpec.from_strings(
-        3, 0.5, ["sin(t)", "-1 - t^2", "0.3*t"], nu,
-        ["0.2/(1.25 - cos(x)) + 0.1*sin(2*x)", "0.1*cos(3*x)", "0.05*sin(x)"],
-    )
-    traj = simulate(spec, K=16, dt=1e-3, snapshot_interval=0.05)
-    for i in range(len(traj)):
-        assert traj.state_at(i).reality_defect() == 0.0
-    np.testing.assert_array_equal(traj.forcings[:, ::-1], traj.forcings.conj())
+@pytest.mark.parametrize("nu", [0, 1, 2, 3])
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_zero_mode_row_is_exactly_real(m, nu):
+    # u_{-k} = conj(u_k) holds by construction for k >= 1; what can still fail
+    # is the k = 0 row, which must stay exactly real in every snapshot
+    spec = CoefficientSpec.from_strings(m, 0.5, REALITY_COEFFS[m], nu, REALITY_DATA[:m])
+    traj = simulate(spec, K=16, dt=1e-3, snapshot_interval=0.05, calibrate=nu >= 1)
+    members = [traj] if nu == 0 else [traj, traj.calibration]
+    for member in members:
+        assert len(member) == 11
+        assert (member.chains[:, 0, :].imag == 0.0).all()
+        assert (member.forcings[:, 0].imag == 0.0).all()
+    if nu >= 1:
+        assert np.abs(traj.forcings[:, 0].real).min() > 0.0  # the problem's forcing is live
+        assert not traj.calibration.forcings.any()
 
 
 def full_system_oracle(spec, K, chain0, T):
@@ -260,8 +273,9 @@ def test_nonlinear_modes_against_dense_oracle(nu, m, K):
     initial = ["0.3/(1.25 - cos(x))", "0.1*sin(x)", "0"][:m]
     spec = CoefficientSpec.from_strings(m, 0.5, coeffs, nu, initial)
     traj = simulate(spec, K=K, dt=5e-4, snapshot_interval=0.5)
-    expected = full_system_oracle(spec, K, traj.chains[0], 0.5)
-    err = np.abs(traj.chains[-1] - expected).max() / np.abs(expected).max()
+    # the oracle assumes no symmetry, so its modes -K..-1 test the implied half
+    expected = full_system_oracle(spec, K, mirror(traj.chains[0]), 0.5)
+    err = np.abs(mirror(traj.chains[-1]) - expected).max() / np.abs(expected).max()
     assert err < 1e-9, err
 
 
@@ -270,8 +284,9 @@ def test_snapshot_cadence():
     traj = simulate(spec, K=8, dt=1e-3, snapshot_interval=0.1)
     np.testing.assert_allclose(traj.times, np.linspace(0.0, 1.0, 11), atol=1e-12)
     assert traj.completed
-    assert traj.chains.shape == (11, 17, 2)
-    assert traj.forcings.shape == (11, 17)
+    assert traj.chains.shape == (11, 9, 2)
+    assert traj.forcings.shape == (11, 9)
+    np.testing.assert_array_equal(traj.modes, np.arange(9))
 
 
 def test_stability_guard_simulate():
@@ -280,20 +295,13 @@ def test_stability_guard_simulate():
         simulate(spec, K=512, dt=0.01)
 
 
-def test_step_requires_real_symmetric_state():
-    state = hermitian_state(np.random.default_rng(3), 8, 2)
-    stage = np.array([[0.0, -1.0]] * 3)
-    with pytest.raises(ValueError, match="real_symmetric"):
-        step(replace(state, real_symmetric=False), 1e-3, stage, 2)
-
-
 def test_step_and_simulate_share_one_kernel():
     spec = CoefficientSpec.from_strings(
         2, 0.01, ["sin(t)", "-1 - t^2"], 2, ["0.2/(1.25 - cos(x))", "0.1*sin(x)"]
     )
     traj = simulate(spec, K=8, dt=1e-3)
     table = spec.coefficient_table(np.linspace(0.0, 0.01, 21))
-    state = traj.state_at(0)
+    state = SpectralState(K=8, t=0.0, chain=traj.chains[0])
     for i in range(10):
         state = step(state, 1e-3, table[2 * i : 2 * i + 3], 2)
         np.testing.assert_array_equal(state.chain, traj.chains[i + 1])
@@ -347,13 +355,13 @@ def reference_kernel_tables(K, m):
 def test_companion_table_keeps_the_bits_of_the_per_column_formula(m):
     K, S = 7, 3
     rng = np.random.default_rng(m)
-    shape = (S, 2 * K + 1, m)
+    shape = (S, K + 1, m)
     chains = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     # signed zeros in either part, the k = 0 row included
     cells = chains.view(float)
     cells[rng.random(cells.shape) < 0.2] = 0.0
     cells[rng.random(cells.shape) < 0.2] = -0.0
-    cells[:, K] = -0.0
+    cells[:, 0] = -0.0
     traj = Trajectory(
         order=m, K=K, dt=0.1, nu=0, times=np.array([0.0, 0.5, 1.0]), chains=chains,
         forcings=np.zeros(shape[:2], dtype=complex), completed=True,
@@ -361,10 +369,10 @@ def test_companion_table_keeps_the_bits_of_the_per_column_formula(m):
     want = reference_v(traj.modes, chains)
     assert_same_bits(traj.v_series(), want)
     assert_same_bits(traj.v_norms(), np.linalg.norm(want, axis=2))
-    for i in range(S):
-        state = traj.state_at(i)
-        assert_same_bits(state.V, want[i])
-        assert_same_bits(state.v_norms(), traj.v_norms()[i])
+    # the table at negative modes, which spectrum.csv reads for the rows -K..-1
+    signed = np.arange(-K, K + 1)
+    full = mirror(chains, axis=1)
+    assert_same_bits(_ik_powers(signed, m - 1)[:, ::-1] * full, reference_v(signed, full))
     kernel = _HalfSpectrumRK4(K, m, 1)
     neg_ik_pow, kmag_pow = reference_kernel_tables(K, m)
     if m <= 3:
@@ -533,16 +541,16 @@ def test_public_step_after_simulate_uses_no_stale_workspace(nu):
     table = spec.coefficient_table(np.linspace(0.0, 0.02, 41))
     # simulate's recorded states follow the reference step from the same data
     kernel = _HalfSpectrumRK4(K, 3, nu)
-    y = assemble_state(spec.initial, K).chain[None, K:]
+    y = assemble_state(spec.initial, K).chain[None]
     for i in range(20):
         y = reference_kernel_step(kernel, y, dt, table[2 * i : 2 * i + 3])
-    assert_same_bits(traj.chains[-1, K:], y[0])
+    assert_same_bits(traj.chains[-1], y[0])
     # a public step afterwards agrees with the reference and leaves the trajectory alone
     before = traj.chains.copy()
-    state = traj.state_at(len(traj) - 1)
+    state = SpectralState(K=K, t=float(traj.times[-1]), chain=traj.chains[-1])
     stage = table[-3:]
     for _ in range(2):
         advanced = step(state, dt, stage, nu)
-        assert_same_bits(advanced.chain[K:], reference_kernel_step(kernel, y, dt, stage)[0])
+        assert_same_bits(advanced.chain, reference_kernel_step(kernel, y, dt, stage)[0])
         assert not np.shares_memory(advanced.chain, traj.chains)
     assert_same_bits(traj.chains, before)
