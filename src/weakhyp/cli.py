@@ -50,45 +50,24 @@ def _fmt(value: float) -> str:
     return "%.17g" % float(value)
 
 
-def _sanitize(obj: Any) -> Any:
-    """JSON-safe deep copy: numpy scalars unboxed, non-finite floats stringified."""
-    if isinstance(obj, dict):
-        return {str(k): _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f" and np.isfinite(obj).all():
-            return obj.tolist()  # finite floats need no conversion
-        return [_sanitize(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        obj = float(obj)
-    if isinstance(obj, float):
-        if np.isnan(obj):
-            return "nan"
-        if np.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    return obj
-
-
 def _json_float(value: float) -> str:
     if value != value:
-        return "NaN"
+        return '"nan"'
     if value in (math.inf, -math.inf):
-        return "Infinity" if value > 0 else "-Infinity"
+        return '"inf"' if value > 0 else '"-inf"'
     return float.__repr__(value)
 
 
 def _json_text(obj: Any, indent: str = "") -> str:
-    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, for str keys.
+    """JSON text of ``obj`` with sorted keys and an indent of 2.
 
-    With an indent, CPython's ``json`` runs its pure-Python encoder; this
-    writer takes the same decisions in fewer calls, and joins a list of
-    floats with one ``float.__repr__`` map.
+    For str keys and finite Python values the bytes are those of
+    ``json.dumps(obj, sort_keys=True, indent=2)``.  Beyond that, non-finite
+    floats are written as the strings "nan", "inf" and "-inf", keys are
+    passed through str, and numpy arrays, integers, floats and bools are
+    written as their Python values.  CPython's ``json`` runs its pure-Python
+    encoder under an indent; this writer takes the same decisions in fewer
+    calls, and joins a list of floats with one ``float.__repr__`` map.
     """
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
@@ -111,7 +90,7 @@ def _json_text(obj: Any, indent: str = "") -> str:
             body = sep.join(map(float.__repr__, obj))
         except TypeError:  # not all floats
             body = None
-        if body is None or "n" in body:  # json spells nan and inf as NaN and Infinity
+        if body is None or "n" in body:  # nan and inf are written as strings
             body = sep.join([_json_text(v, inner) for v in obj])
         return "[\n" + inner + body + "\n" + indent + "]"
     if isinstance(obj, dict):
@@ -120,17 +99,25 @@ def _json_text(obj: Any, indent: str = "") -> str:
         body = ",\n".join(
             [
                 inner + encode_basestring_ascii(key) + ": " + _json_text(value, inner)
-                for key, value in sorted(obj.items())
+                for key, value in sorted({str(k): v for k, v in obj.items()}.items())
             ]
         )
         return "{\n" + body + "\n" + indent + "}"
+    if isinstance(obj, np.ndarray):
+        return _json_text(obj.tolist(), indent)
+    if isinstance(obj, np.integer):
+        return int.__repr__(int(obj))
+    if isinstance(obj, np.floating):
+        return _json_float(float(obj))
+    if isinstance(obj, np.bool_):
+        return "true" if obj else "false"
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write_json(out_dir: str, name: str, payload: dict, sha: str) -> None:
     payload = dict(payload)
     payload["config_sha256"] = sha
-    text = _json_text(_sanitize(payload))
+    text = _json_text(payload)
     with open(os.path.join(out_dir, name), "w", encoding="utf-8") as handle:
         handle.write(text + "\n")
 
@@ -148,7 +135,7 @@ def _error_json(exc: Exception) -> str:
     field = getattr(exc, "field", None)
     if field:
         payload["field"] = field
-    return json.dumps(_sanitize(payload), sort_keys=True)
+    return json.dumps(payload, sort_keys=True)
 
 
 def _emit_spectrum(cfg: RunConfig, traj: Trajectory, sha: str) -> None:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .equation import CoefficientSpec
 from .quasisym import build_quasi_symmetrizer
-from .spectral import Trajectory, companion_stack
+from .spectral import Trajectory
 from .symbol import characteristic_roots
 
 __all__ = [
@@ -88,27 +88,29 @@ def phi_weight(t: float, xi, params: WeightParams):
     return float(out) if out.ndim == 0 else out
 
 
-def rho_weight(t: float, xi, params: WeightParams):
+def rho_weight(t, xi, params: WeightParams):
     """Closed form of int_t^T Phi(s, xi) ds, valid for 0 <= t <= T.
 
     Where t >= tau(xi) (or |xi| <= 1/T, so tau <= 0) the integrand is the
     constant C0<xi> and the integral is C0<xi>(T-t); otherwise the hyperbolic
     stretch contributes C0[ln((T-t)|xi|) + (tau-t)] and the Kovalewskian tail
-    contributes C0<xi>/|xi|.
+    contributes C0<xi>/|xi|.  ``t`` and ``xi`` broadcast against each other;
+    each value takes the same operations whatever the shapes.
     """
     c0, T = params.c0, params.horizon
     ax = np.abs(np.asarray(xi, dtype=float))
-    scalar = ax.ndim == 0
-    ax = np.atleast_1d(ax).astype(float)
-    out = np.empty_like(ax)
+    t = np.asarray(t, dtype=float)
+    scalar = ax.ndim == 0 and t.ndim == 0
+    t, ax = (np.atleast_1d(a) for a in np.broadcast_arrays(t, ax))
+    out = np.empty(ax.shape)
     with np.errstate(divide="ignore"):
         tau = T - 1.0 / ax
     kov = (ax <= 1.0 / T) | (t >= tau)
-    out[kov] = c0 * (1.0 + ax[kov]) * (T - t)
+    out[kov] = c0 * (1.0 + ax[kov]) * (T - t[kov])
     hyp = ~kov
     if hyp.any():
-        axh = ax[hyp]
-        out[hyp] = c0 * (np.log((T - t) * axh) + (tau[hyp] - t)) + c0 * (1.0 + axh) / axh
+        axh, th = ax[hyp], t[hyp]
+        out[hyp] = c0 * (np.log((T - th) * axh) + (tau[hyp] - th)) + c0 * (1.0 + axh) / axh
     return float(out[0]) if scalar else out
 
 
@@ -171,9 +173,7 @@ def _weight_rows(K: int, j_max: int) -> np.ndarray:
 
 def _rho_table(trajectory: Trajectory, params: WeightParams) -> np.ndarray:
     """rho(t, k) at every snapshot time and mode, shape (S, K+1); it does not depend on N."""
-    modes = trajectory.modes
-    rows = [np.atleast_1d(rho_weight(t, modes, params)) for t in trajectory.times.tolist()]
-    return np.stack(rows)
+    return rho_weight(trajectory.times[:, None], trajectory.modes, params)
 
 
 def derivative_energies(
@@ -599,12 +599,30 @@ class EnergyLedger:
         }
 
 
+def _companion_norms(table: np.ndarray) -> np.ndarray:
+    """Spectral norms of the companion matrices of the rows (a_1, ..., a_m) of ``table``."""
+    r0 = np.abs(table[:, -1])  # the last row of A is (a_m, ..., a_1), so r_0 = a_m
+    rest = (table[:, :-1] ** 2).sum(axis=1)
+    root = np.sqrt(((1.0 - r0) ** 2 + rest) * ((1.0 + r0) ** 2 + rest))
+    return np.sqrt(0.5 * (1.0 + (r0 * r0 + rest) + root))
+
+
 def default_c0(problem: CoefficientSpec, grid_points: int = 10_000) -> float:
-    """max(1, sup over a fine grid of the spectral norm of A(t))."""
+    """max(1, sup over a fine grid of the spectral norm of A(t)), in closed form.
+
+    A = S + e_m r^T, with S the superdiagonal -1 and r = (a_m, ..., a_1) the
+    last row.  The last row of S is zero, so S^T e_m = 0 and
+    A^T A = S^T S + r r^T = diag(0, 1, ..., 1) + r r^T = I - e_1 e_1^T + r r^T.
+    It is the identity on the complement of span(e_1, r).  Write
+    r = r_0 e_1 + r' with r' orthogonal to e_1; on the span its eigenvalues
+    are 1 + mu, where mu^2 - (|r|^2 - 1) mu - |r'|^2 = 0.  Hence
+    sigma_max^2 = (1 + |r|^2 + sqrt(D)) / 2 with
+    D = (|r|^2 - 1)^2 + 4 |r'|^2 = ((1 - |r_0|)^2 + |r'|^2)((1 + |r_0|)^2 + |r'|^2),
+    a product of sums of squares, so nothing cancels.  The cost is O(m) per
+    time instead of an SVD.
+    """
     ts = np.linspace(0.0, problem.horizon, grid_points)
-    mats = companion_stack(problem.coefficient_table(ts))
-    norms = np.linalg.svd(mats, compute_uv=False)[:, 0]
-    return float(max(1.0, norms.max()))
+    return float(max(1.0, _companion_norms(problem.coefficient_table(ts)).max()))
 
 
 def build_energy_ledger(

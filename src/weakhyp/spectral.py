@@ -15,12 +15,17 @@ real data) and stays real: there every a_h (ik)^h vanishes, and the rfft of
 the real forcing has a real mean.
 
 The forcing u^nu is evaluated as irfft -> pointwise product -> rfft on a ring
-of N points, N the smallest power of two >= (nu+1)K + 1.  The product holds
-modes up to nu*K and mode j lands on j mod N; for |k| <= K no other j with
-|j| <= nu*K shares that residue once N - K > nu*K.  This is the 3/2 padding
-rule (Orszag 1971) generalised to degree nu, so the result equals the direct
-truncated convolution ``convolution_power`` (the test oracle, on -K..K) up
-to rounding.
+of N points, N the smallest multiple of 4 of the form 2^a 3^b 5^c that is
+>= (nu+1)K + 1.  The product holds modes up to nu*K and mode j lands on
+j mod N; two modes |k| <= K and |j| <= nu*K share a residue only if N
+divides j - k, and |j - k| <= (nu+1)K < N, so any N > (nu+1)K is
+alias-free.  This is the 3/2 padding rule (Orszag 1971) generalised to
+degree nu, so the result equals the direct truncated convolution
+``convolution_power`` (the test oracle, on -K..K) up to rounding.
+pocketfft has radix-4, -2, -3 and -5 passes, so such a ring costs about
+what its length suggests, and at K = 512, nu = 2 it is 1600 points instead
+of the power of two 2048.  Lengths with a single factor 2 (6250 = 2 * 5^5)
+or none (3125) measured slower than the next multiple of 4 (6400).
 
 Time stepping is fixed-step classical RK4.  The linear part per mode has
 purely imaginary eigenvalues ik * (characteristic roots), so the stability
@@ -191,8 +196,17 @@ def convolution_power(u: np.ndarray, nu: int) -> np.ndarray:
 
 
 def _ring_size(K: int, nu: int) -> int:
-    """Smallest power of two >= (nu+1)K + 1: u^nu is alias-free on |k| <= K."""
-    return _next_power_of_two((nu + 1) * K + 1)
+    """Smallest multiple of 4 >= (nu+1)K + 1 with no prime factor above 5: u^nu is alias-free."""
+    n = (nu + 1) * K + 1
+    n += -n % 4
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 4
 
 
 def nonlinear_rhs(state: SpectralState, nu: int) -> np.ndarray:
@@ -295,22 +309,29 @@ class _HalfSpectrumRK4:
     def sup_v(self, y: np.ndarray) -> list[float]:
         """sup_k |V_k| per member; the modes -k have the same norms.
 
-        The bits are those of ``np.linalg.norm``.  Below 8 terms numpy sums
-        left to right, so the squares are added column by column in place;
-        from 8 terms on it sums pairwise, so its own reduction is called.
-        sqrt is monotone and correctly rounded, so it is taken once, after
-        the max.
+        The bits are those of ``np.linalg.norm`` of the real |V_k,c|: the
+        squares are summed with ``_sum_last``.  sqrt is monotone and
+        correctly rounded, so it is taken once, after the max.
         """
         a = np.abs(y)
         a *= self.kmag_pow
         a *= a
-        if a.shape[-1] < 8:
-            sq = a[..., 0].copy()
-            for col in range(1, a.shape[-1]):
-                sq += a[..., col]
-        else:
-            sq = np.add.reduce(a, axis=-1)
-        return np.sqrt(sq.max(axis=-1)).tolist()
+        return np.sqrt(_sum_last(a).max(axis=-1)).tolist()
+
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(a, axis=-1)`` with its bits, faster for a short last axis.
+
+    Below 8 terms numpy sums left to right, so the columns are added one by
+    one in place; from 8 terms on it sums pairwise, so its own reduction is
+    called.
+    """
+    if a.shape[-1] >= 8:
+        return np.add.reduce(a, axis=-1)
+    out = a[..., 0].copy()
+    for col in range(1, a.shape[-1]):
+        out += a[..., col]
+    return out
 
 
 def _spectral_radius(coeff_rows: np.ndarray) -> float:
@@ -381,8 +402,18 @@ class Trajectory:
         return _ik_powers(self.modes, self.order - 1)[:, ::-1] * self.chains
 
     def v_norms(self) -> np.ndarray:
-        """(S, K+1) array of the Euclidean norms |V_k| at every snapshot."""
-        return np.linalg.norm(self.v_series(), axis=2)
+        """(S, K+1) array of the Euclidean norms |V_k| at every snapshot.
+
+        The bits are those of ``np.linalg.norm(v_series(), axis=2)``, which
+        sums (conj(V) V).real over the last axis.  That product is formed in
+        one buffer, in place, by the same complex multiply: numpy may fuse
+        its real part (re * re + im^2 with one rounding, as on x86-64 with
+        FMA), so re^2 + im^2 would not keep the bits.
+        """
+        v = self.v_series()
+        sq = np.conjugate(v)
+        np.multiply(sq, v, out=sq)
+        return np.sqrt(_sum_last(sq.real))
 
     def u_hat_series(self) -> np.ndarray:
         return self.chains[:, :, 0]

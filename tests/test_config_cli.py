@@ -402,12 +402,18 @@ json_values = st.recursive(
 @example({})
 @example([])
 @example({"é": [], "ß": {}, "a": [1.5, -0.0, 5e-324], "b": [1.0, 2, True, None, "x"]})
+@example({"x": [1.0, math.nan], "y": math.inf, "z": [-math.inf]})
 def test_json_writer_matches_json_dumps(obj):
-    assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
+    # json.dumps of the sanitized value: the same text for finite values,
+    # and "nan", "inf", "-inf" as strings where json.dumps writes NaN, Infinity
+    safe = elementwise_sanitize(obj)
+    assert cli._json_text(obj) == json.dumps(safe, sort_keys=True, indent=2)
+    if safe == obj:  # no non-finite float anywhere
+        assert cli._json_text(obj) == json.dumps(obj, sort_keys=True, indent=2)
 
 
 def elementwise_sanitize(obj):
-    """The JSON sanitizer without its array fast path: every value converted one by one."""
+    """A JSON-safe copy with every value converted one by one: the writer's oracle."""
     if isinstance(obj, dict):
         return {str(k): elementwise_sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -446,9 +452,8 @@ def test_json_sanitizer_fast_path_keeps_bytes():
         "empty": np.zeros(0),
         "nested": [{"x": np.float64(-0.0), "y": np.inf, "z": np.int64(3)}, (1.5, np.bool_(True))],
     }
-    for indent in (None, 2):
-        want = json.dumps(elementwise_sanitize(payload), sort_keys=True, indent=indent)
-        assert json.dumps(cli._sanitize(payload), sort_keys=True, indent=indent) == want
+    want = json.dumps(elementwise_sanitize(payload), sort_keys=True, indent=2)
+    assert cli._json_text(payload) == want
 
 
 def test_cli_analyze_outputs(tmp_path):
@@ -653,7 +658,8 @@ def test_cli_config_errors_are_structured(tmp_path, capsys):
 
 def test_cli_import_loads_no_test_tooling():
     # every CLI process pays for its imports; scipy, hypothesis and mpmath
-    # are for tests and references only
+    # are for tests and references only (the ring size, for one, is computed
+    # in spectral rather than taken from scipy.fft.next_fast_len)
     probe = (
         "import json, sys; sys.path.insert(0, sys.argv[1]); import weakhyp.cli; "
         "print(json.dumps(sorted({name.split('.')[0] for name in sys.modules})))"

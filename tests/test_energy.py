@@ -18,7 +18,9 @@ the modes -K..-1 with ``mirror``.
 
 import json
 import math
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -44,8 +46,9 @@ from weakhyp.energy import (
     rho_weight,
     super_energies,
 )
+from weakhyp.config import load_config
 from weakhyp.equation import CoefficientSpec
-from weakhyp.spectral import Trajectory, simulate
+from weakhyp.spectral import Trajectory, companion_stack, simulate
 
 UNIT = WeightParams(c0=1.0, horizon=1.0, loss_exponent=1)
 U = 2.0**-53  # unit roundoff
@@ -144,6 +147,46 @@ def test_rho_vectorized_matches_scalar():
     vec = rho_weight(0.2, xs, UNIT)
     for x, v in zip(xs, vec):
         assert v == pytest.approx(rho_weight(0.2, float(x), UNIT), rel=1e-14)
+
+
+def scalar_rho_row(t, K, params):
+    """rho(t, k) for k = 0..K at one scalar t: the closed form written out for one snapshot."""
+    c0, T = params.c0, params.horizon
+    ax = np.arange(K + 1, dtype=float)
+    out = np.empty_like(ax)
+    with np.errstate(divide="ignore"):
+        tau = T - 1.0 / ax
+    kov = (ax <= 1.0 / T) | (t >= tau)
+    out[kov] = c0 * (1.0 + ax[kov]) * (T - t)
+    axh = ax[~kov]
+    out[~kov] = c0 * (np.log((T - t) * axh) + (tau[~kov] - t)) + c0 * (1.0 + axh) / axh
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.integers(1, 600),
+    S=st.integers(1, 25),
+    horizon=st.sampled_from([1.0, 0.5, 3.7, 300.0]),
+    c0=st.sampled_from([1.0, 2.5, 1e3]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_rho_table_keeps_the_bits_of_the_per_snapshot_rows(K, S, horizon, c0, seed):
+    # one broadcast rho_weight call over (S, K+1) against one call per snapshot
+    rng = np.random.default_rng(seed)
+    times = np.sort(rng.uniform(0.0, horizon, S))
+    times[0], times[-1] = 0.0, horizon
+    if S > 2:  # a snapshot exactly at the regime switch tau(k) of some mode
+        times[1] = horizon - 1.0 / rng.integers(1, K + 1)
+    traj = Trajectory(
+        order=2, K=K, dt=0.1, nu=0, times=times, chains=np.zeros((S, K + 1, 2), dtype=complex),
+        forcings=np.zeros((S, K + 1), dtype=complex), completed=True,
+    )
+    params = WeightParams(c0=c0, horizon=horizon, loss_exponent=1)
+    table = energy._rho_table(traj, params)
+    rows = [np.atleast_1d(rho_weight(t, traj.modes, params)) for t in times.tolist()]
+    assert_same_bits(table, np.stack(rows))
+    assert_same_bits(table, np.stack([scalar_rho_row(t, K, params) for t in times.tolist()]))
 
 
 def test_rho_subadditive_sample():
@@ -604,6 +647,72 @@ def test_default_c0():
     assert default_c0(wave_problem()) == 1.0
     stiff = CoefficientSpec.from_strings(2, 1.0, ["0", "-4"], 0, ["cos(x)", "0"])
     assert default_c0(stiff) == pytest.approx(4.0)
+
+
+def svd_c0(problem, grid_points=10_000):
+    """C0 as an SVD of every companion matrix on the grid: the reference for the closed form."""
+    ts = np.linspace(0.0, problem.horizon, grid_points)
+    mats = companion_stack(problem.coefficient_table(ts))
+    return float(max(1.0, np.linalg.svd(mats, compute_uv=False)[:, 0].max()))
+
+
+def test_default_c0_keeps_the_svd_value_on_the_shipped_problems():
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    problems = [load_config(str(configs / name)).problem() for name in ("wave.yaml", "weakhyp_nu2.yaml")]
+    problems += [  # the two benchmark problems: weak_k512 (nu = 2) and certify_m3
+        CoefficientSpec.from_strings(2, 1.0, ["0", "-t^2"], 2, ["0.01*cos(x)", "0"]),
+        CoefficientSpec.from_strings(3, 1.0, ["0", "-t^2", "0"], 0, ["cos(x)", "0", "0"]),
+    ]
+    for problem in problems:
+        assert_same_bits(default_c0(problem), svd_c0(problem))
+    assert default_c0(problems[-1]) == math.sqrt(2.0)  # sup_t sqrt(1 + t^4)
+
+
+def coefficient_rows(m_range=(2, 6), max_rows=8):
+    """Tables of rows of m coefficients at scales 1e-6 to 1e6, with exact zeros and repeats."""
+    value = st.one_of(
+        st.just(0.0),
+        st.builds(lambda mant, e: mant * 10.0**e, st.floats(-10.0, 10.0), st.integers(-6, 6)),
+    )
+
+    @st.composite
+    def rows(draw):
+        m = draw(st.integers(*m_range))
+        pool = draw(st.lists(value, min_size=1, max_size=m))
+        picks = st.lists(st.integers(0, len(pool) - 1), min_size=m, max_size=m)
+        chosen = draw(st.lists(picks, min_size=1, max_size=max_rows))
+        return np.array([[pool[i] for i in row] for row in chosen])
+
+    return rows()
+
+
+# LAPACK's SVD is backward stable: its sigma_max is off by a modest multiple
+# of m eps sigma_max.  On random rows like these it differed from the closed
+# form by up to 26 ulps (m = 3); 50-digit arithmetic put the SVD up to 19.5
+# ulps off and the closed form within 2
+SVD_ULPS = 64
+
+
+@settings(max_examples=200, deadline=None)
+@given(coefficient_rows())
+@example(np.array([[0.0, 0.0], [0.0, -1.0], [-4.0, 0.0], [1.0, 1.0]]))
+@example(np.array([[1e6] * 6, [1e-6] * 6, [0.0] * 6]))
+@example(np.array([[0.0, -1.0, 0.0], [1e-6, -1e6, 1e-6]]))
+def test_companion_norms_match_the_svd_row_by_row(table):
+    want = np.linalg.svd(companion_stack(table), compute_uv=False)[:, 0]
+    got = energy._companion_norms(table)
+    assert got.shape == want.shape
+    assert (np.abs(got - want) <= SVD_ULPS * np.spacing(want)).all(), (got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coefficient_rows(max_rows=3))
+@example(np.array([[1.0, 1.0], [-1.0, 1e-6], [0.0, 1.0 + 2.0**-52]]))
+def test_companion_norms_are_within_two_ulps_of_exact(table):
+    mpmath.mp.dps = 50
+    for mat, got in zip(companion_stack(table), energy._companion_norms(table)):
+        exact = max(mpmath.svd_r(mpmath.matrix(mat.tolist()), compute_uv=False))
+        assert abs(mpmath.mpf(float(got)) - exact) <= 2 * np.spacing(float(exact))
 
 
 def test_energy_inequality_on_wave_run():

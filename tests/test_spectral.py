@@ -150,11 +150,37 @@ def test_convolution_direct_vs_fft():
             assert np.abs(d[K:] - f).max() <= 1e-12 * scale
 
 
-@pytest.mark.parametrize("nu, K", [(1, 16), (3, 16), (3, 32), (7, 8)])
+def smooth_multiples_of_four(top):
+    """Boolean table over 0..top-1: n is a multiple of 4 with no prime factor above 5."""
+    n = np.arange(top)
+    rest = n.copy()
+    for p in (2, 3, 5):
+        for _ in range(int(np.log(top) / np.log(p)) + 1):
+            rest = np.where(rest % p == 0, rest // p, rest)
+    return (rest == 1) & (n % 4 == 0)
+
+
+def test_ring_size_is_the_least_smooth_multiple_of_four():
+    # brute force over K <= 2048, nu <= 7: the ring is a multiple of 4 with
+    # no prime factor above 5, it exceeds (nu+1)K, and no smaller one does
+    top = 2 * (8 * 2048 + 1)
+    ok = smooth_multiples_of_four(top)
+    for nu in range(8):
+        for K in range(1, 2049):
+            need, ring = (nu + 1) * K + 1, _ring_size(K, nu)
+            assert need <= ring < top and ok[ring], (K, nu, ring)
+            assert not ok[need:ring].any(), (K, nu, ring)
+
+
+BOUNDARY_RINGS = {(1, 16): 36, (3, 16): 72, (3, 32): 144, (7, 8): 72, (2, 21): 64, (2, 533): 1600}
+
+
+@pytest.mark.parametrize("nu, K", list(BOUNDARY_RINGS))
 def test_ring_alias_free_at_power_of_two_boundary(nu, K):
-    # (nu+1)K is a power of two here, so a ring of (nu+1)K points would fold
-    # mode nu*K onto -K; the ring must be the next power of two
-    assert _ring_size(K, nu) == 2 * (nu + 1) * K
+    # (nu+1)K is a power of two in the first four cases, so a ring of (nu+1)K
+    # points would fold mode nu*K onto -K; any ring of more than (nu+1)K
+    # points is alias-free.  In the last two (nu+1)K + 1 is itself the ring.
+    assert _ring_size(K, nu) == BOUNDARY_RINGS[nu, K] > (nu + 1) * K
     rng = np.random.default_rng(nu * 100 + K)
     state = real_state(rng, K, 2, decay=0.0)  # full mass out to |k| = K
     d = convolution_power(mirror(state.u_hat), nu)
@@ -462,6 +488,32 @@ def test_sup_v_keeps_the_bits_of_the_norm(m):
         want = np.linalg.norm(np.abs(y) * kernel.kmag_pow, axis=-1).max(axis=-1).tolist()
         got = kernel.sup_v(y)
     assert repr(got) == repr(want)  # repr round-trips every finite float
+
+
+@pytest.mark.parametrize("m", [2, 3, 7, 8, 9, 17])
+def test_v_norms_keep_the_bits_of_the_norm(m):
+    # the ledger's |V_k| table: numpy's norm may fuse the real part of
+    # conj(V) V (re * re + im^2, one rounding), so re^2 + im^2 could move bits
+    K, S = 64, 4
+    rng = np.random.default_rng(m)
+    shape = (S, K + 1, m)
+    scale = 10.0 ** rng.uniform(-300.0, 120.0, shape)
+    chains = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * scale
+    cells = chains.view(float)
+    cells[rng.random(cells.shape) < 0.1] = 0.0
+    cells[rng.random(cells.shape) < 0.1] = -0.0
+    chains[1, 5, 0] = complex(np.nan, 1.0)
+    chains[2, 9, m - 1] = complex(np.inf, 0.0)
+    chains[2, 10, 0] = 1e200  # overflows when squared
+    chains[3] = 0.0
+    traj = Trajectory(
+        order=m, K=K, dt=0.1, nu=0, times=np.arange(S, dtype=float), chains=chains,
+        forcings=np.zeros(shape[:2], dtype=complex), completed=True,
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = np.linalg.norm(traj.v_series(), axis=2)
+        assert_same_bits(traj.v_norms(), want)
+    assert np.isfinite(want).sum() > want.size // 2  # most of the table is finite
 
 
 def reference_forcing(kernel, y):
