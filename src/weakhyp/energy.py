@@ -677,7 +677,7 @@ def build_energy_ledger(
     cm_power = (c_const * m_const) ** nu
     l_const = g0 + cm_power * T
     phi_l = phi_growth(c_const, m_const, l_const, nu)
-    r_values = r0_eff * np.exp(-phi_l * trajectory.times)
+    r_values = radius_schedule(r0_eff, l_const, m_const, c_const, nu, trajectory.times)
     super_report = super_energies(
         trajectory.times, e_j, a_moments, r_values, nu, tail_threshold
     )

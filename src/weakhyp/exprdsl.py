@@ -308,21 +308,30 @@ _NP_FUNCS = {
 def evaluate_on_grid(expr: Expression, var: str, values: np.ndarray) -> np.ndarray:
     """Vectorized single-variable evaluation with the scalar domain contract.
 
-    Any sample that would raise :class:`DomainError` point-wise (nan or inf in
-    the result) raises it here, naming the first offending grid value.
+    A sample whose evaluation passes through a non-finite value at any node
+    raises :class:`DomainError`, naming the first offending grid value.  The
+    result alone would not show every fault: ``exp(-1/t)`` at t = 0 runs
+    through -1/0 = -inf to exp(-inf) = 0, where the scalar evaluator raises
+    on the division.
     """
     values = np.asarray(values, dtype=float)
+    bad = np.zeros(values.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        out = _eval_grid(expr, var, values)
-    out = np.broadcast_to(np.asarray(out, dtype=float), values.shape)
-    bad = ~np.isfinite(out)
+        out = _eval_grid(expr, var, values, bad)
     if bad.any():
-        where = values[bad].flat[0]
+        where = float(values[bad].flat[0])
         raise DomainError(f"non-finite value at {var} = {where!r}")
-    return np.array(out, dtype=float)
+    return np.array(np.broadcast_to(out, values.shape), dtype=float)
 
 
-def _eval_grid(expr: Expression, var: str, values: np.ndarray):
+def _eval_grid(expr: Expression, var: str, values: np.ndarray, bad: np.ndarray):
+    """The value of ``expr`` on the grid; marks in ``bad`` each sample that turns non-finite."""
+    out = _eval_node(expr, var, values, bad)
+    bad |= ~np.isfinite(out)
+    return out
+
+
+def _eval_node(expr: Expression, var: str, values: np.ndarray, bad: np.ndarray):
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Var):
@@ -330,10 +339,10 @@ def _eval_grid(expr: Expression, var: str, values: np.ndarray):
             raise UnknownIdentifierError(expr.name)
         return values
     if isinstance(expr, Neg):
-        return -_eval_grid(expr.arg, var, values)
+        return -_eval_grid(expr.arg, var, values, bad)
     if isinstance(expr, BinOp):
-        lhs = _eval_grid(expr.lhs, var, values)
-        rhs = _eval_grid(expr.rhs, var, values)
+        lhs = _eval_grid(expr.lhs, var, values, bad)
+        rhs = _eval_grid(expr.rhs, var, values, bad)
         if expr.op == "+":
             return lhs + rhs
         if expr.op == "-":
@@ -344,7 +353,7 @@ def _eval_grid(expr: Expression, var: str, values: np.ndarray):
             return lhs / rhs
         return np.power(lhs, rhs)
     if isinstance(expr, Call):
-        return _NP_FUNCS[expr.func](_eval_grid(expr.arg, var, values))
+        return _NP_FUNCS[expr.func](_eval_grid(expr.arg, var, values, bad))
     raise TypeError(f"not an expression node: {expr!r}")
 
 

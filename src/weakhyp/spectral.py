@@ -81,9 +81,13 @@ class BlowUpError(RuntimeError):
     """State exceeded the blow-up ceiling (or became non-finite)."""
 
     def __init__(
-        self, message: str, last_valid_time: float, trajectory: "Trajectory", member: int = 0
+        self,
+        message: str,
+        last_valid_time: float | None,
+        trajectory: "Trajectory",
+        member: int = 0,
     ):
-        self.last_valid_time = last_valid_time
+        self.last_valid_time = last_valid_time  # None when the initial state failed
         self.trajectory = trajectory
         self.member = member  # 0 the problem, 1 its linear calibration (``simulate``)
         super().__init__(message)
@@ -460,6 +464,17 @@ class _Snapshots:
         )
 
 
+def _monitor(sup_v: float, ceiling: float, t: float) -> tuple[str, str] | None:
+    """The abort reason and message of a state at ``t`` with this sup|V|, or None."""
+    if not math.isfinite(sup_v):
+        return "non-finite", f"non-finite state at t = {t:.6g}"
+    if sup_v > ceiling:
+        return "blow-up", (
+            f"blow-up: sup|V| = {sup_v:.6g} exceeds ceiling {ceiling:.6g} at t = {t:.6g}"
+        )
+    return None
+
+
 def simulate(
     problem: CoefficientSpec,
     K: int,
@@ -476,7 +491,9 @@ def simulate(
     when None), and at T.  Aborts with BlowUpError when sup_k |V_k| exceeds
     ``blowup_ceiling`` or turns non-finite (the partial trajectory rides on
     the exception), and with StabilityError before the loop if the fixed-step
-    guard fails anywhere on [0, T].
+    guard fails anywhere on [0, T].  The initial state is monitored too: data
+    already past the ceiling abort at t = 0 as the problem's (``member`` 0),
+    with no snapshot and no last valid time.
 
     With ``calibrate`` the linear version of the problem (nu = 0) is
     integrated from the same data in the same loop, as a second batch member
@@ -515,10 +532,16 @@ def simulate(
 
     kernel = _HalfSpectrumRK4(K, m, nu)
     y = np.repeat(state.chain[None], len(live), axis=0)
+    # every member starts from the same data, so a fault at t = 0 is the problem's
+    sup_v0 = kernel.sup_v(y)[0]
+    fault = _monitor(sup_v0, blowup_ceiling, 0.0)
+    if fault is not None:
+        reason, message = fault
+        raise BlowUpError(message, None, members[0].bundle(False, 0, reason, 0.0))
     # the forcing of the current state serves its snapshot and the next step's first stage
     f = kernel.forcing(y)
-    for snaps, sup_v, chain, forcing in zip(live, kernel.sup_v(y), y, f):
-        snaps.peak_sup_v = sup_v
+    for snaps, chain, forcing in zip(live, y, f):
+        snaps.peak_sup_v = sup_v0
         snaps.record(0.0, chain, forcing)
     calibration_error = None
     for i in range(n_steps):
@@ -527,16 +550,11 @@ def simulate(
         # the calibration member first, so that an abort of the problem at the same step wins
         for member, sup_v in reversed(list(enumerate(kernel.sup_v(y)))):
             snaps = live[member]
-            if not math.isfinite(sup_v):
-                reason, message = "non-finite", f"non-finite state at t = {t:.6g}"
-            elif sup_v > blowup_ceiling:
-                reason, message = "blow-up", (
-                    f"blow-up: sup|V| = {sup_v:.6g} exceeds ceiling {blowup_ceiling:.6g} "
-                    f"at t = {t:.6g}"
-                )
-            else:
+            fault = _monitor(sup_v, blowup_ceiling, t)
+            if fault is None:
                 snaps.peak_sup_v = max(snaps.peak_sup_v, sup_v)
                 continue
+            reason, message = fault
             error = BlowUpError(
                 message,
                 float(stage_times[2 * i]),

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from weakhyp import ConfigError, RunConfig, cli, load_config
+from weakhyp import ConfigError, RunConfig, cli, config, load_config
 from weakhyp.cli import main
 from weakhyp.equation import CoefficientSpec
 from weakhyp.spectral import Trajectory, simulate
@@ -84,6 +84,16 @@ def test_unknown_keys_rejected_with_path(patch, field):
         RunConfig.from_dict({**base(), **patch})
     assert err.value.field == field
     assert "unknown key" in str(err.value)
+
+
+def test_keys_that_are_not_strings_are_unknown_keys():
+    # YAML reads `1: x` as an int key; it must not break the sort of the unknown names
+    with pytest.raises(ConfigError, match="unknown key") as err:
+        RunConfig.from_dict({**base(), 1: 2, "zz": 3})
+    assert err.value.field == "1"
+    with pytest.raises(ConfigError, match="unknown key") as err:
+        RunConfig.from_dict({**base(), "constants": {2.5: 1}})
+    assert err.value.field == "constants.2.5"
 
 
 def test_missing_required_field():
@@ -176,6 +186,109 @@ def test_meta_excludes_scheduling_fields():
     assert "threads" not in meta
     assert "output_dir" not in meta
     assert meta["config_sha256"] == RunConfig.from_dict(base()).sha256()
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("wave.yaml", "f3a7ead2bef8e77a700dc02c162a0f732f93255778da6a2e3a9637628eebf4cb"),
+        ("weakhyp_nu2.yaml", "ddc7d4701b8af6635487a32f5dd5725f8169ad7783e420294412097e1c5c10bb"),
+    ],
+)
+def test_shipped_config_hashes_are_pinned(name, digest):
+    # every output file carries this hash; a schema change that moves it
+    # makes old and new runs of the same config look unrelated
+    assert load_config(str(CONFIGS / name)).sha256() == digest
+
+
+def number(lo, hi, exclude_min=False, exclude_max=False):
+    """Floats between lo and hi, or the integers there, as YAML may give either."""
+    first, last = math.ceil(lo) + exclude_min, math.floor(hi) - exclude_max
+    ints = st.integers(first, last) if first <= last else st.nothing()
+    return st.floats(lo, hi, exclude_min=exclude_min, exclude_max=exclude_max) | ints
+
+
+def expressions(var, count):
+    entries = st.sampled_from(["0", "-1", f"-{var}^2", f"sin({var})", f"0.5*cos(2*{var})", 3, -1.5])
+    return st.lists(entries, min_size=count, max_size=count)
+
+
+# a strategy of valid values for each schema row, given the values drawn above it
+ROW_VALUES = {
+    "m": lambda d: st.integers(2, 5),
+    "T": lambda d: number(0.01, 1e3),
+    "coefficients": lambda d: expressions("t", d["m"]),
+    "initial": lambda d: expressions("x", d["m"]),
+    "nu": lambda d: st.integers(0, 6),
+    "K": lambda d: st.integers(8, 5000),
+    "G": lambda d: st.integers(0, 3).map(lambda e: 1 << ((4 * d["K"] - 1).bit_length() + e)),
+    "dt": lambda d: number(0.0, d["T"], exclude_min=True, exclude_max=True),
+    "snapshot_interval": lambda d: number(0.0, d["T"], exclude_min=True),
+    "diagnostics.energies": lambda d: st.booleans(),
+    "diagnostics.radius": lambda d: st.booleans(),
+    "diagnostics.symmetrizer_certificate": lambda d: st.booleans(),
+    "constants.C0": lambda d: st.none() | number(1.0, 1e6),
+    "constants.N": lambda d: st.none() | st.integers(0, 30),
+    "constants.C": lambda d: st.none() | number(0.0, 1e6, exclude_min=True),
+    "constants.c": lambda d: number(0.0, 1.0),
+    "constants.r0": lambda d: number(0.0, 10.0, exclude_min=True),
+    "constants.J_max": lambda d: st.integers(1, 64),
+    "constants.eta": lambda d: number(0.0, 1.0, exclude_min=True),
+    "constants.s": lambda d: number(0.0, 10.0, exclude_min=True),
+    "constants.k_gevrey": lambda d: st.none() | st.integers(1, 10),
+    "constants.lambda_k": lambda d: number(0.0, 10.0, exclude_min=True),
+    "certificate.eps_set": lambda d: st.lists(number(0.0, 1.0, exclude_min=True), min_size=1),
+    "certificate.samples": lambda d: st.integers(1, 10**6),
+    "certificate.nd_floor": lambda d: number(0.0, 1.0),
+    "certificate.times": lambda d: st.integers(1, 1000),
+    "seed": lambda d: st.integers(-(2**40), 2**40),
+    "threads": lambda d: st.integers(1, 64),
+    "output_dir": lambda d: st.text(min_size=1, max_size=8),
+    "blowup_ceiling": lambda d: number(0.0, 1e300, exclude_min=True),
+    "check_grid": lambda d: st.integers(3, 10**5),
+}
+ALWAYS_GIVEN = {"m", "T", "coefficients", "initial", "K"}  # required, or read by other rows
+
+
+def test_every_schema_row_has_a_value_strategy():
+    assert list(ROW_VALUES) == [key.path for key in config._SCHEMA]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_schema_round_trip_through_run_meta(data):
+    drawn, raw = {}, {}
+    for path, values in ROW_VALUES.items():
+        if path in ALWAYS_GIVEN or data.draw(st.booleans()):
+            drawn[path] = data.draw(values(drawn), label=path)
+            section, _, name = path.rpartition(".")
+            (raw.setdefault(section, {}) if section else raw)[name] = drawn[path]
+    cfg = RunConfig.from_dict(raw)
+    # run_meta.json, as the CLI writes it, reads back as the same config
+    meta = json.loads(cli._json_text(cfg.to_meta()))
+    assert meta.pop("config_sha256") == cfg.sha256()
+    back = RunConfig.from_dict(meta)
+    assert back.with_overrides(threads=cfg.threads, output_dir=cfg.output_dir) == cfg
+    assert back.sha256() == cfg.sha256()
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        "T", "dt", "snapshot_interval", "constants.C0", "constants.C", "constants.c",
+        "constants.r0", "constants.eta", "constants.s", "constants.lambda_k",
+        "certificate.nd_floor", "blowup_ceiling",
+    ],
+)
+def test_nan_is_an_invariant_violation(path):
+    section, _, name = path.rpartition(".")
+    patch = {section: {name: math.nan}} if section else {name: math.nan}
+    with pytest.raises(ConfigError, match="invariant violation") as err:
+        RunConfig.from_dict({**base(), **patch})
+    assert err.value.field == path
 
 
 def test_problem_binding():
@@ -550,12 +663,14 @@ blowup_ceiling: 1000.0
     assert (out / "spectrum.csv").exists()  # partial trajectory still written
 
 
+# u_tt = u^2 starting below the ceiling (see zero_mode_spec in test_spectral):
+# the linear calibration member crosses 0.99 at t = 0.3, the problem at 0.54
 ZERO_MODE_YAML = """\
 m: 2
 T: {horizon}
-coefficients: ["0", "-1"]
+coefficients: ["0", "0"]
 nu: 2
-initial: ["2", "-1"]
+initial: ["-1.4", "1.9*cos(x)"]
 K: 8
 dt: 0.01
 snapshot_interval: 0.1
@@ -564,14 +679,14 @@ blowup_ceiling: 0.99
 
 
 def test_cli_analyze_calibration_abort_exit_one(tmp_path, capsys):
-    # the linear calibration member keeps |u_0'| = 1 above the ceiling; the problem completes
+    # the linear calibration member's |V_1| grows like t past the ceiling; the problem completes
     cfg = write_config(tmp_path, ZERO_MODE_YAML.format(horizon=0.4))
     out = tmp_path / "out"
     assert main(["analyze", "--config", cfg, "--output", str(out)]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err == {
         "error": "BlowUpError",
-        "message": "blow-up: sup|V| = 1 exceeds ceiling 0.99 at t = 0.01",
+        "message": "blow-up: sup|V| = 0.991829 exceeds ceiling 0.99 at t = 0.3",
     }
     assert list(out.iterdir()) == []
 
@@ -582,10 +697,33 @@ def test_cli_analyze_problem_abort_exit_two_after_calibration_abort(tmp_path, ca
     out = tmp_path / "out"
     assert main(["analyze", "--config", cfg, "--output", str(out)]) == 2
     err = json.loads(capsys.readouterr().err.strip())
-    assert err["error"] == "BlowUpError" and err["message"].endswith("at t = 0.55")
+    assert err["error"] == "BlowUpError" and err["message"].endswith("at t = 0.54")
     report = json.loads((out / "report.json").read_text())
-    assert report["abort_reason"] == "blow-up" and report["abort_time"] == pytest.approx(0.55)
+    assert report["abort_reason"] == "blow-up" and report["abort_time"] == pytest.approx(0.54)
     assert (out / "spectrum.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_cli_initial_state_above_the_ceiling_exit_two(tmp_path, capsys, command):
+    # |u_0'| = 1 at t = 0 is already past the 0.99 ceiling: no step is taken
+    text = ZERO_MODE_YAML.format(horizon=0.4).replace('["0", "0"]', '["0", "-1"]')
+    text = text.replace('["-1.4", "1.9*cos(x)"]', '["2", "-1"]')
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--output", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["message"] == "blow-up: sup|V| = 1 exceeds ceiling 0.99 at t = 0"
+    report = json.loads((out / "report.json").read_text())
+    assert report["abort_time"] == 0.0 and report["last_valid_time"] is None
+    assert sorted(p.name for p in out.iterdir()) == ["report.json", "run_meta.json"]
+
+
+def test_cli_check_refuses_a_domain_fault_inside_a_coefficient(tmp_path, capsys):
+    # -exp(-1/t) runs through -1/0 at t = 0; its value there, exp(-inf) = 0, is no excuse
+    text = WAVE_YAML.replace('coefficients: ["0", "-1"]', 'coefficients: ["0", "-exp(-1/t)"]')
+    assert main(["check", "--config", write_config(tmp_path, text)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err == {"error": "DomainError", "message": "non-finite value at t = 0.0"}
 
 
 def test_cli_analyze_integration_facts(tmp_path):

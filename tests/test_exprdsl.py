@@ -129,6 +129,30 @@ def test_grid_evaluation_domain_error_names_offender():
         evaluate_on_grid(expr, "x", np.array([1.0, -2.0, 3.0]))
 
 
+@pytest.mark.parametrize(
+    "source, offender",
+    [
+        ("exp(-1/t)", 0.0),  # -1/0 = -inf, then exp(-inf) = 0
+        ("1/(1/t)", 0.0),  # 1/0 = inf, then 1/inf = 0
+        ("sqrt(t)^0", -1.0),  # sqrt(-1) = nan, then nan^0 = 1
+        ("1/exp(1000*t)", 2.0),  # exp overflows to inf, then 1/inf = 0
+        ("0*(1/t) + t", 0.0),
+    ],
+)
+def test_grid_evaluation_refuses_non_finite_intermediates(source, offender):
+    # the result is finite at every sample; the fault is inside the tree
+    expr = parse(source, ("t",))
+    with pytest.raises(DomainError):
+        evaluate(expr, {"t": offender})
+    ts = np.array([0.5, offender, 0.25, offender])
+    with pytest.raises(DomainError, match=f"at t = {offender!r}$"):
+        evaluate_on_grid(expr, "t", ts)
+    fine = ts[ts != offender]
+    np.testing.assert_array_equal(
+        evaluate_on_grid(expr, "t", fine), [evaluate(expr, {"t": t}) for t in fine]
+    )
+
+
 def test_grid_constant_broadcasts():
     expr = parse("3.5")
     out = evaluate_on_grid(expr, "t", np.linspace(0, 1, 5))

@@ -439,14 +439,16 @@ def test_run_facts():
     assert traj.peak_sup_v == pytest.approx(0.5, rel=1e-12)
 
 
-# u_0 starts at 2 with u_0' = -1.  The linear member keeps |u_0'| = 1 above
-# the 0.99 ceiling from its first step; u^2 > 0 lifts u_0' of the problem
-# through zero, and with the longer horizon it crosses 0.99 near t = 0.55.
+# u_tt = u^2 from u = -1.4, u_t = 1.9 cos x; sup|V| starts at |V_1| = 0.95,
+# below the 0.99 ceiling.  In the linear member (u_tt = 0) u_1 grows like t,
+# so |V_1| = 0.95 sqrt(1 + t^2) crosses 0.99 at t = 0.3.  In the problem,
+# u^2 pins mode 1 to an oscillation around u_0 < 0 that keeps |V_1| <= 0.95,
+# and lifts u_0' from zero until it crosses 0.99 at t = 0.54.
 ZERO_MODE_CEILING = 0.99
 
 
 def zero_mode_spec(horizon):
-    return CoefficientSpec.from_strings(2, horizon, ["0", "-1"], 2, ["2", "-1"])
+    return CoefficientSpec.from_strings(2, horizon, ["0", "0"], 2, ["-1.4", "1.9*cos(x)"])
 
 
 def test_calibration_abort_waits_for_the_problem():
@@ -456,8 +458,8 @@ def test_calibration_abort_waits_for_the_problem():
         simulate(spec, K=8, dt=0.01, blowup_ceiling=ZERO_MODE_CEILING, calibrate=True)
     err = exc_info.value
     assert err.member == 1
-    assert err.trajectory.nu == 0 and err.trajectory.abort_time == pytest.approx(0.01)
-    assert str(err).startswith("blow-up: sup|V| = 1 exceeds ceiling 0.99 at t = 0.01")
+    assert err.trajectory.nu == 0 and err.trajectory.abort_time == pytest.approx(0.3)
+    assert str(err) == "blow-up: sup|V| = 0.991829 exceeds ceiling 0.99 at t = 0.3"
 
 
 def test_problem_abort_takes_precedence_over_calibration_abort():
@@ -468,6 +470,26 @@ def test_problem_abort_takes_precedence_over_calibration_abort():
     assert err.member == 0 and err.trajectory.nu == 2
     assert 0.5 < err.trajectory.abort_time < 0.6
     assert err.trajectory.times[-1] <= err.last_valid_time
+
+
+@pytest.mark.parametrize("calibrate", [False, True])
+@pytest.mark.parametrize(
+    "initial, reason, message",
+    [
+        (["2", "-1"], "blow-up", "blow-up: sup|V| = 1 exceeds ceiling 0.99 at t = 0"),
+        (["1e308*cos(x)", "0"], "non-finite", "non-finite state at t = 0"),  # the FFT overflows
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_initial_state_is_monitored(calibrate, initial, reason, message):
+    # data past the ceiling abort before the first step, as the problem's abort, with no snapshot
+    spec = CoefficientSpec.from_strings(2, 0.4, ["0", "-1"], 2, initial)
+    with pytest.raises(BlowUpError) as exc_info:
+        simulate(spec, K=8, dt=0.01, blowup_ceiling=ZERO_MODE_CEILING, calibrate=calibrate)
+    err = exc_info.value
+    assert str(err) == message and err.member == 0 and err.last_valid_time is None
+    traj = err.trajectory
+    assert (traj.abort_reason, traj.abort_time, traj.steps, len(traj)) == (reason, 0.0, 0, 0)
 
 
 @pytest.mark.parametrize("m", [2, 3, 5, 7, 8, 9, 17])
