@@ -6,8 +6,10 @@ discriminant verdicts), ``simulate`` (trajectory files), ``analyze``
 (certificate of the quasi-symmetrizer inequalities).
 
 Exit codes: 0 success/pass, 1 failed verdict or module error, 2 blow-up
-abort, 3 stability abort.  Every emitted file carries the canonical config
-hash; CSV numbers use 17 significant digits so outputs diff bitwise.
+abort, 3 stability abort.  Each command returns its exit code and its files,
+or raises; ``dispatch`` alone writes them, with ``run_meta.json`` added.
+Every emitted file carries the canonical config hash; CSV numbers use 17
+significant digits so outputs diff bitwise.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from json.encoder import encode_basestring_ascii
 from typing import Any
 
@@ -44,10 +47,6 @@ from .symbol import (
 )
 
 __all__ = ["main", "dispatch"]
-
-
-def _fmt(value: float) -> str:
-    return "%.17g" % float(value)
 
 
 def _json_float(value: float) -> str:
@@ -114,20 +113,20 @@ def _json_text(obj: Any, indent: str = "") -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _write_json(out_dir: str, name: str, payload: dict, sha: str) -> None:
-    payload = dict(payload)
-    payload["config_sha256"] = sha
-    text = _json_text(payload)
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as handle:
-        handle.write(text + "\n")
+def _write_files(out_dir: str, files: dict, sha: str) -> None:
+    """Write each file, stamped with the config hash: the one place that opens outputs.
 
-
-def _write_csv(out_dir: str, name: str, header: list[str], lines, sha: str) -> None:
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as handle:
-        handle.write(f"# config_sha256={sha}\n")
-        handle.write(",".join(header) + "\n")
-        for line in lines:
-            handle.write(line + "\n")
+    A dict is a JSON payload; anything else is a CSV ``(header, lines)`` pair.
+    """
+    for name, content in files.items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as handle:
+            if isinstance(content, dict):
+                handle.write(_json_text({**content, "config_sha256": sha}) + "\n")
+                continue
+            header, lines = content
+            handle.write(f"# config_sha256={sha}\n" + ",".join(header) + "\n")
+            for line in lines:
+                handle.write(line + "\n")
 
 
 def _error_json(exc: Exception) -> str:
@@ -138,20 +137,19 @@ def _error_json(exc: Exception) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _emit_spectrum(cfg: RunConfig, traj: Trajectory, sha: str) -> None:
-    """Write spectrum.csv, modes -K..K, from the trajectory's modes 0..K.
+def _spectrum_file(traj: Trajectory) -> tuple[list[str], Any]:
+    """spectrum.csv, modes -K..K, from the trajectory's modes 0..K.
 
     The one place that builds the rows -K..-1: column c of V_{-k} is
     (-ik)^(m-1-c) conj(chain_k), the formula of V at mode -k of a real run.
     """
     K = traj.K
     lower = _ik_powers(np.arange(-K, 0), traj.order - 1)[:, ::-1] * traj.chains[:, :0:-1].conj()
-    v = np.concatenate([lower, traj.v_series()], axis=1)
-    _write_spectrum(cfg.output_dir, traj.times, v, sha)
+    return _spectrum_csv(traj.times, np.concatenate([lower, traj.v_series()], axis=1))
 
 
-def _write_spectrum(out_dir: str, times: np.ndarray, v: np.ndarray, sha: str) -> None:
-    """Write spectrum.csv from companion vectors ``v`` (S, 2K+1, m), each distinct cell once.
+def _spectrum_csv(times: np.ndarray, v: np.ndarray) -> tuple[list[str], Any]:
+    """spectrum.csv of companion vectors ``v`` (S, 2K+1, m), each distinct cell formatted once.
 
     The half spectrum k = 0..K of a snapshot is formatted by one %-template
     in which a ';' marks the mode number and every imaginary cell.  Row -k of
@@ -159,7 +157,8 @@ def _write_spectrum(out_dir: str, times: np.ndarray, v: np.ndarray, sha: str) ->
     the same text with the marked signs toggled.  Rows holding a cell whose
     bits differ from that mirror (zeros of the other sign, last bits of the
     powers of -ik) or a NaN (whose sign %.17g drops) are formatted directly,
-    so the bytes equal cell-by-cell formatting for every input.
+    so the bytes equal cell-by-cell formatting for every input.  The lines
+    are one block per snapshot, formatted as they are written.
     """
     K, m = (v.shape[1] - 1) // 2, v.shape[2]
     header = ["t", "k"]
@@ -178,49 +177,39 @@ def _write_spectrum(out_dir: str, times: np.ndarray, v: np.ndarray, sha: str) ->
             lower = upper.replace(";", ";-").replace(";--", ";").split("\n")[:0:-1]  # rows -K..-1
             for i in np.flatnonzero(snap_fresh.any(axis=1)).tolist():  # row -(i+1)
                 lower[K - 1 - i] = (f"@;{-1 - i}," + row) % tuple(snap[K - 1 - i].tolist())
-            yield ("\n".join(lower) + "\n" + upper).replace(";", ",").replace("@", _fmt(t))
+            yield ("\n".join(lower) + "\n" + upper).replace(";", ",").replace("@", "%.17g" % t)
 
-    _write_csv(out_dir, "spectrum.csv", header, blocks(), sha)
+    return header, blocks()
 
 
-def _emit_energies(cfg: RunConfig, ledger, sha: str) -> None:
+def _energies_csv(ledger) -> tuple[list[str], list[str]]:
     subset = [j for j in (1, 2, 4, 8) if j <= ledger.j_max]
     header = ["t", "E", *[f"E_{j}" for j in subset], "F", "G", "L", "r", "master_ratio"]
-
-    def rows():
-        for i, t in enumerate(ledger.times):
-            yield [
-                _fmt(t),
-                _fmt(ledger.e_j[i, 0]),
-                *[_fmt(ledger.e_j[i, j]) for j in subset],
-                _fmt(ledger.f_values[i]),
-                _fmt(ledger.g_values[i]),
-                _fmt(ledger.l_const),
-                _fmt(ledger.r_values[i]),
-                _fmt(ledger.master.per_time[i]),
-            ]
-
-    _write_csv(cfg.output_dir, "energies.csv", header, map(",".join, rows()), sha)
+    table = np.column_stack(
+        [
+            ledger.times,
+            ledger.e_j[:, [0, *subset]],
+            ledger.f_values,
+            ledger.g_values,
+            np.full(len(ledger.times), ledger.l_const),
+            ledger.r_values,
+            ledger.master.per_time,
+        ]
+    )
+    row = ",".join(["%.17g"] * len(header))
+    return header, [row % tuple(cells) for cells in table.tolist()]
 
 
-def _emit_radius(cfg: RunConfig, times, fits, sha: str) -> None:
+def _radius_csv(cfg: RunConfig, times, fits) -> tuple[list[str], list[str]]:
+    """radius.csv; a snapshot without a fit has r_hat and residual nan and an empty band."""
     header = ["t", "r_hat", "residual", "band_lo", "band_hi", "s"]
-
-    def rows():
-        for t, fit in zip(times, fits):
-            if fit is None:
-                yield [_fmt(t), "nan", "nan", "0", "0", _fmt(cfg.s)]
-            else:
-                yield [
-                    _fmt(t),
-                    _fmt(fit.r_hat),
-                    _fmt(fit.residual),
-                    str(fit.band_lo),
-                    str(fit.band_hi),
-                    _fmt(fit.s),
-                ]
-
-    _write_csv(cfg.output_dir, "radius.csv", header, map(",".join, rows()), sha)
+    rows = [
+        (t, math.nan, math.nan, 0, 0, cfg.s)
+        if fit is None
+        else (t, fit.r_hat, fit.residual, fit.band_lo, fit.band_hi, fit.s)
+        for t, fit in zip(times.tolist(), fits)
+    ]
+    return header, ["%.17g,%.17g,%.17g,%d,%d,%.17g" % row for row in rows]
 
 
 def _certificate_payload(cfg: RunConfig) -> dict:
@@ -250,18 +239,23 @@ def _certificate_payload(cfg: RunConfig) -> dict:
     }
 
 
-def _run_or_abort(
-    cfg: RunConfig, sha: str, calibrate: bool = False
-) -> tuple[Trajectory | None, int]:
-    """Simulate; on abort write what exists plus the abort report.
+class _GuardAbort(Exception):
+    """A guard stopped the run: its exit code, its error, and the files of that path."""
+
+    def __init__(self, code: int, error: Exception, files: dict):
+        super().__init__(str(error))
+        self.code, self.error, self.files = code, error, files
+
+
+def _simulate(cfg: RunConfig, calibrate: bool = False) -> Trajectory:
+    """Integrate the problem; a stability veto or a blow-up of the run raises _GuardAbort.
 
     A blow-up of the linear calibration member alone is not an abort of the
-    run: it propagates as an error (exit 1) and writes nothing.
+    run: it propagates as an error (exit 1).
     """
-    problem = cfg.problem()
     try:
-        traj = simulate(
-            problem,
+        return simulate(
+            cfg.problem(),
             K=cfg.modes,
             dt=cfg.dt,
             G=cfg.grid,
@@ -270,37 +264,21 @@ def _run_or_abort(
             calibrate=calibrate,
         )
     except StabilityError as exc:
-        print(_error_json(exc), file=sys.stderr)
-        _write_json(
-            cfg.output_dir,
-            "report.json",
-            {"completed": False, "abort_reason": "stability", "message": str(exc)},
-            sha,
-        )
-        _write_json(cfg.output_dir, "run_meta.json", cfg.to_meta(), sha)
-        return None, 3
+        report = {"completed": False, "abort_reason": "stability", "message": str(exc)}
+        raise _GuardAbort(3, exc, {"report.json": report}) from exc
     except BlowUpError as exc:
         if exc.member != 0:
             raise
-        print(_error_json(exc), file=sys.stderr)
         partial = exc.trajectory
-        if len(partial):
-            _emit_spectrum(cfg, partial, sha)
-        _write_json(
-            cfg.output_dir,
-            "report.json",
-            {
-                "completed": False,
-                "abort_reason": partial.abort_reason,
-                "abort_time": partial.abort_time,
-                "last_valid_time": exc.last_valid_time,
-                "message": str(exc),
-            },
-            sha,
-        )
-        _write_json(cfg.output_dir, "run_meta.json", cfg.to_meta(), sha)
-        return None, 2
-    return traj, 0
+        files: dict = {"spectrum.csv": _spectrum_file(partial)} if len(partial) else {}
+        files["report.json"] = {
+            "completed": False,
+            "abort_reason": partial.abort_reason,
+            "abort_time": partial.abort_time,
+            "last_valid_time": exc.last_valid_time,
+            "message": str(exc),
+        }
+        raise _GuardAbort(2, exc, files) from exc
 
 
 def _integration_facts(cfg: RunConfig, traj: Trajectory) -> dict:
@@ -313,7 +291,7 @@ def _integration_facts(cfg: RunConfig, traj: Trajectory) -> dict:
     }
 
 
-def _cmd_check(cfg: RunConfig, sha: str) -> int:
+def _cmd_check(cfg: RunConfig) -> tuple[int, dict]:
     problem = cfg.problem()
     grid = np.linspace(0.0, cfg.horizon, cfg.check_grid)
     diam = check_diam(problem, grid)
@@ -335,16 +313,11 @@ def _cmd_check(cfg: RunConfig, sha: str) -> int:
         "diam": diam.to_dict(),
         "discriminant": disc_payload,
     }
-    _write_json(cfg.output_dir, "report.json", payload, sha)
-    _write_json(cfg.output_dir, "run_meta.json", cfg.to_meta(), sha)
-    return 0 if diam.satisfied else 1
+    return (0 if diam.satisfied else 1), {"report.json": payload}
 
 
-def _cmd_simulate(cfg: RunConfig, sha: str) -> int:
-    traj, code = _run_or_abort(cfg, sha)
-    if traj is None:
-        return code
-    _emit_spectrum(cfg, traj, sha)
+def _cmd_simulate(cfg: RunConfig) -> tuple[int, dict]:
+    traj = _simulate(cfg)
     payload = {
         "command": "simulate",
         "completed": True,
@@ -354,19 +327,15 @@ def _cmd_simulate(cfg: RunConfig, sha: str) -> int:
         "final_sup_v": float(traj.v_norms()[-1].max()),
         "integration": _integration_facts(cfg, traj),
     }
-    _write_json(cfg.output_dir, "report.json", payload, sha)
-    _write_json(cfg.output_dir, "run_meta.json", cfg.to_meta(), sha)
-    return 0
+    return 0, {"spectrum.csv": _spectrum_file(traj), "report.json": payload}
 
 
-def _cmd_analyze(cfg: RunConfig, sha: str) -> int:
+def _cmd_analyze(cfg: RunConfig) -> tuple[int, dict]:
     problem = cfg.problem()
     # the loss exponent is calibrated on the linear version of the problem,
     # integrated alongside it in the same loop
     calibrate = cfg.n_override is None and cfg.nonlinearity >= 1
-    traj, code = _run_or_abort(cfg, sha, calibrate=calibrate)
-    if traj is None:
-        return code
+    traj = _simulate(cfg, calibrate=calibrate)
     c_target = cfg.c_override if cfg.c_override is not None else 10.0
     c0 = cfg.c0_override if cfg.c0_override is not None else default_c0(problem)
     n_exponent = cfg.n_override
@@ -388,21 +357,9 @@ def _cmd_analyze(cfg: RunConfig, sha: str) -> int:
         r0=cfg.r0,
         eta=cfg.eta,
     )
-    _emit_spectrum(cfg, traj, sha)
+    files = {"spectrum.csv": _spectrum_file(traj)}
     if cfg.energies:
-        _emit_energies(cfg, ledger, sha)
-    fits: list = []
-    if cfg.radius:
-        u_series = traj.u_hat_series()
-
-        def fit_row(i: int):
-            try:
-                return fit_decay(u_series[i], s=cfg.s)
-            except InsufficientBandError:
-                return None
-
-        fits = ordered_map(fit_row, range(len(traj)), cfg.threads)
-        _emit_radius(cfg, traj.times, fits, sha)
+        files["energies.csv"] = _energies_csv(ledger)
     payload = {
         "command": "analyze",
         "completed": True,
@@ -414,24 +371,31 @@ def _cmd_analyze(cfg: RunConfig, sha: str) -> int:
         },
     }
     if cfg.radius:
+        u_series = traj.u_hat_series()
+
+        def fit_row(i: int):
+            try:
+                return fit_decay(u_series[i], s=cfg.s)
+            except InsufficientBandError:
+                return None
+
+        fits = ordered_map(fit_row, range(len(traj)), cfg.threads)
+        files["radius.csv"] = _radius_csv(cfg, traj.times, fits)
         good = [f.r_hat for f in fits if f is not None]
         payload["radius_summary"] = {
             "fitted_snapshots": len(good),
             "min_r_hat": min(good) if good else None,
             "final_r_hat": good[-1] if good else None,
         }
-    _write_json(cfg.output_dir, "report.json", payload, sha)
-    _write_json(cfg.output_dir, "run_meta.json", cfg.to_meta(), sha)
+    files["report.json"] = payload
     if cfg.symmetrizer_certificate:
-        _write_json(cfg.output_dir, "certificate.json", _certificate_payload(cfg), sha)
-    return 0 if ledger.continuation.passed else 1
+        files["certificate.json"] = _certificate_payload(cfg)
+    return (0 if ledger.continuation.passed else 1), files
 
 
-def _cmd_symmetrizer(cfg: RunConfig, sha: str) -> int:
+def _cmd_symmetrizer(cfg: RunConfig) -> tuple[int, dict]:
     payload = _certificate_payload(cfg)
-    _write_json(cfg.output_dir, "certificate.json", payload, sha)
-    _write_json(cfg.output_dir, "run_meta.json", cfg.to_meta(), sha)
-    return 0 if payload["aggregate"]["pass"] else 1
+    return (0 if payload["aggregate"]["pass"] else 1), {"certificate.json": payload}
 
 
 _COMMANDS = {
@@ -443,14 +407,28 @@ _COMMANDS = {
 
 
 def dispatch(command: str, cfg: RunConfig) -> int:
-    """Run one subcommand against a validated config; returns the exit code."""
+    """Run one subcommand against a validated config, write its files; returns the exit code.
+
+    Files are written only when the command returns an exit code or a guard
+    aborts the run; an error (exit 1) writes none.  Floating-point warnings
+    are silenced: non-finite values reach the verdicts, and stderr carries
+    at most the one JSON error.
+    """
     os.makedirs(cfg.output_dir, exist_ok=True)
-    sha = cfg.sha256()
-    try:
-        return _COMMANDS[command](cfg, sha)
-    except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
-        print(_error_json(exc), file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            try:
+                code, files = _COMMANDS[command](cfg)
+            except _GuardAbort as abort:
+                print(_error_json(abort.error), file=sys.stderr)
+                code, files = abort.code, abort.files
+            files["run_meta.json"] = cfg.to_meta()
+            _write_files(cfg.output_dir, files, cfg.sha256())
+            return code
+        except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
+            print(_error_json(exc), file=sys.stderr)
+            return 1
 
 
 def build_parser() -> argparse.ArgumentParser:

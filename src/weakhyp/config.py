@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, NamedTuple
 
@@ -298,11 +299,27 @@ class RunConfig:
         return meta
 
 
+class _Loader(yaml.SafeLoader):
+    """The safe loader, reading plain exponent floats such as 1e-3 as numbers.
+
+    PyYAML follows YAML 1.1, whose floats need a dot and a signed exponent
+    (1.0e+3), so 1e-3 and 1.0e300 would load as strings; YAML 1.2 reads
+    them as floats.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"),
+)
+
+
 def load_config(path: str) -> RunConfig:
     """Read and validate a YAML config file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = yaml.safe_load(handle)
+            raw = yaml.load(handle, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError(f"not parseable as YAML: {exc}") from exc
     if raw is None:

@@ -377,16 +377,18 @@ def continuation_check(
     l_const: float,
     cm_power: float,
 ) -> ContinuationReport:
-    """Locate the first time G(t) >= L (pass iff none) and audit the sharp bound.
+    """Locate the first time G(t) is not below L (pass iff none) and audit the sharp bound.
 
-    The sharp interior bound is G(t) <= G(0) + cm_power * t pointwise, allowed
-    a 1e-9 relative tolerance; cm_power is (C M)^nu from the ledger.  A start
-    already at or above L is reported as degenerate.
+    A NaN in G or L is not below, so it counts as a crossing: the argument
+    needs G(t) < L to be shown.  The sharp interior bound is
+    G(t) <= G(0) + cm_power * t pointwise, allowed a 1e-9 relative
+    tolerance; cm_power is (C M)^nu from the ledger.  A start already at or
+    above L is reported as degenerate.
     """
     times = np.asarray(times, dtype=float)
     g_values = np.asarray(g_values, dtype=float)
     g0 = float(g_values[0])
-    crossing = g_values >= l_const
+    crossing = ~(g_values < l_const)
     first = float(times[int(np.argmax(crossing))]) if crossing.any() else None
     degenerate = bool(crossing[0])
     sharp_bound = g0 + cm_power * times
@@ -440,8 +442,10 @@ def master_estimate_check(
     exactly zero in the data and the early forcing cannot inflate the sup.
     Also scans integer exponents N' in [m-1, 2m+4] and reports the smallest
     one whose sup ratio is at most ``c_target`` (None when the scan fails).
-    Every term is even in k, so the sup runs over k = 0..K.  ``_tables`` is
-    as in ``derivative_energies``.
+    Every term is even in k, so the sup runs over k = 0..K.  A ratio that
+    cannot be formed, where a weight e^rho past the float range meets a
+    zero norm (inf * 0), counts as inf: the estimate is not shown there.
+    ``_tables`` is as in ``derivative_energies``.
     """
     times = trajectory.times
     m = trajectory.order
@@ -457,7 +461,8 @@ def master_estimate_check(
         den = br**n * v0[None, :] + base
         floor = max(np.finfo(float).eps * float(den.max()), np.finfo(float).tiny)
         den = np.maximum(den, floor)
-        per_time = (weighted_v / den).max(axis=1)
+        ratios = weighted_v / den
+        per_time = np.where(np.isnan(ratios), np.inf, ratios).max(axis=1)
         return float(per_time.max()), per_time
 
     ratios_by_n: dict[int, float] = {}

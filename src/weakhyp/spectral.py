@@ -315,12 +315,20 @@ class _HalfSpectrumRK4:
 
         The bits are those of ``np.linalg.norm`` of the real |V_k,c|: the
         squares are summed with ``_sum_last``.  sqrt is monotone and
-        correctly rounded, so it is taken once, after the max.
+        correctly rounded, so it is taken once, after the max.  Past about
+        1e154 a square overflows: only then, for a member that read inf,
+        are the norms taken by hypot, which does not overflow, so a finite
+        state never reads as inf.
         """
         a = np.abs(y)
         a *= self.kmag_pow
         a *= a
-        return np.sqrt(_sum_last(a).max(axis=-1)).tolist()
+        out = np.sqrt(_sum_last(a).max(axis=-1)).tolist()
+        for member, value in enumerate(out):
+            if value == math.inf:
+                mags = np.abs(y[member]) * self.kmag_pow
+                out[member] = float(np.hypot.reduce(mags, axis=-1).max())
+        return out
 
 
 def _sum_last(a: np.ndarray) -> np.ndarray:

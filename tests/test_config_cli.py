@@ -3,7 +3,9 @@
 The CLI contract under test: exit 0 on success, 1 on invalid input or a
 failed verdict, 2 on blow-up, 3 on a stability veto; structured one-line
 JSON on stderr for errors; every output file stamped with the semantic
-config hash, which ignores threads and output_dir.
+config hash, which ignores threads and output_dir.  Files are written only
+when a command returns an exit code or a guard aborts the run (exit 2 or 3);
+each path below pins the exact set of files it writes.
 """
 
 import importlib.util
@@ -13,7 +15,6 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -346,6 +347,10 @@ def write_config(tmp_path: Path, text: str = WAVE_YAML, name: str = "run.yaml") 
     return str(path)
 
 
+def written(out: Path) -> list[str]:
+    return sorted(p.name for p in out.iterdir())
+
+
 def read_csv(path: Path):
     lines = path.read_text().splitlines()
     return lines[0], lines[1].split(","), [line.split(",") for line in lines[2:]]
@@ -360,7 +365,7 @@ def test_cli_check_wave(tmp_path):
     assert report["diam"]["satisfied"] is True
     assert report["discriminant"]["holds"] is True
     assert report["discriminant"]["delta_min"] == pytest.approx(4.0)
-    assert (out / "run_meta.json").exists()
+    assert written(out) == ["report.json", "run_meta.json"]
 
 
 def test_cli_check_double_root_fails(tmp_path):
@@ -372,6 +377,7 @@ def test_cli_check_double_root_fails(tmp_path):
     assert report["satisfied"] is False
     assert report["diam"]["M_sup"] == "inf"  # sanitized for JSON
     assert report["discriminant"]["holds"] is False
+    assert written(out) == ["report.json", "run_meta.json"]
 
 
 def test_cli_check_elliptic_reports_error(tmp_path, capsys):
@@ -398,6 +404,7 @@ def test_cli_simulate_spectrum_values(tmp_path):
     assert report["completed"] is True
     assert report["final_sup_v"] == pytest.approx(0.5, rel=1e-3)
     assert "final_reality_defect" not in report  # zero by construction, so not reported
+    assert written(out) == ["report.json", "run_meta.json", "spectrum.csv"]
 
 
 def full_layout_v(traj) -> np.ndarray:
@@ -445,7 +452,7 @@ def test_spectrum_emitter_matches_cellwise_formatting(tmp_path):
         order=m, K=K, dt=0.1, nu=0, times=np.array([0.0, 1 / 3, 0.7, 1.0]),
         chains=chains, forcings=np.zeros((S, K + 1), dtype=complex), completed=True,
     )
-    cli._emit_spectrum(SimpleNamespace(output_dir=str(tmp_path)), traj, "abc")
+    cli._write_files(str(tmp_path), {"spectrum.csv": cli._spectrum_file(traj)}, "abc")
     want = reference_spectrum_bytes(traj.times, full_layout_v(traj), "abc")
     assert (tmp_path / "spectrum.csv").read_bytes() == want
 
@@ -465,7 +472,7 @@ def test_spectrum_emitter_on_mirrored_runs(tmp_path, m, coeffs, initial):
         # the all-zero u_t column at t = 0: both imaginary zeros are +0, not mirrored signs
         zeros = v[0, :, 1].imag
         assert not zeros.any() and not np.signbit(zeros).any()
-    cli._emit_spectrum(SimpleNamespace(output_dir=str(tmp_path)), traj, "abc")
+    cli._write_files(str(tmp_path), {"spectrum.csv": cli._spectrum_file(traj)}, "abc")
     assert (tmp_path / "spectrum.csv").read_bytes() == reference_spectrum_bytes(traj.times, v, "abc")
 
 
@@ -498,7 +505,7 @@ def test_spectrum_mirror_sign_toggle_over_raw_bits(data):
     v = np.concatenate([lower, upper], axis=1).view(complex).reshape(S, 2 * K + 1, m)
     times = np.linspace(0.0, 1.0, S)
     with tempfile.TemporaryDirectory() as out:
-        cli._write_spectrum(out, times, v, "abc")
+        cli._write_files(out, {"spectrum.csv": cli._spectrum_csv(times, v)}, "abc")
         assert (Path(out) / "spectrum.csv").read_bytes() == reference_spectrum_bytes(times, v, "abc")
 
 
@@ -573,11 +580,10 @@ def test_cli_analyze_outputs(tmp_path):
     cfg = write_config(tmp_path)
     out = tmp_path / "out"
     assert main(["analyze", "--config", cfg, "--output", str(out)]) == 0
-    for name in (
-        "spectrum.csv", "energies.csv", "radius.csv",
-        "report.json", "run_meta.json", "certificate.json",
-    ):
-        assert (out / name).exists(), name
+    assert written(out) == [
+        "certificate.json", "energies.csv", "radius.csv",
+        "report.json", "run_meta.json", "spectrum.csv",
+    ]
 
     _, header, rows = read_csv(out / "energies.csv")
     assert header == ["t", "E", "E_1", "E_2", "E_4", "E_8", "F", "G", "L", "r", "master_ratio"]
@@ -622,7 +628,7 @@ def test_cli_symmetrizer(tmp_path):
     assert main(["symmetrizer", "--config", cfg, "--output", str(out)]) == 0
     cert = json.loads((out / "certificate.json").read_text())
     assert cert["aggregate"]["pass"] is True
-    assert (out / "run_meta.json").exists()
+    assert written(out) == ["certificate.json", "run_meta.json"]
 
 
 def test_cli_symmetrizer_thread_count_is_invisible_in_outputs(tmp_path):
@@ -660,7 +666,7 @@ blowup_ceiling: 1000.0
     assert report["completed"] is False
     assert report["abort_reason"] == "blow-up"
     assert 0.0 < report["last_valid_time"] <= report["abort_time"] < 1.0
-    assert (out / "spectrum.csv").exists()  # partial trajectory still written
+    assert written(out) == ["report.json", "run_meta.json", "spectrum.csv"]  # the partial run
 
 
 # u_tt = u^2 starting below the ceiling (see zero_mode_spec in test_spectral):
@@ -715,7 +721,7 @@ def test_cli_initial_state_above_the_ceiling_exit_two(tmp_path, capsys, command)
     assert err["message"] == "blow-up: sup|V| = 1 exceeds ceiling 0.99 at t = 0"
     report = json.loads((out / "report.json").read_text())
     assert report["abort_time"] == 0.0 and report["last_valid_time"] is None
-    assert sorted(p.name for p in out.iterdir()) == ["report.json", "run_meta.json"]
+    assert written(out) == ["report.json", "run_meta.json"]
 
 
 def test_cli_check_refuses_a_domain_fault_inside_a_coefficient(tmp_path, capsys):
@@ -724,6 +730,95 @@ def test_cli_check_refuses_a_domain_fault_inside_a_coefficient(tmp_path, capsys)
     assert main(["check", "--config", write_config(tmp_path, text)]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err == {"error": "DomainError", "message": "non-finite value at t = 0.0"}
+
+
+def test_cli_analyze_error_after_the_run_writes_nothing(tmp_path, capsys):
+    # the run and its ledger complete; the certificate's root check then fails
+    text = WAVE_YAML.replace('coefficients: ["0", "-1"]', 'coefficients: ["0", "1"]')
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", write_config(tmp_path, text), "--output", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "NonHyperbolicError"
+    assert written(out) == []
+
+
+# C0 = 1e4 takes rho(0, k) past 709, where e^rho overflows and meets modes that are exactly zero
+OVERFLOWING_WEIGHT_YAML = """\
+m: 2
+T: 0.2
+coefficients: ["0", "-10000"]
+nu: 2
+initial: ["0.001*cos(x)", "0"]
+K: 8
+dt: 0.0002
+snapshot_interval: 0.02
+"""
+
+
+def test_cli_analyze_overflowing_weight_fails_continuation(tmp_path):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, OVERFLOWING_WEIGHT_YAML)
+    assert main(["analyze", "--config", cfg, "--output", str(out)]) == 1
+    ledger = json.loads((out / "report.json").read_text())["ledger"]
+    assert ledger["master"]["ratio"] == "inf" and ledger["C"] == "inf"
+    assert ledger["continuation"]["passed"] is False
+    assert ledger["continuation"]["first_crossing"] == 0.0
+    assert written(out) == [
+        "energies.csv", "radius.csv", "report.json", "run_meta.json", "spectrum.csv",
+    ]
+
+
+def test_cli_reads_plain_exponent_floats(tmp_path):
+    # YAML 1.1 reads 1e-2 and 1e9 as strings; they are the numbers 0.01 and the default ceiling
+    plain, exponent = tmp_path / "plain", tmp_path / "exponent"
+    assert main(["simulate", "--config", write_config(tmp_path), "--output", str(plain)]) == 0
+    text = WAVE_YAML.replace("dt: 0.01", "dt: 1e-2") + "blowup_ceiling: 1e9\n"
+    cfg = write_config(tmp_path, text, "exponent.yaml")
+    assert main(["simulate", "--config", cfg, "--output", str(exponent)]) == 0
+    assert written(exponent) == written(plain)
+    for name in written(plain):
+        assert (exponent / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def test_cli_finite_state_past_the_square_overflow(tmp_path):
+    # |V_1| = 5e199 for all t: its square overflows, the state is finite and below the ceiling
+    text = WAVE_YAML.replace('["cos(x)", "0"]', '["1e200*cos(x)", "0"]')
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, text + "blowup_ceiling: 1.0e+300\n")
+    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
+    facts = json.loads((out / "report.json").read_text())["integration"]
+    assert facts["steps"] == 100
+    assert facts["peak_sup_v_ratio"] == pytest.approx(5e-101, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "command, text, code, err",
+    [
+        # the FFT of the data overflows; numpy warns about it at each step of the transform
+        (
+            "simulate",
+            WAVE_YAML.replace('["cos(x)", "0"]', '["1e308*cos(x)", "0"]'),
+            2,
+            {"error": "BlowUpError", "message": "non-finite state at t = 0"},
+        ),
+        ("analyze", OVERFLOWING_WEIGHT_YAML, 1, None),
+    ],
+    ids=["fft-overflow", "overflowing-weight"],
+)
+def test_cli_stderr_is_empty_or_one_json_object(tmp_path, command, text, code, err):
+    # in a process of its own, where no test harness collects numpy's warnings
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from weakhyp.cli import main; "
+        "sys.exit(main(sys.argv[2:]))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [command, "--config", write_config(tmp_path, text), "--output", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-c", probe, src, *argv], capture_output=True, text=True)
+    assert proc.returncode == code
+    if err is None:
+        assert proc.stderr == ""
+    else:
+        assert proc.stderr.count("\n") == 1 and json.loads(proc.stderr) == err
 
 
 def test_cli_analyze_integration_facts(tmp_path):
@@ -778,20 +873,22 @@ snapshot_interval: 0.5
     assert err["error"] == "StabilityError"
     report = json.loads((out / "report.json").read_text())
     assert report["abort_reason"] == "stability"
-    assert not (out / "spectrum.csv").exists()
+    assert written(out) == ["report.json", "run_meta.json"]
 
 
 def test_cli_config_errors_are_structured(tmp_path, capsys):
-    assert main(["check", "--config", str(tmp_path / "missing.yaml")]) == 1
+    out = tmp_path / "out"
+    assert main(["check", "--config", str(tmp_path / "missing.yaml"), "--output", str(out)]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "FileNotFoundError"
 
     bad = tmp_path / "bad.yaml"
     bad.write_text(WAVE_YAML + "mystery: 1\n")
-    assert main(["check", "--config", str(bad)]) == 1
+    assert main(["check", "--config", str(bad), "--output", str(out)]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"
     assert err["field"] == "mystery"
+    assert not out.exists()
 
 
 def test_cli_import_loads_no_test_tooling():
@@ -811,16 +908,58 @@ def test_cli_import_loads_no_test_tooling():
     assert loaded.isdisjoint({"scipy", "hypothesis", "mpmath"})
 
 
-def test_traced_names_resolve():
-    # the benchmark tracer rebinds these names from outside; a renamed or
-    # deleted one must fail here rather than break the traced benchmark run
+def perfbench_tracing():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_traced_names_resolve():
+    # the benchmark tracer rebinds these names from outside; a renamed or
+    # deleted one must fail here rather than break the traced benchmark run
+    tracing = perfbench_tracing()
     for module_name, attr_path, _ in [*tracing.TARGETS, tracing.MAP_TARGET]:
         owner = importlib.import_module(module_name)
         for part in attr_path.split("."):
             assert hasattr(owner, part), f"{module_name}.{attr_path}"
             owner = getattr(owner, part)
         assert callable(owner), f"{module_name}.{attr_path}"
+
+
+def test_tracer_spans_a_cli_run(tmp_path):
+    # the traced benchmark run needs more than resolving names: the CLI must
+    # look each one up when it calls it, so that its span nests under
+    # cli.dispatch, and uninstalling must restore every binding
+    tracing = perfbench_tracing()
+    targets = [(module, path) for module, path, _ in [*tracing.TARGETS, tracing.MAP_TARGET]]
+
+    def bound(module: str, path: str):
+        owner = importlib.import_module(module)
+        for part in path.split("."):
+            owner = getattr(owner, part)
+        return owner
+
+    before = [bound(*target) for target in targets]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        argv = ["analyze", "--config", write_config(tmp_path), "--output", str(tmp_path / "out")]
+        assert main([*argv, "--threads", "2"]) == 0
+    finally:
+        tracer.uninstall()
+    assert all(bound(*target) is fn for target, fn in zip(targets, before))
+    names = {span[0]: span[1] for span in tracer.spans}
+    parents = {}
+    for _, name, _, _, parent, _ in tracer.spans:
+        parents.setdefault(name, set()).add(names.get(parent))
+    assert parents["config.load_config"] == {None}
+    assert parents["cli.dispatch"] == {None}
+    for name in (
+        "spectral.simulate", "energy.build_energy_ledger", "energy.default_c0",
+        "parallel.ordered_map", "quasisym.verify_quasi_symmetrizer",
+    ):
+        assert parents[name] == {"cli.dispatch"}, name
+    assert parents["parallel.item"] == {"parallel.ordered_map"}
+    assert parents["radius.fit_decay"] == {"parallel.item"}

@@ -589,6 +589,17 @@ def test_continuation_check_pass():
     }
 
 
+def test_continuation_check_fails_on_nan():
+    # G(t) < L is what the argument needs; a NaN on either side does not show it
+    times = np.array([0.0, 1.0, 2.0])
+    rep = continuation_check(times, np.array([1.0, 1.5, 2.0]), l_const=math.nan, cm_power=0.5)
+    assert not rep.passed
+    assert rep.first_crossing == 0.0 and rep.degenerate_at_start
+    rep = continuation_check(times, np.array([1.0, math.nan, 2.0]), l_const=4.0, cm_power=0.5)
+    assert not rep.passed
+    assert rep.first_crossing == 1.0 and not rep.degenerate_at_start
+
+
 def constant_trajectory():
     """|V_k| = 1 for every mode at three times, no forcing."""
     K = 2
@@ -637,6 +648,17 @@ def test_master_ratio_finite_with_exactly_zero_mode():
     problem = CoefficientSpec.from_strings(2, 1.0, ["0", "-1"], 2, ["cos(x)", "0"])
     ledger = build_energy_ledger(traj, problem, j_max=12)
     assert np.isfinite(ledger.l_const)
+
+
+def test_master_ratio_is_inf_where_an_overflowing_weight_meets_a_zero_norm():
+    # rho(0, k) reaches 2.7e4 at C0 = 1e4: e^rho is inf, and inf * 0 must not read as nan
+    traj = constant_trajectory()
+    traj.chains[:, 1] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = master_estimate_check(traj, WeightParams(c0=1e4, horizon=1.0, loss_exponent=1))
+    assert rep.ratio == math.inf
+    assert all(r == math.inf for r in rep.ratios_by_n.values())
+    assert rep.fitted_n is None
 
 
 def wave_problem():

@@ -4,6 +4,7 @@ States and trajectories hold the modes k = 0..K of a real solution; the
 oracles work on the full layout -K..K, which ``mirror`` rebuilds.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -495,7 +496,8 @@ def test_initial_state_is_monitored(calibrate, initial, reason, message):
 @pytest.mark.parametrize("m", [2, 3, 5, 7, 8, 9, 17])
 def test_sup_v_keeps_the_bits_of_the_norm(m):
     # the blow-up monitor prints sup|V|, so it must keep the bits of
-    # max_k ||(|k|^(m-1-c) |V_k,c|)_c||, non-finite members included
+    # max_k ||(|k|^(m-1-c) |V_k,c|)_c||, non-finite members included; a
+    # finite member whose squares overflow reads its finite norm instead
     K = 512
     kernel = _HalfSpectrumRK4(K, m, 2)
     rng = np.random.default_rng(m)
@@ -506,10 +508,19 @@ def test_sup_v_keeps_the_bits_of_the_norm(m):
     y[3, 7, 1] = complex(np.inf, np.nan)
     y[4] = 0.0
     y[5, K, 0] = 1e200  # overflows when squared
+    mags = np.abs(y) * kernel.kmag_pow
     with np.errstate(over="ignore"):
-        want = np.linalg.norm(np.abs(y) * kernel.kmag_pow, axis=-1).max(axis=-1).tolist()
+        want = np.linalg.norm(mags, axis=-1).max(axis=-1).tolist()
         got = kernel.sup_v(y)
-    assert repr(got) == repr(want)  # repr round-trips every finite float
+    assert want[5] == math.inf
+    assert got[5] == pytest.approx(scaled_norm(mags[5]), rel=m * 2.0**-52)
+    assert repr(got[:5]) == repr(want[:5])  # repr round-trips every finite float
+
+
+def scaled_norm(mags: np.ndarray) -> float:
+    """max over rows of the Euclidean norm of each row, scaled by its largest entry first."""
+    peak = mags.max(axis=-1, keepdims=True)
+    return float((peak[..., 0] * np.linalg.norm(mags / peak, axis=-1)).max())
 
 
 @pytest.mark.parametrize("m", [2, 3, 7, 8, 9, 17])
