@@ -116,8 +116,11 @@ def _json_text(obj: Any, indent: str = "") -> str:
 def _write_files(out_dir: str, files: dict, sha: str) -> None:
     """Write each file, stamped with the config hash: the one place that opens outputs.
 
-    A dict is a JSON payload; anything else is a CSV ``(header, lines)`` pair.
+    The output directory is created here, so a run that writes nothing
+    leaves nothing behind.  A dict is a JSON payload; anything else is a CSV
+    ``(header, lines)`` pair.
     """
+    os.makedirs(out_dir, exist_ok=True)
     for name, content in files.items():
         with open(os.path.join(out_dir, name), "w", encoding="utf-8") as handle:
             if isinstance(content, dict):
@@ -126,7 +129,8 @@ def _write_files(out_dir: str, files: dict, sha: str) -> None:
             header, lines = content
             handle.write(f"# config_sha256={sha}\n" + ",".join(header) + "\n")
             for line in lines:
-                handle.write(line + "\n")
+                handle.write(line)
+                handle.write("\n")
 
 
 def _error_json(exc: Exception) -> str:
@@ -138,48 +142,57 @@ def _error_json(exc: Exception) -> str:
 
 
 def _spectrum_file(traj: Trajectory) -> tuple[list[str], Any]:
-    """spectrum.csv, modes -K..K, from the trajectory's modes 0..K.
+    """spectrum.csv, modes -K..K, one snapshot at a time from the trajectory's modes 0..K.
 
     The one place that builds the rows -K..-1: column c of V_{-k} is
     (-ik)^(m-1-c) conj(chain_k), the formula of V at mode -k of a real run.
     """
-    K = traj.K
-    lower = _ik_powers(np.arange(-K, 0), traj.order - 1)[:, ::-1] * traj.chains[:, :0:-1].conj()
-    return _spectrum_csv(traj.times, np.concatenate([lower, traj.v_series()], axis=1))
+    K, m = traj.K, traj.order
+    upper_pow = _ik_powers(traj.modes, m - 1)[:, ::-1]
+    lower_pow = _ik_powers(np.arange(-K, 0), m - 1)[:, ::-1]
+    header, snapshot = _spectrum_format(K, m)
+
+    def blocks():
+        for t, chain in zip(traj.times.tolist(), traj.chains):
+            yield from snapshot(t, upper_pow * chain, lower_pow * chain[:0:-1].conj())
+
+    return header, blocks()
 
 
-def _spectrum_csv(times: np.ndarray, v: np.ndarray) -> tuple[list[str], Any]:
-    """spectrum.csv of companion vectors ``v`` (S, 2K+1, m), each distinct cell formatted once.
+def _spectrum_format(K: int, m: int) -> tuple[list[str], Any]:
+    """The header of spectrum.csv and its per-snapshot formatter ``(t, rows 0..K, rows -K..-1)``.
 
-    The half spectrum k = 0..K of a snapshot is formatted by one %-template
-    in which a ';' marks the mode number and every imaginary cell.  Row -k of
-    a real run is nearly the conjugate mirror of row k, so rows -K..-1 are
-    the same text with the marked signs toggled.  Rows holding a cell whose
-    bits differ from that mirror (zeros of the other sign, last bits of the
-    powers of -ik) or a NaN (whose sign %.17g drops) are formatted directly,
-    so the bytes equal cell-by-cell formatting for every input.  The lines
-    are one block per snapshot, formatted as they are written.
+    The formatter yields the text of rows -K..-1, then of rows 0..K, each
+    distinct cell formatted once.  The rows 0..K are formatted by one
+    %-template in which a ';' marks the mode number and every imaginary cell.
+    Row -k of a real run is nearly the conjugate mirror of row k, so rows
+    -K..-1 are the same text with the marked signs toggled.  Rows holding a
+    cell whose bits differ from that mirror (zeros of the other sign, last
+    bits of the powers of -ik) or a NaN (whose sign %.17g drops) are
+    formatted directly, so the bytes equal cell-by-cell formatting for every
+    input.
     """
-    K, m = (v.shape[1] - 1) // 2, v.shape[2]
     header = ["t", "k"]
     for comp in range(m):
         header += [f"re_V{comp}", f"im_V{comp}"]
-    cells = np.ascontiguousarray(v).view(float)  # (S, 2K+1, 2m)
-    mirror = cells[:, K + 1 :].view(np.uint64) ^ np.tile(np.uint64([0, 1 << 63]), m)
-    fresh = (cells[:, K - 1 :: -1].view(np.uint64) != mirror) | np.isnan(cells[:, K - 1 :: -1])
+    toggle = np.tile(np.uint64([0, 1 << 63]), m)
     row = ",".join(["%.17g;%.17g"] * m)
     # '@' stands for the snapshot time, which no formatted number contains
     half = "\n".join([f"@;{k}," + row for k in range(K + 1)])
 
-    def blocks():
-        for t, snap, snap_fresh in zip(times.tolist(), cells, fresh):
-            upper = half % tuple(snap[K:].ravel().tolist())
-            lower = upper.replace(";", ";-").replace(";--", ";").split("\n")[:0:-1]  # rows -K..-1
-            for i in np.flatnonzero(snap_fresh.any(axis=1)).tolist():  # row -(i+1)
-                lower[K - 1 - i] = (f"@;{-1 - i}," + row) % tuple(snap[K - 1 - i].tolist())
-            yield ("\n".join(lower) + "\n" + upper).replace(";", ",").replace("@", "%.17g" % t)
+    def snapshot(t: float, upper: np.ndarray, lower: np.ndarray):
+        up, low = upper.view(float), lower.view(float)  # (K+1, 2m), (K, 2m)
+        stamp = "%.17g" % t
+        text = half % tuple(up.ravel().tolist())
+        rows = text.replace(";", ";-").replace(";--", ";").split("\n")[:0:-1]  # rows -K..-1
+        mirrored = low[::-1]  # rows -1..-K, against rows 1..K
+        fresh = (mirrored.view(np.uint64) != up[1:].view(np.uint64) ^ toggle) | np.isnan(mirrored)
+        for i in np.flatnonzero(fresh.any(axis=1)).tolist():  # row -(i+1)
+            rows[K - 1 - i] = (f"@;{-1 - i}," + row) % tuple(low[K - 1 - i].tolist())
+        yield "\n".join(rows).replace(";", ",").replace("@", stamp)
+        yield text.replace(";", ",").replace("@", stamp)
 
-    return header, blocks()
+    return header, snapshot
 
 
 def _energies_csv(ledger) -> tuple[list[str], list[str]]:
@@ -410,21 +423,23 @@ def dispatch(command: str, cfg: RunConfig) -> int:
     """Run one subcommand against a validated config, write its files; returns the exit code.
 
     Files are written only when the command returns an exit code or a guard
-    aborts the run; an error (exit 1) writes none.  Floating-point warnings
-    are silenced: non-finite values reach the verdicts, and stderr carries
-    at most the one JSON error.
+    aborts the run; an error (exit 1) writes none, and creates no output
+    directory.  Floating-point warnings are silenced: non-finite values
+    reach the verdicts, and stderr carries at most the one JSON error, so a
+    guard's error is printed once its files are written.
     """
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    abort = None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
             try:
                 code, files = _COMMANDS[command](cfg)
-            except _GuardAbort as abort:
-                print(_error_json(abort.error), file=sys.stderr)
-                code, files = abort.code, abort.files
+            except _GuardAbort as exc:
+                abort, code, files = exc, exc.code, exc.files
             files["run_meta.json"] = cfg.to_meta()
             _write_files(cfg.output_dir, files, cfg.sha256())
+            if abort is not None:
+                print(_error_json(abort.error), file=sys.stderr)
             return code
         except (ValueError, RuntimeError, ArithmeticError, OSError) as exc:
             print(_error_json(exc), file=sys.stderr)

@@ -17,11 +17,21 @@ echoed metadata.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping, NamedTuple
+
+# hashlib loads OpenSSL (megabytes of resident memory) for this one digest; the
+# interpreter's own SHA-256 module is the same function (CPython's random.py
+# takes _sha512 the same way)
+try:
+    from _sha2 import sha256 as _sha256  # CPython >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 import yaml
 
@@ -291,7 +301,7 @@ class RunConfig:
 
     def sha256(self) -> str:
         canonical = json.dumps(self.semantic_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode()).hexdigest()
+        return _sha256(canonical.encode()).hexdigest()
 
     def to_meta(self) -> dict:
         meta = self.semantic_dict()

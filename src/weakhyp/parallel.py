@@ -7,7 +7,6 @@ independent of the thread count.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 A = TypeVar("A")
@@ -20,5 +19,7 @@ def ordered_map(fn: Callable[[A], B], items: Iterable[A], threads: int = 1) -> l
     seq: Sequence[A] = list(items)
     if threads <= 1 or len(seq) <= 1:
         return [fn(item) for item in seq]
+    from concurrent.futures import ThreadPoolExecutor  # only where a pool runs
+
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, seq))

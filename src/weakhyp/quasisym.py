@@ -300,7 +300,8 @@ def _sampled_audit(
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(rows // n_eps):
             blk = slice(i * n_eps, (i + 1) * n_eps)
-            quad, diag_quad = np.split(qd_coef[i] @ re, 2)
+            qd = qd_coef[i] @ re
+            quad, diag_quad = qd[:n_eps], qd[n_eps:]
             c = b_coef[i] @ im
             c /= quad
             np.abs(c, out=c)

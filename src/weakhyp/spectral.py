@@ -420,12 +420,18 @@ class Trajectory:
         sums (conj(V) V).real over the last axis.  That product is formed in
         one buffer, in place, by the same complex multiply: numpy may fuse
         its real part (re * re + im^2 with one rounding, as on x86-64 with
-        FMA), so re^2 + im^2 would not keep the bits.
+        FMA), so re^2 + im^2 would not keep the bits.  Past about 1e154 a
+        square overflows: only the norms that read inf are taken again by
+        hypot, as in ``sup_v``, so a finite state never reads as inf.
         """
         v = self.v_series()
         sq = np.conjugate(v)
         np.multiply(sq, v, out=sq)
-        return np.sqrt(_sum_last(sq.real))
+        norms = np.sqrt(_sum_last(sq.real))
+        over = np.isinf(norms)
+        if over.any():
+            norms[over] = np.hypot.reduce(np.abs(v[over]), axis=-1)
+        return norms
 
     def u_hat_series(self) -> np.ndarray:
         return self.chains[:, :, 0]

@@ -8,6 +8,7 @@ when a command returns an exit code or a guard aborts the run (exit 2 or 3);
 each path below pins the exact set of files it writes.
 """
 
+import hashlib
 import importlib.util
 import json
 import math
@@ -203,6 +204,14 @@ def test_shipped_config_hashes_are_pinned(name, digest):
     # every output file carries this hash; a schema change that moves it
     # makes old and new runs of the same config look unrelated
     assert load_config(str(CONFIGS / name)).sha256() == digest
+
+
+@pytest.mark.parametrize("name", ["wave.yaml", "weakhyp_nu2.yaml"])
+def test_config_hash_is_the_sha256_of_the_canonical_text(name):
+    # the hash comes from the interpreter's own SHA-256 module, not hashlib's
+    cfg = load_config(str(CONFIGS / name))
+    canonical = json.dumps(cfg.semantic_dict(), sort_keys=True, separators=(",", ":"))
+    assert cfg.sha256() == hashlib.sha256(canonical.encode()).hexdigest()
 
 
 def number(lo, hi, exclude_min=False, exclude_max=False):
@@ -504,8 +513,10 @@ def test_spectrum_mirror_sign_toggle_over_raw_bits(data):
     lower.reshape(-1)[stray] = draw_bits(data, lower.size)[stray]
     v = np.concatenate([lower, upper], axis=1).view(complex).reshape(S, 2 * K + 1, m)
     times = np.linspace(0.0, 1.0, S)
+    header, snapshot = cli._spectrum_format(K, m)
+    blocks = [text for t, snap in zip(times.tolist(), v) for text in snapshot(t, snap[K:], snap[:K])]
     with tempfile.TemporaryDirectory() as out:
-        cli._write_files(out, {"spectrum.csv": cli._spectrum_csv(times, v)}, "abc")
+        cli._write_files(out, {"spectrum.csv": (header, blocks)}, "abc")
         assert (Path(out) / "spectrum.csv").read_bytes() == reference_spectrum_bytes(times, v, "abc")
 
 
@@ -694,7 +705,7 @@ def test_cli_analyze_calibration_abort_exit_one(tmp_path, capsys):
         "error": "BlowUpError",
         "message": "blow-up: sup|V| = 0.991829 exceeds ceiling 0.99 at t = 0.3",
     }
-    assert list(out.iterdir()) == []
+    assert not out.exists()  # an error creates no output directory
 
 
 def test_cli_analyze_problem_abort_exit_two_after_calibration_abort(tmp_path, capsys):
@@ -739,7 +750,7 @@ def test_cli_analyze_error_after_the_run_writes_nothing(tmp_path, capsys):
     assert main(["analyze", "--config", write_config(tmp_path, text), "--output", str(out)]) == 1
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "NonHyperbolicError"
-    assert written(out) == []
+    assert not out.exists()
 
 
 # C0 = 1e4 takes rho(0, k) past 709, where e^rho overflows and meets modes that are exactly zero
@@ -789,6 +800,35 @@ def test_cli_finite_state_past_the_square_overflow(tmp_path):
     facts = json.loads((out / "report.json").read_text())["integration"]
     assert facts["steps"] == 100
     assert facts["peak_sup_v_ratio"] == pytest.approx(5e-101, rel=1e-12)
+
+
+# a finite state far above 1e154, where the squares of the norms overflow
+BIG_STATE_YAML = """\
+m: 2
+T: 0.1
+coefficients: ["0", "-1"]
+nu: 0
+initial: ["1e200*cos(x)", "0"]
+K: 8
+dt: 0.01
+blowup_ceiling: 1.0e+300
+"""
+
+
+def test_cli_norms_stay_finite_past_the_square_overflow(tmp_path):
+    cfg = write_config(tmp_path, BIG_STATE_YAML)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--output", str(sim)]) == 0
+    assert json.loads((sim / "report.json").read_text())["final_sup_v"] == pytest.approx(5e199, rel=1e-12)
+    out = tmp_path / "out"
+    # the ledger is finite; the verdict still fails at the start, where the
+    # increment (CM)^nu T = 1 is far below the ulp of G0
+    assert main(["analyze", "--config", cfg, "--output", str(out)]) == 1
+    ledger = json.loads((out / "report.json").read_text())["ledger"]
+    for key in ("M0", "M", "C", "L"):
+        assert isinstance(ledger[key], float) and math.isfinite(ledger[key]), key
+    assert ledger["M0"] == pytest.approx(1.2214027581601743e200, rel=1e-12)
+    assert ledger["continuation"]["degenerate_at_start"] is True
 
 
 @pytest.mark.parametrize(
@@ -891,6 +931,26 @@ def test_cli_config_errors_are_structured(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "sub, error", [("", "FileExistsError"), ("sub", "NotADirectoryError")], ids=["file", "below-a-file"]
+)
+@pytest.mark.parametrize(
+    "command, text",
+    # simulate at K = 512 is a stability abort (exit 3), whose own error is not printed when its files fail
+    [("check", WAVE_YAML), ("simulate", WAVE_YAML.replace("K: 8", "K: 512"))],
+    ids=["check", "guard-abort"],
+)
+def test_cli_output_naming_a_file_is_one_json_error(tmp_path, capsys, command, text, sub, error):
+    # --output is created where the files are written, inside the error handling
+    taken = tmp_path / "taken"
+    taken.write_text("kept\n")
+    output = taken / sub if sub else taken
+    assert main([command, "--config", write_config(tmp_path, text), "--output", str(output)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and json.loads(err)["error"] == error
+    assert taken.read_text() == "kept\n"
+
+
 def test_cli_import_loads_no_test_tooling():
     # every CLI process pays for its imports; scipy, hypothesis and mpmath
     # are for tests and references only (the ring size, for one, is computed
@@ -906,6 +966,24 @@ def test_cli_import_loads_no_test_tooling():
     loaded = set(json.loads(out))
     assert "weakhyp" in loaded
     assert loaded.isdisjoint({"scipy", "hypothesis", "mpmath"})
+
+
+def test_cli_analyze_loads_no_openssl_and_no_thread_pool(tmp_path):
+    # the config hash needs no hashlib (which loads OpenSSL), and a run with
+    # one thread no thread pool; in a process of its own, since pytest and
+    # hypothesis import hashlib themselves
+    probe = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); from weakhyp.cli import main; "
+        "code = main(sys.argv[2:]); "
+        "print(json.dumps([code, sorted({'_hashlib', 'concurrent.futures'} & set(sys.modules))]))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    text = WAVE_YAML.replace("symmetrizer_certificate: true", "symmetrizer_certificate: false")
+    cfg = write_config(tmp_path, text.replace('initial: ["cos(x)", "0"]', 'nu: 2\ninitial: ["0.1*cos(x)", "0"]'))
+    argv = ["analyze", "--config", cfg, "--output", str(tmp_path / "out")]
+    out = subprocess.run([sys.executable, "-c", probe, src, *argv], capture_output=True, text=True, check=True)
+    assert json.loads(out.stdout) == [0, []]
+    assert written(tmp_path / "out") == ["energies.csv", "radius.csv", "report.json", "run_meta.json", "spectrum.csv"]
 
 
 def perfbench_tracing():

@@ -89,7 +89,13 @@ def full_norms(traj):
     ik = 1j * np.arange(-traj.K, traj.K + 1)
     m = traj.order
     v = np.stack([ik ** (m - 1 - c) * chains[..., c] for c in range(m)], axis=-1)
-    return np.linalg.norm(v, axis=2)
+    norms = np.linalg.norm(v, axis=2)
+    # a finite row whose squares overflow: scaled by its largest entry first, which does not
+    over = np.isinf(norms) & np.isfinite(v).all(axis=2)
+    mags = np.abs(v[over])
+    peak = mags.max(axis=-1)
+    norms[over] = peak * np.linalg.norm(mags / peak[:, None], axis=-1)
+    return norms
 
 
 def test_weight_params_validation():
