@@ -40,7 +40,6 @@ from .radius import (
 )
 from .spectral import (
     BlowUpError,
-    SpectralState,
     StabilityError,
     Trajectory,
     assemble_state,
@@ -72,7 +71,6 @@ __all__ = [
     "QuasiSymmetrizer",
     "RadiusEstimate",
     "RunConfig",
-    "SpectralState",
     "StabilityError",
     "SymmetrizerCertificate",
     "Trajectory",

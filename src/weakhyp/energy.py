@@ -53,6 +53,13 @@ __all__ = [
 ]
 
 
+# a truncation tail ratio (last term over partial sum) above this marks a series as diverging
+TAIL_THRESHOLD = 0.1
+
+# times on [0, T] at which the default C0 takes the spectral norm of A(t)
+C0_GRID_POINTS = 10_000
+
+
 def bracket(xi) -> np.ndarray | float:
     """Mode bracket <xi> = 1 + |xi|."""
     return 1.0 + np.abs(xi)
@@ -233,11 +240,19 @@ def _factorials(j_max: int) -> np.ndarray:
 
 
 def _series_with_tail(coeffs: np.ndarray, r: float, fact: np.ndarray) -> tuple[float, float]:
-    """sum_j coeffs[j] r^j / j! and the last-term/total truncation ratio."""
-    j = np.arange(coeffs.size, dtype=float)
-    with np.errstate(over="ignore"):
-        terms = coeffs * np.power(r, j) / fact
+    """sum_j coeffs[j] r^j / j! and the last-term/total truncation ratio.
+
+    A power r^j that is zero drops its term, even where the coefficient
+    overflowed (inf * 0).  A sum that is not finite has overflowed, and its
+    tail is reported as inf: the truncation is not controlled there.
+    """
+    powers = np.power(r, np.arange(coeffs.size, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = coeffs * powers / fact
+    terms[powers == 0.0] = 0.0
     total = float(terms.sum())
+    if not math.isfinite(total):
+        return total, math.inf
     tail = float(abs(terms[-1]) / total) if total > 0.0 else 0.0
     return total, tail
 
@@ -277,7 +292,6 @@ class SuperEnergyReport:
     f_tail: np.ndarray
     g_tail: np.ndarray
     diverging: bool
-    tail_threshold: float
 
 
 def super_energies(
@@ -286,7 +300,6 @@ def super_energies(
     initial_moments: np.ndarray,
     r_schedule: np.ndarray,
     nu: int,
-    tail_threshold: float = 0.1,
 ) -> SuperEnergyReport:
     """F(t) = sum_j E_j r^j/j! and G(t) = sum_j alpha_j r^j/j!.
 
@@ -294,7 +307,7 @@ def super_energies(
     of the sequence (E_j/j!)_j over compositions h_1+...+h_nu = j (empty for
     nu = 0, identity for nu = 1); integrals by trapezoid on the recorded
     samples.  The tail ratio (last term over partial sum) is reported per
-    time; exceeding ``tail_threshold`` anywhere sets the divergence flag.
+    time; exceeding ``TAIL_THRESHOLD`` anywhere sets the divergence flag.
     """
     times = np.asarray(times, dtype=float)
     e_series = np.asarray(e_series, dtype=float)
@@ -313,7 +326,7 @@ def super_energies(
     for i in range(S):
         f_values[i], f_tail[i] = _series_with_tail(e_series[i], r_schedule[i], fact)
         g_values[i], g_tail[i] = _series_with_tail(alpha[i], r_schedule[i], fact)
-    diverging = bool((f_tail > tail_threshold).any() or (g_tail > tail_threshold).any())
+    diverging = bool((f_tail > TAIL_THRESHOLD).any() or (g_tail > TAIL_THRESHOLD).any())
     return SuperEnergyReport(
         times=times,
         f_values=f_values,
@@ -322,7 +335,6 @@ def super_energies(
         f_tail=f_tail,
         g_tail=g_tail,
         diverging=diverging,
-        tail_threshold=tail_threshold,
     )
 
 
@@ -337,9 +349,11 @@ def phi_growth(c_const: float, m_const: float, l_const: float, nu: int) -> float
 
 
 def radius_schedule(r0: float, l_const: float, m_const: float, c_const: float, nu: int, t):
-    """r(t) = r0 * exp(-phi(L) t)."""
+    """r(t) = r0 * exp(-phi(L) t), and r(0) = r0 exactly, also when phi(L) overflowed."""
     rate = phi_growth(c_const, m_const, l_const, nu)
-    out = r0 * np.exp(-rate * np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
+    with np.errstate(invalid="ignore"):
+        out = np.where(t == 0.0, r0, r0 * np.exp(-rate * t))
     return float(out) if out.ndim == 0 else out
 
 
@@ -382,8 +396,10 @@ def continuation_check(
     A NaN in G or L is not below, so it counts as a crossing: the argument
     needs G(t) < L to be shown.  The sharp interior bound is
     G(t) <= G(0) + cm_power * t pointwise, allowed a 1e-9 relative
-    tolerance; cm_power is (C M)^nu from the ledger.  A start already at or
-    above L is reported as degenerate.
+    tolerance; cm_power is (C M)^nu from the ledger.  At t = 0 the bound is
+    G(0), also when cm_power overflowed, and a G that is inf where the bound
+    is inf has no excess there.  A start already at or above L is reported
+    as degenerate.
     """
     times = np.asarray(times, dtype=float)
     g_values = np.asarray(g_values, dtype=float)
@@ -391,8 +407,10 @@ def continuation_check(
     crossing = ~(g_values < l_const)
     first = float(times[int(np.argmax(crossing))]) if crossing.any() else None
     degenerate = bool(crossing[0])
-    sharp_bound = g0 + cm_power * times
-    excess = float((g_values - sharp_bound).max())
+    with np.errstate(invalid="ignore"):
+        sharp_bound = np.where(times == 0.0, g0, g0 + cm_power * times)
+        gap = np.where(g_values == sharp_bound, 0.0, g_values - sharp_bound)
+    excess = float(gap.max())
     scale = max(1.0, abs(g0), float(np.abs(g_values).max()))
     return ContinuationReport(
         passed=not crossing.any(),
@@ -612,8 +630,8 @@ def _companion_norms(table: np.ndarray) -> np.ndarray:
     return np.sqrt(0.5 * (1.0 + (r0 * r0 + rest) + root))
 
 
-def default_c0(problem: CoefficientSpec, grid_points: int = 10_000) -> float:
-    """max(1, sup over a fine grid of the spectral norm of A(t)), in closed form.
+def default_c0(problem: CoefficientSpec) -> float:
+    """max(1, sup over C0_GRID_POINTS times of the spectral norm of A(t)), in closed form.
 
     A = S + e_m r^T, with S the superdiagonal -1 and r = (a_m, ..., a_1) the
     last row.  The last row of S is zero, so S^T e_m = 0 and
@@ -626,7 +644,7 @@ def default_c0(problem: CoefficientSpec, grid_points: int = 10_000) -> float:
     a product of sums of squares, so nothing cancels.  The cost is O(m) per
     time instead of an SVD.
     """
-    ts = np.linspace(0.0, problem.horizon, grid_points)
+    ts = np.linspace(0.0, problem.horizon, C0_GRID_POINTS)
     return float(max(1.0, _companion_norms(problem.coefficient_table(ts)).max()))
 
 
@@ -640,14 +658,15 @@ def build_energy_ledger(
     j_max: int = 24,
     r0: float = 0.25,
     eta: float = 1.0,
-    tail_threshold: float = 0.1,
 ) -> EnergyLedger:
     """Assemble the full ledger for a recorded trajectory.
 
     Auto-resolved constants: C0 from the coefficient spectral norm, N from
     the master-estimate scan against ``c_target`` (fallback m+1), C from the
     measured sup ratio at the chosen N.  The effective initial radius is
-    eta * r0.
+    eta * r0.  The continuation verdict fails whenever C, M or L is not
+    finite: the argument needs them as numbers, and with nu = 0 the power
+    (C M)^0 = 1 would keep L finite past an overflowed C or M.
     """
     m = trajectory.order
     T = problem.horizon
@@ -683,12 +702,12 @@ def build_energy_ledger(
     l_const = g0 + cm_power * T
     phi_l = phi_growth(c_const, m_const, l_const, nu)
     r_values = radius_schedule(r0_eff, l_const, m_const, c_const, nu, trajectory.times)
-    super_report = super_energies(
-        trajectory.times, e_j, a_moments, r_values, nu, tail_threshold
-    )
+    super_report = super_energies(trajectory.times, e_j, a_moments, r_values, nu)
     continuation = continuation_check(
         trajectory.times, super_report.g_values, l_const, cm_power
     )
+    if not all(map(math.isfinite, (c_const, m_const, l_const))):
+        continuation.passed = False
     return EnergyLedger(
         times=trajectory.times,
         e_j=e_j,

@@ -38,7 +38,6 @@ __all__ = [
     "evaluate",
     "evaluate_on_grid",
     "to_source",
-    "free_vars",
 ]
 
 FUNCTIONS = frozenset({"sin", "cos", "exp", "log", "sqrt", "abs"})
@@ -215,18 +214,6 @@ def parse(source: str, allowed_vars: Iterable[str] = ()) -> Expression:
     :class:`ExprSyntaxError` carrying the character offset.
     """
     return _Parser(source, frozenset(allowed_vars)).parse()
-
-
-def free_vars(expr: Expression) -> frozenset[str]:
-    if isinstance(expr, Var):
-        return frozenset({expr.name})
-    if isinstance(expr, Num):
-        return frozenset()
-    if isinstance(expr, Neg):
-        return free_vars(expr.arg)
-    if isinstance(expr, Call):
-        return free_vars(expr.arg)
-    return free_vars(expr.lhs) | free_vars(expr.rhs)
 
 
 def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:

@@ -36,7 +36,7 @@ comfortably inside RK4's imaginary-axis interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -48,13 +48,11 @@ __all__ = [
     "STABILITY_LIMIT",
     "StabilityError",
     "BlowUpError",
-    "SpectralState",
     "Trajectory",
     "companion_matrix",
     "companion_stack",
     "assemble_state",
     "convolution_power",
-    "nonlinear_rhs",
     "step",
     "simulate",
 ]
@@ -119,30 +117,52 @@ def companion_matrix(coeffs: Sequence[float]) -> np.ndarray:
     return companion_stack(np.asarray(coeffs, dtype=float).reshape(1, -1))[0]
 
 
-@dataclass
-class SpectralState:
-    """Truncated Fourier state of a real solution: derivative chains for modes 0..K at time t."""
-
-    K: int
-    t: float
-    chain: np.ndarray  # (K+1, m) complex; row k holds mode k
-
-    @property
-    def order(self) -> int:
-        return self.chain.shape[1]
-
-    @property
-    def modes(self) -> np.ndarray:
-        return np.arange(self.K + 1)
-
-    @property
-    def u_hat(self) -> np.ndarray:
-        return self.chain[:, 0]
-
-
 def _ik_powers(modes: np.ndarray, top: int) -> np.ndarray:
     """(ik)^p for p = 0..top, shape (len(modes), top+1): the one table behind V and the kernel."""
     return (1j * modes)[:, None] ** np.arange(top + 1)
+
+
+def _v_weights(modes: np.ndarray, m: int) -> np.ndarray:
+    """(ik)^(m-1-c) in column c, shape (len(modes), m): V_k is this row times the chain of mode k."""
+    return _ik_powers(modes, m - 1)[:, ::-1].copy()
+
+
+def _v_norms(chains: np.ndarray, weights: np.ndarray, v: np.ndarray, sq: np.ndarray) -> np.ndarray:
+    """|V_k| of every chain row, shape ``chains.shape[:-1]``: the one norm of the companion vector.
+
+    V is formed in ``v`` and conj(V) V in ``sq``, two buffers of the
+    chains' shape that are overwritten.  The bits are those of
+    ``np.linalg.norm(V, axis=-1)``, which sums (conj(V) V).real over the
+    last axis: the product is the same complex multiply (numpy may fuse its
+    real part, re * re + im^2 with one rounding, as on x86-64 with FMA, so
+    re^2 + im^2 would not keep the bits), and ``_sum_last`` the same sum.
+    Past about 1e154 a square overflows: only the norms that read inf are
+    taken again by hypot, which does not overflow, so a finite state never
+    reads as inf.
+    """
+    np.multiply(weights, chains, out=v)
+    np.conjugate(v, out=sq)
+    np.multiply(sq, v, out=sq)
+    norms = np.sqrt(_sum_last(sq.real))
+    over = np.isinf(norms)
+    if over.any():
+        norms[over] = np.hypot.reduce(np.abs(v[over]), axis=-1)
+    return norms
+
+
+def _sum_last(a: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(a, axis=-1)`` with its bits, faster for a short last axis.
+
+    Below 8 terms numpy sums left to right, so the columns are added one by
+    one in place; from 8 terms on it sums pairwise, so its own reduction is
+    called.
+    """
+    if a.shape[-1] >= 8:
+        return np.add.reduce(a, axis=-1)
+    out = a[..., 0].copy()
+    for col in range(1, a.shape[-1]):
+        out += a[..., col]
+    return out
 
 
 def _next_power_of_two(n: int) -> int:
@@ -158,12 +178,13 @@ def assemble_state(
     initial: Sequence[Expression],
     K: int,
     G: int | None = None,
-) -> SpectralState:
+) -> np.ndarray:
     """Sample initial data on the uniform grid over [0, 2pi) and transform.
 
     ``initial`` lists the expressions (in x) for u(0,.), d_t u(0,.), ...;
-    entry h fills chain column h.  The data are real, so the state holds the
-    modes k = 0..K only.  Requires G >= 4K and G a power of two.
+    entry h fills chain column h of the returned (K+1, m) chain array, row k
+    for mode k: the data are real, so the modes k = 0..K are the whole
+    state.  Requires G >= 4K and G a power of two.
     """
     if K < 1:
         raise ValueError("mode cutoff K must be >= 1")
@@ -172,10 +193,9 @@ def assemble_state(
     if G < 4 * K or G != _next_power_of_two(G):
         raise ValueError(f"grid size G={G} must be a power of two with G >= 4K={4 * K}")
     x = 2.0 * np.pi * np.arange(G) / G
-    half = np.stack(
+    return np.stack(
         [np.fft.fft(evaluate_on_grid(expr, "x", x))[: K + 1] / G for expr in initial], axis=1
     )
-    return SpectralState(K=K, t=0.0, chain=half)
 
 
 def convolution_power(u: np.ndarray, nu: int) -> np.ndarray:
@@ -213,16 +233,6 @@ def _ring_size(K: int, nu: int) -> int:
         n += 4
 
 
-def nonlinear_rhs(state: SpectralState, nu: int) -> np.ndarray:
-    """Forcing vectors F_k = (0, ..., 0, f_k) for k = 0..K, f = u^nu of the real solution."""
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    out = np.zeros_like(state.chain)
-    kernel = _HalfSpectrumRK4(state.K, state.order, nu)
-    out[:, -1] = kernel.forcing(state.chain[None])[0]
-    return out
-
-
 class _HalfSpectrumRK4:
     """Classical RK4 on a batch of half-spectrum chains (B, K+1, m), with per-run tables.
 
@@ -230,19 +240,19 @@ class _HalfSpectrumRK4:
     forced by u^nu; the others are integrated with zero forcing, so they are
     the linear (nu = 0) problem and cost no transform.
 
-    The stages, their sums and the transforms write into a workspace that
-    lives as long as the kernel and is reallocated only when the batch shape
-    changes.  ``step`` and ``forcing`` return fresh arrays, so nothing a
-    caller keeps aliases the workspace.
+    The stages, their sums, the transforms and the blow-up monitor's V
+    write into a workspace that lives as long as the kernel and is
+    reallocated only when the batch shape changes.  ``step`` and ``forcing``
+    return fresh arrays, so nothing a caller keeps aliases the workspace.
     """
 
     def __init__(self, K: int, m: int, nu: int):
         self.nu = nu
         self.ring = _ring_size(K, nu)
-        ik_pow = _ik_powers(np.arange(K + 1), m)
+        modes = np.arange(K + 1)
         # column c carries -(ik)^(m-c), the weight of a_(m-c) on chain[:, c]
-        self.neg_ik_pow = -ik_pow[:, m:0:-1]
-        self.kmag_pow = np.abs(ik_pow[:, m - 1 :: -1])  # |k|^(m-1-c), the scale of V's column c
+        self.neg_ik_pow = -_ik_powers(modes, m)[:, m:0:-1]
+        self.v_weights = _v_weights(modes, m)
         self.grid = np.empty(self.ring)
         self.prod = np.empty(self.ring)
         self.spec = np.empty(self.ring // 2 + 1, dtype=complex)
@@ -311,39 +321,14 @@ class _HalfSpectrumRK4:
         return y + np.multiply(dt / 6.0, acc, out=self.term)
 
     def sup_v(self, y: np.ndarray) -> list[float]:
-        """sup_k |V_k| per member; the modes -k have the same norms.
+        """sup_k |V_k| per member, by ``_v_norms`` in the stage and term buffers.
 
-        The bits are those of ``np.linalg.norm`` of the real |V_k,c|: the
-        squares are summed with ``_sum_last``.  sqrt is monotone and
-        correctly rounded, so it is taken once, after the max.  Past about
-        1e154 a square overflows: only then, for a member that read inf,
-        are the norms taken by hypot, which does not overflow, so a finite
-        state never reads as inf.
+        The modes -k have the same norms.  sqrt is monotone and correctly
+        rounded, so the max of the norms has the bits of the norm of the
+        largest sum of squares.
         """
-        a = np.abs(y)
-        a *= self.kmag_pow
-        a *= a
-        out = np.sqrt(_sum_last(a).max(axis=-1)).tolist()
-        for member, value in enumerate(out):
-            if value == math.inf:
-                mags = np.abs(y[member]) * self.kmag_pow
-                out[member] = float(np.hypot.reduce(mags, axis=-1).max())
-        return out
-
-
-def _sum_last(a: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(a, axis=-1)`` with its bits, faster for a short last axis.
-
-    Below 8 terms numpy sums left to right, so the columns are added one by
-    one in place; from 8 terms on it sums pairwise, so its own reduction is
-    called.
-    """
-    if a.shape[-1] >= 8:
-        return np.add.reduce(a, axis=-1)
-    out = a[..., 0].copy()
-    for col in range(1, a.shape[-1]):
-        out += a[..., col]
-    return out
+        self._workspace(y.shape)
+        return _v_norms(y, self.v_weights, self.term, self.stage).max(axis=-1).tolist()
 
 
 def _spectral_radius(coeff_rows: np.ndarray) -> float:
@@ -351,30 +336,30 @@ def _spectral_radius(coeff_rows: np.ndarray) -> float:
     return float(np.abs(np.linalg.eigvals(companion_stack(coeff_rows))).max())
 
 
-def step(
-    state: SpectralState,
-    dt: float,
-    stage_coeffs: np.ndarray,
-    nu: int,
-    guard: bool = True,
-) -> SpectralState:
-    """One classical RK4 step of the mode-coupled system, modes k = 0..K.
+def _guard(dt: float, coeff_rows: np.ndarray, K: int) -> float:
+    """dt * (1 + rho) * K over the coefficient rows; StabilityError above STABILITY_LIMIT."""
+    radius = _spectral_radius(coeff_rows)
+    product = dt * (1.0 + radius) * K
+    if product > STABILITY_LIMIT:
+        raise StabilityError(dt, radius, K)
+    return product
+
+
+def step(chain: np.ndarray, dt: float, stage_coeffs: np.ndarray, nu: int) -> np.ndarray:
+    """One classical RK4 step of the (K+1, m) chain array of modes k = 0..K; returns the next one.
 
     ``stage_coeffs`` holds the coefficient rows (a_1..a_m) at the three stage
-    times t, t + dt/2, t + dt.  With ``guard`` on, the step refuses to run
-    outside the imaginary-axis stability region for these rows.
+    times t, t + dt/2, t + dt.  The step refuses to run outside the
+    imaginary-axis stability region for these rows.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
+    K, m = chain.shape[0] - 1, chain.shape[1]
     stage_coeffs = np.asarray(stage_coeffs, dtype=float)
-    if stage_coeffs.shape != (3, state.order):
-        raise ValueError(f"stage_coeffs must have shape (3, {state.order})")
-    if guard:
-        radius = _spectral_radius(stage_coeffs)
-        if dt * (1.0 + radius) * state.K > STABILITY_LIMIT:
-            raise StabilityError(dt, radius, state.K)
-    kernel = _HalfSpectrumRK4(state.K, state.order, nu)
-    return replace(state, t=state.t + dt, chain=kernel.step(state.chain[None], dt, stage_coeffs)[0])
+    if stage_coeffs.shape != (3, m):
+        raise ValueError(f"stage_coeffs must have shape (3, {m})")
+    _guard(dt, stage_coeffs, K)
+    return _HalfSpectrumRK4(K, m, nu).step(chain[None], dt, stage_coeffs)[0]
 
 
 @dataclass
@@ -411,27 +396,12 @@ class Trajectory:
 
     def v_series(self) -> np.ndarray:
         """(S, K+1, m) array of companion vectors at every snapshot."""
-        return _ik_powers(self.modes, self.order - 1)[:, ::-1] * self.chains
+        return _v_weights(self.modes, self.order) * self.chains
 
     def v_norms(self) -> np.ndarray:
-        """(S, K+1) array of the Euclidean norms |V_k| at every snapshot.
-
-        The bits are those of ``np.linalg.norm(v_series(), axis=2)``, which
-        sums (conj(V) V).real over the last axis.  That product is formed in
-        one buffer, in place, by the same complex multiply: numpy may fuse
-        its real part (re * re + im^2 with one rounding, as on x86-64 with
-        FMA), so re^2 + im^2 would not keep the bits.  Past about 1e154 a
-        square overflows: only the norms that read inf are taken again by
-        hypot, as in ``sup_v``, so a finite state never reads as inf.
-        """
-        v = self.v_series()
-        sq = np.conjugate(v)
-        np.multiply(sq, v, out=sq)
-        norms = np.sqrt(_sum_last(sq.real))
-        over = np.isinf(norms)
-        if over.any():
-            norms[over] = np.hypot.reduce(np.abs(v[over]), axis=-1)
-        return norms
+        """(S, K+1) array of the norms |V_k| at every snapshot, by the monitor's ``_v_norms``."""
+        v = np.empty_like(self.chains)
+        return _v_norms(self.chains, _v_weights(self.modes, self.order), v, np.empty_like(v))
 
     def u_hat_series(self) -> np.ndarray:
         return self.chains[:, :, 0]
@@ -520,23 +490,20 @@ def simulate(
     n_steps = int(round(T / dt))
     if n_steps < 1:
         raise ValueError("dt too large: fewer than one step over the horizon")
-    state = assemble_state(problem.initial, K, G)
-    m = state.order
+    chain0 = assemble_state(problem.initial, K, G)
+    m = chain0.shape[1]
     nu = problem.nonlinearity
 
     stage_times = np.linspace(0.0, T, 2 * n_steps + 1)
     dt_eff = T / n_steps
     table = problem.coefficient_table(stage_times)
-    radius = _spectral_radius(table)
-    if dt_eff * (1.0 + radius) * K > STABILITY_LIMIT:
-        raise StabilityError(dt_eff, radius, K)
+    ratio = _guard(dt_eff, table, K) / STABILITY_LIMIT
 
     if snapshot_interval is None:
         snap_every = 1
     else:
         snap_every = max(1, int(round(snapshot_interval / dt_eff)))
     size = 1 + n_steps // snap_every + (n_steps % snap_every != 0)
-    ratio = dt_eff * (1.0 + radius) * K / STABILITY_LIMIT
     # batch rows: member 0 the problem, member 1 its linear calibration
     members = [
         _Snapshots(size, K, m, member_nu, dt_eff, ratio)
@@ -545,7 +512,7 @@ def simulate(
     live = list(members)
 
     kernel = _HalfSpectrumRK4(K, m, nu)
-    y = np.repeat(state.chain[None], len(live), axis=0)
+    y = np.repeat(chain0[None], len(live), axis=0)
     # every member starts from the same data, so a fault at t = 0 is the problem's
     sup_v0 = kernel.sup_v(y)[0]
     fault = _monitor(sup_v0, blowup_ceiling, 0.0)

@@ -56,9 +56,7 @@ class UnsupportedOrderError(ValueError):
     """Discriminant reformulations are implemented for m = 2 and m = 3 only."""
 
 
-def characteristic_roots(
-    coeffs: np.ndarray, tol: float | None = None, times: np.ndarray | None = None
-) -> np.ndarray:
+def characteristic_roots(coeffs: np.ndarray, times: np.ndarray | None = None) -> np.ndarray:
     """Real roots of lam^m + a_1 lam^(m-1) + ... + a_m, sorted ascending.
 
     ``coeffs`` is one row (a_1, ..., a_m) or a table of rows, shape (n, m);
@@ -66,20 +64,17 @@ def characteristic_roots(
     companion matrix ``np.roots`` builds, one batched eigensolve per group of
     rows of equal degree: trailing coefficients that are exactly zero give
     exact zero roots, as in ``np.roots``, so each row's roots are bit for
-    bit those of ``np.roots``.  If a root has |Im| > tol the polynomial is
-    not (weakly) hyperbolic and :class:`NonHyperbolicError` is raised for
-    the first such row, naming its time when ``times`` gives the time of
-    each row.  Default tolerance per row: 1e-8 * (1 + max |a_h|).
+    bit those of ``np.roots``.  If a root has |Im| above the row's
+    tolerance 1e-8 * (1 + max |a_h|), the polynomial is not (weakly)
+    hyperbolic and :class:`NonHyperbolicError` is raised for the first such
+    row, naming its time when ``times`` gives the time of each row.
     """
     a = np.asarray(coeffs, dtype=float)
     if a.ndim not in (1, 2) or a.shape[-1] < 1:
         raise ValueError("coefficients must be a non-empty row or a table of rows")
     rows = np.atleast_2d(a)
     n, m = rows.shape
-    if tol is None:
-        tols = 1e-8 * (1.0 + np.abs(rows).max(axis=1, initial=0.0))
-    else:
-        tols = np.full(n, float(tol))
+    tols = 1e-8 * (1.0 + np.abs(rows).max(axis=1, initial=0.0))
     nonzero = rows != 0.0
     degree = np.where(nonzero.any(axis=1), m - np.argmax(nonzero[:, ::-1], axis=1), 0)
     re = np.zeros((n, m))
@@ -143,11 +138,7 @@ class DiamReport:
         }
 
 
-def check_diam(
-    spec: CoefficientSpec,
-    grid: Sequence[float],
-    tol: float | None = None,
-) -> DiamReport:
+def check_diam(spec: CoefficientSpec, grid: Sequence[float]) -> DiamReport:
     """Evaluate the separation ratio along a time grid.
 
     The grid must lie inside [0, T].  The coefficients are evaluated on the
@@ -158,7 +149,7 @@ def check_diam(
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or grid.min() < 0.0 or grid.max() > spec.horizon:
         raise ValueError("grid must be non-empty and contained in [0, T]")
-    roots = characteristic_roots(spec.coefficient_table(grid), tol=tol, times=grid)
+    roots = characteristic_roots(spec.coefficient_table(grid), times=grid)
     ratios = diam_ratio(roots)
     finite = np.isfinite(ratios)
     sup_ratio = float(ratios.max()) if finite.all() else float("inf")
@@ -187,14 +178,6 @@ class DiscriminantResult:
     def holds(self, c: float) -> bool | np.ndarray:
         ok = (np.asarray(self.delta) >= 0.0) & (np.asarray(self.ratio) >= c)
         return bool(ok) if ok.ndim == 0 else ok
-
-    def to_dict(self) -> dict:
-        return {
-            "m": self.order,
-            "delta": self.delta,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-        }
 
 
 def discriminant_check(coeffs: np.ndarray) -> DiscriminantResult:

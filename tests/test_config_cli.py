@@ -772,11 +772,44 @@ def test_cli_analyze_overflowing_weight_fails_continuation(tmp_path):
     assert main(["analyze", "--config", cfg, "--output", str(out)]) == 1
     ledger = json.loads((out / "report.json").read_text())["ledger"]
     assert ledger["master"]["ratio"] == "inf" and ledger["C"] == "inf"
-    assert ledger["continuation"]["passed"] is False
-    assert ledger["continuation"]["first_crossing"] == 0.0
+    continuation = ledger["continuation"]
+    assert continuation["passed"] is False
+    # r(0) = r0 exactly, so G(0) is a number below L = inf; G reaches inf at the next snapshot
+    assert isinstance(continuation["G0"], float) and continuation["first_crossing"] == 0.02
     assert written(out) == [
         "energies.csv", "radius.csv", "report.json", "run_meta.json", "spectrum.csv",
     ]
+
+
+# the default C0 is 1e4 here: e^rho overflows at every snapshot before T, and so do C and M
+OVERFLOWING_LEDGER_YAML = """\
+m: 2
+T: 0.1
+coefficients: ["0", "-10000"]
+nu: {nu}
+initial: ["cos(x)", "0"]
+K: 16
+dt: 1.0e-4
+snapshot_interval: 0.02
+"""
+
+
+@pytest.mark.parametrize("nu", [2, 0])
+def test_cli_analyze_overflowed_ledger_reads_no_nan_and_fails(tmp_path, nu):
+    # nu = 2 took r(0) = r0 exp(-inf * 0) = nan; nu = 0 passed, as (C M)^0 = 1 kept L finite
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, OVERFLOWING_LEDGER_YAML.format(nu=nu))
+    assert main(["analyze", "--config", cfg, "--output", str(out)]) == 1
+    report = (out / "report.json").read_text()
+    energies = (out / "energies.csv").read_text()
+    assert "nan" not in report and "nan" not in energies.lower()
+    ledger = json.loads(report)["ledger"]
+    assert (ledger["C"], ledger["M"]) == ("inf", "inf")
+    assert ledger["continuation"]["passed"] is False
+    # the overflowed F series has an inf tail, and an inf tail diverges
+    assert ledger["tail_ratio_t0"]["F"] == "inf" and ledger["diverging"] is True
+    _, header, rows = read_csv(out / "energies.csv")
+    assert float(rows[0][header.index("r")]) == 0.25  # r(0) = r0
 
 
 def test_cli_reads_plain_exponent_floats(tmp_path):
@@ -1041,3 +1074,35 @@ def test_tracer_spans_a_cli_run(tmp_path):
         assert parents[name] == {"cli.dispatch"}, name
     assert parents["parallel.item"] == {"parallel.ordered_map"}
     assert parents["radius.fit_decay"] == {"parallel.item"}
+
+
+def test_tracer_install_and_uninstall_restore_every_binding():
+    # a traced benchmark run installs the tracer on the package and uninstalls
+    # it after each iteration: every name it rebinds must exist, and every
+    # namespace holding one must come back exactly as it was
+    tracing = perfbench_tracing()
+    bindings = []
+    for module, path, _ in [*tracing.TARGETS, tracing.MAP_TARGET]:
+        owner = importlib.import_module(module)
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        bindings.append((owner, attr, f"{module}.{path}"))
+    owners = {id(owner): owner for owner, _, _ in bindings}
+
+    def namespaces():
+        return {key: dict(vars(owner)) for key, owner in owners.items()}
+
+    before = namespaces()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        during = namespaces()
+    finally:
+        tracer.uninstall()
+    after = namespaces()
+    for owner, attr, name in bindings:
+        assert during[id(owner)][attr] is not before[id(owner)][attr], name
+    for key, names in before.items():
+        assert after[key].keys() == names.keys()
+        assert all(after[key][name] is value for name, value in names.items())

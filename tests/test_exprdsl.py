@@ -15,7 +15,6 @@ from weakhyp.exprdsl import (
     Var,
     evaluate,
     evaluate_on_grid,
-    free_vars,
     parse,
     to_source,
 )
@@ -201,9 +200,3 @@ def test_to_source_round_trip_random_trees():
     for _ in range(200):
         tree = random_tree(int(rng.integers(1, 5)))
         assert parse(to_source(tree), ("t",)) == tree
-
-
-def test_free_vars():
-    assert free_vars(parse("t^2 + 1", ("t",))) == frozenset({"t"})
-    assert free_vars(parse("3.0")) == frozenset()
-    assert free_vars(parse("x*t", ("x", "t"))) == frozenset({"x", "t"})

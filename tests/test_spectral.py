@@ -9,12 +9,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from weakhyp.equation import CoefficientSpec
 from weakhyp.spectral import (
     BlowUpError,
-    SpectralState,
     StabilityError,
     Trajectory,
     _HalfSpectrumRK4,
@@ -24,7 +25,6 @@ from weakhyp.spectral import (
     companion_matrix,
     convolution_power,
     default_grid_size,
-    nonlinear_rhs,
     simulate,
     step,
 )
@@ -81,21 +81,21 @@ def test_default_grid_size():
 
 def test_assemble_state_cosine():
     spec = CoefficientSpec.from_strings(2, 1.0, ["0", "-1"], 0, ["cos(x)", "0"])
-    state = assemble_state(spec.initial, 8)
-    k = state.modes
-    np.testing.assert_array_equal(k, np.arange(9))
-    u = state.u_hat
+    chain = assemble_state(spec.initial, 8)
+    assert chain.shape == (9, 2)  # row k holds mode k = 0..8
+    k = np.arange(9)
+    u = chain[:, 0]
     assert u[k == 1][0] == pytest.approx(0.5, abs=1e-14)
     assert np.abs(u[k != 1]).max() < 1e-14
-    assert np.abs(state.chain[:, 1]).max() < 1e-14
+    assert np.abs(chain[:, 1]).max() < 1e-14
 
 
 def test_assemble_state_mean_mode():
     spec = CoefficientSpec.from_strings(2, 1.0, ["0", "-1"], 0, ["1 + cos(x)", "2"])
-    state = assemble_state(spec.initial, 4)
-    assert state.chain.shape == (5, 2)
-    assert state.u_hat[0] == pytest.approx(1.0, abs=1e-14)  # k = 0 slot
-    assert state.chain[0, 1] == pytest.approx(2.0, abs=1e-14)
+    chain = assemble_state(spec.initial, 4)
+    assert chain.shape == (5, 2)
+    assert chain[0, 0] == pytest.approx(1.0, abs=1e-14)  # k = 0 slot
+    assert chain[0, 1] == pytest.approx(2.0, abs=1e-14)
 
 
 def test_assemble_state_grid_validation():
@@ -131,11 +131,17 @@ def test_convolution_keeps_edge_mass():
 
 
 def real_state(rng, K, m, decay=0.05):
-    """Random state of a real solution, modes 0..K: the k = 0 row is real."""
+    """Random (K+1, m) chain array of a real solution, modes 0..K: the k = 0 row is real."""
     half = rng.standard_normal((K + 1, m)) + 1j * rng.standard_normal((K + 1, m))
     half *= np.exp(-decay * np.arange(K + 1))[:, None]
     half[0] = half[0].real
-    return SpectralState(K=K, t=0.0, chain=half)
+    return half
+
+
+def kernel_forcing(chain, nu):
+    """Modes 0..K of u^nu for one chain array, by the integrator's kernel."""
+    K, m = chain.shape[0] - 1, chain.shape[1]
+    return _HalfSpectrumRK4(K, m, nu).forcing(chain[None])[0]
 
 
 def test_convolution_direct_vs_fft():
@@ -144,9 +150,9 @@ def test_convolution_direct_vs_fft():
     for nu in (1, 2, 3):
         for _ in range(10):
             K = int(rng.integers(8, 48))
-            state = real_state(rng, K, 2)
-            d = convolution_power(mirror(state.u_hat), nu)
-            f = nonlinear_rhs(state, nu)[:, -1]
+            chain = real_state(rng, K, 2)
+            d = convolution_power(mirror(chain[:, 0]), nu)
+            f = kernel_forcing(chain, nu)
             scale = np.abs(d).max()
             assert np.abs(d[K:] - f).max() <= 1e-12 * scale
 
@@ -183,9 +189,9 @@ def test_ring_alias_free_at_power_of_two_boundary(nu, K):
     # points is alias-free.  In the last two (nu+1)K + 1 is itself the ring.
     assert _ring_size(K, nu) == BOUNDARY_RINGS[nu, K] > (nu + 1) * K
     rng = np.random.default_rng(nu * 100 + K)
-    state = real_state(rng, K, 2, decay=0.0)  # full mass out to |k| = K
-    d = convolution_power(mirror(state.u_hat), nu)
-    f = nonlinear_rhs(state, nu)[:, -1]
+    chain = real_state(rng, K, 2, decay=0.0)  # full mass out to |k| = K
+    d = convolution_power(mirror(chain[:, 0]), nu)
+    f = kernel_forcing(chain, nu)
     assert np.abs(d[K:] - f).max() <= 1e-12 * np.abs(d).max()
 
 
@@ -196,12 +202,14 @@ def test_convolution_validation():
         convolution_power(np.zeros(5, dtype=complex), 0)
 
 
-def test_nonlinear_rhs_shape():
+def test_forcing_shape_and_unforced_members():
+    # one forcing row per member and mode; only member 0 carries u^nu
     spec = CoefficientSpec.from_strings(2, 1.0, ["0", "-1"], 0, ["cos(x)", "0"])
-    state = assemble_state(spec.initial, 4)
-    out = nonlinear_rhs(state, 2)
-    assert out.shape == state.chain.shape
-    assert np.abs(out[:, 0]).max() == 0.0
+    y = np.repeat(assemble_state(spec.initial, 4)[None], 2, axis=0)
+    out = _HalfSpectrumRK4(4, 2, 2).forcing(y)
+    assert out.shape == (2, 5)
+    assert out[0, 0] == pytest.approx(0.5) and out[0, 2] == pytest.approx(0.25)  # cos^2 x
+    assert not out[1].any()
 
 
 def test_wave_matches_dalembert():
@@ -328,20 +336,19 @@ def test_step_and_simulate_share_one_kernel():
     )
     traj = simulate(spec, K=8, dt=1e-3)
     table = spec.coefficient_table(np.linspace(0.0, 0.01, 21))
-    state = SpectralState(K=8, t=0.0, chain=traj.chains[0])
+    chain = traj.chains[0]
     for i in range(10):
-        state = step(state, 1e-3, table[2 * i : 2 * i + 3], 2)
-        np.testing.assert_array_equal(state.chain, traj.chains[i + 1])
+        chain = step(chain, 1e-3, table[2 * i : 2 * i + 3], 2)
+        np.testing.assert_array_equal(chain, traj.chains[i + 1])
 
 
 def test_stability_guard_step():
     spec = CoefficientSpec.from_strings(2, 1.0, ["0", "-1"], 0, ["cos(x)", "0"])
-    state = assemble_state(spec.initial, 256)
+    chain = assemble_state(spec.initial, 256)
     stage = np.array([[0.0, -1.0]] * 3)
     with pytest.raises(StabilityError):
-        step(state, 0.05, stage, 0)
-    # guard off runs (garbage in, garbage out, but no exception)
-    step(state, 0.05, stage, 0, guard=False)
+        step(chain, 0.05, stage, 0)
+    assert step(chain, 0.004, stage, 0).shape == chain.shape  # dt (1 + rho) K = 2.048 runs
 
 
 def test_blowup_carries_partial_trajectory():
@@ -369,13 +376,13 @@ def reference_v(modes, chains):
 
 
 def reference_kernel_tables(K, m):
-    """The kernel's -(ik)^(m-c) and |k|^(m-1-c) tables as repeated products and float powers."""
+    """The kernel's -(ik)^(m-c) and (ik)^(m-1-c) tables as repeated products."""
     k = np.arange(K + 1)
     ik_pow = np.empty((K + 1, m + 1), dtype=complex)
     ik_pow[:, 0] = 1.0
     for h in range(1, m + 1):
         ik_pow[:, h] = ik_pow[:, h - 1] * (1j * k)
-    return -ik_pow[:, m:0:-1], k[:, None].astype(float) ** np.arange(m - 1, -1, -1)
+    return -ik_pow[:, m:0:-1], ik_pow[:, m - 1 :: -1].copy()
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
@@ -401,15 +408,17 @@ def test_companion_table_keeps_the_bits_of_the_per_column_formula(m):
     full = mirror(chains, axis=1)
     assert_same_bits(_ik_powers(signed, m - 1)[:, ::-1] * full, reference_v(signed, full))
     kernel = _HalfSpectrumRK4(K, m, 1)
-    neg_ik_pow, kmag_pow = reference_kernel_tables(K, m)
+    neg_ik_pow, v_weights = reference_kernel_tables(K, m)
+    # the blow-up monitor's V is the ledger's V
+    assert_same_bits(kernel.v_weights * chains, traj.v_series())
     if m <= 3:
         assert_same_bits(kernel.neg_ik_pow, neg_ik_pow)
-        assert_same_bits(kernel.kmag_pow, kmag_pow)
+        assert_same_bits(kernel.v_weights, v_weights)
     else:
         # numpy's power squares where the old table multiplied once more, so
         # the two agree in value but may differ in the sign of a zero part
         np.testing.assert_array_equal(kernel.neg_ik_pow, neg_ik_pow)
-        np.testing.assert_array_equal(kernel.kmag_pow, kmag_pow)
+        np.testing.assert_array_equal(kernel.v_weights, v_weights)
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3])
@@ -496,24 +505,25 @@ def test_initial_state_is_monitored(calibrate, initial, reason, message):
 @pytest.mark.parametrize("m", [2, 3, 5, 7, 8, 9, 17])
 def test_sup_v_keeps_the_bits_of_the_norm(m):
     # the blow-up monitor prints sup|V|, so it must keep the bits of
-    # max_k ||(|k|^(m-1-c) |V_k,c|)_c||, non-finite members included; a
-    # finite member whose squares overflow reads its finite norm instead
+    # max_k ||V_k|| by np.linalg.norm of the complex V, the ledger's norm,
+    # non-finite members included; a finite member whose squares overflow
+    # reads its finite norm instead
     K = 512
     kernel = _HalfSpectrumRK4(K, m, 2)
     rng = np.random.default_rng(m)
-    scale = 10.0 ** rng.uniform(-120.0, 120.0, (6, K + 1, 1)) / kernel.kmag_pow.clip(1.0)
+    scale = 10.0 ** rng.uniform(-120.0, 120.0, (6, K + 1, 1)) / np.abs(kernel.v_weights).clip(1.0)
     y = (rng.standard_normal((6, K + 1, m)) + 1j * rng.standard_normal((6, K + 1, m))) * scale
     y[1, 40, m - 1] = complex(np.nan, 0.0)
     y[2, 3, 0] = complex(np.inf, 1.0)
     y[3, 7, 1] = complex(np.inf, np.nan)
     y[4] = 0.0
     y[5, K, 0] = 1e200  # overflows when squared
-    mags = np.abs(y) * kernel.kmag_pow
-    with np.errstate(over="ignore"):
-        want = np.linalg.norm(mags, axis=-1).max(axis=-1).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = reference_v(np.arange(K + 1), y)
+        want = np.linalg.norm(v, axis=-1).max(axis=-1).tolist()
         got = kernel.sup_v(y)
     assert want[5] == math.inf
-    assert got[5] == pytest.approx(scaled_norm(mags[5]), rel=m * 2.0**-52)
+    assert got[5] == pytest.approx(scaled_norm(np.abs(v[5])), rel=m * 2.0**-52)
     assert repr(got[:5]) == repr(want[:5])  # repr round-trips every finite float
 
 
@@ -553,6 +563,41 @@ def test_v_norms_keep_the_bits_of_the_norm(m):
     assert got[2, 10] == pytest.approx(scaled_norm(np.abs(v[2, 10])[None]), rel=m * 2.0**-52)
     assert_same_bits(got[~over], want[~over])
     assert np.isfinite(want).sum() > want.size // 2  # most of the table is finite
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    K=st.integers(1, 32),
+    m=st.sampled_from([2, 3, 4]),
+    nu=st.integers(0, 3),
+    log_amp=st.floats(-3.0, 200.0),
+    headroom=st.floats(1.0, 100.0),
+    n_steps=st.integers(2, 10),
+    calibrate=st.booleans(),
+)
+@example(K=32, m=3, nu=2, log_amp=-1.0, headroom=6.0, n_steps=4, calibrate=True)
+@example(K=32, m=4, nu=1, log_amp=200.0, headroom=50.0, n_steps=4, calibrate=True)  # squares overflow
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_monitor_peak_is_the_ledger_norm(K, m, nu, log_amp, headroom, n_steps, calibrate):
+    # the blow-up monitor and the ledger take |V_k| by one routine: with a
+    # snapshot at every step, each member's peak sup|V| is bit for bit the
+    # largest of its v_norms(), also for a run that aborts (the partial
+    # trajectory holds exactly the accepted states)
+    amp = 10.0**log_amp
+    initial = [f"{amp!r}*({expr})" for expr in REALITY_DATA[:m]]
+    spec = CoefficientSpec.from_strings(m, 0.02, REALITY_COEFFS[m], nu, initial)
+    dt = 0.02 / n_steps
+    ceiling = 10.0 ** min(log_amp + headroom, 307.0)  # above the data
+    try:
+        traj = simulate(
+            spec, K=K, dt=dt, snapshot_interval=dt, blowup_ceiling=ceiling, calibrate=calibrate
+        )
+        members = [traj, traj.calibration] if calibrate else [traj]
+    except BlowUpError as err:
+        members = [err.trajectory]
+    for member in members:
+        assert len(member) >= 1
+        assert repr(member.peak_sup_v) == repr(float(member.v_norms().max()))
 
 
 def reference_forcing(kernel, y):
@@ -632,16 +677,15 @@ def test_public_step_after_simulate_uses_no_stale_workspace(nu):
     table = spec.coefficient_table(np.linspace(0.0, 0.02, 41))
     # simulate's recorded states follow the reference step from the same data
     kernel = _HalfSpectrumRK4(K, 3, nu)
-    y = assemble_state(spec.initial, K).chain[None]
+    y = assemble_state(spec.initial, K)[None]
     for i in range(20):
         y = reference_kernel_step(kernel, y, dt, table[2 * i : 2 * i + 3])
     assert_same_bits(traj.chains[-1], y[0])
     # a public step afterwards agrees with the reference and leaves the trajectory alone
     before = traj.chains.copy()
-    state = SpectralState(K=K, t=float(traj.times[-1]), chain=traj.chains[-1])
     stage = table[-3:]
     for _ in range(2):
-        advanced = step(state, dt, stage, nu)
-        assert_same_bits(advanced.chain, reference_kernel_step(kernel, y, dt, stage)[0])
-        assert not np.shares_memory(advanced.chain, traj.chains)
+        advanced = step(traj.chains[-1], dt, stage, nu)
+        assert_same_bits(advanced, reference_kernel_step(kernel, y, dt, stage)[0])
+        assert not np.shares_memory(advanced, traj.chains)
     assert_same_bits(traj.chains, before)
