@@ -43,7 +43,6 @@ from .spectral import (
     StabilityError,
     Trajectory,
     assemble_state,
-    companion_matrix,
     companion_stack,
     convolution_power,
     simulate,
@@ -82,7 +81,6 @@ __all__ = [
     "build_quasi_symmetrizer",
     "characteristic_roots",
     "check_diam",
-    "companion_matrix",
     "companion_stack",
     "continuation_check",
     "convolution_power",

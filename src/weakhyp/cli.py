@@ -27,6 +27,7 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, load_config
 from .energy import (
+    DEFAULT_C_TARGET,
     WeightParams,
     build_energy_ledger,
     default_c0,
@@ -349,7 +350,7 @@ def _cmd_analyze(cfg: RunConfig) -> tuple[int, dict]:
     # integrated alongside it in the same loop
     calibrate = cfg.n_override is None and cfg.nonlinearity >= 1
     traj = _simulate(cfg, calibrate=calibrate)
-    c_target = cfg.c_override if cfg.c_override is not None else 10.0
+    c_target = cfg.c_override if cfg.c_override is not None else DEFAULT_C_TARGET
     c0 = cfg.c0_override if cfg.c0_override is not None else default_c0(problem)
     n_exponent = cfg.n_override
     if calibrate:

@@ -59,6 +59,9 @@ TAIL_THRESHOLD = 0.1
 # times on [0, T] at which the default C0 takes the spectral norm of A(t)
 C0_GRID_POINTS = 10_000
 
+# the master-estimate scan fits the smallest N whose sup ratio is at most this target C
+DEFAULT_C_TARGET = 10.0
+
 
 def bracket(xi) -> np.ndarray | float:
     """Mode bracket <xi> = 1 + |xi|."""
@@ -398,8 +401,9 @@ def continuation_check(
     G(t) <= G(0) + cm_power * t pointwise, allowed a 1e-9 relative
     tolerance; cm_power is (C M)^nu from the ledger.  At t = 0 the bound is
     G(0), also when cm_power overflowed, and a G that is inf where the bound
-    is inf has no excess there.  A start already at or above L is reported
-    as degenerate.
+    is inf has no excess there.  The sharp audit fails whenever cm_power or
+    some G(t) is not finite: an overflowed bound holds vacuously and shows
+    nothing.  A start already at or above L is reported as degenerate.
     """
     times = np.asarray(times, dtype=float)
     g_values = np.asarray(g_values, dtype=float)
@@ -419,7 +423,7 @@ def continuation_check(
         l_const=l_const,
         g0=g0,
         g_max=float(g_values.max()),
-        sharp_passed=bool(excess <= 1e-9 * scale),
+        sharp_passed=bool(excess <= 1e-9 * scale and np.isfinite([cm_power, *g_values]).all()),
         sharp_excess=excess,
         cm_power=cm_power,
     )
@@ -449,7 +453,7 @@ class MasterEstimateReport:
 def master_estimate_check(
     trajectory: Trajectory,
     params: WeightParams,
-    c_target: float = 10.0,
+    c_target: float = DEFAULT_C_TARGET,
     *,
     _tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> MasterEstimateReport:
@@ -522,6 +526,21 @@ class EnergyInequalityReport:
         }
 
 
+def _quasi_energy(trajectory: Trajectory, problem: CoefficientSpec) -> np.ndarray:
+    """E*(t, k) = max((Q_eps V_k, V_k), 0) at eps = <k>^-1, shape (S, K+1).
+
+    Q_eps comes from the roots of the coefficient table at the snapshot
+    times, for all (t, k) in one ``QuasiSymmetrizer.assemble``, and the
+    forms are one einsum: each E* has the bits of one Q_eps and one einsum
+    per point.
+    """
+    times = trajectory.times
+    roots = characteristic_roots(problem.coefficient_table(times), times=times)
+    q = build_quasi_symmetrizer(roots).assemble(1.0 / bracket(trajectory.modes))
+    v = trajectory.v_series()
+    return np.maximum(np.einsum("tkj,tkjl,tkl->tk", v.conj(), q, v).real, 0.0)
+
+
 def energy_inequality_check(
     trajectory: Trajectory,
     problem: CoefficientSpec,
@@ -530,26 +549,18 @@ def energy_inequality_check(
 ) -> EnergyInequalityReport:
     """Check d/dt sqrt(E*) <= C0((T-t)^-1 + 1) sqrt(E*) + C0 |F_k| along the run.
 
-    E*(t, k) is the quasi-symmetrizer energy at epsilon = <k>^-1 built from
-    the roots at each snapshot time.  The derivative is a centered difference
-    at interior snapshot times; the verdict allows the configured relative
-    slack.  Modes where both sides vanish are skipped.  The inequality at
-    mode -k is the one at k, so the modes 0..K are evaluated and ``checked``
-    counts the (t, k) points of -K..K.
+    E*(t, k) is the quasi-symmetrizer energy at eps = <k>^-1 built from the
+    roots at each snapshot time (``_quasi_energy``).  The derivative is a
+    centered difference at interior snapshot times; the verdict allows the
+    configured relative slack.  Modes where both sides vanish are skipped.
+    The inequality at mode -k is the one at k, so the modes 0..K are
+    evaluated and ``checked`` counts the (t, k) points of -K..K.
     """
     times = trajectory.times
     if times.size < 3:
         raise ValueError("need at least three snapshots for interior differences")
-    v = trajectory.v_series()
     f_mags = np.abs(trajectory.forcings)
-    e_star = np.empty(f_mags.shape)
-    for i in range(times.size):
-        roots = characteristic_roots(problem.coefficients_at(float(times[i])))
-        qs = build_quasi_symmetrizer(roots)
-        for kk, row in enumerate(v[i]):
-            val = np.einsum("j,jl,l->", row.conj(), qs.assemble(1.0 / (1.0 + kk)), row).real
-            e_star[i, kk] = max(val, 0.0)
-    s_vals = np.sqrt(e_star)
+    s_vals = np.sqrt(_quasi_energy(trajectory, problem))
     t_col = times.reshape(-1, 1)
     lhs = (s_vals[2:] - s_vals[:-2]) / (t_col[2:] - t_col[:-2])
     with np.errstate(divide="ignore"):
@@ -654,7 +665,7 @@ def build_energy_ledger(
     c0: float | None = None,
     n_exponent: int | None = None,
     c_const: float | None = None,
-    c_target: float = 10.0,
+    c_target: float = DEFAULT_C_TARGET,
     j_max: int = 24,
     r0: float = 0.25,
     eta: float = 1.0,
@@ -665,8 +676,9 @@ def build_energy_ledger(
     the master-estimate scan against ``c_target`` (fallback m+1), C from the
     measured sup ratio at the chosen N.  The effective initial radius is
     eta * r0.  The continuation verdict fails whenever C, M or L is not
-    finite: the argument needs them as numbers, and with nu = 0 the power
-    (C M)^0 = 1 would keep L finite past an overflowed C or M.
+    finite, and the sharp audit whenever C or M is not: the argument needs
+    them as numbers, and with nu = 0 the power (C M)^0 = 1 would keep L and
+    the sharp bound finite past an overflowed C or M.
     """
     m = trajectory.order
     T = problem.horizon
@@ -706,8 +718,9 @@ def build_energy_ledger(
     continuation = continuation_check(
         trajectory.times, super_report.g_values, l_const, cm_power
     )
-    if not all(map(math.isfinite, (c_const, m_const, l_const))):
-        continuation.passed = False
+    finite = math.isfinite(c_const) and math.isfinite(m_const)
+    continuation.passed &= finite and math.isfinite(l_const)
+    continuation.sharp_passed &= finite
     return EnergyLedger(
         times=trajectory.times,
         e_j=e_j,

@@ -24,11 +24,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .symbol import diam_ratio
+from .symbol import as_table, diam_ratio
 
 __all__ = [
     "QuasiSymmetrizer",
@@ -45,25 +45,25 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuasiSymmetrizer:
-    """Layered symmetrizer family for one set of real roots, or one per time.
+    """Layered symmetrizer family, one per row of real roots.
 
-    ``roots`` has shape (m,) or (n, m); each layer then has shape (m, m) or
-    (n, m, m).
+    ``roots`` has shape (n, m); each layer has shape (n, m, m).
     """
 
     roots: np.ndarray
     layers: tuple[np.ndarray, ...]  # Q_0 ... Q_{m-1}, each symmetric PSD
 
-    @property
-    def order(self) -> int:
-        return self.roots.shape[-1]
+    def assemble(self, eps_values: Sequence[float]) -> np.ndarray:
+        """Q_eps = sum_r eps^(2r) Q_r per time and eps, shape (n, len(eps_values), m, m).
 
-    def assemble(self, eps: float) -> np.ndarray:
-        """Q_eps = sum_r eps^(2r) Q_r."""
-        q = np.zeros_like(self.layers[0])
-        for r, layer in enumerate(self.layers):
-            q += eps ** (2 * r) * layer
-        return q
+        The powers are taken by the scalar pow (numpy's power differs from it
+        by an ulp at some eps) and the layers are summed in order.
+        """
+        eps = [float(e) for e in eps_values]
+        return sum(
+            np.array([e ** (2 * r) for e in eps])[:, None, None] * layer[:, None]
+            for r, layer in enumerate(self.layers)
+        )
 
 
 def _monic_from_roots(roots: np.ndarray, m: int) -> np.ndarray:
@@ -82,14 +82,13 @@ def _monic_from_roots(roots: np.ndarray, m: int) -> np.ndarray:
 def build_quasi_symmetrizer(roots: np.ndarray) -> QuasiSymmetrizer:
     """Build the layered family from real roots (any order >= 2).
 
-    ``roots`` is one set, shape (m,), or one set per time, shape (n, m);
-    the layers are built for all times at once.
+    ``roots`` holds one set per time, shape (n, m); the layers are built for
+    all times at once.
     """
-    r = np.asarray(roots, dtype=float)
-    if r.ndim not in (1, 2) or r.shape[-1] < 2:
-        raise ValueError("need at least two real roots")
-    rows = np.atleast_2d(r)
+    rows = as_table(roots, "roots")
     m = rows.shape[1]
+    if m < 2:
+        raise ValueError("need at least two real roots")
     layers = []
     indices = range(m)
     for size in range(m):
@@ -101,8 +100,8 @@ def build_quasi_symmetrizer(roots: np.ndarray) -> QuasiSymmetrizer:
                 factors = [i for i in indices if i not in subset and i != j]
                 w = _monic_from_roots(rows[:, factors], m)
                 layer += w[:, :, None] * w[:, None, :]
-        layers.append(layer if r.ndim == 2 else layer[0])
-    return QuasiSymmetrizer(roots=r, layers=tuple(layers))
+        layers.append(layer)
+    return QuasiSymmetrizer(roots=rows, layers=tuple(layers))
 
 
 def sample_unit_vectors(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
@@ -164,21 +163,21 @@ def verify_quasi_symmetrizer(
     eps_set: Sequence[float],
     samples: np.ndarray | None = None,
     nd_floor: float = 0.0,
-) -> SymmetrizerCertificate | list[SymmetrizerCertificate]:
+) -> list[SymmetrizerCertificate]:
     """Measure the certificate constants for a symmetrizer against its A.
 
-    ``qs`` holds one set of roots with ``a_matrix`` of shape (m, m), and
-    gives one certificate; or n sets with ``a_matrix`` of shape (n, m, m),
-    and gives one certificate per set, every time and eps in one batch.
+    ``qs`` holds n sets of roots and ``a_matrix`` their companion matrices,
+    shape (n, m, m); the result is one certificate per set, every time and
+    eps in one batch.
     Spectral bounds come from exact symmetric eigensolves; the commutator and
     near-diagonality constants are exact generalized-eigenvalue extremals,
     cross-audited on the supplied random direction ``samples`` (complex unit
     vectors, rows of length m).  Raises ``ValueError`` on dimension mismatch.
     """
-    m = qs.order
+    n, m = qs.roots.shape
     a_matrix = np.asarray(a_matrix, dtype=float)
-    if a_matrix.shape != (*qs.roots.shape[:-1], m, m):
-        raise ValueError(f"companion matrix shape {a_matrix.shape} does not match order {m}")
+    if a_matrix.shape != (n, m, m):
+        raise ValueError(f"companion stack must have shape ({n}, {m}, {m}), got {a_matrix.shape}")
     eps_set = tuple(float(e) for e in eps_set)
     if any(e <= 0 for e in eps_set):
         raise ValueError("eps values must be positive")
@@ -189,10 +188,9 @@ def verify_quasi_symmetrizer(
         raise ValueError("sample vectors must have length m")
 
     # rows of every stack below run over (time, eps), eps fastest
-    roots = np.atleast_2d(qs.roots)
-    n, n_eps = roots.shape[0], len(eps_set)
-    a = np.repeat(a_matrix.reshape(n, m, m), n_eps, axis=0)
-    q = np.stack([qs.assemble(eps).reshape(n, m, m) for eps in eps_set], axis=1).reshape(-1, m, m)
+    n_eps = len(eps_set)
+    a = np.repeat(a_matrix, n_eps, axis=0)
+    q = qs.assemble(eps_set).reshape(-1, m, m)
     eps_rows = np.tile(eps_set, n)
 
     w, u = np.linalg.eigh(q)
@@ -219,7 +217,7 @@ def verify_quasi_symmetrizer(
         nd[dpos] = np.linalg.eigvalsh(norm)[:, 0]
 
     sampled_comm, sampled_nd = _sampled_audit(samples, q, b, eps_rows, n_eps)
-    diams = diam_ratio(roots).tolist()
+    diams = diam_ratio(qs.roots).tolist()
 
     certs = []
     for i in range(n):
@@ -250,7 +248,7 @@ def verify_quasi_symmetrizer(
                 nd_pass=bool(nd_ok),
             )
         )
-    return certs if qs.roots.ndim == 2 else certs[0]
+    return certs
 
 
 def _sampled_audit(
@@ -328,113 +326,105 @@ class ZeroPartition:
         return self.breakpoints[1:-1]
 
 
-def partition_by_zeros(
-    entry_functions: Sequence[Callable[[float], float]],
-    grid: np.ndarray,
-) -> ZeroPartition:
-    """Locate isolated zeros of scalar entry profiles on a fine grid.
+def partition_by_zeros(profiles: np.ndarray, grid: np.ndarray) -> ZeroPartition:
+    """Locate isolated zeros of entry profiles sampled on a fine grid.
 
-    An entry whose samples all stay below 1e-10 times its own peak is
-    classified identically zero and contributes no breakpoints.  For the
-    remaining entries, sign changes contribute an interpolated crossing and
-    near-zero local minima of |q| contribute the grid point itself.  Returns
-    the sorted union together with the interval endpoints.
+    ``profiles`` has one entry per row, shape (p, len(grid)).  An entry at
+    most 1e-10 times the largest peak is identically zero and gives no
+    breakpoints.  Otherwise sign changes give an interpolated crossing, and
+    local minima of |q| at most 1e-10 times the entry's own peak give the
+    grid point.  Returns the sorted union, a cut within one spacing of the
+    last kept one merged into it, together with the interval endpoints.
     """
     grid = np.asarray(grid, dtype=float)
     if grid.size < 3:
         raise ValueError("grid too coarse for zero detection")
+    vals = np.asarray(profiles, dtype=float)
+    if vals.ndim != 2 or vals.shape[1] != grid.size:
+        raise ValueError(f"profiles must have shape (p, {grid.size}), got shape {vals.shape}")
     lo, hi = float(grid[0]), float(grid[-1])
-    sampled = [np.array([fn(float(t)) for t in grid]) for fn in entry_functions]
-    scale = max((float(np.abs(v).max()) for v in sampled), default=0.0)
-    cuts: list[float] = []
-    ident: list[bool] = []
-    for vals in sampled:
-        peak = float(np.abs(vals).max())
-        if peak <= 1e-10 * scale or peak == 0.0:
-            ident.append(True)
-            continue
-        tol = 1e-10 * peak
-        ident.append(False)
-        sign = np.sign(vals)
-        for i in range(grid.size - 1):
-            a, b = vals[i], vals[i + 1]
-            if sign[i] != 0 and sign[i + 1] != 0 and sign[i] != sign[i + 1]:
-                # linear interpolation of the crossing
-                tstar = grid[i] - a * (grid[i + 1] - grid[i]) / (b - a)
-                cuts.append(float(tstar))
-        mags = np.abs(vals)
-        for i in range(grid.size):
-            if mags[i] > tol:
-                continue
-            left = mags[i - 1] if i > 0 else np.inf
-            right = mags[i + 1] if i < grid.size - 1 else np.inf
-            if mags[i] <= left and mags[i] <= right:
-                cuts.append(float(grid[i]))
+    mags = np.abs(vals)
+    peaks = mags.max(axis=1)
+    ident = peaks <= 1e-10 * max(peaks.tolist(), default=0.0)
+    live, mags, peaks = vals[~ident], mags[~ident], peaks[~ident]
+    sign = np.sign(live)
+    rows, cols = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+    a, b = live[rows, cols], live[rows, cols + 1]
+    # linear interpolation of each crossing
+    crossings = grid[cols] - a * (grid[cols + 1] - grid[cols]) / (b - a)
+    padded = np.pad(mags, ((0, 0), (1, 1)), constant_values=np.inf)
+    minima = ~(mags > 1e-10 * peaks[:, None]) & (mags <= padded[:, :-2]) & (mags <= padded[:, 2:])
+    cuts = np.concatenate((crossings, grid[np.nonzero(minima)[1]]))
     spacing = float(np.diff(grid).max())
-    interior = sorted(t for t in cuts if lo + spacing / 2 < t < hi - spacing / 2)
+    inside = (lo + spacing / 2 < cuts) & (cuts < hi - spacing / 2)
     merged: list[float] = []
-    for t in interior:
+    for t in np.sort(cuts[inside]).tolist():
         if not merged or t - merged[-1] > spacing:
             merged.append(t)
     breakpoints = np.array([lo, *merged, hi])
-    return ZeroPartition(breakpoints=breakpoints, identically_zero=tuple(ident))
+    return ZeroPartition(breakpoints=breakpoints, identically_zero=tuple(ident.tolist()))
 
 
-def entry_derivative_bound(
-    entry: Callable[[float], float],
-    horizon: float,
-    grid: np.ndarray,
-) -> float:
+def _profile(values: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A profile sampled on ``grid`` and the grid, as float arrays of one shape (n,)."""
+    grid = np.asarray(grid, dtype=float)
+    vals = np.asarray(values, dtype=float)
+    if grid.ndim != 1 or vals.shape != grid.shape:
+        raise ValueError(f"profile must have the grid's shape ({grid.size},), got {vals.shape}")
+    return vals, grid
+
+
+def entry_derivative_bound(values: np.ndarray, horizon: float, grid: np.ndarray) -> float:
     """sup over the grid of |q'(t)| (T - t) / |q(t)| for a nonvanishing entry.
 
-    The derivative is a second-order finite difference.  If the entry dips
-    below 1e-10 times its own peak anywhere on the sampled part of [0, T) the
-    bound is reported as +inf (the entry vanishes, so no single-interval
-    bound exists).
+    ``values`` is the entry q sampled on ``grid``; the samples at t < T are
+    used.  The derivative is a second-order finite difference.  If the entry
+    dips below 1e-10 times its own peak anywhere on the sampled part of
+    [0, T) the bound is reported as +inf (the entry vanishes, so no
+    single-interval bound exists).
     """
-    grid = np.asarray(grid, dtype=float)
-    inside = grid[grid < horizon]
-    if inside.size < 5:
+    vals, grid = _profile(values, grid)
+    inside = grid < horizon
+    if inside.sum() < 5:
         raise ValueError("grid too coarse inside [0, T)")
-    vals = np.array([entry(float(t)) for t in inside])
+    vals, ts = vals[inside], grid[inside]
     peak = float(np.abs(vals).max())
     if peak == 0.0 or np.abs(vals).min() <= 1e-10 * peak:
         return float("inf")
-    deriv = np.gradient(vals, inside, edge_order=2)
-    return float((np.abs(deriv) * (horizon - inside) / np.abs(vals)).max())
+    deriv = np.gradient(vals, ts, edge_order=2)
+    return float((np.abs(deriv) * (horizon - ts) / np.abs(vals)).max())
 
 
 def glaeser_quotient(
-    f: Callable[[float], float],
+    values: np.ndarray,
     k: int,
     grid: np.ndarray,
     theta: float | None = None,
 ) -> float:
     """sup of |f'| / (|f|^(1 - 1/k) * ||f||_{C^k}^theta) on the grid.
 
-    ``theta`` defaults to 1/k.  Grid points where both |f| and |f'| are below
-    tolerance are skipped (0/0 limits); points where |f| vanishes but |f'|
-    does not make the quotient unbounded and the result is +inf.
+    ``values`` is f sampled on ``grid``; its derivatives are second-order
+    finite differences.  ``theta`` defaults to 1/k.  Grid points where both
+    |f| and |f'| are below tolerance are skipped (0/0 limits); points where
+    |f| vanishes but |f'| does not make the quotient unbounded and the
+    result is +inf.  A quotient that is NaN does not count.
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
     theta = 1.0 / k if theta is None else float(theta)
-    grid = np.asarray(grid, dtype=float)
-    vals = np.array([f(float(t)) for t in grid])
+    vals, grid = _profile(values, grid)
     derivs = [vals]
     for _ in range(k):
         derivs.append(np.gradient(derivs[-1], grid, edge_order=2))
     ck_norm = max(float(np.abs(d).max()) for d in derivs)
     if ck_norm == 0.0:
         return 0.0
-    fprime = derivs[1]
-    tol_f = 1e-10 * max(float(np.abs(vals).max()), 1e-300)
-    tol_d = 1e-10 * max(float(np.abs(fprime).max()), 1e-300)
-    best = 0.0
-    for fv, dv in zip(vals, fprime):
-        if abs(fv) <= tol_f:
-            if abs(dv) <= tol_d:
-                continue
-            return float("inf")
-        best = max(best, abs(dv) / (abs(fv) ** (1.0 - 1.0 / k) * ck_norm**theta))
-    return best
+    f_mag, d_mag = np.abs(vals), np.abs(derivs[1])
+    tol_f = 1e-10 * max(float(f_mag.max()), 1e-300)
+    tol_d = 1e-10 * max(float(d_mag.max()), 1e-300)
+    vanish = f_mag <= tol_f
+    if (vanish & ~(d_mag <= tol_d)).any():
+        return float("inf")
+    live = ~vanish
+    quotients = d_mag[live] / (f_mag[live] ** (1.0 - 1.0 / k) * ck_norm**theta)
+    return float(np.fmax.reduce(quotients, initial=0.0))

@@ -49,7 +49,6 @@ __all__ = [
     "StabilityError",
     "BlowUpError",
     "Trajectory",
-    "companion_matrix",
     "companion_stack",
     "assemble_state",
     "convolution_power",
@@ -110,11 +109,6 @@ def companion_stack(table: np.ndarray) -> np.ndarray:
     mats[:, sup, sup + 1] = -1.0
     mats[:, m - 1, :] = table[:, ::-1]
     return mats
-
-
-def companion_matrix(coeffs: Sequence[float]) -> np.ndarray:
-    """The companion matrix of one coefficient row: ``companion_stack`` of one row."""
-    return companion_stack(np.asarray(coeffs, dtype=float).reshape(1, -1))[0]
 
 
 def _ik_powers(modes: np.ndarray, top: int) -> np.ndarray:

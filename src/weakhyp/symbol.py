@@ -37,8 +37,8 @@ __all__ = [
 class NonHyperbolicError(ValueError):
     """A characteristic root has an imaginary part above tolerance.
 
-    ``index`` is the first offending row of a coefficient table (0 for a
-    single row); ``t`` is its time when the caller knows it.
+    ``index`` is the first offending row of a coefficient table; ``t`` is
+    its time when the caller knows it.
     """
 
     def __init__(self, max_imag: float, tol: float, t: float | None = None, index: int = 0):
@@ -56,23 +56,28 @@ class UnsupportedOrderError(ValueError):
     """Discriminant reformulations are implemented for m = 2 and m = 3 only."""
 
 
+def as_table(rows, what: str) -> np.ndarray:
+    """``rows`` as a float table of shape (n, m), one row per time; anything else raises."""
+    table = np.asarray(rows, dtype=float)
+    if table.ndim != 2 or table.shape[1] < 1:
+        raise ValueError(f"{what} must be a table of shape (n, m), got shape {table.shape}")
+    return table
+
+
 def characteristic_roots(coeffs: np.ndarray, times: np.ndarray | None = None) -> np.ndarray:
     """Real roots of lam^m + a_1 lam^(m-1) + ... + a_m, sorted ascending.
 
-    ``coeffs`` is one row (a_1, ..., a_m) or a table of rows, shape (n, m);
-    the result has the same shape.  Roots are the eigenvalues of the
-    companion matrix ``np.roots`` builds, one batched eigensolve per group of
-    rows of equal degree: trailing coefficients that are exactly zero give
-    exact zero roots, as in ``np.roots``, so each row's roots are bit for
-    bit those of ``np.roots``.  If a root has |Im| above the row's
-    tolerance 1e-8 * (1 + max |a_h|), the polynomial is not (weakly)
-    hyperbolic and :class:`NonHyperbolicError` is raised for the first such
-    row, naming its time when ``times`` gives the time of each row.
+    ``coeffs`` is a table of rows (a_1, ..., a_m), shape (n, m); the result
+    has the same shape.  Roots are the eigenvalues of the companion matrix
+    ``np.roots`` builds, one batched eigensolve per group of rows of equal
+    degree: trailing coefficients that are exactly zero give exact zero
+    roots, as in ``np.roots``, so each row's roots are bit for bit those of
+    ``np.roots``.  If a root has |Im| above the row's tolerance
+    1e-8 * (1 + max |a_h|), the polynomial is not (weakly) hyperbolic and
+    :class:`NonHyperbolicError` is raised for the first such row, naming its
+    time when ``times`` gives the time of each row.
     """
-    a = np.asarray(coeffs, dtype=float)
-    if a.ndim not in (1, 2) or a.shape[-1] < 1:
-        raise ValueError("coefficients must be a non-empty row or a table of rows")
-    rows = np.atleast_2d(a)
+    rows = as_table(coeffs, "coefficients")
     n, m = rows.shape
     tols = 1e-8 * (1.0 + np.abs(rows).max(axis=1, initial=0.0))
     nonzero = rows != 0.0
@@ -94,18 +99,16 @@ def characteristic_roots(coeffs: np.ndarray, times: np.ndarray | None = None) ->
         i = int(bad[0])
         t = None if times is None else float(times[i])
         raise NonHyperbolicError(float(max_imag[i]), float(tols[i]), t=t, index=i)
-    return np.sort(re, axis=1).reshape(a.shape)
+    return np.sort(re, axis=1)
 
 
-def diam_ratio(roots: np.ndarray) -> float | np.ndarray:
-    """Largest pairwise separation ratio; conventions for coinciding pairs.
+def diam_ratio(roots: np.ndarray) -> np.ndarray:
+    """Largest pairwise separation ratio of each row of ``roots``, shape (n, m) -> (n,).
 
-    ``roots`` is one set of roots or a table of sets, shape (n, m); a table
-    gives one ratio per row.  A pair coinciding at zero contributes 0; a
-    coinciding nonzero pair makes the ratio infinite.
+    A pair coinciding at zero contributes 0; a coinciding nonzero pair makes
+    the ratio infinite.
     """
-    r = np.asarray(roots, dtype=float)
-    rows = np.atleast_2d(r)
+    rows = as_table(roots, "roots")
     best = np.zeros(rows.shape[0])
     for i, j in itertools.combinations(range(rows.shape[1]), 2):
         lo, hi = rows[:, i], rows[:, j]
@@ -115,7 +118,7 @@ def diam_ratio(roots: np.ndarray) -> float | np.ndarray:
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(den == 0.0, np.where(num == 0.0, 0.0, np.inf), num / den)
         best = np.maximum(best, ratio)
-    return best if r.ndim == 2 else float(best[0])
+    return best
 
 
 @dataclass
@@ -164,20 +167,15 @@ def check_diam(spec: CoefficientSpec, grid: Sequence[float]) -> DiamReport:
 
 @dataclass(frozen=True)
 class DiscriminantResult:
-    """Discriminant and the order-specific right-hand side, per time.
-
-    The fields are floats for one coefficient row and arrays of shape (n,)
-    for a table of rows.
-    """
+    """Discriminant and the order-specific right-hand side, one value per row."""
 
     order: int
-    delta: float | np.ndarray
-    rhs: float | np.ndarray
-    ratio: float | np.ndarray
+    delta: np.ndarray
+    rhs: np.ndarray
+    ratio: np.ndarray
 
-    def holds(self, c: float) -> bool | np.ndarray:
-        ok = (np.asarray(self.delta) >= 0.0) & (np.asarray(self.ratio) >= c)
-        return bool(ok) if ok.ndim == 0 else ok
+    def holds(self, c: float) -> np.ndarray:
+        return (self.delta >= 0.0) & (self.ratio >= c)
 
 
 def discriminant_check(coeffs: np.ndarray) -> DiscriminantResult:
@@ -187,21 +185,21 @@ def discriminant_check(coeffs: np.ndarray) -> DiscriminantResult:
     m = 3:  delta = -4 a2^3 - 27 a3^2 + a1^2 a2^2 - 4 a1^3 a3 + 18 a1 a2 a3,
             rhs = (a1 a2 - 9 a3)^2
 
-    ``coeffs`` is one row (a_1, ..., a_m) or a table of rows, shape (n, m),
-    evaluated row by row; powers are products, so every value is exact
-    IEEE arithmetic independent of the platform's ``pow``.  In both cases
+    ``coeffs`` is a table of rows (a_1, ..., a_m), shape (n, m), evaluated
+    row by row; powers are products, so every value is exact IEEE
+    arithmetic independent of the platform's ``pow``.  In both cases
     delta equals the product of squared root differences.  The ratio is
     delta/rhs with the conventions: rhs = 0 with delta > 0 gives +inf, both
     zero gives 1, rhs = 0 with delta < 0 gives -inf.
     """
-    a = np.asarray(coeffs, dtype=float)
-    m = a.shape[-1] if a.ndim else 0
+    a = as_table(coeffs, "coefficients")
+    m = a.shape[1]
     if m == 2:
-        a1, a2 = np.moveaxis(a, -1, 0)
+        a1, a2 = a.T
         delta = a1 * a1 - 4.0 * a2
         rhs = a1 * a1
     elif m == 3:
-        a1, a2, a3 = np.moveaxis(a, -1, 0)
+        a1, a2, a3 = a.T
         s1, s2 = a1 * a1, a2 * a2
         delta = (
             -4.0 * (s2 * a2)
@@ -217,6 +215,4 @@ def discriminant_check(coeffs: np.ndarray) -> DiscriminantResult:
     with np.errstate(divide="ignore", invalid="ignore"):
         signed_inf = np.where(delta > 0.0, np.inf, -np.inf)
         ratio = np.where(rhs == 0.0, np.where(delta == 0.0, 1.0, signed_inf), delta / rhs)
-    if a.ndim == 1:
-        return DiscriminantResult(order=m, delta=float(delta), rhs=float(rhs), ratio=float(ratio))
     return DiscriminantResult(order=m, delta=delta, rhs=rhs, ratio=ratio)

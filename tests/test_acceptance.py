@@ -30,7 +30,7 @@ from weakhyp import (
     verify_quasi_symmetrizer,
 )
 from weakhyp.cli import main as cli_main
-from weakhyp.spectral import companion_matrix
+from weakhyp.spectral import companion_stack
 from weakhyp.symbol import diam_ratio, discriminant_check
 
 
@@ -87,14 +87,14 @@ def certificate_pool(m: int, rng: np.random.Generator) -> list[np.ndarray]:
     pool: list[np.ndarray] = []
     while len(pool) < 120:
         roots = np.sort(rng.uniform(-2.0, 2.0, size=m))
-        d = diam_ratio(roots)
+        (d,) = diam_ratio(roots[None])
         if np.isfinite(d) and d <= 4.0:
             pool.append(roots)
     while len(pool) < 160:
         delta = 10.0 ** rng.uniform(-4, -3)
         extra = rng.uniform(-2.0, 2.0, size=m - 2)
         roots = np.sort(np.concatenate([[-delta, delta], extra]))
-        d = diam_ratio(roots)
+        (d,) = diam_ratio(roots[None])
         if np.isfinite(d) and d <= 4.0:
             pool.append(roots)
     while len(pool) < 200:
@@ -112,11 +112,12 @@ def test_criterion_01_quasi_symmetrizer_certificate():
         per_eps = {e: 0.0 for e in eps_set}
         qs1_c = 0.0
         nd_min = math.inf
-        for roots in certificate_pool(m, rng):
-            coeffs = np.poly(roots)[1:]
-            cert = verify_quasi_symmetrizer(
-                build_quasi_symmetrizer(roots), companion_matrix(coeffs), eps_set
-            )
+        pool = np.array(certificate_pool(m, rng))
+        table = np.array([np.poly(roots)[1:] for roots in pool])
+        certs = verify_quasi_symmetrizer(
+            build_quasi_symmetrizer(pool), companion_stack(table), eps_set
+        )
+        for cert in certs:
             for e in eps_set:
                 per_eps[e] = max(per_eps[e], cert.c_comm_by_eps[e])
             qs1_c = max(qs1_c, cert.c_upper, cert.c_lower)
@@ -127,9 +128,9 @@ def test_criterion_01_quasi_symmetrizer_certificate():
 
     # negative control: a nonzero double root degenerates c_nd below any
     # linear-in-eps floor once eps is small enough
-    control = verify_quasi_symmetrizer(
-        build_quasi_symmetrizer([1.0, 1.0]),
-        companion_matrix([-2.0, 1.0]),
+    (control,) = verify_quasi_symmetrizer(
+        build_quasi_symmetrizer([[1.0, 1.0]]),
+        companion_stack([[-2.0, 1.0]]),
         (1.0, 0.1, 0.01, 1e-3, 1e-4),
     )
     nd_tiny = control.c_nd_by_eps[1e-4]
@@ -388,7 +389,7 @@ def test_criterion_10_discriminant_cross_check():
         for _ in range(10_000):
             roots = np.sort(rng.uniform(-3.0, 3.0, size=m))
             coeffs = np.poly(roots)[1:]
-            delta = discriminant_check(tuple(coeffs)).delta
+            (delta,) = discriminant_check(coeffs[None]).delta
             brute = brute_discriminant(roots)
             scale = max(abs(brute), monomial_scale(m, coeffs), 1e-300)
             worst = max(worst, abs(delta - brute) / scale)

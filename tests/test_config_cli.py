@@ -812,6 +812,20 @@ def test_cli_analyze_overflowed_ledger_reads_no_nan_and_fails(tmp_path, nu):
     assert float(rows[0][header.index("r")]) == 0.25  # r(0) = r0
 
 
+@pytest.mark.parametrize("nu, cm_power", [(2, "inf"), (0, 1.0)])
+def test_cli_analyze_overflowed_ledger_fails_the_sharp_audit(tmp_path, nu, cm_power):
+    # C = M = inf: at nu = 2 (C M)^nu and G overflow, at nu = 0 (C M)^0 = 1 stays finite;
+    # either way the sharp bound G(0) + (C M)^nu t would hold vacuously
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, OVERFLOWING_LEDGER_YAML.format(nu=nu))
+    assert main(["analyze", "--config", cfg, "--output", str(out)]) == 1
+    ledger = json.loads((out / "report.json").read_text())["ledger"]
+    continuation = ledger["continuation"]
+    assert (ledger["C"], ledger["M"], continuation["CM_power"]) == ("inf", "inf", cm_power)
+    assert continuation["sharp_excess"] == 0.0
+    assert continuation["sharp_passed"] is False
+
+
 def test_cli_reads_plain_exponent_floats(tmp_path):
     # YAML 1.1 reads 1e-2 and 1e9 as strings; they are the numbers 0.01 and the default ceiling
     plain, exponent = tmp_path / "plain", tmp_path / "exponent"

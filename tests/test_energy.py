@@ -48,7 +48,9 @@ from weakhyp.energy import (
 )
 from weakhyp.config import load_config
 from weakhyp.equation import CoefficientSpec
+from weakhyp.quasisym import build_quasi_symmetrizer
 from weakhyp.spectral import Trajectory, companion_stack, simulate
+from weakhyp.symbol import NonHyperbolicError, characteristic_roots
 
 UNIT = WeightParams(c0=1.0, horizon=1.0, loss_exponent=1)
 U = 2.0**-53  # unit roundoff
@@ -606,6 +608,17 @@ def test_continuation_check_fails_on_nan():
     assert rep.first_crossing == 1.0 and not rep.degenerate_at_start
 
 
+def test_continuation_check_fails_the_sharp_audit_on_an_overflowed_bound():
+    # an inf (C M)^nu makes the bound G(0) + (C M)^nu t inf, where it holds vacuously
+    times = np.array([0.0, 1.0, 2.0])
+    rep = continuation_check(times, np.array([1.0, 1.5, 2.0]), l_const=4.0, cm_power=math.inf)
+    assert rep.passed and rep.sharp_excess == 0.0 and not rep.sharp_passed
+    rep = continuation_check(times, np.array([1.0, math.inf, 2.0]), l_const=math.inf, cm_power=1.0)
+    assert not rep.sharp_passed
+    rep = continuation_check(times, np.array([1.0, 1.5, 2.0]), l_const=4.0, cm_power=0.5)
+    assert rep.sharp_passed
+
+
 def constant_trajectory():
     """|V_k| = 1 for every mode at three times, no forcing."""
     K = 2
@@ -751,6 +764,87 @@ def test_energy_inequality_on_wave_run():
     assert rep.passed, rep.max_ratio
     assert rep.checked > 0
     assert rep.c0 == 1.0
+
+
+def loop_energy_inequality(trajectory, problem, params):
+    """(E*, max_ratio, checked) of the audit with one Q_eps and one einsum per (t, k).
+
+    The per-point loop the batched audit replaced, inlined; its rows come
+    from the coefficient table, the one coefficient source of the library.
+    """
+    times = trajectory.times
+    v = trajectory.v_series()
+    f_mags = np.abs(trajectory.forcings)
+    table = problem.coefficient_table(times)
+    e_star = np.empty(f_mags.shape)
+    for i in range(times.size):
+        layers = build_quasi_symmetrizer(characteristic_roots(table[i : i + 1])).layers
+        for kk, row in enumerate(v[i]):
+            eps = 1.0 / (1.0 + kk)
+            q = np.zeros((trajectory.order, trajectory.order))
+            for r, layer in enumerate(layers):
+                q += eps ** (2 * r) * layer[0]
+            val = np.einsum("j,jl,l->", row.conj(), q, row).real
+            e_star[i, kk] = max(val, 0.0)
+    s_vals = np.sqrt(e_star)
+    t_col = times.reshape(-1, 1)
+    lhs = (s_vals[2:] - s_vals[:-2]) / (t_col[2:] - t_col[:-2])
+    with np.errstate(divide="ignore"):
+        growth = 1.0 / (params.horizon - times[1:-1]) + 1.0
+    rhs = params.c0 * growth.reshape(-1, 1) * s_vals[1:-1] + params.c0 * f_mags[1:-1]
+    active = rhs > 1e-300
+    max_ratio = float((lhs[active] / rhs[active]).max()) if active.any() else 0.0
+    if ((~active) & (lhs > 1e-12)).any():
+        max_ratio = float("inf")
+    return e_star, max_ratio, int(active.sum() + active[:, 1:].sum())
+
+
+AUDIT_PROBLEMS = {
+    "wave": ["0", "-1"],
+    "double-root": ["0", "-t^2"],
+    "roots -t, 0, t": ["0", "-t^2", "0"],
+    "roots t, 2t, -3t": ["0", "-7*t^2", "6*t^3"],
+    "roots +-t, +-2t": ["0", "-5*t^2", "0", "4*t^4"],  # a cluster of four at zero
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(AUDIT_PROBLEMS)),
+    nu=st.integers(0, 2),
+    K=st.integers(4, 24),
+    log_amp=st.floats(-3.0, -1.0),
+    snapshot_interval=st.sampled_from([0.01, 0.02, 0.05]),
+    c0=st.sampled_from([None, 1.0, 3.0]),
+)
+@example(name="roots t, 2t, -3t", nu=2, K=24, log_amp=-1.0, snapshot_interval=0.01, c0=None)
+@example(name="roots +-t, +-2t", nu=0, K=16, log_amp=-2.0, snapshot_interval=0.02, c0=1.0)
+# eps^6 by numpy's power differs from the scalar pow first at k = 88
+@example(name="roots +-t, +-2t", nu=1, K=100, log_amp=-1.0, snapshot_interval=0.05, c0=None)
+def test_batched_energy_inequality_matches_the_per_point_loop(
+    name, nu, K, log_amp, snapshot_interval, c0
+):
+    coeffs = AUDIT_PROBLEMS[name]
+    m = len(coeffs)
+    amp = 10.0**log_amp
+    initial = [f"{amp!r}*0.75/(1.25 - cos(x))", f"{amp!r}*sin(2*x)"] + ["0"] * (m - 2)
+    problem = CoefficientSpec.from_strings(m, 0.5, coeffs, nu, initial)
+    traj = simulate(problem, K=K, dt=0.002, snapshot_interval=snapshot_interval)
+    params = WeightParams(c0=c0 or default_c0(problem), horizon=0.5, loss_exponent=1)
+    rep = energy_inequality_check(traj, problem, params)
+    e_star, max_ratio, checked = loop_energy_inequality(traj, problem, params)
+    assert np.array_equal(energy._quasi_energy(traj, problem).view(np.int64), e_star.view(np.int64))
+    assert (rep.max_ratio, rep.checked) == (max_ratio, checked)
+    assert rep.passed == (max_ratio <= 1.05)
+
+
+def test_energy_inequality_names_the_time_of_a_non_real_root():
+    # lam^2 + (t - 0.5): the roots leave the real line after t = 0.5
+    problem = CoefficientSpec.from_strings(2, 1.0, ["0", "t - 0.5"], 0, ["cos(x)", "0"])
+    traj = simulate(wave_problem(), K=4, dt=0.01, snapshot_interval=0.25)
+    with pytest.raises(NonHyperbolicError) as exc_info:
+        energy_inequality_check(traj, problem, UNIT)
+    assert exc_info.value.t == 0.75
 
 
 def test_build_energy_ledger_wave_relations():

@@ -1,10 +1,13 @@
 """Parser/evaluator tests: grammar corner cases, domain errors, round-trips."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import weakhyp
 from weakhyp.exprdsl import (
     BinOp,
     DomainError,
@@ -200,3 +203,49 @@ def test_to_source_round_trip_random_trees():
     for _ in range(200):
         tree = random_tree(int(rng.integers(1, 5)))
         assert parse(to_source(tree), ("t",)) == tree
+
+
+# -- one coefficient source: the table ----------------------------------------
+
+
+def scalar_coefficient_calls(source: str) -> list[tuple[str, int]]:
+    """Calls of ``coefficients_at`` or of the scalar ``evaluate`` (also under an alias)."""
+    tree = ast.parse(source)
+    evaluate_names = {"evaluate"} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "evaluate" and alias.asname
+    }
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr in ("coefficients_at", "evaluate"):
+            calls.append((func.attr, node.lineno))
+        elif isinstance(func, ast.Name) and func.id in evaluate_names:
+            calls.append((func.id, node.lineno))
+    return calls
+
+
+def test_scalar_coefficient_calls_are_found():
+    assert scalar_coefficient_calls("problem.coefficients_at(t)") == [("coefficients_at", 1)]
+    assert scalar_coefficient_calls("from .exprdsl import evaluate as ev\nev(e, {})") == [("ev", 2)]
+    assert scalar_coefficient_calls("exprdsl.evaluate(e, {})") == [("evaluate", 1)]
+    assert scalar_coefficient_calls("evaluate_on_grid(e, 't', ts)") == []
+
+
+def test_only_the_expression_layer_evaluates_at_a_point():
+    # every diagnostic reads the coefficient table; the scalar paths serve the tests as references
+    package = Path(weakhyp.__file__).parent
+    modules = sorted(package.glob("*.py"))
+    assert {path.name for path in modules} >= {"cli.py", "energy.py", "quasisym.py", "symbol.py"}
+    found = {
+        path.name: calls
+        for path in modules
+        if path.name not in ("exprdsl.py", "equation.py")
+        and (calls := scalar_coefficient_calls(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}

@@ -17,6 +17,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from weakhyp.quasisym import (
     _sampled_audit,
@@ -27,20 +29,20 @@ from weakhyp.quasisym import (
     sample_unit_vectors,
     verify_quasi_symmetrizer,
 )
-from weakhyp.spectral import companion_matrix, companion_stack
+from weakhyp.spectral import companion_stack
 
 
 def test_layers_frozen_double_zero():
-    qs = build_quasi_symmetrizer([0.0, 0.0])
-    np.testing.assert_allclose(qs.layers[0], [[0.0, 0.0], [0.0, 2.0]])
-    np.testing.assert_allclose(qs.layers[1], [[2.0, 0.0], [0.0, 0.0]])
-    np.testing.assert_allclose(qs.assemble(0.5), [[0.5, 0.0], [0.0, 2.0]])
+    qs = build_quasi_symmetrizer([[0.0, 0.0]])
+    np.testing.assert_allclose(qs.layers[0], [[[0.0, 0.0], [0.0, 2.0]]])
+    np.testing.assert_allclose(qs.layers[1], [[[2.0, 0.0], [0.0, 0.0]]])
+    np.testing.assert_allclose(qs.assemble([0.5]), [[[[0.5, 0.0], [0.0, 2.0]]]])
 
 
 def test_layers_frozen_separated():
-    qs = build_quasi_symmetrizer([-1.0, 1.0])
-    np.testing.assert_allclose(qs.layers[0], [[2.0, 0.0], [0.0, 2.0]])
-    np.testing.assert_allclose(qs.layers[1], [[2.0, 0.0], [0.0, 0.0]])
+    qs = build_quasi_symmetrizer([[-1.0, 1.0]])
+    np.testing.assert_allclose(qs.layers[0], [[[2.0, 0.0], [0.0, 2.0]]])
+    np.testing.assert_allclose(qs.layers[1], [[[2.0, 0.0], [0.0, 0.0]]])
 
 
 def test_layers_symmetric_psd():
@@ -48,21 +50,21 @@ def test_layers_symmetric_psd():
     for _ in range(120):
         m = int(rng.integers(2, 5))
         roots = rng.uniform(-2.0, 2.0, size=m)
-        qs = build_quasi_symmetrizer(roots)
+        qs = build_quasi_symmetrizer(roots[None])
         assert len(qs.layers) == m
-        for layer in qs.layers:
+        for (layer,) in qs.layers:
             np.testing.assert_allclose(layer, layer.T, atol=1e-12)
             w = np.linalg.eigvalsh(layer)
             assert w.min() >= -1e-10 * max(1.0, w.max())
         # the full family must be strictly positive definite for eps > 0
-        w = np.linalg.eigvalsh(qs.assemble(0.3))
+        w = np.linalg.eigvalsh(qs.assemble([0.3]))
         assert w.min() > 0.0
 
 
 def test_certificate_frozen_separated_roots():
-    qs = build_quasi_symmetrizer([-1.0, 1.0])
-    a = companion_matrix([0.0, -1.0])  # lam^2 - 1
-    cert = verify_quasi_symmetrizer(qs, a, [1.0])
+    qs = build_quasi_symmetrizer([[-1.0, 1.0]])
+    a = companion_stack([[0.0, -1.0]])  # lam^2 - 1
+    (cert,) = verify_quasi_symmetrizer(qs, a, [1.0])
     assert cert.c_lower == pytest.approx(0.5)
     assert cert.c_upper == pytest.approx(4.0)
     assert cert.c_comm == pytest.approx(1.0 / math.sqrt(2.0))
@@ -71,41 +73,41 @@ def test_certificate_frozen_separated_roots():
 
 
 def test_commutator_scaling_separated_roots():
-    qs = build_quasi_symmetrizer([-1.0, 1.0])
-    a = companion_matrix([0.0, -1.0])
+    qs = build_quasi_symmetrizer([[-1.0, 1.0]])
+    a = companion_stack([[0.0, -1.0]])
     for eps in (1.0, 0.1, 0.01):
-        cert = verify_quasi_symmetrizer(qs, a, [eps])
+        (cert,) = verify_quasi_symmetrizer(qs, a, [eps])
         expected = eps * math.sqrt(2.0) / math.sqrt(2.0 + 2.0 * eps * eps)
         assert cert.c_comm == pytest.approx(expected, rel=1e-10)
 
 
 def test_commutator_constant_for_zero_roots():
     # double root at zero: C_comm = 1 independent of eps
-    qs = build_quasi_symmetrizer([0.0, 0.0])
-    a = companion_matrix([0.0, 0.0])
+    qs = build_quasi_symmetrizer([[0.0, 0.0]])
+    a = companion_stack([[0.0, 0.0]])
     for eps in (1.0, 0.1, 0.01, 1e-4):
-        cert = verify_quasi_symmetrizer(qs, a, [eps])
+        (cert,) = verify_quasi_symmetrizer(qs, a, [eps])
         assert cert.c_comm == pytest.approx(1.0, rel=1e-9)
 
 
 def test_commutator_constant_triple_zero():
     # all-zero roots, order 3: C_comm = sqrt(5/2) for every eps
-    qs = build_quasi_symmetrizer([0.0, 0.0, 0.0])
-    a = companion_matrix([0.0, 0.0, 0.0])
+    qs = build_quasi_symmetrizer([[0.0, 0.0, 0.0]])
+    a = companion_stack([[0.0, 0.0, 0.0]])
     for eps in (1.0, 0.1, 0.01):
-        cert = verify_quasi_symmetrizer(qs, a, [eps])
+        (cert,) = verify_quasi_symmetrizer(qs, a, [eps])
         assert cert.c_comm == pytest.approx(math.sqrt(2.5), rel=1e-8)
 
 
 def test_near_diagonality_negative_control():
     # nonzero double root: c_nd ~ eps^2/2 falls below any linear-in-eps floor
-    qs = build_quasi_symmetrizer([1.0, 1.0])
-    a = companion_matrix([-2.0, 1.0])
+    qs = build_quasi_symmetrizer([[1.0, 1.0]])
+    a = companion_stack([[-2.0, 1.0]])
     for eps in (1.0, 0.1, 0.01, 1e-3, 1e-4):
-        cert = verify_quasi_symmetrizer(qs, a, [eps])
+        (cert,) = verify_quasi_symmetrizer(qs, a, [eps])
         expected = 1.0 - 1.0 / math.sqrt(1.0 + eps * eps)
         assert cert.c_nd == pytest.approx(expected, rel=1e-6, abs=1e-15)
-    smallest = verify_quasi_symmetrizer(qs, a, [1e-4])
+    (smallest,) = verify_quasi_symmetrizer(qs, a, [1e-4])
     assert smallest.c_nd < 1e-3 * 1e-4
 
 
@@ -115,16 +117,16 @@ def test_sampled_audit_consistent_with_exact():
     for _ in range(20):
         roots = np.sort(rng.uniform(-2.0, 2.0, size=3))
         coeffs = np.poly(roots)[1:]
-        qs = build_quasi_symmetrizer(roots)
-        cert = verify_quasi_symmetrizer(qs, companion_matrix(coeffs), [1.0, 0.1], samples)
+        qs = build_quasi_symmetrizer(roots[None])
+        (cert,) = verify_quasi_symmetrizer(qs, companion_stack(coeffs[None]), [1.0, 0.1], samples)
         # random directions can only underestimate the extremal ratios
         assert cert.sampled_c_comm <= cert.c_comm * (1.0 + 1e-9)
         assert cert.sampled_c_nd >= cert.c_nd - 1e-9
 
 
 def test_certificate_to_dict_keys():
-    qs = build_quasi_symmetrizer([-1.0, 1.0])
-    cert = verify_quasi_symmetrizer(qs, companion_matrix([0.0, -1.0]), [1.0, 0.1])
+    qs = build_quasi_symmetrizer([[-1.0, 1.0]])
+    (cert,) = verify_quasi_symmetrizer(qs, companion_stack([[0.0, -1.0]]), [1.0, 0.1])
     d = cert.to_dict()
     assert set(d) == {
         "eps_set", "C_lower", "C_upper", "C_comm", "C_comm_by_eps", "c_nd",
@@ -135,16 +137,18 @@ def test_certificate_to_dict_keys():
 
 
 def test_verify_rejects_mismatched_dimensions():
-    qs = build_quasi_symmetrizer([-1.0, 1.0])
+    qs = build_quasi_symmetrizer([[-1.0, 1.0]])
     with pytest.raises(ValueError):
-        verify_quasi_symmetrizer(qs, np.zeros((3, 3)), [1.0])
+        verify_quasi_symmetrizer(qs, np.zeros((1, 3, 3)), [1.0])
     with pytest.raises(ValueError):
-        verify_quasi_symmetrizer(qs, companion_matrix([0.0, -1.0]), [0.0])
+        verify_quasi_symmetrizer(qs, companion_stack([[0.0, -1.0]])[0], [1.0])
+    with pytest.raises(ValueError):
+        verify_quasi_symmetrizer(qs, companion_stack([[0.0, -1.0]]), [0.0])
 
 
 def test_partition_by_zeros_sign_change():
     grid = np.linspace(0.0, 1.0, 1001)
-    part = partition_by_zeros([lambda t: t - 0.5, lambda t: 1.0], grid)
+    part = partition_by_zeros([grid - 0.5, np.ones_like(grid)], grid)
     assert part.identically_zero == (False, False)
     np.testing.assert_allclose(part.breakpoints, [0.0, 0.5, 1.0], atol=1e-9)
     np.testing.assert_allclose(part.interior, [0.5], atol=1e-9)
@@ -152,13 +156,13 @@ def test_partition_by_zeros_sign_change():
 
 def test_partition_by_zeros_touching_zero():
     grid = np.linspace(0.0, 1.0, 1001)
-    part = partition_by_zeros([lambda t: (t - 0.3) ** 2], grid)
+    part = partition_by_zeros([(grid - 0.3) ** 2], grid)
     np.testing.assert_allclose(part.interior, [0.3], atol=1e-3)
 
 
 def test_partition_identically_zero_entry():
     grid = np.linspace(0.0, 1.0, 101)
-    part = partition_by_zeros([lambda t: 0.0, lambda t: math.sin(t) + 2.0], grid)
+    part = partition_by_zeros([np.zeros_like(grid), np.sin(grid) + 2.0], grid)
     assert part.identically_zero == (True, False)
     assert part.interior.size == 0
 
@@ -166,32 +170,194 @@ def test_partition_identically_zero_entry():
 def test_entry_derivative_bound_linear():
     grid = np.linspace(0.0, 1.0, 1001)
     # q = 1 + t: sup |q'|(T-t)/|q| = 1 at t = 0, second-order FD is exact
-    bound = entry_derivative_bound(lambda t: 1.0 + t, 1.0, grid)
+    bound = entry_derivative_bound(1.0 + grid, 1.0, grid)
     assert bound == pytest.approx(1.0, rel=1e-9)
 
 
 def test_entry_derivative_bound_vanishing_entry():
     grid = np.linspace(0.0, 1.0, 1001)
-    assert entry_derivative_bound(lambda t: t - 0.5, 1.0, grid) == float("inf")
+    assert entry_derivative_bound(grid - 0.5, 1.0, grid) == float("inf")
 
 
 def test_glaeser_quotient_frozen_square():
     # f = t^2, k = 2, theta = 1/2: |2t| / (|t| * sqrt(2)) = sqrt(2)
     grid = np.linspace(-1.0, 1.0, 2001)
-    q = glaeser_quotient(lambda t: t * t, 2, grid)
+    q = glaeser_quotient(grid * grid, 2, grid)
     assert q == pytest.approx(math.sqrt(2.0), rel=1e-6)
 
 
 def test_glaeser_quotient_linear():
     grid = np.linspace(0.1, 1.0, 901)
-    q = glaeser_quotient(lambda t: t, 1, grid)
+    q = glaeser_quotient(grid, 1, grid)
     assert q == pytest.approx(1.0, rel=1e-9)
 
 
 def test_glaeser_quotient_unbounded():
     # f = t has f(0) = 0 with f'(0) = 1: quotient blows up at the zero
     grid = np.linspace(-1.0, 1.0, 2001)
-    assert glaeser_quotient(lambda t: t, 1, grid) == float("inf")
+    assert glaeser_quotient(grid, 1, grid) == float("inf")
+
+
+def test_table_routines_refuse_one_row():
+    with pytest.raises(ValueError, match=r"table of shape \(n, m\), got shape \(2,\)"):
+        build_quasi_symmetrizer([-1.0, 1.0])
+    qs = build_quasi_symmetrizer([[-1.0, 1.0]])
+    with pytest.raises(ValueError, match=r"shape \(1, 2, 2\), got \(2, 2\)"):
+        verify_quasi_symmetrizer(qs, companion_stack([[0.0, -1.0]])[0], [1.0])
+    grid = np.linspace(0.0, 1.0, 11)
+    with pytest.raises(ValueError, match=r"shape \(p, 11\), got shape \(11,\)"):
+        partition_by_zeros(grid - 0.5, grid)
+    with pytest.raises(ValueError, match=r"shape \(11,\), got \(1, 11\)"):
+        entry_derivative_bound([grid + 1.0], 1.0, grid)
+    with pytest.raises(ValueError, match=r"shape \(11,\), got \(10,\)"):
+        glaeser_quotient(grid[1:], 1, grid)
+
+
+# -- the sampled helpers against their per-point callable loops -----------------
+
+
+def callable_partition(entry_functions, grid):
+    """``partition_by_zeros`` as a loop over grid points of scalar callables."""
+    lo, hi = float(grid[0]), float(grid[-1])
+    sampled = [np.array([fn(float(t)) for t in grid]) for fn in entry_functions]
+    scale = max((float(np.abs(v).max()) for v in sampled), default=0.0)
+    cuts, ident = [], []
+    for vals in sampled:
+        peak = float(np.abs(vals).max())
+        if peak <= 1e-10 * scale or peak == 0.0:
+            ident.append(True)
+            continue
+        tol = 1e-10 * peak
+        ident.append(False)
+        sign = np.sign(vals)
+        for i in range(grid.size - 1):
+            a, b = vals[i], vals[i + 1]
+            if sign[i] != 0 and sign[i + 1] != 0 and sign[i] != sign[i + 1]:
+                cuts.append(float(grid[i] - a * (grid[i + 1] - grid[i]) / (b - a)))
+        mags = np.abs(vals)
+        for i in range(grid.size):
+            if mags[i] > tol:
+                continue
+            left = mags[i - 1] if i > 0 else np.inf
+            right = mags[i + 1] if i < grid.size - 1 else np.inf
+            if mags[i] <= left and mags[i] <= right:
+                cuts.append(float(grid[i]))
+    spacing = float(np.diff(grid).max())
+    merged = []
+    for t in sorted(t for t in cuts if lo + spacing / 2 < t < hi - spacing / 2):
+        if not merged or t - merged[-1] > spacing:
+            merged.append(t)
+    return [lo, *merged, hi], tuple(ident)
+
+
+def callable_derivative_bound(entry, horizon, grid):
+    """``entry_derivative_bound`` sampling a scalar callable point by point."""
+    inside = grid[grid < horizon]
+    vals = np.array([entry(float(t)) for t in inside])
+    peak = float(np.abs(vals).max())
+    if peak == 0.0 or np.abs(vals).min() <= 1e-10 * peak:
+        return float("inf")
+    deriv = np.gradient(vals, inside, edge_order=2)
+    return float((np.abs(deriv) * (horizon - inside) / np.abs(vals)).max())
+
+
+def callable_glaeser(f, k, grid, theta=None):
+    """``glaeser_quotient`` as a loop over grid points of a scalar callable."""
+    theta = 1.0 / k if theta is None else float(theta)
+    vals = np.array([f(float(t)) for t in grid])
+    derivs = [vals]
+    for _ in range(k):
+        derivs.append(np.gradient(derivs[-1], grid, edge_order=2))
+    ck_norm = max(float(np.abs(d).max()) for d in derivs)
+    if ck_norm == 0.0:
+        return 0.0
+    fprime = derivs[1]
+    tol_f = 1e-10 * max(float(np.abs(vals).max()), 1e-300)
+    tol_d = 1e-10 * max(float(np.abs(fprime).max()), 1e-300)
+    best = 0.0
+    for fv, dv in zip(vals, fprime):
+        if abs(fv) <= tol_f:
+            if abs(dv) <= tol_d:
+                continue
+            return float("inf")
+        best = max(best, abs(dv) / (abs(fv) ** (1.0 - 1.0 / k) * ck_norm**theta))
+    return best
+
+
+def lookup(grid, values):
+    """The scalar callable whose value at each grid time is the sampled value there."""
+    return dict(zip(grid.tolist(), values.tolist())).__getitem__
+
+
+@st.composite
+def sampled_profiles(draw, max_entries=4):
+    """(grid, profiles): entries with sign changes, zeros touched at grid points
+    or between them, identically zero and negligible entries, and steps."""
+    n = draw(st.integers(5, 60))
+    lo = draw(st.sampled_from([0.0, -1.0, 0.1]))
+    grid = np.linspace(lo, lo + draw(st.sampled_from([0.5, 1.0, 2.0])), n)
+    inside = st.one_of(st.sampled_from(grid.tolist()), st.floats(grid[0], grid[-1]))
+    rows = []
+    for _ in range(draw(st.integers(1, max_entries))):
+        kind = draw(st.sampled_from(["roots", "touch", "zero", "steps"]))
+        scale = 10.0 ** draw(st.integers(-14, 3))
+        if kind == "roots":
+            vals = np.ones(n)
+            for root in draw(st.lists(inside, max_size=3)):
+                vals = vals * (grid - root)
+        elif kind == "touch":
+            vals = (grid - draw(inside)) ** 2
+        elif kind == "zero":
+            vals = np.zeros(n)
+        else:
+            # 1e-10 and 3e-10 sit at and just above the helpers' relative tolerances
+            steps = st.sampled_from([-1.0, -0.5, 0.0, 1e-12, 1e-10, 3e-10, 0.25, 1.0])
+            vals = np.array(draw(st.lists(steps, min_size=n, max_size=n)))
+        rows.append(scale * vals)
+    return grid, np.array(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampled_profiles())
+def test_partition_by_zeros_matches_the_callable_loop(case):
+    grid, profiles = case
+    part = partition_by_zeros(profiles, grid)
+    breakpoints, ident = callable_partition([lookup(grid, row) for row in profiles], grid)
+    assert part.breakpoints.tolist() == breakpoints
+    assert part.identically_zero == ident
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampled_profiles(max_entries=1), st.sampled_from([0.5, 1.0, 3.0]))
+@example((np.linspace(0.0, 1.0, 6), np.array([[1.0, 1.0, 1e-10, 1.0, 1.0, 1.0]])), 3.0)  # min = tol
+def test_entry_derivative_bound_matches_the_callable_loop(case, where):
+    grid, (values,) = case
+    horizon = grid[0] + where * (grid[-1] - grid[0])
+    if (grid < horizon).sum() < 5:
+        with pytest.raises(ValueError):
+            entry_derivative_bound(values, horizon, grid)
+        return
+    got = entry_derivative_bound(values, horizon, grid)
+    want = callable_derivative_bound(lookup(grid, values), horizon, grid)
+    assert got == want
+
+
+# the pows of |f| differ by at most 1 ulp (numpy's power against libm pow;
+# each is faithful), and the product and quotient round once more on each side
+GLAESER_REL = 4 * np.finfo(float).eps
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampled_profiles(max_entries=1), st.integers(1, 3), st.sampled_from([None, 0.0, 0.5, 2.0]))
+# f vanishes at t = 0, where |f'| is between 1 and 10 times its tolerance: inf
+@example((np.linspace(0.0, 1.0, 6), np.array([[1e-10, 3e-10, 3e-10, 1.0, -0.5, -0.5]])), 1, None)
+def test_glaeser_quotient_matches_the_callable_loop(case, k, theta):
+    grid, (values,) = case
+    got = glaeser_quotient(values, k, grid, theta)
+    want = callable_glaeser(lookup(grid, values), k, grid, theta)
+    assert math.isinf(got) == math.isinf(want)
+    if not math.isinf(want):
+        assert abs(got - want) <= GLAESER_REL * max(got, want)
 
 
 # -- batched certificate against the per-time algorithm ------------------------
@@ -271,16 +437,17 @@ def test_batched_certificate_matches_per_time_algorithm(m, eps_set):
         layers = reference_layers(roots[i])
         for got, want in zip(qs.layers, layers):
             assert np.array_equal(got[i], want)
-        ref = reference_certificate(layers, companion_matrix(table[i]), eps_set, samples)
+        ref = reference_certificate(layers, companion_stack(table)[i], eps_set, samples)
         assert (cert.c_lower, cert.c_upper) == (ref["c_lower"], ref["c_upper"])
         assert cert.c_comm_by_eps == ref["comm"] and cert.c_comm == max(ref["comm"].values())
         assert cert.c_nd_by_eps == ref["nd"] and cert.c_nd == min(ref["nd"].values())
         assert abs(cert.sampled_c_comm - ref["s_comm"]) <= ref["s_comm_tol"]
         assert abs(cert.sampled_c_nd - ref["s_nd"]) <= ref["s_nd_tol"]
+        # one time's bits do not depend on the stack it sits in
         single = verify_quasi_symmetrizer(
-            build_quasi_symmetrizer(roots[i]), companion_matrix(table[i]), eps_set, samples
+            build_quasi_symmetrizer(roots[i : i + 1]), companion_stack(table[i : i + 1]), eps_set, samples
         )
-        assert single == cert
+        assert single == [cert]
 
 
 def test_batched_certificate_on_roots_minus_t_zero_t():
@@ -295,7 +462,7 @@ def test_batched_certificate_on_roots_minus_t_zero_t():
     )
     for i, cert in enumerate(certs):
         ref = reference_certificate(
-            reference_layers(roots[i]), companion_matrix(table[i]), eps_set, samples
+            reference_layers(roots[i]), companion_stack(table)[i], eps_set, samples
         )
         assert (cert.c_lower, cert.c_upper) == (ref["c_lower"], ref["c_upper"])
         assert cert.c_comm_by_eps == ref["comm"] and cert.c_nd_by_eps == ref["nd"]

@@ -22,7 +22,7 @@ from weakhyp.spectral import (
     _ik_powers,
     _ring_size,
     assemble_state,
-    companion_matrix,
+    companion_stack,
     convolution_power,
     default_grid_size,
     simulate,
@@ -65,12 +65,14 @@ def scalar_mode_oracle(spec, k, y0, T, rtol=1e-12, atol=1e-14):
 
 
 def test_companion_matrix_frozen():
-    a = companion_matrix([3.0, 7.0])
-    np.testing.assert_allclose(a, [[0.0, -1.0], [7.0, 3.0]])
+    a = companion_stack([[3.0, 7.0]])
+    np.testing.assert_allclose(a, [[[0.0, -1.0], [7.0, 3.0]]])
     # eigenvalues are the negatives of the characteristic roots
     np.testing.assert_allclose(
-        np.sort(np.linalg.eigvals(companion_matrix([0.0, -1.0])).real), [-1.0, 1.0]
+        np.sort(np.linalg.eigvals(companion_stack([[0.0, -1.0]])).real), [[-1.0, 1.0]]
     )
+    with pytest.raises(ValueError):
+        companion_stack([3.0, 7.0])
 
 
 def test_default_grid_size():

@@ -21,12 +21,12 @@ from weakhyp.symbol import (
 
 def test_roots_simple():
     # lam^2 - 1
-    np.testing.assert_allclose(characteristic_roots([0.0, -1.0]), [-1.0, 1.0], atol=1e-12)
+    np.testing.assert_allclose(characteristic_roots([[0.0, -1.0]]), [[-1.0, 1.0]], atol=1e-12)
     # (lam - 1)^2 = lam^2 - 2 lam + 1
-    np.testing.assert_allclose(characteristic_roots([-2.0, 1.0]), [1.0, 1.0], atol=1e-7)
+    np.testing.assert_allclose(characteristic_roots([[-2.0, 1.0]]), [[1.0, 1.0]], atol=1e-7)
     # lam^3 - lam
     np.testing.assert_allclose(
-        characteristic_roots([0.0, -1.0, 0.0]), [-1.0, 0.0, 1.0], atol=1e-12
+        characteristic_roots([[0.0, -1.0, 0.0]]), [[-1.0, 0.0, 1.0]], atol=1e-12
     )
 
 
@@ -37,23 +37,23 @@ def test_roots_sorted_and_match_polyfromroots():
         roots = np.sort(rng.uniform(-2.0, 2.0, size=m))
         # a_h from monic expansion, descending powers minus the leading 1
         coeffs = np.poly(roots)[1:]
-        got = characteristic_roots(coeffs)
-        np.testing.assert_allclose(got, roots, atol=1e-6)
+        got = characteristic_roots(coeffs[None])
+        np.testing.assert_allclose(got, [roots], atol=1e-6)
         assert (np.diff(got) >= 0).all()
 
 
 def test_roots_nonhyperbolic():
     with pytest.raises(NonHyperbolicError) as exc_info:
-        characteristic_roots([0.0, 1.0])  # lam^2 + 1
+        characteristic_roots([[0.0, 1.0]])  # lam^2 + 1
     assert exc_info.value.max_imag == pytest.approx(1.0, rel=1e-9)
 
 
 def test_diam_ratio_frozen():
-    assert diam_ratio([-1.0, 1.0]) == 0.5
-    assert diam_ratio([-1.0, 0.0, 1.0]) == 1.0
-    assert diam_ratio([1.0, 1.0]) == float("inf")
-    assert diam_ratio([0.0, 0.0]) == 0.0  # coincidence at zero is allowed
-    assert diam_ratio([0.0, 3.0]) == 1.0
+    assert diam_ratio([[-1.0, 1.0]]) == [0.5]
+    assert diam_ratio([[-1.0, 0.0, 1.0]]) == [1.0]
+    assert diam_ratio([[1.0, 1.0]]) == [float("inf")]
+    assert diam_ratio([[0.0, 0.0]]) == [0.0]  # coincidence at zero is allowed
+    assert diam_ratio([[0.0, 3.0]]) == [1.0]
 
 
 def test_check_diam_satisfied():
@@ -91,26 +91,26 @@ def test_check_diam_propagates_nonhyperbolic_time():
 
 
 def test_discriminant_frozen_m2():
-    res = discriminant_check([0.0, -1.0])  # roots -1, 1
-    assert res.delta == 4.0
-    assert res.rhs == 0.0
-    assert res.ratio == float("inf")
-    res = discriminant_check([-2.0, 1.0])  # double root 1
-    assert res.delta == 0.0
-    assert res.rhs == 4.0
-    assert res.ratio == 0.0
-    assert res.holds(0.01) is False
-    res = discriminant_check([0.0, 0.0])  # double root 0
-    assert res.delta == 0.0 and res.rhs == 0.0 and res.ratio == 1.0
+    res = discriminant_check([[0.0, -1.0]])  # roots -1, 1
+    assert res.delta == [4.0]
+    assert res.rhs == [0.0]
+    assert res.ratio == [float("inf")]
+    res = discriminant_check([[-2.0, 1.0]])  # double root 1
+    assert res.delta == [0.0]
+    assert res.rhs == [4.0]
+    assert res.ratio == [0.0]
+    assert res.holds(0.01).tolist() == [False]
+    res = discriminant_check([[0.0, 0.0]])  # double root 0
+    assert res.delta == [0.0] and res.rhs == [0.0] and res.ratio == [1.0]
 
 
 def test_discriminant_frozen_m3():
     # lam^3 - lam: roots -1, 0, 1, squared difference product 4
-    res = discriminant_check([0.0, -1.0, 0.0])
-    assert res.delta == pytest.approx(4.0)
-    assert res.rhs == 0.0
-    assert res.ratio == float("inf")
-    assert res.holds(0.01)
+    res = discriminant_check([[0.0, -1.0, 0.0]])
+    assert res.delta == pytest.approx([4.0])
+    assert res.rhs == [0.0]
+    assert res.ratio == [float("inf")]
+    assert res.holds(0.01).tolist() == [True]
 
 
 def test_discriminant_matches_root_products():
@@ -119,18 +119,18 @@ def test_discriminant_matches_root_products():
         m = int(rng.integers(2, 4))
         roots = rng.uniform(-2.0, 2.0, size=m)
         coeffs = np.poly(roots)[1:]
-        res = discriminant_check(coeffs)
+        (delta,) = discriminant_check(coeffs[None]).delta
         brute = 1.0
         for i in range(m):
             for j in range(i + 1, m):
                 brute *= (roots[i] - roots[j]) ** 2
-        scale = 1.0 + abs(res.delta) + abs(brute)
-        assert abs(res.delta - brute) <= 1e-10 * scale
+        scale = 1.0 + abs(delta) + abs(brute)
+        assert abs(delta - brute) <= 1e-10 * scale
 
 
 def test_discriminant_unsupported_order():
     with pytest.raises(UnsupportedOrderError):
-        discriminant_check([0.0, 0.0, 0.0, -1.0])
+        discriminant_check([[0.0, 0.0, 0.0, -1.0]])
 
 
 # -- batched root diagnostics against per-row references ----------------------
@@ -179,8 +179,8 @@ def check_against_np_roots(table: np.ndarray) -> None:
         return
     got = characteristic_roots(table)
     assert_bitwise_equal(got, np.array([roots for roots, _, _ in refs]))
-    for row, roots in zip(table, got):
-        assert_bitwise_equal(characteristic_roots(row), roots)
+    for i in range(len(table)):
+        assert_bitwise_equal(characteristic_roots(table[i : i + 1]), got[i : i + 1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -216,7 +216,7 @@ def test_batched_roots_all_zero_and_one_row_shapes():
     assert_bitwise_equal(got[0], np.zeros(4))
     np.testing.assert_allclose(got[1], [-1.0, 0.0, 0.0, 1.0], atol=1e-15)
     assert got[1, 1] == 0.0 and got[1, 2] == 0.0  # exact zero roots from trailing zeros
-    assert characteristic_roots([0.0, 0.0]).shape == (2,)
+    assert characteristic_roots([[0.0, 0.0]]).shape == (1, 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -279,8 +279,8 @@ def scalar_discriminant(coeffs) -> tuple[float, float, float]:
 def test_batched_diam_ratio_matches_scalar_closed_form(roots):
     got = diam_ratio(roots)
     assert_bitwise_equal(got, [scalar_diam(r) for r in roots])
-    for r, value in zip(roots, got):
-        assert diam_ratio(r) == value
+    for i in range(len(roots)):
+        assert_bitwise_equal(diam_ratio(roots[i : i + 1]), got[i : i + 1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -293,7 +293,15 @@ def test_batched_discriminant_matches_scalar_closed_form(roots):
     assert_bitwise_equal(res.rhs, want[:, 1])
     assert_bitwise_equal(res.ratio, want[:, 2])
     holds = res.holds(0.01)
-    for i, row in enumerate(table):
-        one = discriminant_check(row)
-        assert (one.delta, one.rhs, one.ratio) == tuple(want[i])
-        assert one.holds(0.01) is bool(holds[i])
+    for i in range(len(table)):
+        one = discriminant_check(table[i : i + 1])
+        assert_bitwise_equal(np.concatenate((one.delta, one.rhs, one.ratio)), want[i])
+        assert one.holds(0.01).tolist() == [bool(holds[i])]
+
+
+@pytest.mark.parametrize(
+    "routine", [characteristic_roots, diam_ratio, discriminant_check], ids=lambda f: f.__name__
+)
+def test_table_routines_refuse_one_row(routine):
+    with pytest.raises(ValueError, match=r"table of shape \(n, m\), got shape \(2,\)"):
+        routine([0.0, -1.0])
