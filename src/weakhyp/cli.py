@@ -203,8 +203,8 @@ def _energies_csv(ledger) -> tuple[list[str], list[str]]:
         [
             ledger.times,
             ledger.e_j[:, [0, *subset]],
-            ledger.f_values,
-            ledger.g_values,
+            ledger.energies.f_values,
+            ledger.energies.g_values,
             np.full(len(ledger.times), ledger.l_const),
             ledger.r_values,
             ledger.master.per_time,
@@ -345,21 +345,20 @@ def _cmd_simulate(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def _cmd_analyze(cfg: RunConfig) -> tuple[int, dict]:
+    """Simulate, then ledger and fits; the one place that resolves C0, N and the scan target C."""
     problem = cfg.problem()
-    # the loss exponent is calibrated on the linear version of the problem,
-    # integrated alongside it in the same loop
     calibrate = cfg.n_override is None and cfg.nonlinearity >= 1
     traj = _simulate(cfg, calibrate=calibrate)
     c_target = cfg.c_override if cfg.c_override is not None else DEFAULT_C_TARGET
     c0 = cfg.c0_override if cfg.c0_override is not None else default_c0(problem)
     n_exponent = cfg.n_override
-    if calibrate:
-        report = master_estimate_check(
-            traj.calibration,
-            WeightParams(c0=c0, horizon=cfg.horizon, loss_exponent=cfg.order + 1),
-            c_target,
-        )
-        n_exponent = report.fitted_n if report.fitted_n is not None else cfg.order + 1
+    if n_exponent is None:
+        # fitted on the linear run: the linear version of the problem,
+        # integrated alongside it in the same loop, or at nu = 0 the run itself
+        linear = traj.calibration if calibrate else traj
+        trial = WeightParams(c0=c0, horizon=cfg.horizon, loss_exponent=cfg.order + 1)
+        fitted = master_estimate_check(linear, trial, c_target).fitted_n
+        n_exponent = cfg.order + 1 if fitted is None else fitted
     ledger = build_energy_ledger(
         traj,
         problem,

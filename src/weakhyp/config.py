@@ -191,7 +191,7 @@ _SCHEMA = (
     _Key("certificate.samples", "samples", _int, 10_000, "samples >= 1", lambda v, f: v >= 1),
     _Key("certificate.nd_floor", "nd_floor", _float, 1e-3, "nd_floor >= 0", lambda v, f: v >= 0),
     _Key("certificate.times", "cert_times", _int, 17, "times >= 1", lambda v, f: v >= 1),
-    _Key("seed", "seed", _int, 0),
+    _Key("seed", "seed", _int, 0, "seed >= 0", lambda v, f: v >= 0),
     _Key("threads", "threads", _int, 1, "threads >= 1", lambda v, f: v >= 1, hashed=False),
     _Key("output_dir", "output_dir", _text, "out", hashed=False),
     _Key(

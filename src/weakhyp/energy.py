@@ -589,13 +589,8 @@ class EnergyLedger:
 
     times: np.ndarray
     e_j: np.ndarray  # (S, j_max+1)
-    m_j: np.ndarray  # (S, j_max+1)
-    f_values: np.ndarray
-    g_values: np.ndarray
-    f_tail: np.ndarray
-    g_tail: np.ndarray
+    energies: SuperEnergyReport  # F, G and their truncation audit
     r_values: np.ndarray
-    a_moments: np.ndarray
     j_max: int
     nu: int
     c0: float
@@ -608,11 +603,11 @@ class EnergyLedger:
     r0: float
     eta: float
     phi_l: float
-    diverging: bool
     master: MasterEstimateReport
     continuation: ContinuationReport
 
     def to_dict(self) -> dict:
+        tails = self.energies.f_tail[0], self.energies.g_tail[0]
         return {
             "C0": self.c0,
             "N": self.n_exponent,
@@ -626,8 +621,8 @@ class EnergyLedger:
             "phi_L": self.phi_l,
             "nu": self.nu,
             "J_max": self.j_max,
-            "diverging": self.diverging,
-            "tail_ratio_t0": {"F": float(self.f_tail[0]), "G": float(self.g_tail[0])},
+            "diverging": self.energies.diverging,
+            "tail_ratio_t0": {"F": float(tails[0]), "G": float(tails[1])},
             "master": self.master.to_dict(),
             "continuation": self.continuation.to_dict(),
         }
@@ -662,41 +657,31 @@ def default_c0(problem: CoefficientSpec) -> float:
 def build_energy_ledger(
     trajectory: Trajectory,
     problem: CoefficientSpec,
-    c0: float | None = None,
-    n_exponent: int | None = None,
+    c0: float,
+    n_exponent: int,
     c_const: float | None = None,
     c_target: float = DEFAULT_C_TARGET,
     j_max: int = 24,
     r0: float = 0.25,
     eta: float = 1.0,
 ) -> EnergyLedger:
-    """Assemble the full ledger for a recorded trajectory.
+    """Assemble the full ledger for a recorded trajectory at the given C0 and N.
 
-    Auto-resolved constants: C0 from the coefficient spectral norm, N from
-    the master-estimate scan against ``c_target`` (fallback m+1), C from the
-    measured sup ratio at the chosen N.  The effective initial radius is
-    eta * r0.  The continuation verdict fails whenever C, M or L is not
-    finite, and the sharp audit whenever C or M is not: the argument needs
-    them as numbers, and with nu = 0 the power (C M)^0 = 1 would keep L and
-    the sharp bound finite past an overflowed C or M.
+    C0 and N are taken as given; ``cli._cmd_analyze`` resolves them.  C is
+    the master estimate's sup ratio at N unless given.  The effective
+    initial radius is eta * r0.  The continuation verdict fails whenever C,
+    M or L is not finite, and the sharp audit whenever C or M is not: the
+    argument needs them as numbers, and with nu = 0 the power (C M)^0 = 1
+    would keep L and the sharp bound finite past an overflowed C or M.
     """
-    m = trajectory.order
-    T = problem.horizon
-    if c0 is None:
-        c0 = default_c0(problem)
-    # rho does not depend on N: one norm and one rho table serve every pass below
-    v_norms = trajectory.v_norms()
-    tables = (v_norms, _rho_table(trajectory, WeightParams(c0=c0, horizon=T, loss_exponent=0)))
-    master = None
-    if n_exponent is None:
-        trial = WeightParams(c0=c0, horizon=T, loss_exponent=m + 1)
-        master = master_estimate_check(trajectory, trial, c_target, _tables=tables)
-        n_exponent = master.fitted_n if master.fitted_n is not None else m + 1
     if n_exponent > j_max:
         raise ValueError(f"loss exponent N={n_exponent} exceeds J_max={j_max}")
+    T = problem.horizon
     params = WeightParams(c0=c0, horizon=T, loss_exponent=n_exponent)
-    if master is None or master.n_used != n_exponent:
-        master = master_estimate_check(trajectory, params, c_target, _tables=tables)
+    # one norm and one rho table serve the master check and the energies
+    v_norms = trajectory.v_norms()
+    tables = (v_norms, _rho_table(trajectory, params))
+    master = master_estimate_check(trajectory, params, c_target, _tables=tables)
     if c_const is None:
         c_const = master.ratio
 
@@ -714,9 +699,9 @@ def build_energy_ledger(
     l_const = g0 + cm_power * T
     phi_l = phi_growth(c_const, m_const, l_const, nu)
     r_values = radius_schedule(r0_eff, l_const, m_const, c_const, nu, trajectory.times)
-    super_report = super_energies(trajectory.times, e_j, a_moments, r_values, nu)
+    energies = super_energies(trajectory.times, e_j, a_moments, r_values, nu)
     continuation = continuation_check(
-        trajectory.times, super_report.g_values, l_const, cm_power
+        trajectory.times, energies.g_values, l_const, cm_power
     )
     finite = math.isfinite(c_const) and math.isfinite(m_const)
     continuation.passed &= finite and math.isfinite(l_const)
@@ -724,13 +709,8 @@ def build_energy_ledger(
     return EnergyLedger(
         times=trajectory.times,
         e_j=e_j,
-        m_j=m_j,
-        f_values=super_report.f_values,
-        g_values=super_report.g_values,
-        f_tail=super_report.f_tail,
-        g_tail=super_report.g_tail,
+        energies=energies,
         r_values=r_values,
-        a_moments=a_moments,
         j_max=j_max,
         nu=nu,
         c0=c0,
@@ -743,7 +723,6 @@ def build_energy_ledger(
         r0=r0_eff,
         eta=eta,
         phi_l=phi_l,
-        diverging=super_report.diverging,
         master=master,
         continuation=continuation,
     )

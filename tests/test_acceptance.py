@@ -24,6 +24,7 @@ from weakhyp import (
     default_c0,
     fit_decay,
     energy_inequality_check,
+    master_estimate_check,
     phi_weight,
     rho_weight,
     simulate,
@@ -336,19 +337,30 @@ def test_criterion_08_energy_differential_inequality(wave_run):
 
 
 def test_criterion_09_continuation(weak_run):
+    # C0 and N by the CLI's rule: N is fitted on the linear calibration
+    # member, integrated beside the run without changing its bits
+    calibrated = simulate(WEAK, K=128, dt=1e-3, snapshot_interval=0.05, calibrate=True)
+    assert calibrated.chains.tobytes() == weak_run.chains.tobytes()
+    c0 = default_c0(WEAK)
+    trial = WeightParams(c0=c0, horizon=WEAK.horizon, loss_exponent=WEAK.order + 1)
+    fitted = master_estimate_check(calibrated.calibration, trial).fitted_n
+    n_exponent = WEAK.order + 1 if fitted is None else fitted
     # r0 = 0.18 keeps the J_max = 24 truncation tail of both series under
     # 1e-3 at t = 0 (the spectral round-off plateau inflates high moments)
-    ledger = build_energy_ledger(weak_run, WEAK, j_max=24, r0=0.18)
-    tail0 = max(float(ledger.f_tail[0]), float(ledger.g_tail[0]))
-    below = bool((ledger.g_values < ledger.l_const).all())
+    ledger = build_energy_ledger(
+        weak_run, WEAK, c0=c0, n_exponent=n_exponent, j_max=24, r0=0.18
+    )
+    energies = ledger.energies
+    tail0 = max(float(energies.f_tail[0]), float(energies.g_tail[0]))
+    below = bool((energies.g_values < ledger.l_const).all())
     ok = (
         tail0 <= 1e-3
         and below
         and ledger.continuation.passed
         and ledger.continuation.sharp_passed
-        and not ledger.diverging
+        and not energies.diverging
     )
-    margin = ledger.l_const - float(ledger.g_values.max())
+    margin = ledger.l_const - float(energies.g_values.max())
     verdict(9, ok, f"tail(0)={tail0:.2e} (<=1e-3), G<L margin={margin:.3f}, sharp bound holds")
 
 

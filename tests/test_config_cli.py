@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from weakhyp import ConfigError, RunConfig, cli, config, load_config
 from weakhyp.cli import main
+from weakhyp.energy import WeightParams, build_energy_ledger, default_c0, master_estimate_check
 from weakhyp.equation import CoefficientSpec
 from weakhyp.spectral import Trajectory, simulate
 
@@ -129,6 +130,7 @@ def test_bool_is_not_an_integer():
         ({"threads": 0}, "threads"),
         ({"blowup_ceiling": 0.0}, "blowup_ceiling"),
         ({"check_grid": 2}, "check_grid"),
+        ({"seed": -1}, "seed"),
     ],
 )
 def test_invariant_violations_name_the_field(patch, field):
@@ -254,7 +256,7 @@ ROW_VALUES = {
     "certificate.samples": lambda d: st.integers(1, 10**6),
     "certificate.nd_floor": lambda d: number(0.0, 1.0),
     "certificate.times": lambda d: st.integers(1, 1000),
-    "seed": lambda d: st.integers(-(2**40), 2**40),
+    "seed": lambda d: st.integers(0, 2**40),
     "threads": lambda d: st.integers(1, 64),
     "output_dir": lambda d: st.text(min_size=1, max_size=8),
     "blowup_ceiling": lambda d: number(0.0, 1e300, exclude_min=True),
@@ -622,6 +624,55 @@ def test_cli_analyze_outputs(tmp_path):
     assert len(cert["per_time"]) == 3
 
 
+def test_cli_analyze_fits_n_on_the_run_itself_when_nu_is_zero(tmp_path):
+    # nu = 0: the run is its own linear run, so N is what the master estimate
+    # fits at the trial N = m+1 on it, and a ledger built at that N is the
+    # ledger block of the report, byte for byte
+    path = str(CONFIGS / "wave.yaml")
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", path, "--output", str(out)]) == 0
+    text = (out / "report.json").read_text()
+    cfg = load_config(path)
+    assert cfg.nonlinearity == 0 and cfg.n_override is None and cfg.c0_override is None
+    problem = cfg.problem()
+    traj = cli._simulate(cfg)
+    c0 = default_c0(problem)
+    trial = WeightParams(c0=c0, horizon=cfg.horizon, loss_exponent=cfg.order + 1)
+    n_exponent = master_estimate_check(traj, trial).fitted_n
+    assert json.loads(text)["ledger"]["N"] == n_exponent == 1
+    ledger = build_energy_ledger(
+        traj, problem, c0=c0, n_exponent=n_exponent, j_max=cfg.j_max, r0=cfg.r0, eta=cfg.eta
+    )
+    assert '\n  "ledger": ' + cli._json_text(ledger.to_dict(), "  ") + ",\n" in text
+
+
+def test_cli_analyze_fits_n_on_the_calibration_member_at_the_target_c(tmp_path):
+    # nu >= 1: N is fitted on the linear calibration member, against the
+    # target C of constants.C; on the nonlinear run itself no N passes
+    text = """\
+m: 3
+T: 1.0
+coefficients: ["0", "-t^2", "0"]
+nu: 3
+initial: ["0.01*0.75/(1.25 - cos(x))", "0", "0"]
+K: 32
+dt: 0.002
+snapshot_interval: 0.05
+constants:
+  C: 0.5
+"""
+    path = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", path, "--output", str(out)]) == 0
+    cfg = load_config(path)
+    run = cli._simulate(cfg, calibrate=True)
+    trial = WeightParams(c0=default_c0(cfg.problem()), horizon=1.0, loss_exponent=4)
+    n_exponent = json.loads((out / "report.json").read_text())["ledger"]["N"]
+    assert n_exponent == master_estimate_check(run.calibration, trial, 0.5).fitted_n == 6
+    assert master_estimate_check(run, trial, 0.5).fitted_n is None
+    assert master_estimate_check(run.calibration, trial).fitted_n < 6  # at the default target 10
+
+
 def test_cli_analyze_thread_count_is_invisible_in_outputs(tmp_path):
     cfg = write_config(tmp_path)
     one, four = tmp_path / "one", tmp_path / "four"
@@ -975,6 +1026,18 @@ def test_cli_config_errors_are_structured(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"
     assert err["field"] == "mystery"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["check", "symmetrizer"])
+def test_cli_negative_seed_is_a_config_error(tmp_path, capsys, command):
+    # the seed drives numpy's generator, which takes no negative seed
+    out = tmp_path / "out"
+    argv = [command, "--config", write_config(tmp_path), "--seed", "-1", "--output", str(out)]
+    assert main(argv) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and err["field"] == "seed"
+    assert err["message"].startswith('config error at "seed"')
     assert not out.exists()
 
 

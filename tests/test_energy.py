@@ -16,7 +16,7 @@ Trajectories hold the modes k = 0..K of a real solution; every sum over
 the modes -K..-1 with ``mirror``.
 """
 
-import json
+import ast
 import math
 from pathlib import Path
 
@@ -476,6 +476,7 @@ def test_master_check_keeps_the_bits_of_the_full_layout():
             for report in (
                 master_estimate_check(traj, params, 10.0),
                 master_estimate_check(traj, params, 10.0, _tables=tables),
+                build_energy_ledger(traj, spec, c0=c0, n_exponent=n, j_max=12).master,
             ):
                 assert_same_bits(report.per_time, per_time[n])
                 assert report.ratios_by_n.keys() == per_time.keys()
@@ -483,11 +484,6 @@ def test_master_check_keeps_the_bits_of_the_full_layout():
                     assert_same_bits(v, per_time[k].max())
                 passing = [k for k in exponents if k < 2 * m + 5 and per_time[k].max() <= 10.0]
                 assert report.fitted_n == (passing[0] if passing else None)
-        ledger = build_energy_ledger(traj, spec, c0=c0, j_max=12)
-        _, per_time = full_layout_master(
-            traj, WeightParams(c0, spec.horizon, ledger.n_exponent), [ledger.n_exponent]
-        )
-        assert_same_bits(ledger.master.per_time, per_time[ledger.n_exponent])
 
 
 def test_derivative_energies_match_brute_force():
@@ -665,7 +661,7 @@ def test_master_ratio_finite_with_exactly_zero_mode():
     assert np.isfinite(rep.ratio) and rep.ratio < 10.0
     assert all(np.isfinite(r) and r < 10.0 for r in rep.ratios_by_n.values())
     problem = CoefficientSpec.from_strings(2, 1.0, ["0", "-1"], 2, ["cos(x)", "0"])
-    ledger = build_energy_ledger(traj, problem, j_max=12)
+    ledger = build_energy_ledger(traj, problem, c0=UNIT.c0, n_exponent=rep.fitted_n, j_max=12)
     assert np.isfinite(ledger.l_const)
 
 
@@ -688,6 +684,38 @@ def test_default_c0():
     assert default_c0(wave_problem()) == 1.0
     stiff = CoefficientSpec.from_strings(2, 1.0, ["0", "-4"], 0, ["cos(x)", "0"])
     assert default_c0(stiff) == pytest.approx(4.0)
+
+
+def default_c0_calls(source: str) -> list[int]:
+    """Lines that call ``default_c0``, by name, under an import alias or as an attribute."""
+    tree = ast.parse(source)
+    names = {"default_c0"} | {
+        alias.asname
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if alias.name == "default_c0" and alias.asname
+    }
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    return [
+        node.lineno
+        for node in calls
+        if getattr(node.func, "id", None) in names or getattr(node.func, "attr", None) == "default_c0"
+    ]
+
+
+def test_default_c0_calls_are_found():
+    assert default_c0_calls("c0 = default_c0(problem)") == [1]
+    assert default_c0_calls("from .energy import default_c0 as dc\ndc(p)") == [2]
+    assert default_c0_calls("energy.default_c0(p)") == [1]
+    assert default_c0_calls("f = default_c0\ng(default_c0)") == []
+
+
+def test_only_the_cli_resolves_c0():
+    # C0 has one resolver, analyze's: the ledger and the audits take it as given
+    package = Path(energy.__file__).parent
+    callers = {path.name for path in package.glob("*.py") if default_c0_calls(path.read_text())}
+    assert callers == {"cli.py"}
 
 
 def svd_c0(problem, grid_points=10_000):
@@ -850,17 +878,19 @@ def test_energy_inequality_names_the_time_of_a_non_real_root():
 def test_build_energy_ledger_wave_relations():
     problem = wave_problem()
     traj = simulate(problem, K=16, dt=1e-3, snapshot_interval=0.05)
-    ledger = build_energy_ledger(traj, problem, j_max=12, r0=0.25)
-    assert ledger.n_exponent == 1  # fitted on the run itself
+    ledger = build_energy_ledger(
+        traj, problem, c0=default_c0(problem), n_exponent=1, j_max=12, r0=0.25
+    )
+    assert ledger.n_exponent == 1
     assert ledger.c0 == 1.0
     # nu = 0: (CM)^nu = 1 and L = G(0) + T; alpha is frozen but the
     # radius schedule still shrinks, so G decays from G(0)
     assert ledger.l_const == pytest.approx(ledger.continuation.g0 + 1.0)
-    assert (np.diff(ledger.g_values) <= 1e-12).all()
-    assert ledger.g_values[0] == pytest.approx(ledger.continuation.g0)
+    assert (np.diff(ledger.energies.g_values) <= 1e-12).all()
+    assert ledger.energies.g_values[0] == pytest.approx(ledger.continuation.g0)
     assert ledger.continuation.passed
     assert ledger.continuation.sharp_passed
-    assert not ledger.diverging
+    assert not ledger.energies.diverging
     assert ledger.r_values[0] == pytest.approx(0.25)
     assert (np.diff(ledger.r_values) < 0).all()
     d = ledger.to_dict()
@@ -870,7 +900,7 @@ def test_build_energy_ledger_wave_relations():
 
 
 def test_build_energy_ledger_runs_one_master_check_per_exponent(monkeypatch):
-    # the trial scan at N = m+1 runs only when N is not given
+    # the ledger takes N as given: one master check at that N, none before a refusal
     problem = wave_problem()
     traj = simulate(problem, K=16, dt=1e-3, snapshot_interval=0.05)
     calls = []
@@ -880,17 +910,13 @@ def test_build_energy_ledger_runs_one_master_check_per_exponent(monkeypatch):
         return master_estimate_check(trajectory, params, c_target, **tables)
 
     monkeypatch.setattr(energy, "master_estimate_check", counted)
-    fitted = build_energy_ledger(traj, problem, j_max=12)
-    assert calls == [3, 1] and fitted.n_exponent == 1
     for n in (1, 3, 5):
         calls.clear()
-        ledger = build_energy_ledger(traj, problem, n_exponent=n, j_max=12)
+        ledger = build_energy_ledger(traj, problem, c0=1.0, n_exponent=n, j_max=12)
         assert calls == [n] and ledger.n_exponent == n
-    given = build_energy_ledger(traj, problem, n_exponent=1, j_max=12)
-    assert json.dumps(given.to_dict(), sort_keys=True) == json.dumps(fitted.to_dict(), sort_keys=True)
     calls.clear()
     with pytest.raises(ValueError):
-        build_energy_ledger(traj, problem, n_exponent=20, j_max=12)
+        build_energy_ledger(traj, problem, c0=1.0, n_exponent=20, j_max=12)
     assert calls == []
 
 
@@ -898,7 +924,7 @@ def test_build_energy_ledger_rejects_oversized_n():
     problem = wave_problem()
     traj = simulate(problem, K=16, dt=1e-3, snapshot_interval=0.25)
     with pytest.raises(ValueError):
-        build_energy_ledger(traj, problem, n_exponent=20, j_max=12)
+        build_energy_ledger(traj, problem, c0=1.0, n_exponent=20, j_max=12)
 
 
 def test_bracket():

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from bessel_oracle import exact_modes
 from scipy.integrate import solve_ivp
 
 from weakhyp.equation import CoefficientSpec
@@ -691,3 +692,63 @@ def test_public_step_after_simulate_uses_no_stale_workspace(nu):
         assert_same_bits(advanced, reference_kernel_step(kernel, y, dt, stage)[0])
         assert not np.shares_memory(advanced, traj.chains)
     assert_same_bits(traj.chains, before)
+
+
+# -- the exact oracle of u_tt = t^(2l) u_xx -------------------------------------
+
+ORACLE_DTS = (0.01, 0.005, 0.0025)
+
+
+def model_problem(l: int, nu: int = 0) -> CoefficientSpec:
+    """["0", "-t^(2l)"] with the data 0.75/(1.25 - cos x), whose modes are 2^-|k|, at rest."""
+    return CoefficientSpec.from_strings(
+        2, 1.0, ["0", f"-t^{2 * l}"], nu, ["0.75/(1.25 - cos(x))", "0"]
+    )
+
+
+def oracle_error(l: int, traj: Trajectory) -> float:
+    """Max |u_k(t) - y_k(t)| over the snapshots and the modes 0..K."""
+    u = traj.u_hat_series()
+    return float(np.abs(u - exact_modes(l, traj.times, traj.modes, u[0])).max())
+
+
+def assert_fourth_order(errors: list[float]) -> None:
+    # RK4's global error is c dt^4 (1 + O(dt)); c reads 0.069 (l = 1) and
+    # 0.035 (l = 2) at K = 64, so 0.1 bounds it.  Halving dt divides the
+    # error by 16 up to the O(dt) term (1.5% at dt = 0.01) and round-off
+    # (400 steps at 1.1e-16 on |u_0| = 1: 4.4e-14, 1.6% of the finest error):
+    # log2 of each ratio within 0.1 of 4.
+    for dt, err in zip(ORACLE_DTS, errors):
+        assert err <= 0.1 * dt**4, (dt, err)
+    for coarse, fine in zip(errors, errors[1:]):
+        assert abs(math.log2(coarse / fine) - 4.0) <= 0.1, errors
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_bessel_oracle_solves_the_mode_equation(l):
+    # against DOP853 at rtol 1e-12 (3.7e-13 apart at worst), on unit data: the modes are linear
+    spec = model_problem(l)
+    for k in (1, 7, 30):
+        got = exact_modes(l, [0.0, 1.0], [k], [1.0])[:, 0]
+        assert got[0] == 1.0
+        want = scalar_mode_oracle(spec, k, np.array([1.0, 0.0]), 1.0)[0]
+        assert abs(got[1] - want) <= 1e-11, (k, got[1], want)
+
+
+@pytest.mark.parametrize("l", [1, 2])
+def test_rk4_is_fourth_order_against_the_bessel_oracle(l):
+    runs = [simulate(model_problem(l), K=64, dt=dt, snapshot_interval=0.05) for dt in ORACLE_DTS]
+    assert_fourth_order([oracle_error(l, run) for run in runs])
+
+
+def test_calibration_member_is_the_linear_run_against_the_bessel_oracle():
+    # analyze fits N on the calibration member of a nu >= 1 run: it is the
+    # linear run, with the closed form's errors at every dt
+    kw = dict(K=64, snapshot_interval=0.05)
+    errors = []
+    for dt in ORACLE_DTS:
+        run = simulate(model_problem(1, nu=2), dt=dt, calibrate=True, **kw)
+        assert run.completed
+        errors.append(oracle_error(1, run.calibration))
+        assert errors[-1] == oracle_error(1, simulate(model_problem(1), dt=dt, **kw))
+    assert_fourth_order(errors)
