@@ -359,6 +359,11 @@ def _cmd_analyze(cfg: RunConfig) -> tuple[int, dict]:
         trial = WeightParams(c0=c0, horizon=cfg.horizon, loss_exponent=cfg.order + 1)
         fitted = master_estimate_check(linear, trial, c_target).fitted_n
         n_exponent = cfg.order + 1 if fitted is None else fitted
+        if n_exponent > cfg.j_max:
+            raise ConfigError(
+                f"fitted loss exponent N={n_exponent} exceeds J_max={cfg.j_max}",
+                field="constants.J_max",
+            )
     ledger = build_energy_ledger(
         traj,
         problem,

@@ -176,7 +176,12 @@ _SCHEMA = (
     _Key("constants.C", "c_override", _optional(_float), None, "C > 0", lambda v, f: v > 0),
     _Key("constants.c", "disc_threshold", _float, 0.01, "c >= 0", lambda v, f: v >= 0),
     _Key("constants.r0", "r0", _float, 0.25, "r0 > 0", lambda v, f: v > 0),
-    _Key("constants.J_max", "j_max", _int, 24, "J_max >= 1", lambda v, f: v >= 1),
+    # 170! is the largest factorial a double holds; the ledger needs N <= J_max
+    _Key(
+        "constants.J_max", "j_max", _int, 24,
+        "1 <= J_max <= 170, and J_max >= N when N is given (got {v}, N = {n_override})",
+        lambda v, f: 1 <= v <= 170 and (f["n_override"] is None or v >= f["n_override"]),
+    ),
     _Key("constants.eta", "eta", _float, 1.0, "0 < eta <= 1", lambda v, f: 0 < v <= 1),
     _Key("constants.s", "s", _float, 1.0, "s > 0", lambda v, f: v > 0),
     _Key(

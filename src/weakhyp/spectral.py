@@ -36,7 +36,7 @@ comfortably inside RK4's imaginary-axis interval.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -290,14 +290,10 @@ class _HalfSpectrumRK4:
         np.multiply(h, k, out=self.term)
         return np.add(y, self.term, out=self.stage)
 
-    def step(
-        self, y: np.ndarray, dt: float, stage_coeffs: np.ndarray, f: np.ndarray | None = None
-    ) -> np.ndarray:
-        """One RK4 step of the batch; ``f`` is ``forcing(y)`` when the caller already has it."""
+    def step(self, y: np.ndarray, dt: float, stage_coeffs: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """One RK4 step of the batch; ``f`` is ``forcing(y)``, the first stage's forcing."""
         self._workspace(y.shape)
         k1, k2, k3, k4 = self.k
-        if f is None:
-            f = self._force(y, self.stage_f)
         self._rhs(y, stage_coeffs[0], f, k1)
         half = 0.5 * dt
         stage = self._stage(y, half, k1)
@@ -353,7 +349,9 @@ def step(chain: np.ndarray, dt: float, stage_coeffs: np.ndarray, nu: int) -> np.
     if stage_coeffs.shape != (3, m):
         raise ValueError(f"stage_coeffs must have shape (3, {m})")
     _guard(dt, stage_coeffs, K)
-    return _HalfSpectrumRK4(K, m, nu).step(chain[None], dt, stage_coeffs)[0]
+    kernel = _HalfSpectrumRK4(K, m, nu)
+    y = chain[None]
+    return kernel.step(y, dt, stage_coeffs, kernel.forcing(y))[0]
 
 
 @dataclass
@@ -401,45 +399,20 @@ class Trajectory:
         return self.chains[:, :, 0]
 
 
-class _Snapshots:
-    """Preallocated snapshot arrays of one batch member, filled in place."""
-
-    def __init__(self, size: int, K: int, m: int, nu: int, dt: float, stability_ratio: float):
-        self.K, self.m, self.nu, self.dt = K, m, nu, dt
-        self.stability_ratio = stability_ratio
-        self.times = np.empty(size)
-        self.chains = np.empty((size, K + 1, m), dtype=complex)
-        self.forcings = np.empty((size, K + 1), dtype=complex)
-        self.count = 0
-        self.peak_sup_v = 0.0
-
-    def record(self, t: float, chain: np.ndarray, forcing: np.ndarray) -> None:
-        """Store one state and its forcing."""
-        i = self.count
-        self.times[i] = t
-        self.chains[i] = chain
-        self.forcings[i] = forcing
-        self.count += 1
-
-    def bundle(
-        self, completed: bool, steps: int, reason: str | None = None, when: float | None = None
-    ) -> Trajectory:
-        n = self.count
-        return Trajectory(
-            order=self.m,
-            K=self.K,
-            dt=self.dt,
-            nu=self.nu,
-            times=self.times[:n],
-            chains=self.chains[:n],
-            forcings=self.forcings[:n],
-            completed=completed,
-            abort_reason=reason,
-            abort_time=when,
-            steps=steps,
-            stability_ratio=self.stability_ratio,
-            peak_sup_v=self.peak_sup_v,
-        )
+def _cut(
+    member: Trajectory, rows: int, steps: int, reason: str | None = None, when: float | None = None
+) -> Trajectory:
+    """The closed record of a batch member: its first ``rows`` snapshots and how the run ended."""
+    return replace(
+        member,
+        times=member.times[:rows],
+        chains=member.chains[:rows],
+        forcings=member.forcings[:rows],
+        completed=reason is None,
+        abort_reason=reason,
+        abort_time=when,
+        steps=steps,
+    )
 
 
 def _monitor(sup_v: float, ceiling: float, t: float) -> tuple[str, str] | None:
@@ -500,53 +473,53 @@ def simulate(
     size = 1 + n_steps // snap_every + (n_steps % snap_every != 0)
     # batch rows: member 0 the problem, member 1 its linear calibration
     members = [
-        _Snapshots(size, K, m, member_nu, dt_eff, ratio)
+        Trajectory(
+            order=m, K=K, dt=dt_eff, nu=member_nu, times=np.empty(size),
+            chains=np.empty((size, K + 1, m), dtype=complex),
+            forcings=np.empty((size, K + 1), dtype=complex),
+            completed=False, stability_ratio=ratio, peak_sup_v=0.0,
+        )
         for member_nu in ([nu, 0] if calibrate else [nu])
     ]
     live = list(members)
 
     kernel = _HalfSpectrumRK4(K, m, nu)
     y = np.repeat(chain0[None], len(live), axis=0)
-    # every member starts from the same data, so a fault at t = 0 is the problem's
-    sup_v0 = kernel.sup_v(y)[0]
-    fault = _monitor(sup_v0, blowup_ceiling, 0.0)
-    if fault is not None:
-        reason, message = fault
-        raise BlowUpError(message, None, members[0].bundle(False, 0, reason, 0.0))
-    # the forcing of the current state serves its snapshot and the next step's first stage
-    f = kernel.forcing(y)
-    for snaps, chain, forcing in zip(live, y, f):
-        snaps.peak_sup_v = sup_v0
-        snaps.record(0.0, chain, forcing)
+    rows = 0  # snapshots each live member holds: all record on the same cadence
     calibration_error = None
-    for i in range(n_steps):
-        y = kernel.step(y, dt_eff, table[2 * i : 2 * i + 3], f)
-        t = float(stage_times[2 * i + 2])
-        # the calibration member first, so that an abort of the problem at the same step wins
+    for i in range(n_steps + 1):  # the state after i steps
+        t = float(stage_times[2 * i])
+        # the calibration member first, so that an abort of the problem at the same step wins;
+        # every member starts from the same data, so a fault at t = 0 is the problem's
         for member, sup_v in reversed(list(enumerate(kernel.sup_v(y)))):
-            snaps = live[member]
             fault = _monitor(sup_v, blowup_ceiling, t)
             if fault is None:
-                snaps.peak_sup_v = max(snaps.peak_sup_v, sup_v)
+                live[member].peak_sup_v = max(live[member].peak_sup_v, sup_v)
                 continue
             reason, message = fault
             error = BlowUpError(
                 message,
-                float(stage_times[2 * i]),
-                snaps.bundle(False, i + 1, reason, t),
+                float(stage_times[2 * i - 2]) if i else None,
+                _cut(live[member], rows, i, reason, t),
                 member=member,
             )
             if member == 0:
                 raise error
             calibration_error = error
             live, y = live[:member], y[:member]
+        # the forcing of the current state serves its snapshot and the next step's first stage
         f = kernel.forcing(y)
-        if (i + 1) % snap_every == 0 or i + 1 == n_steps:
-            for snaps, chain, forcing in zip(live, y, f):
-                snaps.record(t, chain, forcing)
+        if i % snap_every == 0 or i == n_steps:
+            for record, chain, forcing in zip(live, y, f):
+                record.times[rows] = t
+                record.chains[rows] = chain
+                record.forcings[rows] = forcing
+            rows += 1
+        if i < n_steps:
+            y = kernel.step(y, dt_eff, table[2 * i : 2 * i + 3], f)
     if calibration_error is not None:
         raise calibration_error
-    traj = members[0].bundle(True, n_steps)
+    traj = _cut(members[0], rows, n_steps)
     if calibrate:
-        traj.calibration = members[1].bundle(True, n_steps)
+        traj.calibration = _cut(members[1], rows, n_steps)
     return traj

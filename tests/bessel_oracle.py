@@ -15,16 +15,33 @@ test extra, so this oracle lives under tests/ only.
 """
 
 import numpy as np
-from scipy.special import gamma, jv
+from scipy.special import gamma, jv, jvp
 
 
 def exact_modes(l: int, times, modes, y0) -> np.ndarray:
     """y_k(t) of every mode at every time, shape (times, modes), from y_k(0) = ``y0``."""
+    return _exact(l, times, modes, y0, derivative=False)
+
+
+def exact_mode_derivatives(l: int, times, modes, y0) -> np.ndarray:
+    """y_k'(t) of every mode at every time, shape (times, modes), from y_k(0) = ``y0``.
+
+    d/dt sqrt(t) J_{-a}(z) = J_{-a}(z) / (2 sqrt(t)) + sqrt(t) k t^l J_{-a}'(z),
+    with J' from scipy's ``jvp``; y_k' = 0 at t = 0 (data at rest) and at k = 0.
+    """
+    return _exact(l, times, modes, y0, derivative=True)
+
+
+def _exact(l: int, times, modes, y0, derivative: bool) -> np.ndarray:
     a = 1.0 / (2 * l + 2)
     t, k = np.meshgrid(np.asarray(times, float), np.asarray(modes, float), indexing="ij")
-    shape = np.ones_like(t)
+    shape = np.zeros_like(t) if derivative else np.ones_like(t)
     live = (t > 0.0) & (k > 0.0)
     t, k = t[live], k[live]
     z = k * t ** (l + 1) / (l + 1)
-    shape[live] = gamma(1.0 - a) * (k / (2 * l + 2)) ** a * np.sqrt(t) * jv(-a, z)
+    scale = gamma(1.0 - a) * (k / (2 * l + 2)) ** a
+    if derivative:
+        shape[live] = scale * (jv(-a, z) / (2.0 * np.sqrt(t)) + np.sqrt(t) * k * t**l * jvp(-a, z))
+    else:
+        shape[live] = scale * np.sqrt(t) * jv(-a, z)
     return np.asarray(y0)[None, :] * shape

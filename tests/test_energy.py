@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from bessel_oracle import exact_mode_derivatives, exact_modes
 from scipy.integrate import quad
 
 from weakhyp import energy
@@ -873,6 +874,25 @@ def test_energy_inequality_names_the_time_of_a_non_real_root():
     with pytest.raises(NonHyperbolicError) as exc_info:
         energy_inequality_check(traj, problem, UNIT)
     assert exc_info.value.t == 0.75
+
+
+# max_t ln sqrt(E(t)/E(0)) / ln k on the exact modes of u_tt = t^2 u_xx (l = 1),
+# E = |y'|^2 + k^2 (t^2 + <k>^-2) |y|^2: the loss the energy audit should measure
+EXACT_ENERGY_LOSS = {16: 0.7668, 64: 0.7487, 256: 0.7465, 1024: 0.7469, 4096: 0.7473}
+
+
+def test_exact_mode_energy_loss_of_the_model_problem():
+    modes = np.array(list(EXACT_ENERGY_LOSS), dtype=float)
+    # 30 samples per period 2 pi / (k t) of the fastest mode near t = T = 1
+    times = np.linspace(0.0, 1.0, 20001)
+    y = exact_modes(1, times, modes, np.ones(modes.size))
+    slope = exact_mode_derivatives(1, times, modes, np.ones(modes.size))
+    e = slope**2 + modes**2 * (times[:, None] ** 2 + bracket(modes) ** -2) * y**2
+    loss = 0.5 * np.log(e / e[0]) / np.log(modes)
+    assert (loss.argmax(axis=0) == times.size - 1).all()  # the energy peaks at t = T
+    # the figures are rounded to four decimals, so half a unit there bounds them;
+    # jv and jvp are accurate to about 1e-14, which moves a loss by < 1e-14 / (2 ln 16)
+    np.testing.assert_allclose(loss[-1], list(EXACT_ENERGY_LOSS.values()), rtol=0, atol=5e-5)
 
 
 def test_build_energy_ledger_wave_relations():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from bessel_oracle import exact_modes
+from bessel_oracle import exact_mode_derivatives, exact_modes
 from scipy.integrate import solve_ivp
 
 from weakhyp.equation import CoefficientSpec
@@ -485,6 +485,25 @@ def test_problem_abort_takes_precedence_over_calibration_abort():
     assert err.trajectory.times[-1] <= err.last_valid_time
 
 
+@pytest.mark.parametrize("horizon, member", [(1.0, 0), (0.4, 1)])
+def test_aborted_record_holds_exactly_the_rows_of_the_full_run(horizon, member):
+    # the same run under a ceiling it never reaches gives the full record; the
+    # aborted member's record is its first rows, bit for bit, and no more
+    spec = zero_mode_spec(horizon)
+    run = dict(K=8, dt=0.01, snapshot_interval=0.05, calibrate=True)
+    full = simulate(spec, blowup_ceiling=1e9, **run)
+    full = full.calibration if member else full
+    with pytest.raises(BlowUpError) as exc_info:
+        simulate(spec, blowup_ceiling=ZERO_MODE_CEILING, **run)
+    err = exc_info.value
+    assert err.member == member
+    cut = err.trajectory
+    rows = len(cut)
+    assert 0 < rows == np.count_nonzero(full.times <= err.last_valid_time) < len(full)
+    for name in ("times", "chains", "forcings"):
+        assert_same_bits(getattr(cut, name), getattr(full, name)[:rows])
+
+
 @pytest.mark.parametrize("calibrate", [False, True])
 @pytest.mark.parametrize(
     "initial, reason, message",
@@ -615,7 +634,7 @@ def reference_forcing(kernel, y):
     return out
 
 
-def reference_kernel_step(kernel, y, dt, stage_coeffs, f=None):
+def reference_kernel_step(kernel, y, dt, stage_coeffs):
     """The allocating RK4 step that the workspace kernel replaced, as the bit-for-bit reference."""
 
     def rhs(z, coeff_row, f=None):
@@ -626,7 +645,7 @@ def reference_kernel_step(kernel, y, dt, stage_coeffs, f=None):
         out[..., -1] = (kernel.neg_ik_pow * z) @ coeff_row[::-1] + f
         return out
 
-    k1 = rhs(y, stage_coeffs[0], f)
+    k1 = rhs(y, stage_coeffs[0])
     k2 = rhs(y + 0.5 * dt * k1, stage_coeffs[1])
     k3 = rhs(y + 0.5 * dt * k2, stage_coeffs[1])
     k4 = rhs(y + dt * k3, stage_coeffs[2])
@@ -662,8 +681,6 @@ def test_workspace_kernel_keeps_the_bits_of_the_allocating_step(nu, m, B):
         want = reference_kernel_step(kernel, y, dt, coeffs)
         got = kernel.step(y, dt, coeffs, f)
         assert_same_bits(got, want)
-        # the first stage's forcing computed inside the step gives the same bits
-        assert_same_bits(kernel.step(y, dt, coeffs), want)
         assert not any(np.shares_memory(got, a) for a in workspace_arrays(kernel))
         assert not any(np.shares_memory(f, a) for a in workspace_arrays(kernel))
         y = got
@@ -726,13 +743,16 @@ def assert_fourth_order(errors: list[float]) -> None:
 
 @pytest.mark.parametrize("l", [1, 2])
 def test_bessel_oracle_solves_the_mode_equation(l):
-    # against DOP853 at rtol 1e-12 (3.7e-13 apart at worst), on unit data: the modes are linear
+    # against DOP853 at rtol 1e-12 (3.7e-13 apart at worst), on unit data: the modes are linear;
+    # y' scales like k, so its bound is 1e-11 k (7.5e-12 apart at worst, at k = 30)
     spec = model_problem(l)
     for k in (1, 7, 30):
         got = exact_modes(l, [0.0, 1.0], [k], [1.0])[:, 0]
-        assert got[0] == 1.0
-        want = scalar_mode_oracle(spec, k, np.array([1.0, 0.0]), 1.0)[0]
-        assert abs(got[1] - want) <= 1e-11, (k, got[1], want)
+        slope = exact_mode_derivatives(l, [0.0, 1.0], [k], [1.0])[:, 0]
+        assert got[0] == 1.0 and slope[0] == 0.0
+        want = scalar_mode_oracle(spec, k, np.array([1.0, 0.0]), 1.0)
+        assert abs(got[1] - want[0]) <= 1e-11, (k, got[1], want)
+        assert abs(slope[1] - want[1]) <= 1e-11 * k, (k, slope[1], want)
 
 
 @pytest.mark.parametrize("l", [1, 2])
