@@ -23,7 +23,7 @@ from .energy import (
     super_energies,
 )
 from .equation import CoefficientSpec
-from .exprdsl import ExpressionError, evaluate, evaluate_on_grid, parse, to_source
+from .exprdsl import ExpressionError, evaluate, parse, to_source
 from .quasisym import (
     QuasiSymmetrizer,
     SymmetrizerCertificate,
@@ -88,7 +88,6 @@ __all__ = [
     "diam_ratio",
     "discriminant_check",
     "evaluate",
-    "evaluate_on_grid",
     "fit_decay",
     "fit_moment_radius",
     "gevrey_weight",

@@ -15,6 +15,7 @@ significant digits so outputs diff bitwise.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -451,7 +452,9 @@ def dispatch(command: str, cfg: RunConfig) -> int:
             return 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="weakhyp",
         description="Spectral diagnostics for semilinear weakly hyperbolic equations.",

@@ -232,10 +232,20 @@ def initial_weighted_moments(
     params: WeightParams,
     j_max: int,
 ) -> np.ndarray:
-    """A_j = sum_k |k|^j <k>^N |V_k(0)| over -K..K for j = 0..j_max; v0_norms holds k = 0..K."""
+    """A_j = sum_k |k|^j <k>^N |V_k(0)| over -K..K for j = 0..j_max; v0_norms holds k = 0..K.
+
+    A row whose weights |k|^j <k>^N overflow before |V_k(0)| scales them
+    back is summed again as |k|^j (<k>^N |V_k(0)|); every finite row keeps
+    its bits.  Where |k|^j alone overflows, A_j stays non-finite.
+    """
     K = v0_norms.size - 1
     loss = bracket(np.arange(K + 1)) ** params.loss_exponent
-    return (_weight_rows(K, j_max) * loss * v0_norms).sum(axis=1)
+    weights = _weight_rows(K, j_max)
+    with np.errstate(over="ignore", invalid="ignore"):
+        moments = (weights * loss * v0_norms).sum(axis=1)
+        redo = ~np.isfinite(moments)
+        moments[redo] = (weights[redo] * (loss * v0_norms)).sum(axis=1)
+    return moments
 
 
 def _factorials(j_max: int) -> np.ndarray:

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .exprdsl import Expression, evaluate, evaluate_on_grid, parse
+from .exprdsl import Expression, evaluate, parse
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,11 @@ class CoefficientSpec:
         return cls(order, horizon, coeff_exprs, nonlinearity, init_exprs)
 
     def coefficients_at(self, t: float) -> np.ndarray:
-        return np.array([evaluate(e, {"t": t}) for e in self.coefficients])
+        """Coefficient values at one time: row 0 of a one-point table."""
+        return self.coefficient_table(np.array([t]))[0]
 
     def coefficient_table(self, ts: np.ndarray) -> np.ndarray:
         """Coefficient values on a time grid, shape (len(ts), m)."""
         ts = np.asarray(ts, dtype=float)
-        cols = [evaluate_on_grid(e, "t", ts) for e in self.coefficients]
+        cols = [evaluate(e, {"t": ts}) for e in self.coefficients]
         return np.stack(cols, axis=1)

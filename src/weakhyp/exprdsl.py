@@ -15,7 +15,6 @@ immutable and evaluation is pure.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
@@ -36,11 +35,20 @@ __all__ = [
     "FUNCTIONS",
     "parse",
     "evaluate",
-    "evaluate_on_grid",
     "to_source",
 ]
 
-FUNCTIONS = frozenset({"sin", "cos", "exp", "log", "sqrt", "abs"})
+# The evaluator's function and operator tables; the parser accepts exactly the function names.
+_FUNCS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+}
+FUNCTIONS = frozenset(_FUNCS)
+_BINARY = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
 
 
 class ExpressionError(ValueError):
@@ -216,131 +224,57 @@ def parse(source: str, allowed_vars: Iterable[str] = ()) -> Expression:
     return _Parser(source, frozenset(allowed_vars)).parse()
 
 
-def evaluate(expr: Expression, bindings: Mapping[str, float]) -> float:
-    """Evaluate ``expr`` at a point.  All free variables must be bound.
+def evaluate(expr: Expression, bindings: Mapping[str, float | np.ndarray]) -> float | np.ndarray:
+    """Evaluate ``expr`` on numbers or arrays, every node in numpy; a point is a grid of one.
 
-    Raises :class:`DomainError` for log of a non-positive number, square root
-    of a negative number, division by zero, ``0^negative``, a negative base
-    with a non-integer exponent, and any overflow to a non-finite value.
+    The bindings broadcast against each other, and every free variable must
+    be bound.  A sample that turns non-finite at any node raises
+    :class:`DomainError`, which names the bindings of the first such sample:
+    log of a non-positive number, square root of a negative number, division
+    by zero, ``0^negative``, a negative base with a non-integer exponent and
+    overflow all do.  The result alone would not show every fault:
+    ``exp(-1/t)`` at t = 0 runs through -1/0 = -inf to exp(-inf) = 0.
+    Returns a float when every binding is a number, else an array of the
+    broadcast shape.
     """
-    try:
-        value = _eval_scalar(expr, bindings)
-    except OverflowError as exc:
-        raise DomainError(f"overflow during evaluation: {exc}") from exc
-    if not math.isfinite(value):
-        raise DomainError("evaluation produced a non-finite value")
-    return value
-
-
-def _eval_scalar(expr: Expression, bindings: Mapping[str, float]) -> float:
-    if isinstance(expr, Num):
-        return expr.value
-    if isinstance(expr, Var):
-        try:
-            return float(bindings[expr.name])
-        except KeyError:
-            raise UnknownIdentifierError(expr.name) from None
-    if isinstance(expr, Neg):
-        return -_eval_scalar(expr.arg, bindings)
-    if isinstance(expr, BinOp):
-        lhs = _eval_scalar(expr.lhs, bindings)
-        rhs = _eval_scalar(expr.rhs, bindings)
-        op = expr.op
-        if op == "+":
-            return lhs + rhs
-        if op == "-":
-            return lhs - rhs
-        if op == "*":
-            return lhs * rhs
-        if op == "/":
-            if rhs == 0.0:
-                raise DomainError("division by zero")
-            return lhs / rhs
-        if lhs == 0.0 and rhs < 0.0:
-            raise DomainError("zero raised to a negative power")
-        if lhs < 0.0 and rhs != round(rhs):
-            raise DomainError("negative base with non-integer exponent")
-        return lhs**rhs
-    if isinstance(expr, Call):
-        arg = _eval_scalar(expr.arg, bindings)
-        f = expr.func
-        if f == "sin":
-            return math.sin(arg)
-        if f == "cos":
-            return math.cos(arg)
-        if f == "exp":
-            return math.exp(arg)
-        if f == "log":
-            if arg <= 0.0:
-                raise DomainError("log of a non-positive number")
-            return math.log(arg)
-        if f == "sqrt":
-            if arg < 0.0:
-                raise DomainError("square root of a negative number")
-            return math.sqrt(arg)
-        return abs(arg)
-    raise TypeError(f"not an expression node: {expr!r}")
-
-
-_NP_FUNCS = {
-    "sin": np.sin,
-    "cos": np.cos,
-    "exp": np.exp,
-    "log": np.log,
-    "sqrt": np.sqrt,
-    "abs": np.abs,
-}
-
-
-def evaluate_on_grid(expr: Expression, var: str, values: np.ndarray) -> np.ndarray:
-    """Vectorized single-variable evaluation with the scalar domain contract.
-
-    A sample whose evaluation passes through a non-finite value at any node
-    raises :class:`DomainError`, naming the first offending grid value.  The
-    result alone would not show every fault: ``exp(-1/t)`` at t = 0 runs
-    through -1/0 = -inf to exp(-inf) = 0, where the scalar evaluator raises
-    on the division.
-    """
-    values = np.asarray(values, dtype=float)
-    bad = np.zeros(values.shape, dtype=bool)
+    names = list(bindings)
+    values = np.broadcast_arrays(*(np.asarray(bindings[n], dtype=float) for n in names))
+    shape = values[0].shape if values else ()
+    bad = np.zeros(shape or (1,), dtype=bool)
+    # numpy picks some loops by stride (np.power squares where the exponent's
+    # stride is 0), so each binding is a contiguous grid, a point one of one
+    grid = {n: np.ascontiguousarray(v).reshape(bad.shape) for n, v in zip(names, values)}
     with np.errstate(all="ignore"):
-        out = _eval_grid(expr, var, values, bad)
+        out = _eval(expr, grid, bad)
     if bad.any():
-        where = float(values[bad].flat[0])
-        raise DomainError(f"non-finite value at {var} = {where!r}")
-    return np.array(np.broadcast_to(out, values.shape), dtype=float)
+        first = np.flatnonzero(bad)[0]
+        where = ", ".join(f"{n} = {float(v.flat[first])!r}" for n, v in grid.items())
+        raise DomainError(f"non-finite value at {where}")
+    out = np.array(np.broadcast_to(out, bad.shape), dtype=float)
+    return out if shape else float(out[0])
 
 
-def _eval_grid(expr: Expression, var: str, values: np.ndarray, bad: np.ndarray):
-    """The value of ``expr`` on the grid; marks in ``bad`` each sample that turns non-finite."""
-    out = _eval_node(expr, var, values, bad)
+def _eval(expr: Expression, grid: Mapping[str, np.ndarray], bad: np.ndarray):
+    """The value of ``expr``; marks in ``bad`` each sample that turns non-finite."""
+    out = _eval_node(expr, grid, bad)
     bad |= ~np.isfinite(out)
     return out
 
 
-def _eval_node(expr: Expression, var: str, values: np.ndarray, bad: np.ndarray):
+def _eval_node(expr: Expression, grid: Mapping[str, np.ndarray], bad: np.ndarray):
     if isinstance(expr, Num):
         return expr.value
     if isinstance(expr, Var):
-        if expr.name != var:
-            raise UnknownIdentifierError(expr.name)
-        return values
+        try:
+            return grid[expr.name]
+        except KeyError:
+            raise UnknownIdentifierError(expr.name) from None
     if isinstance(expr, Neg):
-        return -_eval_grid(expr.arg, var, values, bad)
+        return -_eval(expr.arg, grid, bad)
     if isinstance(expr, BinOp):
-        lhs = _eval_grid(expr.lhs, var, values, bad)
-        rhs = _eval_grid(expr.rhs, var, values, bad)
-        if expr.op == "+":
-            return lhs + rhs
-        if expr.op == "-":
-            return lhs - rhs
-        if expr.op == "*":
-            return lhs * rhs
-        if expr.op == "/":
-            return lhs / rhs
-        return np.power(lhs, rhs)
+        return _BINARY[expr.op](_eval(expr.lhs, grid, bad), _eval(expr.rhs, grid, bad))
     if isinstance(expr, Call):
-        return _NP_FUNCS[expr.func](_eval_grid(expr.arg, var, values, bad))
+        return _FUNCS[expr.func](_eval(expr.arg, grid, bad))
     raise TypeError(f"not an expression node: {expr!r}")
 
 

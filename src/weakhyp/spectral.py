@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from .equation import CoefficientSpec
-from .exprdsl import Expression, evaluate_on_grid
+from .exprdsl import Expression, evaluate
 
 __all__ = [
     "STABILITY_LIMIT",
@@ -188,7 +188,7 @@ def assemble_state(
         raise ValueError(f"grid size G={G} must be a power of two with G >= 4K={4 * K}")
     x = 2.0 * np.pi * np.arange(G) / G
     return np.stack(
-        [np.fft.fft(evaluate_on_grid(expr, "x", x))[: K + 1] / G for expr in initial], axis=1
+        [np.fft.fft(evaluate(expr, {"x": x}))[: K + 1] / G for expr in initial], axis=1
     )
 
 

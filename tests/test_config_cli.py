@@ -872,6 +872,16 @@ def test_cli_analyze_error_after_the_run_writes_nothing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_analyze_j_max_170_keeps_the_moments_finite(tmp_path):
+    # A_170 formed 2 * 64^170 * 65 = inf before |V_k(0)| ~ 1e-17 could scale it back: G0 read inf
+    text = (CONFIGS / "wave.yaml").read_text() + "constants:\n  J_max: 170\n"
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", write_config(tmp_path, text), "--output", str(out)]) == 0
+    continuation = json.loads((out / "report.json").read_text())["ledger"]["continuation"]
+    assert continuation["G0"] == pytest.approx(2.5680525364498554, rel=1e-12)
+    assert continuation["degenerate_at_start"] is False and continuation["passed"] is True
+
+
 # C0 = 1e4 takes rho(0, k) past 709, where e^rho overflows and meets modes that are exactly zero
 OVERFLOWING_WEIGHT_YAML = """\
 m: 2
@@ -1144,6 +1154,37 @@ def test_cli_import_loads_no_test_tooling():
     loaded = set(json.loads(out))
     assert "weakhyp" in loaded
     assert loaded.isdisjoint({"scipy", "hypothesis", "mpmath"})
+
+
+def test_cli_parser_is_built_once_and_parses_as_before(tmp_path, capsys):
+    # importing the CLI builds no parser; main builds it on first use and then reuses it
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import weakhyp.cli; "
+        "print(weakhyp.cli.build_parser.cache_info().currsize)"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", probe, src], capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "0\n"
+    shared = cli.build_parser()
+    before = cli.build_parser.cache_info()
+    cfg = write_config(tmp_path)
+    for _ in range(2):
+        assert main(["check", "--config", cfg, "--output", str(tmp_path / "out")]) == 0
+    after = cli.build_parser.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 2)
+    fresh = cli.build_parser.__wrapped__()
+    argv = ["analyze", "--config", cfg, "--seed", "3", "--threads", "2", "--output", "out"]
+    assert shared.parse_args(argv) == fresh.parse_args(argv)
+    capsys.readouterr()
+    for args in (["--help"], ["symmetrizer", "--help"]):
+        helps = []
+        for parser in (fresh, shared):
+            with pytest.raises(SystemExit):
+                parser.parse_args(args)
+            helps.append(capsys.readouterr().out)
+        assert helps[0] == helps[1] != ""
 
 
 def test_cli_analyze_loads_no_openssl_and_no_thread_pool(tmp_path):

@@ -510,6 +510,25 @@ def test_initial_weighted_moments_frozen():
     np.testing.assert_allclose(a, 2.0)
 
 
+def test_initial_weighted_moments_sum_overflowing_rows_again():
+    # 2 * 64^170 * 65 overflows, although |V_64(0)| ~ 1e-17 brings the term back
+    K, j_max = 64, 170
+    v0 = np.full(K + 1, 1e-17)
+    v0[1] = 0.5
+    a = initial_weighted_moments(v0, UNIT, j_max)
+    assert np.isfinite(a).all()
+    # every row the product order keeps finite keeps its bits
+    loss = bracket(np.arange(K + 1)) ** UNIT.loss_exponent
+    with np.errstate(over="ignore"):
+        old = (energy._weight_rows(K, j_max) * loss * v0).sum(axis=1)
+    finite = np.isfinite(old)
+    assert 0 < finite.sum() < j_max + 1
+    assert_same_bits(a[finite], old[finite])
+    k = np.arange(K + 1, dtype=float)
+    weights = np.where(k > 0, 2.0, 1.0) * k**j_max
+    assert a[-1] == pytest.approx((weights * (loss * v0)).sum(), rel=1e-12)
+
+
 def test_super_energies_nu0_keeps_alpha_constant():
     times = np.linspace(0.0, 1.0, 5)
     e = np.full((5, 8), 3.0)

@@ -2,14 +2,20 @@
 
 import ast
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scalar_reference import reference_evaluate
 
 import weakhyp
 from weakhyp.exprdsl import (
+    FUNCTIONS,
     BinOp,
+    Call,
     DomainError,
     ExprSyntaxError,
     Neg,
@@ -17,7 +23,6 @@ from weakhyp.exprdsl import (
     UnknownIdentifierError,
     Var,
     evaluate,
-    evaluate_on_grid,
     parse,
     to_source,
 )
@@ -109,6 +114,7 @@ def test_domain_errors():
 
 
 def test_grid_evaluation_matches_scalar():
+    # the numpy evaluator against the math-module reference, sample by sample
     rng = np.random.default_rng(7)
     sources = [
         "-t^2",
@@ -120,15 +126,21 @@ def test_grid_evaluation_matches_scalar():
     ts = rng.uniform(-3.0, 3.0, size=64)
     for src in sources:
         expr = parse(src, ("t",))
-        grid_vals = evaluate_on_grid(expr, "t", ts)
+        grid_vals = evaluate(expr, {"t": ts})
         for t, v in zip(ts, grid_vals):
-            assert math.isclose(v, evaluate(expr, {"t": t}), rel_tol=1e-14, abs_tol=1e-14)
+            assert math.isclose(v, reference_evaluate(expr, {"t": t}), rel_tol=1e-14, abs_tol=1e-14)
 
 
 def test_grid_evaluation_domain_error_names_offender():
     expr = parse("log(x)", ("x",))
-    with pytest.raises(DomainError, match="x = "):
-        evaluate_on_grid(expr, "x", np.array([1.0, -2.0, 3.0]))
+    with pytest.raises(DomainError, match="non-finite value at x = -2.0$"):
+        evaluate(expr, {"x": np.array([1.0, -2.0, 3.0])})
+    # with several bindings, each is named at the first offending sample
+    expr = parse("log(x*t)", ("x", "t"))
+    grid = {"x": np.array([1.0, 2.0]), "t": np.array([[1.0], [-1.0]])}
+    with pytest.raises(DomainError, match="non-finite value at x = 1.0, t = -1.0$"):
+        evaluate(expr, grid)
+    assert evaluate(expr, {"x": 2.0, "t": 0.5}) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -145,21 +157,27 @@ def test_grid_evaluation_refuses_non_finite_intermediates(source, offender):
     # the result is finite at every sample; the fault is inside the tree
     expr = parse(source, ("t",))
     with pytest.raises(DomainError):
+        reference_evaluate(expr, {"t": offender})
+    with pytest.raises(DomainError, match=f"at t = {offender!r}$"):
         evaluate(expr, {"t": offender})
     ts = np.array([0.5, offender, 0.25, offender])
     with pytest.raises(DomainError, match=f"at t = {offender!r}$"):
-        evaluate_on_grid(expr, "t", ts)
+        evaluate(expr, {"t": ts})
     fine = ts[ts != offender]
     np.testing.assert_array_equal(
-        evaluate_on_grid(expr, "t", fine), [evaluate(expr, {"t": t}) for t in fine]
+        evaluate(expr, {"t": fine}), [reference_evaluate(expr, {"t": t}) for t in fine]
     )
 
 
 def test_grid_constant_broadcasts():
     expr = parse("3.5")
-    out = evaluate_on_grid(expr, "t", np.linspace(0, 1, 5))
+    out = evaluate(expr, {"t": np.linspace(0, 1, 5)})
     assert out.shape == (5,)
     assert (out == 3.5).all()
+    assert type(evaluate(expr, {"t": 1.0})) is float
+    assert evaluate(expr, {}) == 3.5
+    with pytest.raises(DomainError, match="non-finite value at t = 0.0$"):
+        evaluate(parse("1/0 + t", ("t",)), {"t": np.zeros(3)})
 
 
 def test_to_source_round_trip():
@@ -184,32 +202,64 @@ def test_to_source_round_trip():
         assert parse(to_source(tree), ("t",)) == tree, src
 
 
+def random_tree(rng, depth):
+    if depth == 0:
+        return Num(float(rng.integers(0, 5))) if rng.random() < 0.5 else Var("t")
+    pick = rng.random()
+    if pick < 0.15:
+        return Neg(random_tree(rng, depth - 1))
+    if pick < 0.3:
+        return Call(str(rng.choice(sorted(FUNCTIONS))), random_tree(rng, depth - 1))
+    op = str(rng.choice(["+", "-", "*", "/", "^"]))
+    return BinOp(op, random_tree(rng, depth - 1), random_tree(rng, depth - 1))
+
+
 def test_to_source_round_trip_random_trees():
     rng = np.random.default_rng(11)
-
-    def random_tree(depth):
-        if depth == 0:
-            return Num(float(rng.integers(0, 5))) if rng.random() < 0.5 else Var("t")
-        pick = rng.random()
-        if pick < 0.15:
-            return Neg(random_tree(depth - 1))
-        if pick < 0.3:
-            from weakhyp.exprdsl import Call
-
-            return Call(str(rng.choice(["sin", "cos", "abs"])), random_tree(depth - 1))
-        op = str(rng.choice(["+", "-", "*", "/", "^"]))
-        return BinOp(op, random_tree(depth - 1), random_tree(depth - 1))
-
     for _ in range(200):
-        tree = random_tree(int(rng.integers(1, 5)))
+        tree = random_tree(rng, int(rng.integers(1, 5)))
         assert parse(to_source(tree), ("t",)) == tree
+
+
+points = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, -2.5]),
+    st.floats(-10.0, 10.0, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(1, 4),
+    ts=st.lists(points, min_size=1, max_size=6),
+)
+# (4/3)^(t+t) at t = 1: np.power squares a 0-d exponent of 2, but calls pow on a grid's
+@example(seed=829, depth=3, ts=[1.0])
+def test_a_point_is_a_grid_of_one(seed, depth, ts):
+    # a point is refused exactly when its sample is refused in a grid; otherwise the bits agree
+    tree = random_tree(np.random.default_rng(seed), depth)
+    at_points = []
+    for t in ts:
+        try:
+            at_points.append(evaluate(tree, {"t": t}))
+        except DomainError:
+            at_points.append(None)
+    refused = [t for t, v in zip(ts, at_points) if v is None]
+    if refused:
+        message = re.escape(f"non-finite value at t = {refused[0]!r}") + "$"
+        with pytest.raises(DomainError, match=message):
+            evaluate(tree, {"t": np.array(ts)})
+        return
+    assert all(type(v) is float for v in at_points)
+    grid = evaluate(tree, {"t": np.array(ts)})
+    np.testing.assert_array_equal(grid.view(np.uint64), np.array(at_points).view(np.uint64))
 
 
 # -- one coefficient source: the table ----------------------------------------
 
 
 def scalar_coefficient_calls(source: str) -> list[tuple[str, int]]:
-    """Calls of ``coefficients_at`` or of the scalar ``evaluate`` (also under an alias)."""
+    """Calls of ``coefficients_at`` or of ``evaluate`` (also under an alias)."""
     tree = ast.parse(source)
     evaluate_names = {"evaluate"} | {
         alias.asname
@@ -234,18 +284,18 @@ def test_scalar_coefficient_calls_are_found():
     assert scalar_coefficient_calls("problem.coefficients_at(t)") == [("coefficients_at", 1)]
     assert scalar_coefficient_calls("from .exprdsl import evaluate as ev\nev(e, {})") == [("ev", 2)]
     assert scalar_coefficient_calls("exprdsl.evaluate(e, {})") == [("evaluate", 1)]
-    assert scalar_coefficient_calls("evaluate_on_grid(e, 't', ts)") == []
+    assert scalar_coefficient_calls("problem.coefficient_table(ts)") == []
 
 
 def test_only_the_expression_layer_evaluates_at_a_point():
-    # every diagnostic reads the coefficient table; the scalar paths serve the tests as references
+    # every diagnostic reads the coefficient table; coefficients_at serves the tests as a reference,
+    # and evaluate is called only by the table and by the initial-data transform
     package = Path(weakhyp.__file__).parent
     modules = sorted(package.glob("*.py"))
     assert {path.name for path in modules} >= {"cli.py", "energy.py", "quasisym.py", "symbol.py"}
     found = {
-        path.name: calls
+        path.name: [name for name, _ in calls]
         for path in modules
-        if path.name not in ("exprdsl.py", "equation.py")
-        and (calls := scalar_coefficient_calls(path.read_text(encoding="utf-8")))
+        if (calls := scalar_coefficient_calls(path.read_text(encoding="utf-8")))
     }
-    assert found == {}
+    assert found == {"equation.py": ["evaluate"], "spectral.py": ["evaluate"]}

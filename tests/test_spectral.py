@@ -198,6 +198,21 @@ def test_ring_alias_free_at_power_of_two_boundary(nu, K):
     assert np.abs(d[K:] - f).max() <= 1e-12 * np.abs(d).max()
 
 
+@pytest.mark.parametrize("nu", [1, 2, 3])
+@pytest.mark.parametrize("K", [12, 512])
+def test_batched_transforms_keep_the_bits_of_row_calls(K, nu):
+    # a sweep on the batch axis may transform every member's forcing in one call
+    ring, rows = _ring_size(K, nu), 3
+    rng = np.random.default_rng(K * 10 + nu)
+    for _ in range(5):
+        size = 10.0 ** rng.uniform(-20.0, 2.0, (rows, 1))
+        spec = size * (rng.standard_normal((rows, K + 1)) + 1j * rng.standard_normal((rows, K + 1)))
+        grid = np.fft.irfft(spec, ring, norm="forward")
+        assert_same_bits(grid, np.stack([np.fft.irfft(row, ring, norm="forward") for row in spec]))
+        back = np.fft.rfft(grid, norm="forward")
+        assert_same_bits(back, np.stack([np.fft.rfft(row, norm="forward") for row in grid]))
+
+
 def test_convolution_validation():
     with pytest.raises(ValueError):
         convolution_power(np.zeros(4, dtype=complex), 2)  # even length
