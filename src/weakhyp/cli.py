@@ -353,6 +353,8 @@ def _cmd_analyze(cfg: RunConfig) -> tuple[int, dict]:
     c_target = cfg.c_override if cfg.c_override is not None else DEFAULT_C_TARGET
     c0 = cfg.c0_override if cfg.c0_override is not None else default_c0(problem)
     n_exponent = cfg.n_override
+    sources = {"C0": "default" if cfg.c0_override is None else "override", "N": "override"}
+    sources["C"] = "measured" if cfg.c_override is None else "override"
     if n_exponent is None:
         # fitted on the linear run: the linear version of the problem,
         # integrated alongside it in the same loop, or at nu = 0 the run itself
@@ -360,6 +362,7 @@ def _cmd_analyze(cfg: RunConfig) -> tuple[int, dict]:
         trial = WeightParams(c0=c0, horizon=cfg.horizon, loss_exponent=cfg.order + 1)
         fitted = master_estimate_check(linear, trial, c_target).fitted_n
         n_exponent = cfg.order + 1 if fitted is None else fitted
+        sources["N"] = "fallback" if fitted is None else "fitted"
         if n_exponent > cfg.j_max:
             raise ConfigError(
                 f"fitted loss exponent N={n_exponent} exceeds J_max={cfg.j_max}",
@@ -384,9 +387,11 @@ def _cmd_analyze(cfg: RunConfig) -> tuple[int, dict]:
         "completed": True,
         "snapshots": len(traj),
         "ledger": ledger.to_dict(),
+        "constant_sources": sources,
         "integration": {
             **_integration_facts(cfg, traj),
             "linear_calibration": traj.calibration is not None,
+            "galerkin_residual_estimate": traj.galerkin_residual,
         },
     }
     if cfg.radius:

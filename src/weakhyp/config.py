@@ -176,7 +176,7 @@ _SCHEMA = (
     _Key("constants.C", "c_override", _optional(_float), None, "C > 0", lambda v, f: v > 0),
     _Key("constants.c", "disc_threshold", _float, 0.01, "c >= 0", lambda v, f: v >= 0),
     _Key("constants.r0", "r0", _float, 0.25, "r0 > 0", lambda v, f: v > 0),
-    # 170! is the largest factorial a double holds; the ledger needs N <= J_max
+    # the order of the ledger's E_j/M_j table, whose row N gives K_N: so N <= J_max
     _Key(
         "constants.J_max", "j_max", _int, 24,
         "1 <= J_max <= 170, and J_max >= N when N is given (got {v}, N = {n_override})",

@@ -8,12 +8,18 @@ has the closed form implemented in rho_weight, continuous across the switch
 and bounded by a constant times log<xi> + 1.
 
 On top of rho sit the weighted spectral sums E_j and moments M_j of the
-companion vectors (over -K..K, taken on k = 0..K with multiplicity 2 for
-k >= 1), the generating-function super-energies F and G with the
-shrinking radius schedule, and the run-time monitors: the master linear
-estimate (sup ratio R, fitted loss exponent N), the continuation threshold
-G < L, and the finite-difference audit of the per-mode energy inequality,
-whose quadratic forms come from the quasi-symmetrizer.
+companion vectors, the super-energies F and G with the shrinking radius
+schedule, and the run-time monitors: the master linear estimate (sup ratio
+R, fitted loss exponent N), the continuation threshold G < L, and the
+finite-difference audit of the per-mode energy inequality, whose quadratic
+forms come from the quasi-symmetrizer.
+
+Every sum over modes runs over -K..K, taken on k = 0..K with multiplicity 2
+for k >= 1, and, outside the master estimate, only over each snapshot's
+resolved band (``radius.resolved_band``): past it the modes sit on the
+round-off plateau.  The majorant series are summed in k first, where
+sum_j (r|k|)^j / j! = e^(r|k|) closes each of them, in one log-domain sum
+(``_band_sum``); no series is truncated.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import numpy as np
 
 from .equation import CoefficientSpec
 from .quasisym import build_quasi_symmetrizer
+from .radius import resolved_band
 from .spectral import Trajectory
 from .symbol import characteristic_roots
 
@@ -37,7 +44,7 @@ __all__ = [
     "rho_weight",
     "gevrey_weight",
     "derivative_energies",
-    "initial_weighted_moments",
+    "initial_majorant",
     "super_energies",
     "SuperEnergyReport",
     "phi_growth",
@@ -53,14 +60,18 @@ __all__ = [
 ]
 
 
-# a truncation tail ratio (last term over partial sum) above this marks a series as diverging
-TAIL_THRESHOLD = 0.1
-
 # times on [0, T] at which the default C0 takes the spectral norm of A(t)
 C0_GRID_POINTS = 10_000
 
 # the master-estimate scan fits the smallest N whose sup ratio is at most this target C
 DEFAULT_C_TARGET = 10.0
+
+# the multiplicity 2 of a mode k >= 1, which stands for k and -k, in the log domain
+LN2 = math.log(2.0)
+
+# the most values one band sum over (rows, snapshots or orders, modes) holds at once:
+# 64 KiB temporaries, so the ledger does not raise a run's peak memory
+_CHUNK = 1 << 13
 
 
 def bracket(xi) -> np.ndarray | float:
@@ -152,136 +163,32 @@ def gevrey_weight(t: float, xi, k: int, lam, m: int, horizon: float):
     return float(out) if out.ndim == 0 else out
 
 
-def _guarded_sum(log_factors: np.ndarray, mags: np.ndarray) -> float:
-    """sum(mags * exp(log_factors)) with a log-domain path for large exponents."""
-    mask = mags > 0.0
-    if not mask.any():
-        return 0.0
-    lf = log_factors[mask]
-    mg = mags[mask]
-    if float(lf.max()) <= 700.0:
-        return float((mg * np.exp(lf)).sum())
-    logs = lf + np.log(mg)
-    mx = float(logs.max())
-    total_log = mx + math.log(float(np.exp(logs - mx).sum()))
-    return math.exp(total_log) if total_log <= 709.0 else float("inf")
+def _band_sum(log_terms: np.ndarray, band_hi) -> np.ndarray:
+    """sum over k < band_hi of (1, 2, 2, ...)_k exp(log_terms[..., k]): the one sum over modes.
 
-
-def _weight_rows(K: int, j_max: int) -> np.ndarray:
-    """Rows (1, 2, 2, ...) * k^j for k = 0..K, j = 0..j_max, by repeated products.
-
-    Row 0 counts |k| in -K..K, so a row sum over k = 0..K is the sum over
-    -K..K of a term even in k; doubling is exact, so each term keeps its bits.
+    The modes k = 0..B-1 lie on the last axis; ``band_hi`` broadcasts against
+    the others.  Summed as max + log(sum exp(terms - max)), a value reads inf
+    only where the true sum exceeds the float range; zero terms (log -inf)
+    sum to 0.
     """
-    kmag = np.arange(K + 1, dtype=float)
-    rows = np.empty((j_max + 1, K + 1))
-    rows[0] = np.where(kmag > 0.0, 2.0, 1.0)
-    for j in range(1, j_max + 1):
-        rows[j] = rows[j - 1] * kmag
-    return rows
+    k = np.arange(log_terms.shape[-1])
+    mult = np.where(k > 0, LN2, 0.0)
+    logs = np.where(k < np.asarray(band_hi)[..., None], log_terms + mult, -np.inf)
+    peak = logs.max(axis=-1, keepdims=True)
+    shift = np.where(np.isfinite(peak), peak, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.exp(shift[..., 0] + np.log(np.exp(logs - shift).sum(axis=-1)))
+
+
+def _by_rows(fn, n: int, row_size: int) -> np.ndarray:
+    """np.concatenate of fn(rows) over slices of range(n) that hold <= _CHUNK values each."""
+    step = max(1, _CHUNK // max(row_size, 1))
+    return np.concatenate([fn(slice(lo, lo + step)) for lo in range(0, n, step)])
 
 
 def _rho_table(trajectory: Trajectory, params: WeightParams) -> np.ndarray:
     """rho(t, k) at every snapshot time and mode, shape (S, K+1); it does not depend on N."""
     return rho_weight(trajectory.times[:, None], trajectory.modes, params)
-
-
-def derivative_energies(
-    trajectory: Trajectory,
-    params: WeightParams,
-    j_max: int,
-    *,
-    _tables: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays ([E_j], [M_j]) for j = 0..j_max at every snapshot, shape (S, j_max+1) each.
-
-    E_j = sum_k e^rho |k|^j |V_k| (the state of the j-th spatial derivative
-    carries the extra (ik)^j) and M_j = sum_k |k|^j |V_k|, both over -K..K.
-    Every row is summed on its own, so each value has the bits of
-    ``_guarded_sum`` and of a 1-D sum of that row.  Consecutive rows with the
-    same positive mask share one exp(rho[mask]); that is every j >= 1, since
-    |k|^j >= 1 wherever k != 0.  ``_tables`` holds (v_norms, rho) when the
-    caller has them.
-    """
-    if j_max < 0:
-        raise ValueError("j_max must be >= 0")
-    # norms first: their temporaries are the largest arrays here, and are freed before the tables
-    v_norms, rho_table = _tables or (trajectory.v_norms(), _rho_table(trajectory, params))
-    weights = _weight_rows(trajectory.K, j_max)
-    e_j = np.empty((len(trajectory), j_max + 1))
-    m_j = np.empty_like(e_j)
-    for rho, norms, e, mo in zip(rho_table, v_norms, e_j, m_j):
-        terms = weights * norms
-        mo[:] = terms.sum(axis=1)
-        positive = terms > 0.0
-        cuts = np.flatnonzero((positive[1:] != positive[:-1]).any(axis=1)) + 1
-        bounds = [0, *cuts.tolist(), len(terms)]
-        for lo, hi in zip(bounds, bounds[1:]):
-            mask = positive[lo]
-            lf = rho[mask]
-            if lf.size and float(lf.max()) <= 700.0:
-                # compress keeps the rows C-contiguous, so each is summed like a 1-D array
-                e[lo:hi] = (terms[lo:hi].compress(mask, axis=1) * np.exp(lf)).sum(axis=1)
-            else:  # nothing to sum, or the log-domain path
-                e[lo:hi] = [_guarded_sum(rho, row) for row in terms[lo:hi]]
-    return e_j, m_j
-
-
-def initial_weighted_moments(
-    v0_norms: np.ndarray,
-    params: WeightParams,
-    j_max: int,
-) -> np.ndarray:
-    """A_j = sum_k |k|^j <k>^N |V_k(0)| over -K..K for j = 0..j_max; v0_norms holds k = 0..K.
-
-    A row whose weights |k|^j <k>^N overflow before |V_k(0)| scales them
-    back is summed again as |k|^j (<k>^N |V_k(0)|); every finite row keeps
-    its bits.  Where |k|^j alone overflows, A_j stays non-finite.
-    """
-    K = v0_norms.size - 1
-    loss = bracket(np.arange(K + 1)) ** params.loss_exponent
-    weights = _weight_rows(K, j_max)
-    with np.errstate(over="ignore", invalid="ignore"):
-        moments = (weights * loss * v0_norms).sum(axis=1)
-        redo = ~np.isfinite(moments)
-        moments[redo] = (weights[redo] * (loss * v0_norms)).sum(axis=1)
-    return moments
-
-
-def _factorials(j_max: int) -> np.ndarray:
-    return np.array([math.factorial(j) for j in range(j_max + 1)], dtype=float)
-
-
-def _series_with_tail(coeffs: np.ndarray, r: float, fact: np.ndarray) -> tuple[float, float]:
-    """sum_j coeffs[j] r^j / j! and the last-term/total truncation ratio.
-
-    A power r^j that is zero drops its term, even where the coefficient
-    overflowed (inf * 0).  A sum that is not finite has overflowed, and its
-    tail is reported as inf: the truncation is not controlled there.
-    """
-    powers = np.power(r, np.arange(coeffs.size, dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = coeffs * powers / fact
-    terms[powers == 0.0] = 0.0
-    total = float(terms.sum())
-    if not math.isfinite(total):
-        return total, math.inf
-    tail = float(abs(terms[-1]) / total) if total > 0.0 else 0.0
-    return total, tail
-
-
-def _sequence_power_rows(b: np.ndarray, nu: int) -> np.ndarray:
-    """Row-wise nu-fold sequence convolution truncated to the input length."""
-    length = b.shape[-1]
-    if nu == 1:
-        return b.copy()
-    out = np.empty_like(b)
-    for i in range(b.shape[0]):
-        acc = b[i]
-        for _ in range(nu - 1):
-            acc = np.convolve(acc, b[i])[:length]
-        out[i] = acc
-    return out
 
 
 def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -294,61 +201,107 @@ def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _band_tables(trajectory: Trajectory, params: WeightParams, tables) -> tuple:
+    """(rho + ln|V|, ln|V|) on the modes below the widest band, and band_hi per snapshot.
+
+    ``tables`` holds (v_norms, rho) when the caller has them.
+    """
+    band_hi = resolved_band(trajectory.u_hat_series())
+    width = int(band_hi.max())
+    v_norms, rho = tables or (trajectory.v_norms(), _rho_table(trajectory, params))
+    with np.errstate(divide="ignore"):
+        log_v = np.log(v_norms[:, :width])
+    return rho[:, :width] + log_v, log_v, band_hi
+
+
+def derivative_energies(
+    trajectory: Trajectory,
+    params: WeightParams,
+    j_max: int,
+    *,
+    _tables: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays ([E_j], [M_j]) for j = 0..j_max at every snapshot, shape (S, j_max+1) each.
+
+    E_j = sum_k e^rho |k|^j |V_k| (the state of the j-th spatial derivative
+    carries the extra (ik)^j) and M_j = sum_k |k|^j |V_k|, each a
+    ``_band_sum`` over the snapshot's band, with |k|^j as j ln|k|.
+    """
+    if j_max < 0:
+        raise ValueError("j_max must be >= 0")
+    log_c, log_v, band_hi = _band_tables(trajectory, params, _tables)
+    with np.errstate(divide="ignore"):
+        log_k = np.log(np.arange(log_v.shape[1]))
+    powers = np.vstack([np.zeros_like(log_k), np.multiply.outer(np.arange(1, j_max + 1), log_k)])
+    return tuple(
+        _by_rows(
+            lambda rows, logs=logs: _band_sum(logs[rows, None, :] + powers, band_hi[rows, None]),
+            len(trajectory),
+            powers.size,
+        )
+        for logs in (log_c, log_v)
+    )
+
+
+def initial_majorant(trajectory: Trajectory, params: WeightParams, r, *, _tables=None):
+    """A(r) = sum_k <k>^N e^(r|k|) |V_k(0)| at each radius r, on the first band: G(0) = A(r0)."""
+    log_w = _initial_weights(params, *_band_tables(trajectory, params, _tables)[1:])
+    return _band_sum(log_w + np.multiply.outer(r, np.arange(log_w.size)), log_w.size)
+
+
+def _initial_weights(params: WeightParams, log_v: np.ndarray, band_hi: np.ndarray) -> np.ndarray:
+    """ln(<k>^N |V_k(0)|) on the band of the first snapshot."""
+    return params.loss_exponent * np.log(bracket(np.arange(band_hi[0]))) + log_v[0, : band_hi[0]]
+
+
 @dataclass
 class SuperEnergyReport:
-    """Generating-function energies over time with truncation audit."""
+    """Super-energies F(t) and G(t), and G(t) - G(0) formed without cancellation."""
 
-    times: np.ndarray
     f_values: np.ndarray
     g_values: np.ndarray
-    alpha: np.ndarray  # (S, j_max+1) majorant coefficients
-    f_tail: np.ndarray
-    g_tail: np.ndarray
-    diverging: bool
+    g_increments: np.ndarray
 
 
 def super_energies(
-    times: np.ndarray,
-    e_series: np.ndarray,
-    initial_moments: np.ndarray,
+    trajectory: Trajectory,
+    params: WeightParams,
     r_schedule: np.ndarray,
-    nu: int,
+    *,
+    _tables: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SuperEnergyReport:
-    """F(t) = sum_j E_j r^j/j! and G(t) = sum_j alpha_j r^j/j!.
+    """F(t) = F(t; r(t)) and G(t) = A(r(t)) + int_0^t F(s; r(t))^nu ds, in closed form.
 
-    alpha_j(t) = A_j + j! * int_0^t c_j(s) ds with c the nu-fold convolution
-    of the sequence (E_j/j!)_j over compositions h_1+...+h_nu = j (empty for
-    nu = 0, identity for nu = 1); integrals by trapezoid on the recorded
-    samples.  The tail ratio (last term over partial sum) is reported per
-    time; exceeding ``TAIL_THRESHOLD`` anywhere sets the divergence flag.
+    F(s; r) = sum_k e^(rho(s,k) + r|k|) |V_k(s)| sums sum_j E_j r^j / j!, and
+    F^nu has the coefficients of the nu-fold convolution of (E_j / j!)_j.
+    r(t) enters every F(s; r(t)), so the integral is a trapezoid over the
+    snapshots up to t, for all (t, s, k) at once; with nu = 0 it is 0.
+    G(t) - G(0) = sum_k w_k e^(r0|k|) expm1((r(t) - r0)|k|) + int_0^t F^nu,
+    w_k = <k>^N |V_k(0)|, is formed without subtracting G(0).
     """
-    times = np.asarray(times, dtype=float)
-    e_series = np.asarray(e_series, dtype=float)
-    r_schedule = np.asarray(r_schedule, dtype=float)
-    S, width = e_series.shape
-    fact = _factorials(width - 1)
-    if nu == 0:
-        c = np.zeros_like(e_series)
-    else:
-        c = _sequence_power_rows(e_series / fact, nu)
-    alpha = initial_moments[None, :] + fact[None, :] * _cumtrapz(c, times)
-    f_values = np.empty(S)
-    g_values = np.empty(S)
-    f_tail = np.empty(S)
-    g_tail = np.empty(S)
-    for i in range(S):
-        f_values[i], f_tail[i] = _series_with_tail(e_series[i], r_schedule[i], fact)
-        g_values[i], g_tail[i] = _series_with_tail(alpha[i], r_schedule[i], fact)
-    diverging = bool((f_tail > TAIL_THRESHOLD).any() or (g_tail > TAIL_THRESHOLD).any())
-    return SuperEnergyReport(
-        times=times,
-        f_values=f_values,
-        g_values=g_values,
-        alpha=alpha,
-        f_tail=f_tail,
-        g_tail=g_tail,
-        diverging=diverging,
+    times, S = trajectory.times, len(trajectory)
+    r = np.asarray(r_schedule, dtype=float)
+    log_c, log_v, band_hi = _band_tables(trajectory, params, _tables)
+    modes = np.arange(log_v.shape[1])
+    f_pairs = _by_rows(  # F(t_s; r_i) at [i, s]
+        lambda rows: _band_sum(log_c + np.multiply.outer(r[rows], modes)[:, None, :], band_hi),
+        S,
+        log_c.size,
     )
+    integral = np.zeros(S)
+    if trajectory.nu >= 1:
+        powered = f_pairs**trajectory.nu
+        panels = 0.5 * (powered[:, 1:] + powered[:, :-1]) * np.diff(times)
+        integral = np.where(np.arange(S - 1) < np.arange(S)[:, None], panels, 0.0).sum(axis=1)
+    log_w = _initial_weights(params, log_v, band_hi)
+    k = modes[: log_w.size]
+    step = np.expm1(np.multiply.outer(r - r[0], k))
+    with np.errstate(invalid="ignore", over="ignore"):
+        terms = np.where(k > 0, 2.0, 1.0) * np.exp(log_w + r[0] * k) * step
+    # A(r(t)) - A(r0) term by term; a zero step drops its term, also where the weight overflowed
+    a_drop = np.where(step == 0.0, 0.0, terms).sum(axis=1)
+    a_values = initial_majorant(trajectory, params, r, _tables=_tables)
+    return SuperEnergyReport(np.diagonal(f_pairs).copy(), a_values + integral, a_drop + integral)
 
 
 def phi_growth(c_const: float, m_const: float, l_const: float, nu: int) -> float:
@@ -401,39 +354,43 @@ class ContinuationReport:
 def continuation_check(
     times: np.ndarray,
     g_values: np.ndarray,
-    l_const: float,
+    increments: np.ndarray,
     cm_power: float,
+    horizon: float,
 ) -> ContinuationReport:
     """Locate the first time G(t) is not below L (pass iff none) and audit the sharp bound.
 
-    A NaN in G or L is not below, so it counts as a crossing: the argument
-    needs G(t) < L to be shown.  The sharp interior bound is
-    G(t) <= G(0) + cm_power * t pointwise, allowed a 1e-9 relative
-    tolerance; cm_power is (C M)^nu from the ledger.  At t = 0 the bound is
-    G(0), also when cm_power overflowed, and a G that is inf where the bound
-    is inf has no excess there.  The sharp audit fails whenever cm_power or
-    some G(t) is not finite: an overflowed bound holds vacuously and shows
-    nothing.  A start already at or above L is reported as degenerate.
+    L = G(0) + cm_power * horizon, with cm_power = (C M)^nu from the ledger.
+    Both tests read ``increments`` = G(t) - G(0), so a large G(0) cannot
+    round them away: G(t) < L is increments < cm_power * horizon, and the
+    sharp bound G(t) <= G(0) + cm_power * t is increments <= cm_power * t,
+    within 1e-9 max(1, |increments|).  A NaN is not below, so it counts as
+    a crossing.  At t = 0 the sharp bound is 0, also when cm_power overflowed,
+    and an inf increment under an inf bound has no excess.  The sharp audit
+    fails whenever cm_power, G(0) or an increment is not finite, where the
+    bound holds vacuously.  A start already at or above L is degenerate.
     """
     times = np.asarray(times, dtype=float)
     g_values = np.asarray(g_values, dtype=float)
+    increments = np.asarray(increments, dtype=float)
     g0 = float(g_values[0])
-    crossing = ~(g_values < l_const)
+    crossing = ~(increments < cm_power * horizon)
     first = float(times[int(np.argmax(crossing))]) if crossing.any() else None
-    degenerate = bool(crossing[0])
     with np.errstate(invalid="ignore"):
-        sharp_bound = np.where(times == 0.0, g0, g0 + cm_power * times)
-        gap = np.where(g_values == sharp_bound, 0.0, g_values - sharp_bound)
+        sharp_bound = np.where(times == 0.0, 0.0, cm_power * times)
+        gap = np.where(increments == sharp_bound, 0.0, increments - sharp_bound)
     excess = float(gap.max())
-    scale = max(1.0, abs(g0), float(np.abs(g_values).max()))
+    scale = max(1.0, float(np.abs(increments).max()))
     return ContinuationReport(
         passed=not crossing.any(),
         first_crossing=first,
-        degenerate_at_start=degenerate,
-        l_const=l_const,
+        degenerate_at_start=bool(crossing[0]),
+        l_const=g0 + cm_power * horizon,
         g0=g0,
         g_max=float(g_values.max()),
-        sharp_passed=bool(excess <= 1e-9 * scale and np.isfinite([cm_power, *g_values]).all()),
+        sharp_passed=bool(
+            excess <= 1e-9 * scale and np.isfinite([cm_power, g0, *increments]).all()
+        ),
         sharp_excess=excess,
         cm_power=cm_power,
     )
@@ -599,8 +556,10 @@ class EnergyLedger:
 
     times: np.ndarray
     e_j: np.ndarray  # (S, j_max+1)
-    energies: SuperEnergyReport  # F, G and their truncation audit
+    energies: SuperEnergyReport  # F, G and G(t) - G(0)
     r_values: np.ndarray
+    band_hi: np.ndarray  # (S,) resolved band of each snapshot
+    resolved: bool  # every band ends below K
     j_max: int
     nu: int
     c0: float
@@ -617,7 +576,6 @@ class EnergyLedger:
     continuation: ContinuationReport
 
     def to_dict(self) -> dict:
-        tails = self.energies.f_tail[0], self.energies.g_tail[0]
         return {
             "C0": self.c0,
             "N": self.n_exponent,
@@ -631,8 +589,7 @@ class EnergyLedger:
             "phi_L": self.phi_l,
             "nu": self.nu,
             "J_max": self.j_max,
-            "diverging": self.energies.diverging,
-            "tail_ratio_t0": {"F": float(tails[0]), "G": float(tails[1])},
+            "band": {"band_hi": self.band_hi, "resolved": self.resolved},
             "master": self.master.to_dict(),
             "continuation": self.continuation.to_dict(),
         }
@@ -679,7 +636,9 @@ def build_energy_ledger(
 
     C0 and N are taken as given; ``cli._cmd_analyze`` resolves them.  C is
     the master estimate's sup ratio at N unless given.  The effective
-    initial radius is eta * r0.  The continuation verdict fails whenever C,
+    initial radius is eta * r0.  Every sum over modes runs over each
+    snapshot's resolved band, and ``resolved`` says whether every band
+    ended below K.  The continuation verdict fails whenever C,
     M or L is not finite, and the sharp audit whenever C or M is not: the
     argument needs them as numbers, and with nu = 0 the power (C M)^0 = 1
     would keep L and the sharp bound finite past an overflowed C or M.
@@ -700,27 +659,28 @@ def build_energy_ledger(
     k_caps = m_j.max(axis=0)
     m_const = float(k_caps[n_exponent] + m0)
 
-    a_moments = initial_weighted_moments(v_norms[0], params, j_max)
-    fact = _factorials(j_max)
     r0_eff = eta * r0
-    g0, _ = _series_with_tail(a_moments, r0_eff, fact)
+    g0 = float(initial_majorant(trajectory, params, np.array([r0_eff]), _tables=tables)[0])
     nu = trajectory.nu
     cm_power = (c_const * m_const) ** nu
     l_const = g0 + cm_power * T
     phi_l = phi_growth(c_const, m_const, l_const, nu)
     r_values = radius_schedule(r0_eff, l_const, m_const, c_const, nu, trajectory.times)
-    energies = super_energies(trajectory.times, e_j, a_moments, r_values, nu)
+    energies = super_energies(trajectory, params, r_values, _tables=tables)
     continuation = continuation_check(
-        trajectory.times, energies.g_values, l_const, cm_power
+        trajectory.times, energies.g_values, energies.g_increments, cm_power, T
     )
     finite = math.isfinite(c_const) and math.isfinite(m_const)
     continuation.passed &= finite and math.isfinite(l_const)
     continuation.sharp_passed &= finite
+    band_hi = resolved_band(trajectory.u_hat_series())
     return EnergyLedger(
         times=trajectory.times,
         e_j=e_j,
         energies=energies,
         r_values=r_values,
+        band_hi=band_hi,
+        resolved=bool((band_hi <= trajectory.K).all()),
         j_max=j_max,
         nu=nu,
         c0=c0,

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "resolved_band",
     "RadiusEstimate",
     "InsufficientBandError",
     "fit_decay",
@@ -21,6 +22,22 @@ __all__ = [
     "ZeroMomentError",
     "fit_moment_radius",
 ]
+
+
+# a mode whose |u_k| is below this multiple of its snapshot's peak sits on the round-off plateau
+PLATEAU_FLOOR = 1e-13
+
+
+def resolved_band(u_hat: np.ndarray) -> np.ndarray:
+    """band_hi per row of u_hat (modes 0..K): 1 + the last k with |u_k| >= PLATEAU_FLOOR * peak.
+
+    The last mode above the floor ends the band, not the first below it, so
+    lacunary data such as cos(2x) (u_1 = 0) keep their modes; band_hi = K + 1
+    says the plateau was not reached.
+    """
+    mags = np.abs(u_hat)
+    above = mags >= PLATEAU_FLOOR * mags.max(axis=-1, keepdims=True)
+    return mags.shape[-1] - np.argmax(above[..., ::-1], axis=-1)
 
 
 class InsufficientBandError(RuntimeError):
@@ -54,8 +71,8 @@ def fit_decay(
     ``u_hat`` holds modes k = 0..K of a real solution; the modes -k carry the
     same magnitudes, so fitting them too would only double every normal
     equation.  The band keeps k >= 2 (the low modes only carry prefactor
-    information) and |u_k| > floor, where the floor defaults to 1e-13 times
-    the spectral peak to cut the round-off plateau.  Fewer than 4 surviving
+    information) and |u_k| > floor, where the floor defaults to PLATEAU_FLOOR
+    times the spectral peak to cut the round-off plateau.  Fewer than 4 surviving
     modes raise InsufficientBandError.  The residual is the RMS misfit of the
     linear model in log space.
     """
@@ -64,7 +81,7 @@ def fit_decay(
     mags = np.abs(u_hat)
     peak = float(mags.max())
     if floor is None:
-        floor = 1e-13 * peak
+        floor = PLATEAU_FLOOR * peak
     modes = np.arange(mags.size)
     keep = (modes >= 2) & (mags > floor)
     n = int(keep.sum())

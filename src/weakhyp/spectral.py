@@ -274,6 +274,15 @@ class _HalfSpectrumRK4:
             out[0] = np.fft.rfft(prod, norm="forward", out=self.spec)[: y.shape[1]]
         return out
 
+    def galerkin_residual(self, K: int) -> float:
+        """Norm of the ring bins above K over that of modes 0..K, of member 0's last u^nu.
+
+        The ring only keeps the modes 0..K clean: a bin above K folds two true
+        modes together, so this estimates the part of u^nu the truncation drops.
+        """
+        low = float(np.linalg.norm(self.spec[: K + 1]))
+        return float(np.linalg.norm(self.spec[K + 1 :])) / low if low > 0.0 else 0.0
+
     def forcing(self, y: np.ndarray) -> np.ndarray:
         """Modes 0..K of each member's forcing, shape (B, K+1): u^nu for member 0, else zero."""
         return self._force(y, np.zeros(y.shape[:2], dtype=complex))
@@ -359,8 +368,10 @@ class Trajectory:
     """Snapshots of a run: chains and forcing spectra of modes 0..K at recorded times.
 
     The run facts ``steps`` (RK4 steps taken), ``stability_ratio``
-    (dt (1 + rho) K / STABILITY_LIMIT) and ``peak_sup_v`` (largest sup_k |V_k|
-    over the accepted states) are filled in by ``simulate``.  ``calibration``
+    (dt (1 + rho) K / STABILITY_LIMIT), ``peak_sup_v`` (largest sup_k |V_k|
+    over the accepted states) and ``galerkin_residual`` (its largest kernel
+    estimate over the snapshots, None when nu = 0) are filled in by
+    ``simulate``.  ``calibration``
     holds the linear member when ``simulate`` was asked for it.
     """
 
@@ -377,6 +388,7 @@ class Trajectory:
     steps: int | None = None
     stability_ratio: float | None = None
     peak_sup_v: float | None = None
+    galerkin_residual: float | None = None
     calibration: "Trajectory | None" = None
 
     @property
@@ -486,6 +498,7 @@ def simulate(
     kernel = _HalfSpectrumRK4(K, m, nu)
     y = np.repeat(chain0[None], len(live), axis=0)
     rows = 0  # snapshots each live member holds: all record on the same cadence
+    residual = 0.0
     calibration_error = None
     for i in range(n_steps + 1):  # the state after i steps
         t = float(stage_times[2 * i])
@@ -515,11 +528,14 @@ def simulate(
                 record.chains[rows] = chain
                 record.forcings[rows] = forcing
             rows += 1
+            if nu >= 1:
+                residual = max(residual, kernel.galerkin_residual(K))
         if i < n_steps:
             y = kernel.step(y, dt_eff, table[2 * i : 2 * i + 3], f)
     if calibration_error is not None:
         raise calibration_error
     traj = _cut(members[0], rows, n_steps)
+    traj.galerkin_residual = residual if nu >= 1 else None
     if calibrate:
         traj.calibration = _cut(members[1], rows, n_steps)
     return traj

@@ -17,6 +17,7 @@ the modes -K..-1 with ``mirror``.
 """
 
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -25,6 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+import series_reference
 from bessel_oracle import exact_mode_derivatives, exact_modes
 from scipy.integrate import quad
 
@@ -38,7 +40,7 @@ from weakhyp.energy import (
     default_c0,
     derivative_energies,
     gevrey_weight,
-    initial_weighted_moments,
+    initial_majorant,
     energy_inequality_check,
     master_estimate_check,
     phi_growth,
@@ -50,6 +52,7 @@ from weakhyp.energy import (
 from weakhyp.config import load_config
 from weakhyp.equation import CoefficientSpec
 from weakhyp.quasisym import build_quasi_symmetrizer
+from weakhyp.radius import resolved_band
 from weakhyp.spectral import Trajectory, companion_stack, simulate
 from weakhyp.symbol import NonHyperbolicError, characteristic_roots
 
@@ -234,22 +237,28 @@ def test_derivative_energies_frozen():
 
 
 def reference_moments(traj, params, j_max):
-    """``derivative_energies`` of a one-snapshot trajectory as a loop over j.
+    """E_j and M_j of every snapshot over its resolved band, in 40-digit arithmetic.
 
-    One ``_guarded_sum`` per row; the rows start at the multiplicity
-    (1, 2, 2, ...) of |k| in -K..K.
+    Each term (1, 2, 2, ...)_k |k|^j |V_k| (times e^rho(t, k) for E_j) is
+    formed from the library's floats |V_k| and rho(t, k), then summed
+    exactly enough that only the final conversion to a double rounds.
     """
-    kmag = np.arange(traj.K + 1, dtype=float)
-    rho = np.atleast_1d(rho_weight(float(traj.times[0]), kmag, params))
-    norms = traj.v_norms()[0]
-    e = np.empty(j_max + 1)
-    mo = np.empty(j_max + 1)
-    w = np.where(kmag > 0, 2.0, 1.0)
-    for j in range(j_max + 1):
-        if j > 0:
-            w = w * kmag
-        mo[j] = float((w * norms).sum())
-        e[j] = energy._guarded_sum(rho, w * norms)
+    mpmath.mp.dps = 40
+    band_hi = resolved_band(traj.u_hat_series())
+    norms = traj.v_norms()
+    rho = energy._rho_table(traj, params)
+    e = np.empty((len(traj), j_max + 1))
+    mo = np.empty_like(e)
+    for i in range(len(traj)):
+        terms = [
+            (k, mpmath.mpf(1 if k == 0 else 2) * mpmath.mpf(float(norms[i, k])), mpmath.exp(float(rho[i, k])))
+            for k in range(int(band_hi[i]))
+            if norms[i, k] > 0.0
+        ]
+        for j in range(j_max + 1):
+            live = [(w * mpmath.mpf(k) ** j, g) for k, w, g in terms if k > 0 or j == 0]
+            mo[i, j] = float(mpmath.fsum(w for w, _ in live))
+            e[i, j] = float(mpmath.fsum(w * g for w, g in live))
     return e, mo
 
 
@@ -267,9 +276,52 @@ def random_trajectory(K, m, S, horizon, log_amp, zero_frac, all_zero, seed):
     )
 
 
-# rho(t, k) exceeds 700 (the log-domain path) for every mode at T = 300 and
+# rho(t, k) exceeds 709 (e^rho overflows) for every mode at T = 300 and
 # C0 = 3, for none at T = 1, and from k of about 18 on at T = 225.
 GUARD = dict(K=512, m=2, S=1, j_max=2, horizon=300.0, c0=3.0, zero_frac=0.0, all_zero=False, seed=0)
+
+
+def band_sum_error(n, log_parts):
+    """Relative error bound of one ``_band_sum`` of n terms whose log parts are ``log_parts``.
+
+    ``log_parts`` holds, per term, the magnitudes of the logs added to form
+    it (rho, j ln k, ln|V|, r k, N ln<k>, ln 2).  With log and exp each within
+    2 ulp (2u): ln k and ln|V| are off by 2u of their size, j ln k by a
+    further u, and the additions by u of the running sum, so each log term
+    is off by at most 6u B, with B the largest sum of magnitudes.  The shift
+    by the maximum adds 2u B, each exp 2u, the sum of n terms in [0, n]
+    gamma_n, the outer log 2u ln n + gamma_n, the outer addition u (B + ln n)
+    and the final exp 2u.  So the sum is within a relative
+    delta = 9u B + 2 gamma_n + 3u ln n + 6u of the exact sum of its inputs.
+    """
+    big = max((float(np.sum(parts)) for parts in log_parts), default=0.0)
+    return 9 * U * big + 2 * gamma(n) + 3 * U * math.log(max(n, 1)) + 6 * U
+
+
+def assert_within(got, want, rel):
+    """|got - want| <= rel * want + ETA; a true sum past the float range may read inf on one side."""
+    if got == want:  # zero, or inf on both sides
+        return
+    big = np.finfo(float).max / (1.0 + rel)
+    if math.isinf(got) or math.isinf(want):
+        assert min(got, want) >= big, (got, want)
+        return
+    assert math.isfinite(got) and math.isfinite(want), (got, want)
+    assert abs(got - want) <= rel * want + ETA, (got, want, abs(got - want), rel)
+
+
+def moment_error(traj, params, i, j, full=False):
+    """``band_sum_error`` of E_j at snapshot i, over the half (n = band) or full (n = 2 band - 1) layout."""
+    band = int(resolved_band(traj.chains[i, :, 0]))
+    norms = traj.v_norms()[i, :band]
+    rho = energy._rho_table(traj, params)[i, :band]
+    k = np.arange(band)
+    live = norms > 0.0
+    parts = np.column_stack(
+        [np.abs(rho), j * np.abs(np.log(np.maximum(k, 1))), np.abs(np.log(np.where(live, norms, 1.0))),
+         np.full(band, math.log(2.0))]
+    )[live]
+    return band_sum_error(2 * band - 1 if full else band, parts)
 
 
 @settings(max_examples=80, deadline=None)
@@ -286,24 +338,27 @@ GUARD = dict(K=512, m=2, S=1, j_max=2, horizon=300.0, c0=3.0, zero_frac=0.0, all
     seed=st.integers(0, 2**32 - 1),
     expect=st.just(None),
 )
-# exp(rho) overflows at every mode: tiny amplitudes still give a finite sum,
+# e^rho overflows at every mode: tiny amplitudes still give a finite sum,
 # order-one amplitudes at the same weights overflow to inf
 @example(**GUARD, log_amp=-120.0, expect="finite")
 @example(**GUARD, log_amp=0.0, expect="inf")
 def test_moment_table_matches_the_per_snapshot_reference(
     K, m, S, j_max, horizon, c0, log_amp, zero_frac, all_zero, seed, expect
 ):
+    # the batched table and each snapshot alone against the 40-digit band sums
     traj = random_trajectory(K, m, S, horizon, log_amp, zero_frac, all_zero, seed)
     params = WeightParams(c0=c0, horizon=horizon, loss_exponent=0)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # squares of the norms past 1e154
         e_j, m_j = derivative_energies(traj, params, j_max)
+        want_e, want_m = reference_moments(traj, params, j_max)
         for i in range(S):
             snapshot = one_snapshot(traj.chains[i], traj.times[i])
-            want = reference_moments(snapshot, params, j_max)
             alone = derivative_energies(snapshot, params, j_max)
-            for got in [(e_j[i], m_j[i]), (alone[0][0], alone[1][0])]:
-                for a, b in zip(got, want):
-                    np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
+            for got_e, got_m in [(e_j[i], m_j[i]), (alone[0][0], alone[1][0])]:
+                for j in range(j_max + 1):
+                    rel = moment_error(traj, params, i, j)
+                    assert_within(got_e[j], want_e[i, j], rel)
+                    assert_within(got_m[j], want_m[i, j], rel)
     if all_zero:
         assert not e_j[0].any() and not m_j[0].any()
     if expect == "finite":
@@ -312,63 +367,40 @@ def test_moment_table_matches_the_per_snapshot_reference(
         assert (e_j == np.inf).all()
 
 
-def full_layout_sums(traj, params, j_max):
-    """E_j and M_j at every snapshot and A_j at t = 0, summed over -K..K as the full layout did.
+def full_layout_sums(traj, params, j_max, r):
+    """E_j, M_j and A(r) = sum <k>^N e^(r|k|) |V_k(0)| over |k| < band_hi in the full layout -K..K.
 
-    Rows |k|^j by repeated products, one ``_guarded_sum`` per E_j row, and
-    one row sum per M_j and A_j row.
+    The norms of the modes -K..K come from ``full_norms``, and the sums are
+    taken in 40-digit arithmetic, each mode -k as a term of its own.
     """
+    mpmath.mp.dps = 40
     modes = np.arange(-traj.K, traj.K + 1)
-    kmag = np.abs(modes).astype(float)
-    weights = np.empty((j_max + 1, modes.size))
-    weights[0] = 1.0
-    for j in range(1, j_max + 1):
-        weights[j] = weights[j - 1] * kmag
     norms = full_norms(traj)
+    band_hi = resolved_band(traj.u_hat_series())
     e = np.empty((len(traj), j_max + 1))
     mo = np.empty_like(e)
     for i, t in enumerate(traj.times.tolist()):
         rho = np.atleast_1d(rho_weight(t, modes, params))
-        terms = weights * norms[i]
-        mo[i] = terms.sum(axis=1)
-        e[i] = [energy._guarded_sum(rho, row) for row in terms]
-    loss = bracket(modes) ** params.loss_exponent
-    return e, mo, (weights * loss * norms[0]).sum(axis=1)
+        live = [(abs(int(k)), mpmath.mpf(float(v)), mpmath.exp(float(g)))
+                for k, v, g in zip(modes, norms[i], rho) if abs(k) < band_hi[i] and v > 0.0]
+        for j in range(j_max + 1):
+            terms = [(v * mpmath.mpf(k) ** j, g) for k, v, g in live if k > 0 or j == 0]
+            mo[i, j] = float(mpmath.fsum(w for w, _ in terms))
+            e[i, j] = float(mpmath.fsum(w * g for w, g in terms))
+    a = mpmath.fsum(
+        mpmath.mpf(1 + abs(int(k))) ** params.loss_exponent * mpmath.exp(r * abs(int(k))) * mpmath.mpf(float(v))
+        for k, v in zip(modes, norms[0]) if abs(k) < band_hi[0] and v > 0.0
+    )
+    return e, mo, float(a)
 
 
-def sum_bound(n, value):
-    """|half - full| for two sums of the same n >= 1 nonnegative terms, in different orders.
-
-    Each computed sum is within gamma_(n-1) of the exact sum S <= value / (1 - gamma_n).
-    No term is subnormal: a norm is 0 or at least sqrt(2^-1074), every weight 0 or at least 1.
-    """
-    return 2.0 * gamma(n) * value / (1.0 - gamma(n))
+# |V| by the per-column formula of ``full_norms`` and by ``_v_norms`` differ by
+# the rounding of at most three products (ik)^p, m squares, their sum and the sqrt
+def norms_error(m):
+    return (m + 6) * U
 
 
-def log_sum_bound(n, value, rho, mags):
-    """|half - full| for two log-domain ``_guarded_sum`` evaluations of the same exact sum.
-
-    With B = max(|rho| + |ln mag|) + ln 2 (the half doubles mags) and log and
-    exp each within 2 ulp (4u): the log terms are off by at most 5uB, the
-    shift by the max 2uB, each exp 4u, the sum of n terms in [0, 1]
-    gamma_n, the outer log 4u ln n + gamma_n + 4u, the outer addition
-    u (B + ln n) and the final exp 4u.  So each side is within a relative
-    delta = 8uB + 2 gamma_n + 5u ln n + 12u of the exact sum.
-    """
-    positive = mags > 0.0
-    big = float((np.abs(rho[positive]) + np.abs(np.log(mags[positive]))).max()) + math.log(2.0)
-    delta = 8 * U * big + 2 * gamma(n) + 5 * U * math.log(n) + 12 * U
-    return 2.0 * delta * value / (1.0 - delta)
-
-
-def assert_within(got, want, bound):
-    if got == want or (math.isnan(got) and math.isnan(want)):  # zero, inf, or an inf*0 norm
-        return
-    assert math.isfinite(got) and math.isfinite(want), (got, want)
-    assert abs(got - want) <= bound, (got, want, abs(got - want), bound)
-
-
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     K=st.integers(1, 40),
     m=st.integers(2, 4),
@@ -382,39 +414,34 @@ def assert_within(got, want, bound):
     all_zero=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
-@example(**GUARD, n_loss=2, log_amp=-120.0)  # the log-domain path, finite
-@example(**GUARD, n_loss=2, log_amp=0.0)  # the log-domain path, inf on both sides
+@example(**GUARD, n_loss=2, log_amp=-120.0)  # e^rho overflows, the sum is finite
+@example(**GUARD, n_loss=2, log_amp=0.0)  # inf on both sides
 @example(**{**GUARD, "all_zero": True, "S": 2}, n_loss=3, log_amp=-3.0)
 def test_half_layout_sums_match_the_full_layout_within_rounding(
     K, m, S, j_max, n_loss, horizon, c0, log_amp, zero_frac, all_zero, seed
 ):
-    # the half layout doubles each term exactly, so only the summation order moves
+    # the half layout counts each mode k >= 1 twice; the full layout sums k and -k
     traj = random_trajectory(K, m, S, horizon, log_amp, zero_frac, all_zero, seed)
     params = WeightParams(c0=c0, horizon=horizon, loss_exponent=n_loss)
-    n = 2 * K + 1
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):  # squares of the norms past 1e154
         e_j, m_j = derivative_energies(traj, params, j_max)
-        a_j = initial_weighted_moments(traj.v_norms()[0], params, j_max)
-        full_e, full_m, full_a = full_layout_sums(traj, params, j_max)
-        modes = np.arange(-K, K + 1)
-        kmag = np.abs(modes).astype(float)
-        norms = full_norms(traj)
-        for i, t in enumerate(traj.times.tolist()):
-            rho = np.atleast_1d(rho_weight(t, modes, params))
+        (a_r,) = initial_majorant(traj, params, [0.25])
+        full_e, full_m, full_a = full_layout_sums(traj, params, j_max, 0.25)
+        for i in range(S):
             for j in range(j_max + 1):
-                terms = kmag**j * norms[i]
-                assert_within(m_j[i, j], full_m[i, j], sum_bound(n, max(m_j[i, j], full_m[i, j])))
-                value = max(e_j[i, j], full_e[i, j])
-                positive = terms > 0.0
-                if positive.any() and rho[positive].max() > 700.0:
-                    bound = log_sum_bound(n, value, rho, terms)
-                else:
-                    bound = sum_bound(n, value)
-                assert_within(e_j[i, j], full_e[i, j], bound)
-    for got, want in zip(a_j, full_a):
-        assert_within(got, want, sum_bound(n, max(got, want)))
+                rel = moment_error(traj, params, i, j, full=True) + norms_error(m)
+                assert_within(e_j[i, j], full_e[i, j], rel)
+                assert_within(m_j[i, j], full_m[i, j], rel)
+        norms = traj.v_norms()[0]
+    band = int(resolved_band(traj.chains[0, :, 0]))
+    norms = norms[:band]
+    k = np.arange(band)[norms > 0.0]
+    parts = np.column_stack(
+        [0.25 * k, n_loss * np.log1p(k), np.abs(np.log(norms[norms > 0.0])), np.full(k.size, math.log(2.0))]
+    )
+    assert_within(a_r, full_a, band_sum_error(2 * band - 1, parts) + norms_error(m))
     if all_zero:
-        assert not e_j[0].any() and not m_j[0].any() and not a_j.any()
+        assert not e_j[0].any() and not m_j[0].any() and a_r == 0.0
 
 
 def full_layout_master(traj, params, exponents):
@@ -503,80 +530,145 @@ def test_derivative_energies_match_brute_force():
         assert e[j] == pytest.approx(brute_e, rel=1e-12)
 
 
-def test_initial_weighted_moments_frozen():
-    # k = +-1 (mode -1 implied), |V| = 1/2, N = 1: A_j = sum |k|^j <k>^1 |V| = 2 for every j
-    traj = one_snapshot(half_chain(4, 2, [(1, 1, 0.5)]))
-    a = initial_weighted_moments(traj.v_norms()[0], UNIT, 6)
-    np.testing.assert_allclose(a, 2.0)
+def test_initial_majorant_frozen():
+    # k = +-1 (mode -1 implied), |V| = 1/2, N = 1: A(r) = 2 * 2 e^r / 2 = 2 e^r
+    traj = one_snapshot(half_chain(4, 2, [(1, 0, 0.5)]))
+    np.testing.assert_allclose(initial_majorant(traj, UNIT, [0.0, 0.25]), [2.0, 2.0 * math.e**0.25], rtol=1e-14)
 
 
-def test_initial_weighted_moments_sum_overflowing_rows_again():
-    # 2 * 64^170 * 65 overflows, although |V_64(0)| ~ 1e-17 brings the term back
-    K, j_max = 64, 170
-    v0 = np.full(K + 1, 1e-17)
-    v0[1] = 0.5
-    a = initial_weighted_moments(v0, UNIT, j_max)
-    assert np.isfinite(a).all()
-    # every row the product order keeps finite keeps its bits
-    loss = bracket(np.arange(K + 1)) ** UNIT.loss_exponent
-    with np.errstate(over="ignore"):
-        old = (energy._weight_rows(K, j_max) * loss * v0).sum(axis=1)
-    finite = np.isfinite(old)
-    assert 0 < finite.sum() < j_max + 1
-    assert_same_bits(a[finite], old[finite])
-    k = np.arange(K + 1, dtype=float)
-    weights = np.where(k > 0, 2.0, 1.0) * k**j_max
-    assert a[-1] == pytest.approx((weights * (loss * v0)).sum(), rel=1e-12)
+def one_mode_run(nu, S=5):
+    """u_1 = 1/2 (so |V_1| = 1/2) at S times on [0, 1], the run's nonlinearity nu."""
+    traj = one_snapshot(half_chain(4, 2, [(1, 0, 0.5)]))
+    return dataclasses.replace(
+        traj, nu=nu, times=np.linspace(0.0, 1.0, S), chains=np.repeat(traj.chains, S, axis=0),
+        forcings=np.zeros((S, 5), dtype=complex),
+    )
 
 
 def test_super_energies_nu0_keeps_alpha_constant():
-    times = np.linspace(0.0, 1.0, 5)
-    e = np.full((5, 8), 3.0)
-    a0 = np.full(8, 2.0)
-    r = np.full(5, 0.25)
-    rep = super_energies(times, e, a0, r, nu=0)
-    series = sum(0.25**j / math.factorial(j) for j in range(8))
-    np.testing.assert_allclose(rep.g_values, 2.0 * series, rtol=1e-12)
-    np.testing.assert_allclose(rep.f_values, 3.0 * series, rtol=1e-12)
-    assert not rep.diverging
+    # nu = 0: G(t) = A(r(t)) = 2 e^r, and F(t) = 2 e^(rho(t, 1) + r) / 2 with rho(t, 1) = 2 (1 - t)
+    traj = one_mode_run(0)
+    rep = super_energies(traj, UNIT, np.full(5, 0.25))
+    np.testing.assert_allclose(rep.g_values, 2.0 * math.e**0.25, rtol=1e-14)
+    np.testing.assert_allclose(rep.f_values, np.exp(2.0 * (1.0 - traj.times) + 0.25), rtol=1e-14)
+    assert not rep.g_increments.any()  # r(t) = r0: every expm1 step is 0 and drops its term
 
 
 def test_super_energies_nu1_linear_growth():
-    # constant E_j = E: c_j = E/j!, alpha_j(t) = A_j + E t, G = (A + E t) e^r
-    times = np.linspace(0.0, 2.0, 9)
-    e_const = 1.5
-    e = np.full((9, 10), e_const)
-    a0 = np.full(10, 0.5)
-    r = np.full(9, 0.1)
-    rep = super_energies(times, e, a0, r, nu=1)
-    expected = (0.5 + e_const * times) * math.e**0.1
-    np.testing.assert_allclose(rep.g_values, expected, rtol=1e-12)
+    # nu = 1: G(t) = A(r) + int_0^t F(s; r) ds, the integral a trapezoid on the snapshots
+    traj = one_mode_run(1, S=9)
+    rep = super_energies(traj, UNIT, np.full(9, 0.1))
+    f = np.exp(2.0 * (1.0 - traj.times) + 0.1)
+    integral = np.concatenate([[0.0], np.cumsum(0.5 * (f[1:] + f[:-1]) * np.diff(traj.times))])
+    np.testing.assert_allclose(rep.g_values, 2.0 * math.e**0.1 + integral, rtol=1e-13)
+    np.testing.assert_allclose(rep.g_increments, integral, rtol=1e-13)
 
 
 def test_super_energies_nu2_uses_sequence_square():
-    # b = (1, 1, 0, ...): b*b = (1, 2, 1, 0, ...), alpha_j = A_j + j! (b*b)_j t
-    times = np.array([0.0, 1.0])
-    e = np.zeros((2, 6))
-    e[:, 0] = 1.0
-    e[:, 1] = 1.0  # E_j/j! = (1, 1, 0, ...)
-    a0 = np.zeros(6)
-    r = np.full(2, 0.5)
-    rep = super_energies(times, e, a0, r, nu=2)
-    conv = np.array([1.0, 2.0, 1.0, 0.0, 0.0, 0.0])
-    fact = np.array([math.factorial(j) for j in range(6)])
-    expected_alpha = fact * conv * 1.0
-    np.testing.assert_allclose(rep.alpha[1], expected_alpha, rtol=1e-12)
-    expected_g = (expected_alpha * 0.5 ** np.arange(6) / fact).sum()
-    assert rep.g_values[1] == pytest.approx(expected_g, rel=1e-12)
+    # the nu-fold convolution of the coefficients E_j / j! of F is the coefficient sequence of F^nu:
+    # with nu = 2, G(t_1) = A(r) + (F(t_0; r)^2 + F(t_1; r)^2) (t_1 - t_0) / 2
+    traj = one_mode_run(2, S=2)
+    rep = super_energies(traj, UNIT, np.full(2, 0.5))
+    f0, f1 = math.exp(2.0 + 0.5), math.exp(0.5)
+    assert rep.g_values[1] == pytest.approx(2.0 * math.e**0.5 + 0.5 * (f0**2 + f1**2), rel=1e-13)
 
 
-def test_super_energies_tail_flag():
-    times = np.array([0.0, 1.0])
-    e = np.zeros((2, 3))
-    e[:, 2] = 100.0  # top coefficient dominates: truncation unreliable
-    rep = super_energies(times, e, np.zeros(3), np.full(2, 1.0), nu=0)
-    assert rep.diverging
-    assert rep.f_tail.max() > 0.1
+def test_super_energies_take_f_at_every_radius_of_the_schedule():
+    # G(t_i) integrates F(s; r(t_i)) at the radius of t_i, not F(s; r(s))
+    traj = one_mode_run(1, S=3)
+    r = np.array([0.5, 0.25, 0.0])
+    rep = super_energies(traj, UNIT, r)
+    f = np.exp(2.0 * (1.0 - traj.times)[None, :] + r[:, None])  # F(t_s; r_i) at [i, s]
+    want = 2.0 * np.exp(r) + [0.0, 0.25 * (f[1, 0] + f[1, 1]), 0.25 * (f[2, 0] + 2 * f[2, 1] + f[2, 2])]
+    np.testing.assert_allclose(rep.g_values, want, rtol=1e-13)
+    np.testing.assert_allclose(rep.f_values, np.diagonal(f), rtol=1e-14)
+    # G(t) - G(0) = 2 e^r0 expm1(r(t) - r0) + the integral, without subtracting G(0)
+    np.testing.assert_allclose(rep.g_increments, want - 2.0 * math.e**0.5, rtol=1e-13)
+
+
+def resolved_run(K, m, S, q, log_amp, seed):
+    """Chains amp * q^k * z with random complex z, over a round-off plateau 1e-17 * amp.
+
+    q <= 1/3 puts the plateau below 1e-13 of the peak from k of about 30 on,
+    so every band ends below K = 64.
+    """
+    rng = np.random.default_rng(seed)
+    shape = (S, K + 1, m)
+    amp = 10.0**log_amp
+    z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    chains = amp * (q ** np.arange(K + 1)[None, :, None] * z + 1e-17 * noise)
+    return Trajectory(
+        order=m, K=K, dt=0.1, nu=0, times=np.linspace(0.0, 0.9, S), chains=chains,
+        forcings=np.zeros(shape[:2], dtype=complex), completed=True,
+    )
+
+
+def dropped_tail(x, j_max):
+    """sum_{j > J} x^j / j! over e^x, for 0 <= x < J + 2: the last kept ratio bounds the rest geometrically."""
+    if x == 0.0:
+        return 0.0
+    return math.exp((j_max + 1) * math.log(x) - math.lgamma(j_max + 2) - x) * (j_max + 2) / (j_max + 2 - x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(2, 3),
+    S=st.integers(1, 4),
+    nu=st.integers(0, 2),
+    n_loss=st.integers(0, 4),
+    # the reference forms alpha_j = j! int c_j, of size F^nu (nu |k|)^j: these
+    # bands (|k| < 30) and amplitudes keep it finite up to j = 170
+    q=st.floats(0.2, 1.0 / 3.0),
+    log_amp=st.floats(-4.0, -2.0),
+    c0=st.sampled_from([1.0, 3.0]),
+    r0=st.floats(0.05, 1.0),
+    rate=st.floats(0.0, 5.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_closed_form_equals_the_truncated_series_at_j_max_170(
+    m, S, nu, n_loss, q, log_amp, c0, r0, rate, seed
+):
+    J = 170
+    K = 64
+    traj = dataclasses.replace(resolved_run(K, m, S, q, log_amp, seed), nu=nu)
+    params = WeightParams(c0=c0, horizon=1.0, loss_exponent=n_loss)
+    r = r0 * np.exp(-rate * traj.times)
+    r[0] = r0
+    band_hi = resolved_band(traj.u_hat_series())
+    assert band_hi.max() <= K
+    # the tables E_j (S, J+1) and A_j (J+1,) on each band, term by term in j
+    norms, rho = traj.v_norms(), energy._rho_table(traj, params)
+    k = np.arange(K + 1, dtype=float)
+    mult = np.where(k > 0, 2.0, 1.0)
+    powers = k[None, :] ** np.arange(J + 1)[:, None]
+    inside = k[None, :] < band_hi[:, None]
+    e_table = (np.where(inside, mult * np.exp(rho) * norms, 0.0)[:, None, :] * powers).sum(axis=-1)
+    a_table = (np.where(inside[0], mult * bracket(k) ** n_loss * norms[0], 0.0) * powers).sum(axis=-1)
+    want_f, want_g = series_reference.truncated_super_energies(traj.times, e_table, a_table, r, nu)
+    want_g0, _ = series_reference.series_with_tail(a_table, r0, series_reference.factorials(J))
+    rep = super_energies(traj, params, r)
+    (g0,) = initial_majorant(traj, params, [r0])
+    # the tolerance: the reference's tables are each within gamma_B + 6u, and each
+    # series level (a convolution, the sum over j) within gamma_(J+1) + 4u, at most
+    # nu + 1 levels deep; each closed-form band sum is within band_sum_error, and
+    # F^nu within nu times that; the trapezoid is within gamma_S + 3u on both
+    # sides; and the truncation drops at most ``dropped_tail`` of every e^(r |k|),
+    # e^(nu r |k|) for the integrand, since the coefficients are nonnegative
+    width = int(band_hi.max())
+    log_v = np.log(norms[:, :width][norms[:, :width] > 0.0])
+    big = float(np.abs(rho[:, :width]).max() + np.abs(log_v).max() + r0 * width + n_loss * math.log(width) + 1.0)
+    closed = band_sum_error(width, [[big]])
+    reference = (nu + 1) * (gamma(width) + gamma(J + 1) + 10 * U)
+    tail = dropped_tail(max(nu, 1) * r0 * (width - 1), J)
+    rel = reference + (nu + 1) * closed + gamma(S) + 3 * U + tail
+    assert_within(g0, want_g0, rel)
+    for i in range(S):
+        assert_within(rep.f_values[i], want_f[i], rel)
+        assert_within(rep.g_values[i], want_g[i], rel)
+        # G(t) - G(0) against the reference's difference, which carries the rounding of both G's
+        assert abs(rep.g_increments[i] - (want_g[i] - want_g[0])) <= rel * (want_g[i] + want_g[0])
+    assert rep.g_increments[0] == 0.0
 
 
 def test_phi_growth_and_schedule():
@@ -589,10 +681,16 @@ def test_phi_growth_and_schedule():
     np.testing.assert_allclose(r, [0.25, 0.25 / math.e], rtol=1e-12)
 
 
+def check_continuation(times, g, cm_power, horizon):
+    """``continuation_check`` of G values whose increments G(t) - G(0) are exact; L = G(0) + cm_power * horizon."""
+    g = np.asarray(g, dtype=float)
+    return continuation_check(times, g, g - g[0], cm_power, horizon)
+
+
 def test_continuation_check_crossing():
     times = np.array([0.0, 1.0, 2.0])
     g = np.array([0.0, 5.0, 1.0])
-    rep = continuation_check(times, g, l_const=4.0, cm_power=1.0)
+    rep = check_continuation(times, g, cm_power=1.0, horizon=4.0)  # L = 4
     assert not rep.passed
     assert rep.first_crossing == 1.0
     assert not rep.degenerate_at_start
@@ -603,7 +701,7 @@ def test_continuation_check_crossing():
 def test_continuation_check_pass():
     times = np.linspace(0.0, 1.0, 5)
     g = 1.0 + 0.5 * times
-    rep = continuation_check(times, g, l_const=2.0, cm_power=0.5)
+    rep = check_continuation(times, g, cm_power=0.5, horizon=2.0)  # L = 2
     assert rep.passed and rep.sharp_passed
     assert rep.first_crossing is None
     d = rep.to_dict()
@@ -616,10 +714,10 @@ def test_continuation_check_pass():
 def test_continuation_check_fails_on_nan():
     # G(t) < L is what the argument needs; a NaN on either side does not show it
     times = np.array([0.0, 1.0, 2.0])
-    rep = continuation_check(times, np.array([1.0, 1.5, 2.0]), l_const=math.nan, cm_power=0.5)
+    rep = check_continuation(times, [1.0, 1.5, 2.0], cm_power=math.nan, horizon=6.0)  # L = nan
     assert not rep.passed
     assert rep.first_crossing == 0.0 and rep.degenerate_at_start
-    rep = continuation_check(times, np.array([1.0, math.nan, 2.0]), l_const=4.0, cm_power=0.5)
+    rep = check_continuation(times, [1.0, math.nan, 2.0], cm_power=0.5, horizon=6.0)  # L = 4
     assert not rep.passed
     assert rep.first_crossing == 1.0 and not rep.degenerate_at_start
 
@@ -627,11 +725,11 @@ def test_continuation_check_fails_on_nan():
 def test_continuation_check_fails_the_sharp_audit_on_an_overflowed_bound():
     # an inf (C M)^nu makes the bound G(0) + (C M)^nu t inf, where it holds vacuously
     times = np.array([0.0, 1.0, 2.0])
-    rep = continuation_check(times, np.array([1.0, 1.5, 2.0]), l_const=4.0, cm_power=math.inf)
+    rep = check_continuation(times, [1.0, 1.5, 2.0], cm_power=math.inf, horizon=6.0)
     assert rep.passed and rep.sharp_excess == 0.0 and not rep.sharp_passed
-    rep = continuation_check(times, np.array([1.0, math.inf, 2.0]), l_const=math.inf, cm_power=1.0)
+    rep = check_continuation(times, [1.0, math.inf, 2.0], cm_power=1.0, horizon=6.0)
     assert not rep.sharp_passed
-    rep = continuation_check(times, np.array([1.0, 1.5, 2.0]), l_const=4.0, cm_power=0.5)
+    rep = check_continuation(times, [1.0, 1.5, 2.0], cm_power=0.5, horizon=6.0)  # L = 4
     assert rep.sharp_passed
 
 
@@ -929,12 +1027,12 @@ def test_build_energy_ledger_wave_relations():
     assert ledger.energies.g_values[0] == pytest.approx(ledger.continuation.g0)
     assert ledger.continuation.passed
     assert ledger.continuation.sharp_passed
-    assert not ledger.energies.diverging
+    assert ledger.resolved and (ledger.band_hi == 2).all()  # cos x: the modes 0 and 1
     assert ledger.r_values[0] == pytest.approx(0.25)
     assert (np.diff(ledger.r_values) < 0).all()
     d = ledger.to_dict()
     for key in ("C0", "N", "C", "M0", "K_N", "M", "L", "r0", "eta", "phi_L",
-                "nu", "J_max", "diverging", "tail_ratio_t0", "master", "continuation"):
+                "nu", "J_max", "band", "master", "continuation"):
         assert key in d
 
 

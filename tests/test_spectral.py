@@ -12,7 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from bessel_oracle import exact_mode_derivatives, exact_modes
-from scipy.integrate import solve_ivp
+from constant_oracle import blowup_time, slope_at, time_to_reach, time_to_slope
+from scipy.integrate import quad, solve_ivp
 
 from weakhyp.equation import CoefficientSpec
 from weakhyp.spectral import (
@@ -787,3 +788,48 @@ def test_calibration_member_is_the_linear_run_against_the_bessel_oracle():
         errors.append(oracle_error(1, run.calibration))
         assert errors[-1] == oracle_error(1, simulate(model_problem(1), dt=dt, **kw))
     assert_fourth_order(errors)
+
+
+@pytest.mark.parametrize("nu", [2, 3])
+def test_constant_oracle_matches_quadrature(nu):
+    # t(U) = int_a^U dy / y' by adaptive quadrature, with y = a + s^2 to smooth the
+    # 1/sqrt(y - a) singularity at the start (quad evaluates no endpoint)
+    for a, U in [(1.0, 1.5), (1.0, 50.0), (0.5, 7.0), (2.0, 1e3)]:
+        want, err = quad(
+            lambda s: 2.0 * s / slope_at(a + s * s, a, nu), 0.0, math.sqrt(U - a),
+            epsabs=0.0, epsrel=1e-12, limit=200,
+        )
+        assert err < 1e-11 * want
+        assert time_to_reach(U, a, nu) == pytest.approx(want, rel=1e-10)
+    assert time_to_reach(1.0, 1.0, nu) == 0.0
+    assert time_to_reach(1e300, 1.0, nu) == pytest.approx(blowup_time(1.0, nu), rel=1e-12)
+
+
+@pytest.mark.parametrize("nu", [2, 3])
+def test_blowup_of_constant_data_is_bracketed_by_the_exact_crossing_time(nu):
+    # y'' = y^nu from y = 1 at rest, whatever the coefficients: sup|V| = |V_0| = |y'|
+    # first exceeds the ceiling 1e9 at 2.9721880 (nu = 2) and 1.8540371 (nu = 3).
+    # The abort lies in the step that crosses it: 2.972 < 2.9721880 <= 2.9725 and
+    # 1.854 < 1.8540371 <= 1.8545, with RK4's time lag there far inside the margins
+    spec = CoefficientSpec.from_strings(2, 4.0, ["0", "-t^2"], nu, ["1", "0"])
+    with pytest.raises(BlowUpError) as info:
+        simulate(spec, K=8, dt=5e-4, snapshot_interval=1.0, blowup_ceiling=1e9)
+    exact = time_to_slope(1e9, 1.0, nu)
+    assert info.value.trajectory.abort_reason == "blow-up"
+    assert info.value.last_valid_time < exact <= info.value.trajectory.abort_time
+    assert info.value.trajectory.abort_time - info.value.last_valid_time == pytest.approx(5e-4)
+    assert exact < blowup_time(1.0, nu)
+
+
+def test_galerkin_residual_shrinks_as_k_resolves_the_forcing():
+    # the ring bins above K of u^2 on the weakhyp_nu2 problem, over the snapshots:
+    # about 5.7e-5 at K = 16, 1.7e-9 at K = 32 and 2.0e-16 (round-off) at K = 128
+    spec = CoefficientSpec.from_strings(
+        2, 1.0, ["0", "-t^2"], 2, ["0.01*0.75/(1.25 - cos(x))", "0"]
+    )
+    residuals = [
+        simulate(spec, K=K, dt=1e-3, snapshot_interval=0.05).galerkin_residual for K in (16, 32, 128)
+    ]
+    assert 1e-5 < residuals[0] < 1e-4 and 1e-9 < residuals[1] < 1e-8 and residuals[2] < 1e-15
+    linear = simulate(replace(spec, nonlinearity=0), K=16, dt=1e-3, snapshot_interval=0.05)
+    assert linear.galerkin_residual is None
