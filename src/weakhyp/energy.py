@@ -66,9 +66,6 @@ C0_GRID_POINTS = 10_000
 # the master-estimate scan fits the smallest N whose sup ratio is at most this target C
 DEFAULT_C_TARGET = 10.0
 
-# the multiplicity 2 of a mode k >= 1, which stands for k and -k, in the log domain
-LN2 = math.log(2.0)
-
 # the most values one band sum over (rows, snapshots or orders, modes) holds at once:
 # 64 KiB temporaries, so the ledger does not raise a run's peak memory
 _CHUNK = 1 << 13
@@ -169,12 +166,12 @@ def _band_sum(log_terms: np.ndarray, band_hi) -> np.ndarray:
     The modes k = 0..B-1 lie on the last axis; ``band_hi`` broadcasts against
     the others.  Summed as max + log(sum exp(terms - max)), a value reads inf
     only where the true sum exceeds the float range; zero terms (log -inf)
-    sum to 0.
+    and an empty band sum to 0.
     """
     k = np.arange(log_terms.shape[-1])
-    mult = np.where(k > 0, LN2, 0.0)
+    mult = np.where(k > 0, math.log(2.0), 0.0)  # mode k >= 1 stands for k and -k
     logs = np.where(k < np.asarray(band_hi)[..., None], log_terms + mult, -np.inf)
-    peak = logs.max(axis=-1, keepdims=True)
+    peak = logs.max(axis=-1, keepdims=True, initial=-np.inf)
     shift = np.where(np.isfinite(peak), peak, 0.0)
     with np.errstate(divide="ignore", over="ignore"):
         return np.exp(shift[..., 0] + np.log(np.exp(logs - shift).sum(axis=-1)))
@@ -201,14 +198,15 @@ def _cumtrapz(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _band_tables(trajectory: Trajectory, params: WeightParams, tables) -> tuple:
-    """(rho + ln|V|, ln|V|) on the modes below the widest band, and band_hi per snapshot.
+def _ledger_tables(trajectory: Trajectory, params: WeightParams) -> tuple:
+    """(|V|, rho, band_hi): the norms, weights and resolved band that every ledger sum reads."""
+    return trajectory.v_norms(), _rho_table(trajectory, params), resolved_band(trajectory.chains)
 
-    ``tables`` holds (v_norms, rho) when the caller has them.
-    """
-    band_hi = resolved_band(trajectory.u_hat_series())
+
+def _band_tables(trajectory: Trajectory, params: WeightParams, tables) -> tuple:
+    """(rho + ln|V|, ln|V|) below the widest band, and band_hi, from ``tables`` if given."""
+    v_norms, rho, band_hi = tables or _ledger_tables(trajectory, params)
     width = int(band_hi.max())
-    v_norms, rho = tables or (trajectory.v_norms(), _rho_table(trajectory, params))
     with np.errstate(divide="ignore"):
         log_v = np.log(v_norms[:, :width])
     return rho[:, :width] + log_v, log_v, band_hi
@@ -219,7 +217,7 @@ def derivative_energies(
     params: WeightParams,
     j_max: int,
     *,
-    _tables: tuple[np.ndarray, np.ndarray] | None = None,
+    _tables: tuple | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Arrays ([E_j], [M_j]) for j = 0..j_max at every snapshot, shape (S, j_max+1) each.
 
@@ -268,31 +266,32 @@ def super_energies(
     params: WeightParams,
     r_schedule: np.ndarray,
     *,
-    _tables: tuple[np.ndarray, np.ndarray] | None = None,
+    _tables: tuple | None = None,
 ) -> SuperEnergyReport:
     """F(t) = F(t; r(t)) and G(t) = A(r(t)) + int_0^t F(s; r(t))^nu ds, in closed form.
 
     F(s; r) = sum_k e^(rho(s,k) + r|k|) |V_k(s)| sums sum_j E_j r^j / j!, and
     F^nu has the coefficients of the nu-fold convolution of (E_j / j!)_j.
     r(t) enters every F(s; r(t)), so the integral is a trapezoid over the
-    snapshots up to t, for all (t, s, k) at once; with nu = 0 it is 0.
+    snapshots up to t (0 when nu = 0), each block of rows t reduced at once,
+    so no temporary outgrows _CHUNK values or one row (s, k) for any S.
     G(t) - G(0) = sum_k w_k e^(r0|k|) expm1((r(t) - r0)|k|) + int_0^t F^nu,
     w_k = <k>^N |V_k(0)|, is formed without subtracting G(0).
     """
-    times, S = trajectory.times, len(trajectory)
+    S, nu = len(trajectory), trajectory.nu
     r = np.asarray(r_schedule, dtype=float)
     log_c, log_v, band_hi = _band_tables(trajectory, params, _tables)
     modes = np.arange(log_v.shape[1])
-    f_pairs = _by_rows(  # F(t_s; r_i) at [i, s]
-        lambda rows: _band_sum(log_c + np.multiply.outer(r[rows], modes)[:, None, :], band_hi),
-        S,
-        log_c.size,
-    )
-    integral = np.zeros(S)
-    if trajectory.nu >= 1:
-        powered = f_pairs**trajectory.nu
-        panels = 0.5 * (powered[:, 1:] + powered[:, :-1]) * np.diff(times)
-        integral = np.where(np.arange(S - 1) < np.arange(S)[:, None], panels, 0.0).sum(axis=1)
+    dt = np.diff(trajectory.times)
+
+    def rows_of(rows: slice) -> np.ndarray:
+        i = np.arange(S)[rows]
+        f = _band_sum(log_c + np.multiply.outer(r[rows], modes)[:, None, :], band_hi)  # F(t_s; r_i)
+        panels = (nu >= 1) * 0.5 * (f[:, 1:] ** nu + f[:, :-1] ** nu) * dt  # 0 when nu = 0
+        integral = np.where(np.arange(S - 1) < i[:, None], panels, 0.0).sum(axis=1)
+        return np.column_stack([f[np.arange(i.size), i], integral])
+
+    f_values, integral = _by_rows(rows_of, S, log_c.size).T
     log_w = _initial_weights(params, log_v, band_hi)
     k = modes[: log_w.size]
     step = np.expm1(np.multiply.outer(r - r[0], k))
@@ -301,7 +300,7 @@ def super_energies(
     # A(r(t)) - A(r0) term by term; a zero step drops its term, also where the weight overflowed
     a_drop = np.where(step == 0.0, 0.0, terms).sum(axis=1)
     a_values = initial_majorant(trajectory, params, r, _tables=_tables)
-    return SuperEnergyReport(np.diagonal(f_pairs).copy(), a_values + integral, a_drop + integral)
+    return SuperEnergyReport(f_values, a_values + integral, a_drop + integral)
 
 
 def phi_growth(c_const: float, m_const: float, l_const: float, nu: int) -> float:
@@ -422,7 +421,7 @@ def master_estimate_check(
     params: WeightParams,
     c_target: float = DEFAULT_C_TARGET,
     *,
-    _tables: tuple[np.ndarray, np.ndarray] | None = None,
+    _tables: tuple | None = None,
 ) -> MasterEstimateReport:
     """Sup over (t, k) of e^rho |V_k(t)| / (<k>^N |V_k(0)| + <k>^(m-1) I_k(t)).
 
@@ -438,7 +437,7 @@ def master_estimate_check(
     """
     times = trajectory.times
     m = trajectory.order
-    v_norms, rho = _tables or (trajectory.v_norms(), _rho_table(trajectory, params))
+    v_norms, rho = (_tables or _ledger_tables(trajectory, params))[:2]
     f_mags = np.abs(trajectory.forcings)
     weighted_v = np.exp(rho) * v_norms
     forcing_integral = _cumtrapz(np.exp(rho) * f_mags, times)
@@ -647,9 +646,8 @@ def build_energy_ledger(
         raise ValueError(f"loss exponent N={n_exponent} exceeds J_max={j_max}")
     T = problem.horizon
     params = WeightParams(c0=c0, horizon=T, loss_exponent=n_exponent)
-    # one norm and one rho table serve the master check and the energies
-    v_norms = trajectory.v_norms()
-    tables = (v_norms, _rho_table(trajectory, params))
+    # one norm table, one rho table and one band serve the master check and the energies
+    tables = _ledger_tables(trajectory, params)
     master = master_estimate_check(trajectory, params, c_target, _tables=tables)
     if c_const is None:
         c_const = master.ratio
@@ -673,14 +671,13 @@ def build_energy_ledger(
     finite = math.isfinite(c_const) and math.isfinite(m_const)
     continuation.passed &= finite and math.isfinite(l_const)
     continuation.sharp_passed &= finite
-    band_hi = resolved_band(trajectory.u_hat_series())
     return EnergyLedger(
         times=trajectory.times,
         e_j=e_j,
         energies=energies,
         r_values=r_values,
-        band_hi=band_hi,
-        resolved=bool((band_hi <= trajectory.K).all()),
+        band_hi=tables[2],
+        resolved=bool((tables[2] <= trajectory.K).all()),
         j_max=j_max,
         nu=nu,
         c0=c0,

@@ -24,20 +24,22 @@ __all__ = [
 ]
 
 
-# a mode whose |u_k| is below this multiple of its snapshot's peak sits on the round-off plateau
+# a value at most this multiple of its peak sits on the round-off plateau
 PLATEAU_FLOOR = 1e-13
 
 
-def resolved_band(u_hat: np.ndarray) -> np.ndarray:
-    """band_hi per row of u_hat (modes 0..K): 1 + the last k with |u_k| >= PLATEAU_FLOOR * peak.
+def resolved_band(chains: np.ndarray) -> np.ndarray:
+    """band_hi per snapshot of chains (..., K+1, m): 1 + the last mode above the plateau.
 
-    The last mode above the floor ends the band, not the first below it, so
-    lacunary data such as cos(2x) (u_1 = 0) keep their modes; band_hi = K + 1
-    says the plateau was not reached.
+    Mode k is above when some |u_k^(c)| of its chain exceeds PLATEAU_FLOOR times
+    the snapshot's largest chain entry, so data at rest in u keep the modes of
+    u_t.  Not each column's own peak: a small u_t inherits its round-off from u.
+    The last mode above ends the band, so cos(2x) (u_1 = 0) keeps k = 2;
+    band_hi = K + 1 says the plateau was not reached, 0 that the snapshot is zero.
     """
-    mags = np.abs(u_hat)
-    above = mags >= PLATEAU_FLOOR * mags.max(axis=-1, keepdims=True)
-    return mags.shape[-1] - np.argmax(above[..., ::-1], axis=-1)
+    mags = np.abs(chains)
+    above = (mags > PLATEAU_FLOOR * mags.max(axis=(-2, -1), keepdims=True)).any(axis=-1)
+    return np.where(above.any(axis=-1), above.shape[-1] - np.argmax(above[..., ::-1], axis=-1), 0)
 
 
 class InsufficientBandError(RuntimeError):

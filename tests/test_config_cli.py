@@ -1340,7 +1340,8 @@ def test_cli_analyze_ledger_does_not_depend_on_k(tmp_path):
     for ledger in reports:
         assert ledger["continuation"]["passed"] and ledger["continuation"]["sharp_passed"]
         assert ledger["band"]["resolved"] is True
-        assert ledger["band"]["band_hi"][0] == 44 and max(ledger["band"]["band_hi"]) == 44
+        # u_t = 0 at t = 0; later its modes reach further than those of u
+        assert ledger["band"]["band_hi"][0] == 44 and max(ledger["band"]["band_hi"]) == 48
 
 
 def test_cli_analyze_band_keeps_lacunary_data(tmp_path):
@@ -1353,6 +1354,34 @@ def test_cli_analyze_band_keeps_lacunary_data(tmp_path):
     assert ledger["band"] == {"band_hi": [3] * 5, "resolved": True}
     assert ledger["N"] == 1
     assert ledger["continuation"]["G0"] == pytest.approx(2.0 * 3.0 * math.exp(2 * 0.25), rel=1e-12)
+
+
+def test_cli_analyze_band_keeps_the_modes_of_u_t(tmp_path):
+    # u = 0.01 cos x ends at k = 1, u_t = cos 5x at k = 5: the band takes both, and
+    # G0 = 2 (<1>^N e^(r0) |V_1(0)| + <5>^N e^(5 r0) |V_5(0)|), |V_1| = 0.005, |V_5| = 0.5
+    text = WAVE_YAML.replace('initial: ["cos(x)", "0"]', 'initial: ["0.01*cos(x)", "cos(5*x)"]')
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", write_config(tmp_path, text), "--output", str(out)]) == 0
+    ledger = json.loads((out / "report.json").read_text())["ledger"]
+    assert ledger["band"] == {"band_hi": [6] * 5, "resolved": True}
+    n = ledger["N"]
+    g0 = 2.0 * (2.0**n * math.exp(0.25) * 0.005 + 6.0**n * math.exp(5 * 0.25) * 0.5)
+    assert ledger["continuation"]["G0"] == pytest.approx(g0, rel=1e-12)
+
+
+def test_cli_analyze_data_at_rest_in_u_do_not_depend_on_k(tmp_path):
+    # u = 0 at t = 0: the band of u_t ends where its 2^-k meets the round-off, at every K
+    base = WAVE_YAML.replace('initial: ["cos(x)", "0"]', 'initial: ["0", "0.75/(1.25 - cos(x))"]')
+    ledgers = []
+    for K, dt in ((128, 0.005), (512, 0.001)):
+        text = base.replace("K: 8", f"K: {K}").replace("dt: 0.01", f"dt: {dt}")
+        out = tmp_path / f"out{K}"
+        assert main(["analyze", "--config", write_config(tmp_path, text, f"k{K}.yaml"), "--output", str(out)]) == 0
+        ledgers.append(json.loads((out / "report.json").read_text())["ledger"])
+    low, high = ledgers
+    assert low["band"]["band_hi"][0] == high["band"]["band_hi"][0] == 44
+    assert low["band"]["resolved"] and high["band"]["resolved"]
+    assert high["continuation"]["G0"] == pytest.approx(low["continuation"]["G0"], rel=1e-9)
 
 
 def test_cli_analyze_band_is_unresolved_when_the_plateau_lies_beyond_k(tmp_path):

@@ -19,6 +19,7 @@ the modes -K..-1 with ``mirror``.
 import ast
 import dataclasses
 import math
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -244,7 +245,7 @@ def reference_moments(traj, params, j_max):
     exactly enough that only the final conversion to a double rounds.
     """
     mpmath.mp.dps = 40
-    band_hi = resolved_band(traj.u_hat_series())
+    band_hi = resolved_band(traj.chains)
     norms = traj.v_norms()
     rho = energy._rho_table(traj, params)
     e = np.empty((len(traj), j_max + 1))
@@ -312,7 +313,7 @@ def assert_within(got, want, rel):
 
 def moment_error(traj, params, i, j, full=False):
     """``band_sum_error`` of E_j at snapshot i, over the half (n = band) or full (n = 2 band - 1) layout."""
-    band = int(resolved_band(traj.chains[i, :, 0]))
+    band = int(resolved_band(traj.chains[i]))
     norms = traj.v_norms()[i, :band]
     rho = energy._rho_table(traj, params)[i, :band]
     k = np.arange(band)
@@ -376,7 +377,7 @@ def full_layout_sums(traj, params, j_max, r):
     mpmath.mp.dps = 40
     modes = np.arange(-traj.K, traj.K + 1)
     norms = full_norms(traj)
-    band_hi = resolved_band(traj.u_hat_series())
+    band_hi = resolved_band(traj.chains)
     e = np.empty((len(traj), j_max + 1))
     mo = np.empty_like(e)
     for i, t in enumerate(traj.times.tolist()):
@@ -433,7 +434,7 @@ def test_half_layout_sums_match_the_full_layout_within_rounding(
                 assert_within(e_j[i, j], full_e[i, j], rel)
                 assert_within(m_j[i, j], full_m[i, j], rel)
         norms = traj.v_norms()[0]
-    band = int(resolved_band(traj.chains[0, :, 0]))
+    band = int(resolved_band(traj.chains[0]))
     norms = norms[:band]
     k = np.arange(band)[norms > 0.0]
     parts = np.column_stack(
@@ -635,7 +636,7 @@ def test_closed_form_equals_the_truncated_series_at_j_max_170(
     params = WeightParams(c0=c0, horizon=1.0, loss_exponent=n_loss)
     r = r0 * np.exp(-rate * traj.times)
     r[0] = r0
-    band_hi = resolved_band(traj.u_hat_series())
+    band_hi = resolved_band(traj.chains)
     assert band_hi.max() <= K
     # the tables E_j (S, J+1) and A_j (J+1,) on each band, term by term in j
     norms, rho = traj.v_norms(), energy._rho_table(traj, params)
@@ -1034,6 +1035,24 @@ def test_build_energy_ledger_wave_relations():
     for key in ("C0", "N", "C", "M0", "K_N", "M", "L", "r0", "eta", "phi_L",
                 "nu", "J_max", "band", "master", "continuation"):
         assert key in d
+
+
+def test_build_energy_ledger_memory_stays_linear_in_the_snapshots():
+    # a snapshot at every step: S = 2001, so one (S, S) table of F(t_s; r_i) would take 32 MB
+    problem = wave_problem()
+    traj = simulate(problem, K=8, dt=5e-4, snapshot_interval=5e-4)
+    S = len(traj)
+    assert S == 2001
+    tracemalloc.start()
+    try:
+        ledger = build_energy_ledger(traj, problem, c0=1.0, n_exponent=1, j_max=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < S * S * 8 / 8, peak
+    # cos x is the mode k = 1 alone: F(0) = 2 e^(rho(0, 1) + r0) |V_1(0)|, |V_1(0)| = 1/2
+    assert ledger.energies.f_values[0] == pytest.approx(math.exp(rho_weight(0.0, 1.0, UNIT) + 0.25), rel=1e-12)
+    assert ledger.continuation.passed
 
 
 def test_build_energy_ledger_runs_one_master_check_per_exponent(monkeypatch):

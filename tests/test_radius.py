@@ -17,10 +17,24 @@ from weakhyp import (
     fit_decay,
     fit_moment_radius,
 )
+from weakhyp.radius import resolved_band
 
 
 def poisson_spectrum(K: int, a: float = 0.5) -> np.ndarray:
     return a ** np.arange(K + 1)
+
+
+def test_resolved_band_reads_every_chain_column_against_the_snapshot_peak():
+    chains = np.zeros((4, 9, 2), dtype=complex)  # snapshots of the chains (u_k, u_k') of modes 0..8
+    chains[0, 1, 0], chains[0, 5, 1] = 0.005, 0.5  # a small u beside a large u_t: k = 5 counts
+    chains[1, :, 1] = poisson_spectrum(8)  # at rest in u; 2^-8 is far above the floor
+    chains[2, 2, 0], chains[2, :, 1] = 1.0, 1e-15  # a u_t of round-off size next to u: not above
+    # snapshot 3 is zero, so its band is empty
+    assert resolved_band(chains).tolist() == [6, 9, 3, 0]
+    assert resolved_band(chains[0]) == 6
+    # each column against its own peak would take the whole u_t of snapshot 2
+    own = [int(resolved_band(chains[2, :, c : c + 1])) for c in range(2)]
+    assert own == [3, 9]
 
 
 def test_fit_decay_poisson_exact():
