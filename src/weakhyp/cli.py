@@ -230,8 +230,7 @@ def _radius_csv(cfg: RunConfig, times, fits) -> tuple[list[str], list[str]]:
 def _certificate_payload(cfg: RunConfig) -> dict:
     times = np.linspace(0.0, cfg.horizon, cfg.cert_times)
     table = cfg.problem().coefficient_table(times)
-    rng = np.random.default_rng(cfg.seed)
-    samples = sample_unit_vectors(cfg.order, cfg.samples, rng)
+    samples = sample_unit_vectors(cfg.order, cfg.samples, cfg.seed)
     qs = build_quasi_symmetrizer(characteristic_roots(table, times=times))
     certs = verify_quasi_symmetrizer(
         qs, companion_stack(table), cfg.eps_set, samples, nd_floor=cfg.nd_floor

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,6 +42,8 @@ __all__ = [
     "entry_derivative_bound",
     "glaeser_quotient",
 ]
+
+_DRAW_ROWS = 4096  # rows of sample directions drawn at a time
 
 
 @dataclass(frozen=True)
@@ -104,10 +107,31 @@ def build_quasi_symmetrizer(roots: np.ndarray) -> QuasiSymmetrizer:
     return QuasiSymmetrizer(roots=rows, layers=tuple(layers))
 
 
-def sample_unit_vectors(m: int, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Complex unit vectors, rows of shape (count, m)."""
-    z = rng.standard_normal((count, m)) + 1j * rng.standard_normal((count, m))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+def sample_unit_vectors(m: int, count: int, seed: int) -> np.ndarray:
+    """Complex unit vectors drawn from ``seed``, rows of shape (count, m).
+
+    The stdlib generator ``random.Random(seed)`` gives 16 bytes per entry,
+    read as two little-endian 64-bit words in row-major order of the entries.
+    Their top 53 bits make two uniforms u in (0, 1] and v in [0, 1), which
+    Box-Muller turns into the complex Gaussian sqrt(-2 ln u) e^(2 pi i v).
+    Each row is then normalised, which makes it uniform on the complex unit
+    sphere; the norm is taken from the moduli, |z_j|^2 = ln u_j / sum ln u.
+    The rows are drawn ``_DRAW_ROWS`` at a time from one byte stream, so the
+    result is the one-shot draw and its temporaries stay small.  (numpy's
+    generators would do as well, but importing them loads OpenSSL.)
+    """
+    gen = random.Random(seed)
+    out = np.empty((count, m), dtype=complex)
+    for start in range(0, count, _DRAW_ROWS):
+        block = out[start : start + _DRAW_ROWS]
+        words = np.frombuffer(gen.randbytes(16 * block.size), dtype="<u8").reshape(*block.shape, 2)
+        top = words >> np.uint64(11)
+        log_u = np.log((top[..., 0] + 1.0) * 2.0**-53)
+        modulus = np.sqrt(log_u / log_u.sum(axis=1, keepdims=True))
+        angle = (2.0 * math.pi * 2.0**-53) * top[..., 1]
+        block.real = modulus * np.cos(angle)
+        block.imag = modulus * np.sin(angle)
+    return out
 
 
 @dataclass

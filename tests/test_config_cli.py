@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from fresh_probe import run_fresh
 
 from weakhyp import ConfigError, RunConfig, cli, config, load_config
 from weakhyp.cli import main
@@ -1109,7 +1110,7 @@ def test_cli_config_errors_are_structured(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["check", "symmetrizer"])
 def test_cli_negative_seed_is_a_config_error(tmp_path, capsys, command):
-    # the seed drives numpy's generator, which takes no negative seed
+    # random.Random seeds -s as s, so a negative seed is refused at load
     out = tmp_path / "out"
     argv = [command, "--config", write_config(tmp_path), "--seed", "-1", "--output", str(out)]
     assert main(argv) == 1
@@ -1187,22 +1188,75 @@ def test_cli_parser_is_built_once_and_parses_as_before(tmp_path, capsys):
         assert helps[0] == helps[1] != ""
 
 
+# The certify_m3 benchmark's certificate: roots {-t, 0, t} on 129 times
+CERTIFY_M3_YAML = """\
+m: 3
+T: 1.0
+coefficients: ["0", "-t^2", "0"]
+initial: ["cos(x)", "0", "0"]
+certificate:
+  times: 129
+  samples: 10000
+  eps_set: [1.0, 0.1, 0.01]
+"""
+
+# hashlib loads OpenSSL, and so does numpy.random (through secrets)
+OPENSSL = {"_hashlib", "numpy.random"}
+
+
 def test_cli_analyze_loads_no_openssl_and_no_thread_pool(tmp_path):
-    # the config hash needs no hashlib (which loads OpenSSL), and a run with
-    # one thread no thread pool; in a process of its own, since pytest and
-    # hypothesis import hashlib themselves
-    probe = (
-        "import json, sys; sys.path.insert(0, sys.argv[1]); from weakhyp.cli import main; "
-        "code = main(sys.argv[2:]); "
-        "print(json.dumps([code, sorted({'_hashlib', 'concurrent.futures'} & set(sys.modules))]))"
-    )
-    src = str(Path(cli.__file__).resolve().parents[1])
+    # the config hash needs no hashlib, the certificate's sample directions no
+    # numpy.random, and a run with one thread no thread pool
     text = WAVE_YAML.replace("symmetrizer_certificate: true", "symmetrizer_certificate: false")
     cfg = write_config(tmp_path, text.replace('initial: ["cos(x)", "0"]', 'nu: 2\ninitial: ["0.1*cos(x)", "0"]'))
-    argv = ["analyze", "--config", cfg, "--output", str(tmp_path / "out")]
-    out = subprocess.run([sys.executable, "-c", probe, src, *argv], capture_output=True, text=True, check=True)
-    assert json.loads(out.stdout) == [0, []]
+    code, loaded, _ = run_fresh(["analyze", "--config", cfg, "--output", str(tmp_path / "out")])
+    assert code == 0 and loaded.isdisjoint(OPENSSL | {"concurrent.futures"}), loaded
     assert written(tmp_path / "out") == ["energies.csv", "radius.csv", "report.json", "run_meta.json", "spectrum.csv"]
+    argv = ["analyze", "--config", str(CONFIGS / "wave.yaml"), "--output", str(tmp_path / "cert")]
+    code, loaded, _ = run_fresh(argv)
+    assert code == 0 and loaded.isdisjoint(OPENSSL | {"concurrent.futures"}), loaded
+    assert "certificate.json" in written(tmp_path / "cert")
+
+
+def test_cli_symmetrizer_loads_no_openssl(tmp_path):
+    cfg = write_config(tmp_path, CERTIFY_M3_YAML)
+    code, loaded, _ = run_fresh(["symmetrizer", "--config", cfg, "--threads", "2", "--output", str(tmp_path / "out")])
+    assert code == 0 and loaded.isdisjoint(OPENSSL), loaded
+    assert "weakhyp.quasisym" in loaded  # the probe sees what the run loaded
+
+
+def test_cli_symmetrizer_matches_the_benchmark_reference(tmp_path):
+    # the aggregate constants the certify_m3 benchmark checks, at its rtol,
+    # against its frozen 40-digit reference: no sample source moves them
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "cert_reference.json"
+    frozen = json.loads(path.read_text())
+    assert frozen["times"] == 129 and frozen["eps_set"] == [1.0, 0.1, 0.01]
+    cfg = write_config(tmp_path, CERTIFY_M3_YAML)
+    assert main(["symmetrizer", "--config", cfg, "--output", str(tmp_path / "out")]) == 0
+    aggregate = json.loads((tmp_path / "out" / "certificate.json").read_text())["aggregate"]
+    assert aggregate["pass"] is True
+    assert set(frozen["aggregate"]) == set(aggregate) - {"pass"}
+    for name, text in frozen["aggregate"].items():
+        assert aggregate[name] == pytest.approx(float(text), rel=1e-9, abs=0.0), name
+
+
+def test_cli_symmetrizer_seed_moves_only_the_sampled_audit(tmp_path):
+    text = WAVE_YAML.replace('coefficients: ["0", "-1"]', 'coefficients: ["0", "-t^2", "0"]')
+    text = text.replace("m: 2", "m: 3").replace('initial: ["cos(x)", "0"]', 'initial: ["cos(x)", "0", "0"]')
+    cfg = write_config(tmp_path, text.replace("times: 3", "times: 9"))
+    certs = []
+    for seed in ("3", "4"):
+        out = tmp_path / seed
+        assert main(["symmetrizer", "--config", cfg, "--seed", seed, "--output", str(out)]) == 0
+        certs.append(json.loads((out / "certificate.json").read_text()))
+    three, four = certs
+    assert three.pop("config_sha256") != four.pop("config_sha256")  # the seed is part of the config
+    sampled = ("sampled_C_comm", "sampled_c_nd")
+    moved = 0
+    for a, b in zip(three["per_time"], four["per_time"]):
+        moved += sum(a.pop(key) != b.pop(key) for key in sampled)
+    assert moved > 0
+    assert three == four and three["aggregate"]["pass"] is True
 
 
 def perfbench_tracing():

@@ -14,12 +14,14 @@ eps; the near-diagonality constant for the double root (1,1) is
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from weakhyp import quasisym
 from weakhyp.quasisym import (
     _sampled_audit,
     build_quasi_symmetrizer,
@@ -113,7 +115,7 @@ def test_near_diagonality_negative_control():
 
 def test_sampled_audit_consistent_with_exact():
     rng = np.random.default_rng(23)
-    samples = sample_unit_vectors(3, 2000, rng)
+    samples = sample_unit_vectors(3, 2000, 23)
     for _ in range(20):
         roots = np.sort(rng.uniform(-2.0, 2.0, size=3))
         coeffs = np.poly(roots)[1:]
@@ -429,7 +431,7 @@ def test_batched_certificate_matches_per_time_algorithm(m, eps_set):
     roots[::3, 0] = 0.0  # a zero root in every third set
     roots[1::4, :2] = 0.0  # a double zero root
     table = np.array([np.poly(r)[1:] for r in roots])
-    samples = sample_unit_vectors(m, 300, rng)
+    samples = sample_unit_vectors(m, 300, 40 + m)
     qs = build_quasi_symmetrizer(roots)
     certs = verify_quasi_symmetrizer(qs, companion_stack(table), eps_set, samples)
     assert len(certs) == roots.shape[0]
@@ -456,7 +458,7 @@ def test_batched_certificate_on_roots_minus_t_zero_t():
     roots = np.stack([-t, 0.0 * t, t], axis=1)
     table = np.stack([0.0 * t, -t * t, 0.0 * t], axis=1)
     eps_set = (1.0, 0.1, 0.01)
-    samples = sample_unit_vectors(3, 10000, np.random.default_rng(7))
+    samples = sample_unit_vectors(3, 10000, 7)
     certs = verify_quasi_symmetrizer(
         build_quasi_symmetrizer(roots), companion_stack(table), eps_set, samples
     )
@@ -531,7 +533,7 @@ def audit_stack(m, rng):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_sampled_audit_against_plain_reference(m):
     rng = np.random.default_rng(70 + m)
-    samples = sample_unit_vectors(m, 400, rng)
+    samples = sample_unit_vectors(m, 400, 70 + m)
     samples[:25] = 0.0
     samples[:25, 0] = 1.0
     q, b = audit_stack(m, rng)
@@ -562,7 +564,7 @@ def test_sampled_audit_masking_leaves_positive_rows_alone(m):
     # positive rows once paired with masked rows (the block is masked) and
     # once with positive rows (no masking): both give the same bits
     rng = np.random.default_rng(90 + m)
-    samples = sample_unit_vectors(m, 500, rng)
+    samples = sample_unit_vectors(m, 500, 90 + m)
     q, b = audit_stack(m, rng)
     positive = [q[0], 2.0 * q[0], q[0] + np.eye(m)]
     masked = np.stack([positive[0], q[3], positive[1], q[4], positive[2], 0.0 * q[1]])
@@ -573,3 +575,83 @@ def test_sampled_audit_masking_leaves_positive_rows_alone(m):
     comm_f, nd_f = _sampled_audit(samples, paired, bb, eps_rows, 2)
     assert np.array_equal(comm_m[::2], comm_f[::2]) and np.array_equal(nd_m[::2], nd_f[::2])
     assert (comm_m[1::2] == -np.inf).all() and (nd_m[1::2] == np.inf).all()
+
+
+# -- the sample directions -----------------------------------------------------
+
+
+def scalar_unit_vector_rows(m, count, seed):
+    """The documented draw one entry at a time: two little-endian words per
+    entry, their top 53 bits as u in (0, 1] and v in [0, 1), Box-Muller
+    sqrt(-2 ln u) e^(2 pi i v), each row normalised."""
+    raw = random.Random(seed).randbytes(16 * count * m)
+    words = [int.from_bytes(raw[8 * i : 8 * i + 8], "little") >> 11 for i in range(2 * count * m)]
+    rows = []
+    for r in range(count):
+        row = []
+        for j in range(m):
+            top_u, top_v = words[2 * (r * m + j)], words[2 * (r * m + j) + 1]
+            radius = math.sqrt(-2.0 * math.log((top_u + 1) * 2.0**-53))
+            angle = 2 * math.pi * top_v * 2.0**-53
+            row.append(radius * complex(math.cos(angle), math.sin(angle)))
+        norm = math.sqrt(sum(abs(z) ** 2 for z in row))
+        rows.append([z / norm for z in row])
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_sample_unit_vectors_follow_the_documented_draw(m):
+    got = sample_unit_vectors(m, 50, 11)
+    want = scalar_unit_vector_rows(m, 50, 11)
+    assert np.abs(got - want).max() <= 8 * np.finfo(float).eps
+
+
+def test_sample_unit_vectors_are_a_function_of_the_seed():
+    first = sample_unit_vectors(3, 1000, 5)
+    assert np.array_equal(first.view(float), sample_unit_vectors(3, 1000, 5).view(float))
+    zero, one = sample_unit_vectors(3, 1000, 0), sample_unit_vectors(3, 1000, 1)
+    assert not (zero == one).any()
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_sample_unit_vectors_have_unit_rows(m):
+    rows = sample_unit_vectors(m, 5000, m)
+    assert rows.shape == (5000, m) and rows.dtype == complex
+    assert np.abs(np.linalg.norm(rows, axis=1) - 1.0).max() <= 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_sample_unit_vectors_are_uniform_on_the_sphere(m):
+    # on the complex unit sphere |z_j|^2 is Beta(1, m - 1), with moments
+    # E X^k = k! (m-1)! / (m+k-1)!, and E z_i conj(z_j) = 0 for i != j with
+    # real and imaginary parts of variance E X_i X_j / 2 = 1 / (2 m (m+1));
+    # each sample mean within 5 sigma at 10^5 rows
+    n = 10**5
+    rows = sample_unit_vectors(m, n, 2024)
+    power = np.abs(rows) ** 2
+
+    def moment(k):
+        return math.factorial(k) * math.factorial(m - 1) / math.factorial(m + k - 1)
+
+    for k in (1, 2):
+        sigma = math.sqrt((moment(2 * k) - moment(k) ** 2) / n)
+        assert np.abs((power**k).mean(axis=0) - moment(k)).max() <= 5 * sigma, k
+    cross = (rows[:, 0] * rows[:, 1].conj()).mean()
+    sigma = math.sqrt(1.0 / (2 * m * (m + 1) * n))
+    assert max(abs(cross.real), abs(cross.imag)) <= 5 * sigma
+
+
+def test_one_sample_unit_vector_is_the_first_row_of_more():
+    (row,) = sample_unit_vectors(3, 1, 9)
+    assert np.array_equal(row, sample_unit_vectors(3, 100, 9)[0])
+    assert abs(np.linalg.norm(row) - 1.0) <= 4 * np.finfo(float).eps
+    assert sample_unit_vectors(3, 0, 9).shape == (0, 3)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 4096])
+def test_sample_unit_vectors_drawn_in_blocks_equal_one_draw(monkeypatch, rows):
+    count = 9000  # not a multiple of any block size above
+    monkeypatch.setattr(quasisym, "_DRAW_ROWS", count)
+    whole = sample_unit_vectors(3, count, 13)
+    monkeypatch.setattr(quasisym, "_DRAW_ROWS", rows)
+    assert np.array_equal(sample_unit_vectors(3, count, 13).view(float), whole.view(float))

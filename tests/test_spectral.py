@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from bessel_oracle import exact_mode_derivatives, exact_modes
 from constant_oracle import blowup_time, slope_at, time_to_reach, time_to_slope
 from scipy.integrate import quad, solve_ivp
+from scipy.optimize import brentq
 
 from weakhyp.equation import CoefficientSpec
 from weakhyp.spectral import (
@@ -805,20 +806,54 @@ def test_constant_oracle_matches_quadrature(nu):
     assert time_to_reach(1e300, 1.0, nu) == pytest.approx(blowup_time(1.0, nu), rel=1e-12)
 
 
+def constant_problem(a: float, nu: int, horizon: float) -> CoefficientSpec:
+    """y'' = y^nu from y = a at rest, as constant data of u_tt - t^2 u_xx = u^nu."""
+    return CoefficientSpec.from_strings(2, horizon, ["0", "-t^2"], nu, [repr(a), "0"])
+
+
 @pytest.mark.parametrize("nu", [2, 3])
 def test_blowup_of_constant_data_is_bracketed_by_the_exact_crossing_time(nu):
     # y'' = y^nu from y = 1 at rest, whatever the coefficients: sup|V| = |V_0| = |y'|
     # first exceeds the ceiling 1e9 at 2.9721880 (nu = 2) and 1.8540371 (nu = 3).
     # The abort lies in the step that crosses it: 2.972 < 2.9721880 <= 2.9725 and
     # 1.854 < 1.8540371 <= 1.8545, with RK4's time lag there far inside the margins
-    spec = CoefficientSpec.from_strings(2, 4.0, ["0", "-t^2"], nu, ["1", "0"])
     with pytest.raises(BlowUpError) as info:
-        simulate(spec, K=8, dt=5e-4, snapshot_interval=1.0, blowup_ceiling=1e9)
+        simulate(constant_problem(1.0, nu, 4.0), K=8, dt=5e-4, snapshot_interval=1.0, blowup_ceiling=1e9)
     exact = time_to_slope(1e9, 1.0, nu)
     assert info.value.trajectory.abort_reason == "blow-up"
     assert info.value.last_valid_time < exact <= info.value.trajectory.abort_time
     assert info.value.trajectory.abort_time - info.value.last_valid_time == pytest.approx(5e-4)
     assert exact < blowup_time(1.0, nu)
+
+
+@pytest.mark.parametrize("a, nu", [(1.0, 2), (0.5, 2), (1.0, 3)])
+def test_calibration_member_of_constant_data_stays_at_rest(a, nu):
+    # the linear member sees y'' = 0: its chains are (a, 0) at mode 0 and
+    # zero elsewhere, bit for bit (signs of zero included), at every snapshot
+    run = simulate(constant_problem(a, nu, 1.0), K=8, dt=1e-2, snapshot_interval=0.1, calibrate=True)
+    assert run.completed and len(run.calibration) == 11
+    want = np.zeros_like(run.calibration.chains)
+    want[:, 0, 0] = a
+    got = run.calibration.chains.view(float)
+    assert np.array_equal(got, want.view(float)) and not np.signbit(got).any()
+    assert run.chains[-1, 0, 0].real > a  # while the problem itself moves
+
+
+@pytest.mark.parametrize("a, nu", [(1.0, 2), (0.5, 2), (1.0, 3)])
+def test_rk4_is_fourth_order_against_the_constant_oracle(a, nu):
+    # y(T*/2) from t(U) = T*/2 (1 + sqrt(3) at a = 1, nu = 2); the errors
+    # read 2.8e-7, 1.8e-8 and 1.1e-9 at a = 1, nu = 2 (ratios 15.7 and 15.9)
+    horizon = blowup_time(a, nu) / 2.0
+    exact = brentq(
+        lambda U: time_to_reach(U, a, nu) - horizon, a, 1e6, xtol=1e-300, rtol=4 * np.finfo(float).eps
+    )
+    spec = constant_problem(a, nu, horizon)
+    errors = [
+        abs(simulate(spec, K=8, dt=horizon / n, snapshot_interval=horizon).chains[-1, 0, 0] - exact)
+        for n in (50, 100, 200)
+    ]
+    for coarse, fine in zip(errors, errors[1:]):
+        assert 14.0 <= coarse / fine <= 18.0, errors
 
 
 def test_galerkin_residual_shrinks_as_k_resolves_the_forcing():
