@@ -37,7 +37,7 @@ from .energy import (
 from .parallel import ordered_map
 from .quasisym import (
     build_quasi_symmetrizer,
-    sample_unit_vectors,
+    sample_moments,
     verify_quasi_symmetrizer,
 )
 from .radius import InsufficientBandError, fit_decay
@@ -230,10 +230,10 @@ def _radius_csv(cfg: RunConfig, times, fits) -> tuple[list[str], list[str]]:
 def _certificate_payload(cfg: RunConfig) -> dict:
     times = np.linspace(0.0, cfg.horizon, cfg.cert_times)
     table = cfg.problem().coefficient_table(times)
-    samples = sample_unit_vectors(cfg.order, cfg.samples, cfg.seed)
+    moments = sample_moments(cfg.order, cfg.samples, cfg.seed)
     qs = build_quasi_symmetrizer(characteristic_roots(table, times=times))
     certs = verify_quasi_symmetrizer(
-        qs, companion_stack(table), cfg.eps_set, samples, nd_floor=cfg.nd_floor
+        qs, companion_stack(table), cfg.eps_set, moments, nd_floor=cfg.nd_floor
     )
     aggregate = {
         "C_lower": max(c.c_lower for c in certs),

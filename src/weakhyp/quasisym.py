@@ -38,12 +38,13 @@ __all__ = [
     "build_quasi_symmetrizer",
     "verify_quasi_symmetrizer",
     "sample_unit_vectors",
+    "sample_moments",
     "partition_by_zeros",
     "entry_derivative_bound",
     "glaeser_quotient",
 ]
 
-_DRAW_ROWS = 4096  # rows of sample directions drawn at a time
+_DRAW_ROWS = 1024  # rows of sample directions drawn at a time
 
 
 @dataclass(frozen=True)
@@ -107,31 +108,68 @@ def build_quasi_symmetrizer(roots: np.ndarray) -> QuasiSymmetrizer:
     return QuasiSymmetrizer(roots=rows, layers=tuple(layers))
 
 
-def sample_unit_vectors(m: int, count: int, seed: int) -> np.ndarray:
-    """Complex unit vectors drawn from ``seed``, rows of shape (count, m).
+def _draw_blocks(m: int, count: int, seed: int):
+    """The sample directions of ``seed``, ``_DRAW_ROWS`` rows at a time.
 
-    The stdlib generator ``random.Random(seed)`` gives 16 bytes per entry,
-    read as two little-endian 64-bit words in row-major order of the entries.
-    Their top 53 bits make two uniforms u in (0, 1] and v in [0, 1), which
-    Box-Muller turns into the complex Gaussian sqrt(-2 ln u) e^(2 pi i v).
-    Each row is then normalised, which makes it uniform on the complex unit
-    sphere; the norm is taken from the moduli, |z_j|^2 = ln u_j / sum ln u.
-    The rows are drawn ``_DRAW_ROWS`` at a time from one byte stream, so the
-    result is the one-shot draw and its temporaries stay small.  (numpy's
-    generators would do as well, but importing them loads OpenSSL.)
+    Yields the index of each block's first row and the block's real and
+    imaginary parts, each of shape (rows, m).  The stdlib generator
+    ``random.Random(seed)`` gives 16 bytes per entry, read as two
+    little-endian 64-bit words in row-major order of the entries.  Their top
+    53 bits make two uniforms u in (0, 1] and v in [0, 1), which Box-Muller
+    turns into the complex Gaussian sqrt(-2 ln u) e^(2 pi i v).  Each row is
+    then normalised, which makes it uniform on the complex unit sphere; the
+    norm is taken from the moduli, |z_j|^2 = ln u_j / sum ln u.  The blocks
+    come from one byte stream, so their rows are those of a one-shot draw.
+    (numpy's generators would do as well, but importing them loads OpenSSL.)
     """
     gen = random.Random(seed)
-    out = np.empty((count, m), dtype=complex)
     for start in range(0, count, _DRAW_ROWS):
-        block = out[start : start + _DRAW_ROWS]
-        words = np.frombuffer(gen.randbytes(16 * block.size), dtype="<u8").reshape(*block.shape, 2)
+        rows = min(_DRAW_ROWS, count - start)
+        words = np.frombuffer(gen.randbytes(16 * rows * m), dtype="<u8").reshape(rows, m, 2)
         top = words >> np.uint64(11)
         log_u = np.log((top[..., 0] + 1.0) * 2.0**-53)
         modulus = np.sqrt(log_u / log_u.sum(axis=1, keepdims=True))
         angle = (2.0 * math.pi * 2.0**-53) * top[..., 1]
-        block.real = modulus * np.cos(angle)
-        block.imag = modulus * np.sin(angle)
+        yield start, modulus * np.cos(angle), modulus * np.sin(angle)
+
+
+def sample_unit_vectors(m: int, count: int, seed: int) -> np.ndarray:
+    """Complex unit vectors drawn from ``seed``, rows of shape (count, m).
+
+    The draw is that of ``_draw_blocks``; ``sample_moments`` reads the same
+    stream.
+    """
+    out = np.empty((count, m), dtype=complex)
+    for start, x, y in _draw_blocks(m, count, seed):
+        block = out[start : start + len(x)]
+        block.real = x
+        block.imag = y
     return out
+
+
+def sample_moments(m: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Moment rows of the ``count`` directions ``sample_unit_vectors`` draws.
+
+    With r_ij + i s_ij = conj(v_i) v_j, returns the rows r_ij for i <= j,
+    shape (m(m+1)/2, count), and s_ij for i < j, shape (m(m-1)/2, count),
+    each pair in ``np.triu_indices`` order: the input of
+    ``verify_quasi_symmetrizer``.  The directions are consumed a draw block
+    at a time and never stored, and each row is written in place, so the
+    moments are all this allocates beyond one block.
+    """
+    iu, ju = np.triu_indices(m)
+    il, jl = np.triu_indices(m, 1)
+    re = np.empty((iu.size, count))
+    im = np.empty((il.size, count))
+    for start, x, y in _draw_blocks(m, count, seed):
+        cols = slice(start, start + len(x))
+        for row, i, j in zip(re, iu.tolist(), ju.tolist()):
+            np.multiply(x[:, i], x[:, j], out=row[cols])
+            row[cols] += y[:, i] * y[:, j]
+        for row, i, j in zip(im, il.tolist(), jl.tolist()):
+            np.multiply(x[:, i], y[:, j], out=row[cols])
+            row[cols] -= y[:, i] * x[:, j]
+    return re, im
 
 
 @dataclass
@@ -185,7 +223,7 @@ def verify_quasi_symmetrizer(
     qs: QuasiSymmetrizer,
     a_matrix: np.ndarray,
     eps_set: Sequence[float],
-    samples: np.ndarray | None = None,
+    moments: tuple[np.ndarray, np.ndarray] | None = None,
     nd_floor: float = 0.0,
 ) -> list[SymmetrizerCertificate]:
     """Measure the certificate constants for a symmetrizer against its A.
@@ -195,8 +233,11 @@ def verify_quasi_symmetrizer(
     eps in one batch.
     Spectral bounds come from exact symmetric eigensolves; the commutator and
     near-diagonality constants are exact generalized-eigenvalue extremals,
-    cross-audited on the supplied random direction ``samples`` (complex unit
-    vectors, rows of length m).  Raises ``ValueError`` on dimension mismatch.
+    cross-audited on random directions v_1 ... v_n given by their ``moments``
+    (r, s), r_ij + i s_ij = conj(v_i) v_j: r of shape (m(m+1)/2, n) over
+    i <= j, s of shape (m(m-1)/2, n) over i < j, each in ``np.triu_indices``
+    order, as ``sample_moments`` returns them.  Without moments there are no
+    directions.  Raises ``ValueError`` on dimension mismatch.
     """
     n, m = qs.roots.shape
     a_matrix = np.asarray(a_matrix, dtype=float)
@@ -205,11 +246,15 @@ def verify_quasi_symmetrizer(
     eps_set = tuple(float(e) for e in eps_set)
     if any(e <= 0 for e in eps_set):
         raise ValueError("eps values must be positive")
-    if samples is None:
-        samples = np.zeros((0, m), dtype=complex)
-    samples = np.asarray(samples, dtype=complex)
-    if samples.size and samples.shape[1] != m:
-        raise ValueError("sample vectors must have length m")
+    n_re, n_im = m * (m + 1) // 2, m * (m - 1) // 2
+    if moments is None:
+        moments = np.zeros((n_re, 0)), np.zeros((n_im, 0))
+    re, im = (np.ascontiguousarray(mom, dtype=float) for mom in moments)
+    count = re.shape[-1]
+    if (re.shape, im.shape) != ((n_re, count), (n_im, count)):
+        raise ValueError(
+            f"moment rows must have shapes ({n_re}, n) and ({n_im}, n), got {re.shape} and {im.shape}"
+        )
 
     # rows of every stack below run over (time, eps), eps fastest
     n_eps = len(eps_set)
@@ -240,7 +285,7 @@ def verify_quasi_symmetrizer(
         norm = q[dpos] / np.sqrt(dd[:, :, None] * dd[:, None, :])
         nd[dpos] = np.linalg.eigvalsh(norm)[:, 0]
 
-    sampled_comm, sampled_nd = _sampled_audit(samples, q, b, eps_rows, n_eps)
+    sampled_comm, sampled_nd = _sampled_audit(re, im, q, b, eps_rows, n_eps)
     diams = diam_ratio(qs.roots).tolist()
 
     certs = []
@@ -263,9 +308,9 @@ def verify_quasi_symmetrizer(
                 c_nd=c_nd,
                 c_nd_by_eps=nd_by_eps,
                 sampled_c_comm=max([0.0, *sampled_comm[rows].tolist()]),
-                sampled_c_nd=min(sampled_nd[rows].tolist()) if samples.size else float("nan"),
+                sampled_c_nd=min(sampled_nd[rows].tolist()) if count else float("nan"),
                 diam=diams[i],
-                samples=int(samples.shape[0]),
+                samples=count,
                 nd_floor=nd_floor,
                 qs1_pass=math.isfinite(c_lower) and math.isfinite(c_upper),
                 qs2_pass=math.isfinite(c_comm),
@@ -276,7 +321,8 @@ def verify_quasi_symmetrizer(
 
 
 def _sampled_audit(
-    samples: np.ndarray,
+    re: np.ndarray,
+    im: np.ndarray,
     q: np.ndarray,
     b: np.ndarray,
     eps_rows: np.ndarray,
@@ -288,30 +334,30 @@ def _sampled_audit(
     (Q v, v) / sum_j q_jj |v_j|^2 over the sample directions v with
     (Q v, v) > 0 (-inf and +inf where there are none).
 
-    The forms are taken in a symmetric moment basis.  With the moments
-    r_ij + i s_ij = conj(v_i) v_j, r symmetric and s antisymmetric,
+    The directions come as their moment rows, C-contiguous: with
+    r_ij + i s_ij = conj(v_i) v_j, r symmetric and s antisymmetric, ``re``
+    holds r_ij for i <= j and ``im`` holds s_ij for i < j, one column per
+    direction, in ``np.triu_indices`` order.  Then
 
         (Q v, v)             = sum_{i<=j} r_ij (q_ij + q_ji [i < j]),
         sum_j q_jj |v_j|^2   = sum_j r_jj q_jj,
         |(B v, v)|           = |sum_{i<j} s_ij (b_ij - b_ji)|,
 
     so m(m+1)/2 and m(m-1)/2 moment rows stand in for m^2 each.  The rows of
-    one time (``n_eps`` of them) are taken at a time, so the (rows, samples)
-    temporaries stay near the size of the samples.  The coefficient stacks
-    are made C-contiguous: fancy indexing leaves them column-major, a row
-    block of which is no BLAS operand, and numpy's own loop sums in another
-    order, so a time's bits would depend on the stack it sits in.
+    one time (``n_eps`` of them) are taken at a time into two buffers of
+    (rows, samples) allocated once.  The coefficient stacks are made
+    C-contiguous: fancy indexing leaves them column-major, a row block of
+    which is no BLAS operand, and numpy's own loop sums in another order, so
+    a time's bits would depend on the stack it sits in.
     """
     rows, m = q.shape[:2]
     sampled_comm = np.full(rows, -np.inf)
     sampled_nd = np.full(rows, np.inf)
-    if not samples.size:
+    count = re.shape[1]
+    if not count:
         return sampled_comm, sampled_nd
     iu, ju = np.triu_indices(m)
     il, jl = np.triu_indices(m, 1)
-    x, y = samples.real.T, samples.imag.T
-    re = x[iu] * x[ju] + y[iu] * y[ju]
-    im = x[il] * y[jl] - y[il] * x[jl]
     on_diag = iu == ju
     upper = q[:, iu, ju]
     q_rows = np.where(on_diag, upper, upper + q[:, ju, iu]).reshape(-1, n_eps, iu.size)
@@ -319,12 +365,14 @@ def _sampled_audit(
     # per time: the n_eps rows of (Q v, v), then those of sum_j q_jj |v_j|^2
     qd_coef = np.ascontiguousarray(np.concatenate((q_rows, d_rows), axis=1))
     b_coef = np.ascontiguousarray(b[:, il, jl] - b[:, jl, il]).reshape(-1, n_eps, il.size)
+    qd = np.empty((2 * n_eps, count))
+    c = np.empty((n_eps, count))
+    quad, diag_quad = qd[:n_eps], qd[n_eps:]
     with np.errstate(divide="ignore", invalid="ignore"):
         for i in range(rows // n_eps):
             blk = slice(i * n_eps, (i + 1) * n_eps)
-            qd = qd_coef[i] @ re
-            quad, diag_quad = qd[:n_eps], qd[n_eps:]
-            c = b_coef[i] @ im
+            np.matmul(qd_coef[i], re, out=qd)
+            np.matmul(b_coef[i], im, out=c)
             c /= quad
             np.abs(c, out=c)
             nd_ratio = np.divide(quad, diag_quad, out=diag_quad)

@@ -4,6 +4,11 @@ pytest and hypothesis import hashlib (and with it OpenSSL) themselves, so
 what a command loads shows only in a process of its own.  numpy 1.x imports
 numpy.random (and with it hashlib) on ``import numpy``, so the modules
 reported are those beyond a bare ``import numpy`` in the same process.
+
+Run as a script, it prints the exit code and peak resident set size of one
+CLI run in a fresh interpreter:
+
+    PYTHONPATH=src python tests/fresh_probe.py symmetrizer --config run.yaml --output out
 """
 
 import json
@@ -43,3 +48,8 @@ def run_fresh(argv: list[str]) -> tuple[int, set[str], int | None]:
     )
     code, modules, hwm = json.loads(proc.stdout.splitlines()[-1])
     return code, set(modules), hwm
+
+
+if __name__ == "__main__":
+    code, _, hwm = run_fresh(sys.argv[1:])
+    print(f"exit {code}  VmHWM " + ("n/a" if hwm is None else f"{hwm} kB ({hwm / 1024:.2f} MB)"))

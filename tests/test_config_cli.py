@@ -17,6 +17,7 @@ import math
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -1238,6 +1239,23 @@ def test_cli_symmetrizer_matches_the_benchmark_reference(tmp_path):
     assert set(frozen["aggregate"]) == set(aggregate) - {"pass"}
     for name, text in frozen["aggregate"].items():
         assert aggregate[name] == pytest.approx(float(text), rel=1e-9, abs=0.0), name
+
+
+def test_certificate_payload_memory(tmp_path):
+    # the audit reads the directions' moments block by block from the random
+    # stream and takes each time's forms into buffers allocated once: no
+    # (samples, m) direction array and no per-time (rows, samples) temporary
+    # (a repeat call peaked at 3.04 MB while they existed)
+    cfg = load_config(write_config(tmp_path, CERTIFY_M3_YAML))
+    cli._certificate_payload(cfg)  # first call: imports and caches
+    tracemalloc.start()
+    try:
+        payload = cli._certificate_payload(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert payload["aggregate"]["pass"] is True and len(payload["per_time"]) == 129
+    assert peak < 2.2e6, peak
 
 
 def test_cli_symmetrizer_seed_moves_only_the_sampled_audit(tmp_path):

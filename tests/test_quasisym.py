@@ -28,6 +28,7 @@ from weakhyp.quasisym import (
     entry_derivative_bound,
     glaeser_quotient,
     partition_by_zeros,
+    sample_moments,
     sample_unit_vectors,
     verify_quasi_symmetrizer,
 )
@@ -115,12 +116,12 @@ def test_near_diagonality_negative_control():
 
 def test_sampled_audit_consistent_with_exact():
     rng = np.random.default_rng(23)
-    samples = sample_unit_vectors(3, 2000, 23)
+    moments = sample_moments(3, 2000, 23)
     for _ in range(20):
         roots = np.sort(rng.uniform(-2.0, 2.0, size=3))
         coeffs = np.poly(roots)[1:]
         qs = build_quasi_symmetrizer(roots[None])
-        (cert,) = verify_quasi_symmetrizer(qs, companion_stack(coeffs[None]), [1.0, 0.1], samples)
+        (cert,) = verify_quasi_symmetrizer(qs, companion_stack(coeffs[None]), [1.0, 0.1], moments)
         # random directions can only underestimate the extremal ratios
         assert cert.sampled_c_comm <= cert.c_comm * (1.0 + 1e-9)
         assert cert.sampled_c_nd >= cert.c_nd - 1e-9
@@ -146,6 +147,26 @@ def test_verify_rejects_mismatched_dimensions():
         verify_quasi_symmetrizer(qs, companion_stack([[0.0, -1.0]])[0], [1.0])
     with pytest.raises(ValueError):
         verify_quasi_symmetrizer(qs, companion_stack([[0.0, -1.0]]), [0.0])
+
+
+@pytest.mark.parametrize(
+    "shapes",
+    [((3, 5), (1, 4)), ((6, 5), (3, 5)), ((3, 5), (2, 5)), ((3,), (1,)), ((5, 3), (5, 1))],
+)
+def test_verify_rejects_moment_rows_of_the_wrong_shape(shapes):
+    # order 2: three real rows and one imaginary row, one column per direction
+    qs = build_quasi_symmetrizer([[-1.0, 1.0]])
+    re, im = (np.zeros(shape) for shape in shapes)
+    with pytest.raises(ValueError, match=r"must have shapes \(3, n\) and \(1, n\), got "):
+        verify_quasi_symmetrizer(qs, companion_stack([[0.0, -1.0]]), [1.0], (re, im))
+
+
+@pytest.mark.parametrize("moments", [None, sample_moments(2, 0, 1)])
+def test_verify_without_directions(moments):
+    qs = build_quasi_symmetrizer([[-1.0, 1.0]])
+    (cert,) = verify_quasi_symmetrizer(qs, companion_stack([[0.0, -1.0]]), [1.0, 0.1], moments)
+    assert cert.samples == 0 and cert.sampled_c_comm == 0.0 and math.isnan(cert.sampled_c_nd)
+    assert cert.passed
 
 
 def test_partition_by_zeros_sign_change():
@@ -432,8 +453,9 @@ def test_batched_certificate_matches_per_time_algorithm(m, eps_set):
     roots[1::4, :2] = 0.0  # a double zero root
     table = np.array([np.poly(r)[1:] for r in roots])
     samples = sample_unit_vectors(m, 300, 40 + m)
+    moments = sample_moments(m, 300, 40 + m)
     qs = build_quasi_symmetrizer(roots)
-    certs = verify_quasi_symmetrizer(qs, companion_stack(table), eps_set, samples)
+    certs = verify_quasi_symmetrizer(qs, companion_stack(table), eps_set, moments)
     assert len(certs) == roots.shape[0]
     for i, cert in enumerate(certs):
         layers = reference_layers(roots[i])
@@ -447,7 +469,7 @@ def test_batched_certificate_matches_per_time_algorithm(m, eps_set):
         assert abs(cert.sampled_c_nd - ref["s_nd"]) <= ref["s_nd_tol"]
         # one time's bits do not depend on the stack it sits in
         single = verify_quasi_symmetrizer(
-            build_quasi_symmetrizer(roots[i : i + 1]), companion_stack(table[i : i + 1]), eps_set, samples
+            build_quasi_symmetrizer(roots[i : i + 1]), companion_stack(table[i : i + 1]), eps_set, moments
         )
         assert single == [cert]
 
@@ -460,7 +482,7 @@ def test_batched_certificate_on_roots_minus_t_zero_t():
     eps_set = (1.0, 0.1, 0.01)
     samples = sample_unit_vectors(3, 10000, 7)
     certs = verify_quasi_symmetrizer(
-        build_quasi_symmetrizer(roots), companion_stack(table), eps_set, samples
+        build_quasi_symmetrizer(roots), companion_stack(table), eps_set, sample_moments(3, 10000, 7)
     )
     for i, cert in enumerate(certs):
         ref = reference_certificate(
@@ -473,6 +495,16 @@ def test_batched_certificate_on_roots_minus_t_zero_t():
 
 
 # -- the sampled audit against a plain per-sample reference ---------------------
+
+
+def moments_of(samples):
+    """The moment rows conj(v_i) v_j of directions ``samples`` (rows of
+    length m): real parts over i <= j, imaginary parts over i < j."""
+    m = samples.shape[1]
+    iu, ju = np.triu_indices(m)
+    il, jl = np.triu_indices(m, 1)
+    x, y = samples.real.T, samples.imag.T
+    return x[iu] * x[ju] + y[iu] * y[ju], x[il] * y[jl] - y[il] * x[jl]
 
 
 def plain_audit(samples, q, b, eps_rows):
@@ -543,7 +575,7 @@ def test_sampled_audit_against_plain_reference(m):
     for row in (1, 2):  # some samples masked, some not
         assert (ref["quad"][row] <= 0).any() and (ref["quad"][row] > 0).any()
     for n_eps in (1, 2, 3, 6):
-        comm, nd = _sampled_audit(samples, q, b, eps_rows, n_eps)
+        comm, nd = _sampled_audit(*moments_of(samples), q, b, eps_rows, n_eps)
         assert np.all(np.abs(comm[:3] - ref["comm"][:3]) <= ref["comm_tol"][:3])
         assert np.all(np.abs(nd[:3] - ref["nd"][:3]) <= ref["nd_tol"][:3])
         assert np.isfinite(comm[:3]).all() and np.isfinite(nd[:3]).all()
@@ -555,7 +587,7 @@ def test_sampled_audit_against_plain_reference(m):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_sampled_audit_without_samples(m):
     q, b = audit_stack(m, np.random.default_rng(m))
-    comm, nd = _sampled_audit(np.zeros((0, m), dtype=complex), q, b, np.ones(6), 3)
+    comm, nd = _sampled_audit(*sample_moments(m, 0, 1), q, b, np.ones(6), 3)
     assert (comm == -np.inf).all() and (nd == np.inf).all()
 
 
@@ -564,15 +596,15 @@ def test_sampled_audit_masking_leaves_positive_rows_alone(m):
     # positive rows once paired with masked rows (the block is masked) and
     # once with positive rows (no masking): both give the same bits
     rng = np.random.default_rng(90 + m)
-    samples = sample_unit_vectors(m, 500, 90 + m)
+    moments = sample_moments(m, 500, 90 + m)
     q, b = audit_stack(m, rng)
     positive = [q[0], 2.0 * q[0], q[0] + np.eye(m)]
     masked = np.stack([positive[0], q[3], positive[1], q[4], positive[2], 0.0 * q[1]])
     paired = np.stack([positive[0], positive[0], positive[1], positive[1], positive[2], positive[2]])
     bb = b[[0, 1, 2, 0, 1, 2]]
     eps_rows = np.full(6, 0.1)
-    comm_m, nd_m = _sampled_audit(samples, masked, bb, eps_rows, 2)
-    comm_f, nd_f = _sampled_audit(samples, paired, bb, eps_rows, 2)
+    comm_m, nd_m = _sampled_audit(*moments, masked, bb, eps_rows, 2)
+    comm_f, nd_f = _sampled_audit(*moments, paired, bb, eps_rows, 2)
     assert np.array_equal(comm_m[::2], comm_f[::2]) and np.array_equal(nd_m[::2], nd_f[::2])
     assert (comm_m[1::2] == -np.inf).all() and (nd_m[1::2] == np.inf).all()
 
@@ -648,10 +680,32 @@ def test_one_sample_unit_vector_is_the_first_row_of_more():
     assert sample_unit_vectors(3, 0, 9).shape == (0, 3)
 
 
-@pytest.mark.parametrize("rows", [1, 7, 4096])
+@pytest.mark.parametrize("rows", [1, 7, 1024, 4096])
 def test_sample_unit_vectors_drawn_in_blocks_equal_one_draw(monkeypatch, rows):
     count = 9000  # not a multiple of any block size above
     monkeypatch.setattr(quasisym, "_DRAW_ROWS", count)
     whole = sample_unit_vectors(3, count, 13)
     monkeypatch.setattr(quasisym, "_DRAW_ROWS", rows)
     assert np.array_equal(sample_unit_vectors(3, count, 13).view(float), whole.view(float))
+
+
+# -- the moments of the sample directions ---------------------------------------
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 1023, 1024, 1025, 10000])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_sample_moments_are_those_of_the_sample_directions(m, count):
+    re, im = sample_moments(m, count, 31 + m)
+    want_re, want_im = moments_of(sample_unit_vectors(m, count, 31 + m))
+    assert re.shape == want_re.shape and im.shape == want_im.shape
+    assert np.array_equal(re, want_re) and np.array_equal(im, want_im)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1024, 4096])
+def test_sample_moments_do_not_depend_on_the_draw_block(monkeypatch, rows):
+    count = 9000  # not a multiple of any block size above
+    monkeypatch.setattr(quasisym, "_DRAW_ROWS", count)
+    whole = sample_moments(4, count, 17)
+    monkeypatch.setattr(quasisym, "_DRAW_ROWS", rows)
+    for got, want in zip(sample_moments(4, count, 17), whole):
+        assert np.array_equal(got, want)
