@@ -10,12 +10,10 @@ radius schedule, and spectral estimates of the analyticity radius.
 from .config import ConfigError, RunConfig, load_config
 from .energy import (
     EnergyLedger,
-    GevreyOrderWarning,
     WeightParams,
     build_energy_ledger,
     continuation_check,
     default_c0,
-    gevrey_weight,
     energy_inequality_check,
     master_estimate_check,
     phi_weight,
@@ -63,7 +61,6 @@ __all__ = [
     "ConfigError",
     "EnergyLedger",
     "ExpressionError",
-    "GevreyOrderWarning",
     "InsufficientBandError",
     "MomentRadiusEstimate",
     "NonHyperbolicError",
@@ -90,7 +87,6 @@ __all__ = [
     "evaluate",
     "fit_decay",
     "fit_moment_radius",
-    "gevrey_weight",
     "energy_inequality_check",
     "load_config",
     "master_estimate_check",

@@ -364,7 +364,7 @@ def _cmd_analyze(cfg: RunConfig) -> tuple[int, dict]:
         sources["N"] = "fallback" if fitted is None else "fitted"
         if n_exponent > cfg.j_max:
             raise ConfigError(
-                f"fitted loss exponent N={n_exponent} exceeds J_max={cfg.j_max}",
+                f"{sources['N']} loss exponent N={n_exponent} exceeds J_max={cfg.j_max}",
                 field="constants.J_max",
             )
     ledger = build_energy_ledger(

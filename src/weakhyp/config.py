@@ -185,11 +185,6 @@ _SCHEMA = (
     _Key("constants.eta", "eta", _float, 1.0, "0 < eta <= 1", lambda v, f: 0 < v <= 1),
     _Key("constants.s", "s", _float, 1.0, "s > 0", lambda v, f: v > 0),
     _Key(
-        "constants.k_gevrey", "k_gevrey", _optional(_int), None,
-        "k_gevrey >= 1", lambda v, f: v >= 1,
-    ),
-    _Key("constants.lambda_k", "lambda_k", _float, 1.0, "lambda_k > 0", lambda v, f: v > 0),
-    _Key(
         "certificate.eps_set", "eps_set", _floats, (1.0, 0.1, 0.01),
         "every eps in (0, 1]", lambda v, f: all(0 < e <= 1 for e in v),
     ),
@@ -249,8 +244,6 @@ class RunConfig:
     j_max: int
     eta: float
     s: float
-    k_gevrey: int | None
-    lambda_k: float
     eps_set: tuple[float, ...]
     samples: int
     nd_floor: float

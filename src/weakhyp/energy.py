@@ -25,7 +25,6 @@ sum_j (r|k|)^j / j! = e^(r|k|) closes each of them, in one log-domain sum
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,11 +37,9 @@ from .symbol import characteristic_roots
 
 __all__ = [
     "WeightParams",
-    "GevreyOrderWarning",
     "bracket",
     "phi_weight",
     "rho_weight",
-    "gevrey_weight",
     "derivative_energies",
     "initial_majorant",
     "super_energies",
@@ -93,10 +90,6 @@ class WeightParams:
             raise ValueError("loss exponent N must be nonnegative")
 
 
-class GevreyOrderWarning(UserWarning):
-    """Gevrey order below the sub-additivity threshold 2(m-1)."""
-
-
 def phi_weight(t: float, xi, params: WeightParams):
     """Phi(t, xi) = C0 * min{(T-t)^-1 + 1, 1 + |xi|}."""
     ax = np.abs(np.asarray(xi, dtype=float))
@@ -130,34 +123,6 @@ def rho_weight(t, xi, params: WeightParams):
         axh, th = ax[hyp], t[hyp]
         out[hyp] = c0 * (np.log((T - th) * axh) + (tau[hyp] - th)) + c0 * (1.0 + axh) / axh
     return float(out[0]) if scalar else out
-
-
-def gevrey_weight(t: float, xi, k: int, lam, m: int, horizon: float):
-    """Gevrey-regime weight |xi|^(2(m-1)/k) * int_t^T Lambda + (T - t).
-
-    ``lam`` is either a constant or a sampled profile (times, values) that is
-    integrated by the trapezoid rule over [t, T].  Sub-additivity in xi needs
-    k >= 2(m-1); smaller k warns (GevreyOrderWarning) but still computes.
-    """
-    if k < 1:
-        raise ValueError("Gevrey order k must be >= 1")
-    threshold = 2 * (m - 1)
-    if k < threshold:
-        warnings.warn(
-            f"Gevrey order k={k} is below the sub-additivity threshold {threshold}; "
-            "the weight is no longer sub-additive in xi",
-            GevreyOrderWarning,
-            stacklevel=2,
-        )
-    if np.isscalar(lam) or isinstance(lam, (int, float)):
-        integral = float(lam) * (horizon - t)
-    else:
-        ts, vals = lam
-        fine = np.linspace(t, horizon, 513)
-        integral = float(np.trapezoid(np.interp(fine, ts, vals), fine))
-    ax = np.abs(np.asarray(xi, dtype=float))
-    out = ax ** (2.0 * (m - 1) / k) * integral + (horizon - t)
-    return float(out) if out.ndim == 0 else out
 
 
 def _band_sum(log_terms: np.ndarray, band_hi) -> np.ndarray:

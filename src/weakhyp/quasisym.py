@@ -34,14 +34,10 @@ from .symbol import as_table, diam_ratio
 __all__ = [
     "QuasiSymmetrizer",
     "SymmetrizerCertificate",
-    "ZeroPartition",
     "build_quasi_symmetrizer",
     "verify_quasi_symmetrizer",
     "sample_unit_vectors",
     "sample_moments",
-    "partition_by_zeros",
-    "entry_derivative_bound",
-    "glaeser_quotient",
 ]
 
 _DRAW_ROWS = 1024  # rows of sample directions drawn at a time
@@ -385,118 +381,3 @@ def _sampled_audit(
     sampled_comm /= eps_rows
     return sampled_comm, sampled_nd
 
-
-@dataclass
-class ZeroPartition:
-    """Breakpoints induced by isolated zeros of symmetrizer entries."""
-
-    breakpoints: np.ndarray  # includes both interval endpoints
-    identically_zero: tuple[bool, ...]
-
-    @property
-    def interior(self) -> np.ndarray:
-        return self.breakpoints[1:-1]
-
-
-def partition_by_zeros(profiles: np.ndarray, grid: np.ndarray) -> ZeroPartition:
-    """Locate isolated zeros of entry profiles sampled on a fine grid.
-
-    ``profiles`` has one entry per row, shape (p, len(grid)).  An entry at
-    most 1e-10 times the largest peak is identically zero and gives no
-    breakpoints.  Otherwise sign changes give an interpolated crossing, and
-    local minima of |q| at most 1e-10 times the entry's own peak give the
-    grid point.  Returns the sorted union, a cut within one spacing of the
-    last kept one merged into it, together with the interval endpoints.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if grid.size < 3:
-        raise ValueError("grid too coarse for zero detection")
-    vals = np.asarray(profiles, dtype=float)
-    if vals.ndim != 2 or vals.shape[1] != grid.size:
-        raise ValueError(f"profiles must have shape (p, {grid.size}), got shape {vals.shape}")
-    lo, hi = float(grid[0]), float(grid[-1])
-    mags = np.abs(vals)
-    peaks = mags.max(axis=1)
-    ident = peaks <= 1e-10 * max(peaks.tolist(), default=0.0)
-    live, mags, peaks = vals[~ident], mags[~ident], peaks[~ident]
-    sign = np.sign(live)
-    rows, cols = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
-    a, b = live[rows, cols], live[rows, cols + 1]
-    # linear interpolation of each crossing
-    crossings = grid[cols] - a * (grid[cols + 1] - grid[cols]) / (b - a)
-    padded = np.pad(mags, ((0, 0), (1, 1)), constant_values=np.inf)
-    minima = ~(mags > 1e-10 * peaks[:, None]) & (mags <= padded[:, :-2]) & (mags <= padded[:, 2:])
-    cuts = np.concatenate((crossings, grid[np.nonzero(minima)[1]]))
-    spacing = float(np.diff(grid).max())
-    inside = (lo + spacing / 2 < cuts) & (cuts < hi - spacing / 2)
-    merged: list[float] = []
-    for t in np.sort(cuts[inside]).tolist():
-        if not merged or t - merged[-1] > spacing:
-            merged.append(t)
-    breakpoints = np.array([lo, *merged, hi])
-    return ZeroPartition(breakpoints=breakpoints, identically_zero=tuple(ident.tolist()))
-
-
-def _profile(values: np.ndarray, grid: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A profile sampled on ``grid`` and the grid, as float arrays of one shape (n,)."""
-    grid = np.asarray(grid, dtype=float)
-    vals = np.asarray(values, dtype=float)
-    if grid.ndim != 1 or vals.shape != grid.shape:
-        raise ValueError(f"profile must have the grid's shape ({grid.size},), got {vals.shape}")
-    return vals, grid
-
-
-def entry_derivative_bound(values: np.ndarray, horizon: float, grid: np.ndarray) -> float:
-    """sup over the grid of |q'(t)| (T - t) / |q(t)| for a nonvanishing entry.
-
-    ``values`` is the entry q sampled on ``grid``; the samples at t < T are
-    used.  The derivative is a second-order finite difference.  If the entry
-    dips below 1e-10 times its own peak anywhere on the sampled part of
-    [0, T) the bound is reported as +inf (the entry vanishes, so no
-    single-interval bound exists).
-    """
-    vals, grid = _profile(values, grid)
-    inside = grid < horizon
-    if inside.sum() < 5:
-        raise ValueError("grid too coarse inside [0, T)")
-    vals, ts = vals[inside], grid[inside]
-    peak = float(np.abs(vals).max())
-    if peak == 0.0 or np.abs(vals).min() <= 1e-10 * peak:
-        return float("inf")
-    deriv = np.gradient(vals, ts, edge_order=2)
-    return float((np.abs(deriv) * (horizon - ts) / np.abs(vals)).max())
-
-
-def glaeser_quotient(
-    values: np.ndarray,
-    k: int,
-    grid: np.ndarray,
-    theta: float | None = None,
-) -> float:
-    """sup of |f'| / (|f|^(1 - 1/k) * ||f||_{C^k}^theta) on the grid.
-
-    ``values`` is f sampled on ``grid``; its derivatives are second-order
-    finite differences.  ``theta`` defaults to 1/k.  Grid points where both
-    |f| and |f'| are below tolerance are skipped (0/0 limits); points where
-    |f| vanishes but |f'| does not make the quotient unbounded and the
-    result is +inf.  A quotient that is NaN does not count.
-    """
-    if k < 1:
-        raise ValueError("k must be a positive integer")
-    theta = 1.0 / k if theta is None else float(theta)
-    vals, grid = _profile(values, grid)
-    derivs = [vals]
-    for _ in range(k):
-        derivs.append(np.gradient(derivs[-1], grid, edge_order=2))
-    ck_norm = max(float(np.abs(d).max()) for d in derivs)
-    if ck_norm == 0.0:
-        return 0.0
-    f_mag, d_mag = np.abs(vals), np.abs(derivs[1])
-    tol_f = 1e-10 * max(float(f_mag.max()), 1e-300)
-    tol_d = 1e-10 * max(float(d_mag.max()), 1e-300)
-    vanish = f_mag <= tol_f
-    if (vanish & ~(d_mag <= tol_d)).any():
-        return float("inf")
-    live = ~vanish
-    quotients = d_mag[live] / (f_mag[live] ** (1.0 - 1.0 / k) * ck_norm**theta)
-    return float(np.fmax.reduce(quotients, initial=0.0))

@@ -6,11 +6,6 @@ Closed-form oracles with C0 = 1, T = 1 (bracket <xi> = 1 + |xi|):
     rho(0, e)  = 3                 (hyperbolic stretch + tail)
     rho(0, k)  = ln k + 2          (k > 1)
 
-Gevrey weight |xi|^(2(m-1)/k) int_t^T Lambda + (T-t):
-
-    m=2, k=2, Lambda=1, t=0:        |xi| + 1
-    m=3, k=8, Lambda=2, |xi|=16:    4*2 + 1 = 9
-
 Trajectories hold the modes k = 0..K of a real solution; every sum over
 -K..K counts mode k >= 1 twice.  The full-layout references below rebuild
 the modes -K..-1 with ``mirror``.
@@ -33,14 +28,12 @@ from scipy.integrate import quad
 
 from weakhyp import energy
 from weakhyp.energy import (
-    GevreyOrderWarning,
     WeightParams,
     bracket,
     build_energy_ledger,
     continuation_check,
     default_c0,
     derivative_energies,
-    gevrey_weight,
     initial_majorant,
     energy_inequality_check,
     master_estimate_check,
@@ -210,23 +203,6 @@ def test_rho_subadditive_sample():
         for k1 in range(0, 33):
             for k2 in range(0, 33):
                 assert table[k1 + k2] <= table[k1] + table[k2] + 1e-12
-
-
-def test_gevrey_weight_frozen():
-    assert gevrey_weight(0.0, 5.0, 2, 1.0, 2, 1.0) == pytest.approx(6.0)
-    assert gevrey_weight(0.0, 16.0, 8, 2.0, 3, 1.0) == pytest.approx(9.0)
-
-
-def test_gevrey_weight_warns_below_threshold():
-    with pytest.warns(GevreyOrderWarning):
-        gevrey_weight(0.0, 4.0, 2, 1.0, 3, 1.0)
-
-
-def test_gevrey_weight_profile_integration():
-    # Lambda(s) = s on [0, 1]: integral over [0, 1] is 1/2, trapezoid exact
-    ts = np.linspace(0.0, 1.0, 11)
-    val = gevrey_weight(0.0, 4.0, 2, (ts, ts), 2, 1.0)
-    assert val == pytest.approx(4.0 * 0.5 + 1.0, rel=1e-12)
 
 
 def test_derivative_energies_frozen():

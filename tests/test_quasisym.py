@@ -1,4 +1,4 @@
-"""Quasi-symmetrizer layers, certificate constants, zero partitions, Glaeser.
+"""Quasi-symmetrizer layers, certificate constants and the sampled audit.
 
 Closed forms used as oracles (order 2, roots lam1, lam2):
 
@@ -18,16 +18,11 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from weakhyp import quasisym
 from weakhyp.quasisym import (
     _sampled_audit,
     build_quasi_symmetrizer,
-    entry_derivative_bound,
-    glaeser_quotient,
-    partition_by_zeros,
     sample_moments,
     sample_unit_vectors,
     verify_quasi_symmetrizer,
@@ -169,218 +164,12 @@ def test_verify_without_directions(moments):
     assert cert.passed
 
 
-def test_partition_by_zeros_sign_change():
-    grid = np.linspace(0.0, 1.0, 1001)
-    part = partition_by_zeros([grid - 0.5, np.ones_like(grid)], grid)
-    assert part.identically_zero == (False, False)
-    np.testing.assert_allclose(part.breakpoints, [0.0, 0.5, 1.0], atol=1e-9)
-    np.testing.assert_allclose(part.interior, [0.5], atol=1e-9)
-
-
-def test_partition_by_zeros_touching_zero():
-    grid = np.linspace(0.0, 1.0, 1001)
-    part = partition_by_zeros([(grid - 0.3) ** 2], grid)
-    np.testing.assert_allclose(part.interior, [0.3], atol=1e-3)
-
-
-def test_partition_identically_zero_entry():
-    grid = np.linspace(0.0, 1.0, 101)
-    part = partition_by_zeros([np.zeros_like(grid), np.sin(grid) + 2.0], grid)
-    assert part.identically_zero == (True, False)
-    assert part.interior.size == 0
-
-
-def test_entry_derivative_bound_linear():
-    grid = np.linspace(0.0, 1.0, 1001)
-    # q = 1 + t: sup |q'|(T-t)/|q| = 1 at t = 0, second-order FD is exact
-    bound = entry_derivative_bound(1.0 + grid, 1.0, grid)
-    assert bound == pytest.approx(1.0, rel=1e-9)
-
-
-def test_entry_derivative_bound_vanishing_entry():
-    grid = np.linspace(0.0, 1.0, 1001)
-    assert entry_derivative_bound(grid - 0.5, 1.0, grid) == float("inf")
-
-
-def test_glaeser_quotient_frozen_square():
-    # f = t^2, k = 2, theta = 1/2: |2t| / (|t| * sqrt(2)) = sqrt(2)
-    grid = np.linspace(-1.0, 1.0, 2001)
-    q = glaeser_quotient(grid * grid, 2, grid)
-    assert q == pytest.approx(math.sqrt(2.0), rel=1e-6)
-
-
-def test_glaeser_quotient_linear():
-    grid = np.linspace(0.1, 1.0, 901)
-    q = glaeser_quotient(grid, 1, grid)
-    assert q == pytest.approx(1.0, rel=1e-9)
-
-
-def test_glaeser_quotient_unbounded():
-    # f = t has f(0) = 0 with f'(0) = 1: quotient blows up at the zero
-    grid = np.linspace(-1.0, 1.0, 2001)
-    assert glaeser_quotient(grid, 1, grid) == float("inf")
-
-
 def test_table_routines_refuse_one_row():
     with pytest.raises(ValueError, match=r"table of shape \(n, m\), got shape \(2,\)"):
         build_quasi_symmetrizer([-1.0, 1.0])
     qs = build_quasi_symmetrizer([[-1.0, 1.0]])
     with pytest.raises(ValueError, match=r"shape \(1, 2, 2\), got \(2, 2\)"):
         verify_quasi_symmetrizer(qs, companion_stack([[0.0, -1.0]])[0], [1.0])
-    grid = np.linspace(0.0, 1.0, 11)
-    with pytest.raises(ValueError, match=r"shape \(p, 11\), got shape \(11,\)"):
-        partition_by_zeros(grid - 0.5, grid)
-    with pytest.raises(ValueError, match=r"shape \(11,\), got \(1, 11\)"):
-        entry_derivative_bound([grid + 1.0], 1.0, grid)
-    with pytest.raises(ValueError, match=r"shape \(11,\), got \(10,\)"):
-        glaeser_quotient(grid[1:], 1, grid)
-
-
-# -- the sampled helpers against their per-point callable loops -----------------
-
-
-def callable_partition(entry_functions, grid):
-    """``partition_by_zeros`` as a loop over grid points of scalar callables."""
-    lo, hi = float(grid[0]), float(grid[-1])
-    sampled = [np.array([fn(float(t)) for t in grid]) for fn in entry_functions]
-    scale = max((float(np.abs(v).max()) for v in sampled), default=0.0)
-    cuts, ident = [], []
-    for vals in sampled:
-        peak = float(np.abs(vals).max())
-        if peak <= 1e-10 * scale or peak == 0.0:
-            ident.append(True)
-            continue
-        tol = 1e-10 * peak
-        ident.append(False)
-        sign = np.sign(vals)
-        for i in range(grid.size - 1):
-            a, b = vals[i], vals[i + 1]
-            if sign[i] != 0 and sign[i + 1] != 0 and sign[i] != sign[i + 1]:
-                cuts.append(float(grid[i] - a * (grid[i + 1] - grid[i]) / (b - a)))
-        mags = np.abs(vals)
-        for i in range(grid.size):
-            if mags[i] > tol:
-                continue
-            left = mags[i - 1] if i > 0 else np.inf
-            right = mags[i + 1] if i < grid.size - 1 else np.inf
-            if mags[i] <= left and mags[i] <= right:
-                cuts.append(float(grid[i]))
-    spacing = float(np.diff(grid).max())
-    merged = []
-    for t in sorted(t for t in cuts if lo + spacing / 2 < t < hi - spacing / 2):
-        if not merged or t - merged[-1] > spacing:
-            merged.append(t)
-    return [lo, *merged, hi], tuple(ident)
-
-
-def callable_derivative_bound(entry, horizon, grid):
-    """``entry_derivative_bound`` sampling a scalar callable point by point."""
-    inside = grid[grid < horizon]
-    vals = np.array([entry(float(t)) for t in inside])
-    peak = float(np.abs(vals).max())
-    if peak == 0.0 or np.abs(vals).min() <= 1e-10 * peak:
-        return float("inf")
-    deriv = np.gradient(vals, inside, edge_order=2)
-    return float((np.abs(deriv) * (horizon - inside) / np.abs(vals)).max())
-
-
-def callable_glaeser(f, k, grid, theta=None):
-    """``glaeser_quotient`` as a loop over grid points of a scalar callable."""
-    theta = 1.0 / k if theta is None else float(theta)
-    vals = np.array([f(float(t)) for t in grid])
-    derivs = [vals]
-    for _ in range(k):
-        derivs.append(np.gradient(derivs[-1], grid, edge_order=2))
-    ck_norm = max(float(np.abs(d).max()) for d in derivs)
-    if ck_norm == 0.0:
-        return 0.0
-    fprime = derivs[1]
-    tol_f = 1e-10 * max(float(np.abs(vals).max()), 1e-300)
-    tol_d = 1e-10 * max(float(np.abs(fprime).max()), 1e-300)
-    best = 0.0
-    for fv, dv in zip(vals, fprime):
-        if abs(fv) <= tol_f:
-            if abs(dv) <= tol_d:
-                continue
-            return float("inf")
-        best = max(best, abs(dv) / (abs(fv) ** (1.0 - 1.0 / k) * ck_norm**theta))
-    return best
-
-
-def lookup(grid, values):
-    """The scalar callable whose value at each grid time is the sampled value there."""
-    return dict(zip(grid.tolist(), values.tolist())).__getitem__
-
-
-@st.composite
-def sampled_profiles(draw, max_entries=4):
-    """(grid, profiles): entries with sign changes, zeros touched at grid points
-    or between them, identically zero and negligible entries, and steps."""
-    n = draw(st.integers(5, 60))
-    lo = draw(st.sampled_from([0.0, -1.0, 0.1]))
-    grid = np.linspace(lo, lo + draw(st.sampled_from([0.5, 1.0, 2.0])), n)
-    inside = st.one_of(st.sampled_from(grid.tolist()), st.floats(grid[0], grid[-1]))
-    rows = []
-    for _ in range(draw(st.integers(1, max_entries))):
-        kind = draw(st.sampled_from(["roots", "touch", "zero", "steps"]))
-        scale = 10.0 ** draw(st.integers(-14, 3))
-        if kind == "roots":
-            vals = np.ones(n)
-            for root in draw(st.lists(inside, max_size=3)):
-                vals = vals * (grid - root)
-        elif kind == "touch":
-            vals = (grid - draw(inside)) ** 2
-        elif kind == "zero":
-            vals = np.zeros(n)
-        else:
-            # 1e-10 and 3e-10 sit at and just above the helpers' relative tolerances
-            steps = st.sampled_from([-1.0, -0.5, 0.0, 1e-12, 1e-10, 3e-10, 0.25, 1.0])
-            vals = np.array(draw(st.lists(steps, min_size=n, max_size=n)))
-        rows.append(scale * vals)
-    return grid, np.array(rows)
-
-
-@settings(max_examples=300, deadline=None)
-@given(sampled_profiles())
-def test_partition_by_zeros_matches_the_callable_loop(case):
-    grid, profiles = case
-    part = partition_by_zeros(profiles, grid)
-    breakpoints, ident = callable_partition([lookup(grid, row) for row in profiles], grid)
-    assert part.breakpoints.tolist() == breakpoints
-    assert part.identically_zero == ident
-
-
-@settings(max_examples=300, deadline=None)
-@given(sampled_profiles(max_entries=1), st.sampled_from([0.5, 1.0, 3.0]))
-@example((np.linspace(0.0, 1.0, 6), np.array([[1.0, 1.0, 1e-10, 1.0, 1.0, 1.0]])), 3.0)  # min = tol
-def test_entry_derivative_bound_matches_the_callable_loop(case, where):
-    grid, (values,) = case
-    horizon = grid[0] + where * (grid[-1] - grid[0])
-    if (grid < horizon).sum() < 5:
-        with pytest.raises(ValueError):
-            entry_derivative_bound(values, horizon, grid)
-        return
-    got = entry_derivative_bound(values, horizon, grid)
-    want = callable_derivative_bound(lookup(grid, values), horizon, grid)
-    assert got == want
-
-
-# the pows of |f| differ by at most 1 ulp (numpy's power against libm pow;
-# each is faithful), and the product and quotient round once more on each side
-GLAESER_REL = 4 * np.finfo(float).eps
-
-
-@settings(max_examples=300, deadline=None)
-@given(sampled_profiles(max_entries=1), st.integers(1, 3), st.sampled_from([None, 0.0, 0.5, 2.0]))
-# f vanishes at t = 0, where |f'| is between 1 and 10 times its tolerance: inf
-@example((np.linspace(0.0, 1.0, 6), np.array([[1e-10, 3e-10, 3e-10, 1.0, -0.5, -0.5]])), 1, None)
-def test_glaeser_quotient_matches_the_callable_loop(case, k, theta):
-    grid, (values,) = case
-    got = glaeser_quotient(values, k, grid, theta)
-    want = callable_glaeser(lookup(grid, values), k, grid, theta)
-    assert math.isinf(got) == math.isinf(want)
-    if not math.isinf(want):
-        assert abs(got - want) <= GLAESER_REL * max(got, want)
 
 
 # -- batched certificate against the per-time algorithm ------------------------
