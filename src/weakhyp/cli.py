@@ -272,7 +272,6 @@ def _simulate(cfg: RunConfig, calibrate: bool = False) -> Trajectory:
             cfg.problem(),
             K=cfg.modes,
             dt=cfg.dt,
-            G=cfg.grid,
             snapshot_interval=cfg.snapshot_interval,
             blowup_ceiling=cfg.blowup_ceiling,
             calibrate=calibrate,
@@ -376,41 +375,39 @@ def _cmd_analyze(cfg: RunConfig) -> tuple[int, dict]:
         c_target=c_target,
         j_max=cfg.j_max,
         r0=cfg.r0,
-        eta=cfg.eta,
     )
-    files = {"spectrum.csv": _spectrum_file(traj)}
-    if cfg.energies:
-        files["energies.csv"] = _energies_csv(ledger)
-    payload = {
-        "command": "analyze",
-        "completed": True,
-        "snapshots": len(traj),
-        "ledger": ledger.to_dict(),
-        "constant_sources": sources,
-        "integration": {
-            **_integration_facts(cfg, traj),
-            "linear_calibration": traj.calibration is not None,
-            "galerkin_residual_estimate": traj.galerkin_residual,
+    u_series = traj.u_hat_series()
+
+    def fit_row(i: int):
+        try:
+            return fit_decay(u_series[i], s=cfg.s)
+        except InsufficientBandError:
+            return None
+
+    fits = ordered_map(fit_row, range(len(traj)), cfg.threads)
+    good = [f.r_hat for f in fits if f is not None]
+    files = {
+        "spectrum.csv": _spectrum_file(traj),
+        "energies.csv": _energies_csv(ledger),
+        "radius.csv": _radius_csv(cfg, traj.times, fits),
+        "report.json": {
+            "command": "analyze",
+            "completed": True,
+            "snapshots": len(traj),
+            "ledger": ledger.to_dict(),
+            "constant_sources": sources,
+            "integration": {
+                **_integration_facts(cfg, traj),
+                "linear_calibration": traj.calibration is not None,
+                "galerkin_residual_estimate": traj.galerkin_residual,
+            },
+            "radius_summary": {
+                "fitted_snapshots": len(good),
+                "min_r_hat": min(good) if good else None,
+                "final_r_hat": good[-1] if good else None,
+            },
         },
     }
-    if cfg.radius:
-        u_series = traj.u_hat_series()
-
-        def fit_row(i: int):
-            try:
-                return fit_decay(u_series[i], s=cfg.s)
-            except InsufficientBandError:
-                return None
-
-        fits = ordered_map(fit_row, range(len(traj)), cfg.threads)
-        files["radius.csv"] = _radius_csv(cfg, traj.times, fits)
-        good = [f.r_hat for f in fits if f is not None]
-        payload["radius_summary"] = {
-            "fitted_snapshots": len(good),
-            "min_r_hat": min(good) if good else None,
-            "final_r_hat": good[-1] if good else None,
-        }
-    files["report.json"] = payload
     if cfg.symmetrizer_certificate:
         files["certificate.json"] = _certificate_payload(cfg)
     return (0 if ledger.continuation.passed else 1), files

@@ -7,7 +7,7 @@ value, or a function of the fields read before it), its invariant as text
 and predicate, and whether it enters the canonical hash.  ``from_dict``
 walks the rows in order, so a row's default and invariant may read the rows
 above it.  Unknown keys are rejected; every violation names the offending
-field path.
+field path.  ``load_config`` also refuses a key given twice, naming its line.
 
 The canonical hash covers the hashed rows only.  The two unhashed rows (the
 worker count and the output directory) affect where and how fast outputs are
@@ -37,7 +37,6 @@ import yaml
 
 from .equation import CoefficientSpec
 from .exprdsl import ExpressionError, parse
-from .spectral import _next_power_of_two, default_grid_size
 
 __all__ = ["ConfigError", "RunConfig", "load_config"]
 
@@ -158,18 +157,11 @@ _SCHEMA = (
     _Key("initial", "initial", _expressions("x")),
     _Key("nu", "nonlinearity", _int, 0, "nu >= 0", lambda v, f: v >= 0),
     _Key("K", "modes", _int, 64, "modes K >= 8 (got {v})", lambda v, f: v >= 8),
-    _Key(
-        "G", "grid", _int, lambda f: default_grid_size(f["modes"]),
-        "G must be a power of two with G >= 4K, K = {modes} (got {v})",
-        lambda v, f: v >= 4 * f["modes"] and v == _next_power_of_two(v),
-    ),
     _Key("dt", "dt", _float, 1e-3, "0 < dt < T", lambda v, f: 0 < v < f["horizon"]),
     _Key(
         "snapshot_interval", "snapshot_interval", _float, lambda f: f["horizon"] / 100.0,
         "0 < snapshot_interval <= T", lambda v, f: 0 < v <= f["horizon"],
     ),
-    _Key("diagnostics.energies", "energies", _bool, True),
-    _Key("diagnostics.radius", "radius", _bool, True),
     _Key("diagnostics.symmetrizer_certificate", "symmetrizer_certificate", _bool, False),
     _Key("constants.C0", "c0_override", _optional(_float), None, "C0 >= 1", lambda v, f: v >= 1),
     _Key("constants.N", "n_override", _optional(_int), None, "N >= 0", lambda v, f: v >= 0),
@@ -182,11 +174,11 @@ _SCHEMA = (
         "1 <= J_max <= 170, and J_max >= N when N is given (got {v}, N = {n_override})",
         lambda v, f: 1 <= v <= 170 and (f["n_override"] is None or v >= f["n_override"]),
     ),
-    _Key("constants.eta", "eta", _float, 1.0, "0 < eta <= 1", lambda v, f: 0 < v <= 1),
     _Key("constants.s", "s", _float, 1.0, "s > 0", lambda v, f: v > 0),
     _Key(
         "certificate.eps_set", "eps_set", _floats, (1.0, 0.1, 0.01),
-        "every eps in (0, 1]", lambda v, f: all(0 < e <= 1 for e in v),
+        "every eps in (0, 1], and distinct",
+        lambda v, f: all(0 < e <= 1 for e in v) and len(set(v)) == len(v),
     ),
     _Key("certificate.samples", "samples", _int, 10_000, "samples >= 1", lambda v, f: v >= 1),
     _Key("certificate.nd_floor", "nd_floor", _float, 1e-3, "nd_floor >= 0", lambda v, f: v >= 0),
@@ -230,11 +222,8 @@ class RunConfig:
     initial: tuple[str, ...]
     nonlinearity: int
     modes: int
-    grid: int
     dt: float
     snapshot_interval: float
-    energies: bool
-    radius: bool
     symmetrizer_certificate: bool
     c0_override: float | None
     n_override: int | None
@@ -242,7 +231,6 @@ class RunConfig:
     disc_threshold: float
     r0: float
     j_max: int
-    eta: float
     s: float
     eps_set: tuple[float, ...]
     samples: int
@@ -308,12 +296,31 @@ class RunConfig:
 
 
 class _Loader(yaml.SafeLoader):
-    """The safe loader, reading plain exponent floats such as 1e-3 as numbers.
+    """The safe loader, reading plain exponent floats such as 1e-3 as numbers
+    and refusing a key given twice in one mapping.
 
     PyYAML follows YAML 1.1, whose floats need a dot and a signed exponent
     (1.0e+3), so 1e-3 and 1.0e300 would load as strings; YAML 1.2 reads
-    them as floats.
+    them as floats.  PyYAML also keeps the last of two equal keys, so a
+    second ``K`` or a second ``constants`` section would silently replace
+    the first.
     """
+
+    def construct_mapping(self, node, deep=False):
+        seen = set()
+        for key_node, _ in node.value:
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # keys merged in from an alias may be overridden
+            key = self.construct_object(key_node, deep=deep)
+            try:
+                repeated = key in seen
+            except TypeError:
+                continue  # unhashable: the base constructor refuses it
+            if repeated:
+                line = key_node.start_mark.line + 1
+                raise ConfigError(f"duplicate key {key!r} on line {line}")
+            seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 _Loader.add_implicit_resolver(

@@ -534,7 +534,6 @@ class EnergyLedger:
     m_const: float
     l_const: float
     r0: float
-    eta: float
     phi_l: float
     master: MasterEstimateReport
     continuation: ContinuationReport
@@ -549,7 +548,6 @@ class EnergyLedger:
             "M": self.m_const,
             "L": self.l_const,
             "r0": self.r0,
-            "eta": self.eta,
             "phi_L": self.phi_l,
             "nu": self.nu,
             "J_max": self.j_max,
@@ -594,18 +592,17 @@ def build_energy_ledger(
     c_target: float = DEFAULT_C_TARGET,
     j_max: int = 24,
     r0: float = 0.25,
-    eta: float = 1.0,
 ) -> EnergyLedger:
     """Assemble the full ledger for a recorded trajectory at the given C0 and N.
 
     C0 and N are taken as given; ``cli._cmd_analyze`` resolves them.  C is
-    the master estimate's sup ratio at N unless given.  The effective
-    initial radius is eta * r0.  Every sum over modes runs over each
-    snapshot's resolved band, and ``resolved`` says whether every band
-    ended below K.  The continuation verdict fails whenever C,
-    M or L is not finite, and the sharp audit whenever C or M is not: the
-    argument needs them as numbers, and with nu = 0 the power (C M)^0 = 1
-    would keep L and the sharp bound finite past an overflowed C or M.
+    the master estimate's sup ratio at N unless given.  The radius schedule
+    starts at r0.  Every sum over modes runs over each snapshot's resolved
+    band, and ``resolved`` says whether every band ended below K.  The
+    continuation verdict fails whenever C, M or L is not finite, and the
+    sharp audit whenever C or M is not: the argument needs them as numbers,
+    and with nu = 0 the power (C M)^0 = 1 would keep L and the sharp bound
+    finite past an overflowed C or M.
     """
     if n_exponent > j_max:
         raise ValueError(f"loss exponent N={n_exponent} exceeds J_max={j_max}")
@@ -622,13 +619,12 @@ def build_energy_ledger(
     k_caps = m_j.max(axis=0)
     m_const = float(k_caps[n_exponent] + m0)
 
-    r0_eff = eta * r0
-    g0 = float(initial_majorant(trajectory, params, np.array([r0_eff]), _tables=tables)[0])
+    g0 = float(initial_majorant(trajectory, params, np.array([r0]), _tables=tables)[0])
     nu = trajectory.nu
     cm_power = (c_const * m_const) ** nu
     l_const = g0 + cm_power * T
     phi_l = phi_growth(c_const, m_const, l_const, nu)
-    r_values = radius_schedule(r0_eff, l_const, m_const, c_const, nu, trajectory.times)
+    r_values = radius_schedule(r0, l_const, m_const, c_const, nu, trajectory.times)
     energies = super_energies(trajectory, params, r_values, _tables=tables)
     continuation = continuation_check(
         trajectory.times, energies.g_values, energies.g_increments, cm_power, T
@@ -652,8 +648,7 @@ def build_energy_ledger(
         k_caps=k_caps,
         m_const=m_const,
         l_const=l_const,
-        r0=r0_eff,
-        eta=eta,
+        r0=r0,
         phi_l=phi_l,
         master=master,
         continuation=continuation,

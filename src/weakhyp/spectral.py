@@ -159,33 +159,18 @@ def _sum_last(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _next_power_of_two(n: int) -> int:
-    return 1 << max(n - 1, 0).bit_length()
-
-
-def default_grid_size(K: int) -> int:
-    """Smallest power of two >= 4K."""
-    return _next_power_of_two(4 * K)
-
-
-def assemble_state(
-    initial: Sequence[Expression],
-    K: int,
-    G: int | None = None,
-) -> np.ndarray:
+def assemble_state(initial: Sequence[Expression], K: int) -> np.ndarray:
     """Sample initial data on the uniform grid over [0, 2pi) and transform.
 
     ``initial`` lists the expressions (in x) for u(0,.), d_t u(0,.), ...;
     entry h fills chain column h of the returned (K+1, m) chain array, row k
     for mode k: the data are real, so the modes k = 0..K are the whole
-    state.  Requires G >= 4K and G a power of two.
+    state.  The grid has G points, G the smallest power of two >= 4K, so a
+    data mode aliases onto a kept mode only from |k| >= G - K >= 3K.
     """
     if K < 1:
         raise ValueError("mode cutoff K must be >= 1")
-    if G is None:
-        G = default_grid_size(K)
-    if G < 4 * K or G != _next_power_of_two(G):
-        raise ValueError(f"grid size G={G} must be a power of two with G >= 4K={4 * K}")
+    G = 1 << (4 * K - 1).bit_length()
     x = 2.0 * np.pi * np.arange(G) / G
     return np.stack(
         [np.fft.fft(evaluate(expr, {"x": x}))[: K + 1] / G for expr in initial], axis=1
@@ -442,7 +427,6 @@ def simulate(
     problem: CoefficientSpec,
     K: int,
     dt: float,
-    G: int | None = None,
     snapshot_interval: float | None = None,
     blowup_ceiling: float = 1e9,
     calibrate: bool = False,
@@ -469,7 +453,7 @@ def simulate(
     n_steps = int(round(T / dt))
     if n_steps < 1:
         raise ValueError("dt too large: fewer than one step over the horizon")
-    chain0 = assemble_state(problem.initial, K, G)
+    chain0 = assemble_state(problem.initial, K)
     m = chain0.shape[1]
     nu = problem.nonlinearity
 

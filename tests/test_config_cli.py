@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from fresh_probe import run_fresh
@@ -50,18 +51,12 @@ def test_defaults():
     assert cfg.order == 2
     assert cfg.nonlinearity == 0
     assert cfg.modes == 64
-    assert cfg.grid == 256  # smallest power of two >= 4K
     assert cfg.dt == 1e-3
     assert cfg.snapshot_interval == pytest.approx(0.01)  # T / 100
     assert cfg.eps_set == (1.0, 0.1, 0.01)
     assert cfg.j_max == 24
     assert cfg.threads == 1
     assert cfg.output_dir == "out"
-
-
-def test_grid_default_rounds_up_to_power_of_two():
-    cfg = RunConfig.from_dict({**base(), "K": 100})
-    assert cfg.grid == 512
 
 
 def test_snapshot_interval_scales_with_horizon():
@@ -86,6 +81,11 @@ def test_numeric_coefficient_entries_are_stringified():
         ({"diagnostics": {"master_check": True}}, "diagnostics.master_check"),
         ({"constants": {"k_gevrey": 4}}, "constants.k_gevrey"),
         ({"constants": {"lambda_k": 1.0}}, "constants.lambda_k"),
+        # keys of the schema once, which took one value everywhere
+        ({"G": 256}, "G"),
+        ({"constants": {"eta": 1.0}}, "constants.eta"),
+        ({"diagnostics": {"energies": True}}, "diagnostics.energies"),
+        ({"diagnostics": {"radius": True}}, "diagnostics.radius"),
     ],
 )
 def test_unknown_keys_rejected_with_path(patch, field):
@@ -125,11 +125,11 @@ def test_bool_is_not_an_integer():
         ({"T": 0.0}, "T"),
         ({"nu": -1}, "nu"),
         ({"K": 4}, "K"),
-        ({"G": 100, "K": 16}, "G"),
+        ({"certificate": {"eps_set": [0.5, 0.1, 0.5]}}, "certificate.eps_set"),
         ({"dt": 1.0}, "dt"),
         ({"snapshot_interval": 0.0}, "snapshot_interval"),
         ({"constants": {"C0": 0.5}}, "constants.C0"),
-        ({"constants": {"eta": 1.5}}, "constants.eta"),
+        ({"constants": {"s": 0.0}}, "constants.s"),
         ({"constants": {"r0": 0.0}}, "constants.r0"),
         ({"certificate": {"eps_set": [1.5]}}, "certificate.eps_set"),
         ({"certificate": {"samples": 0}}, "certificate.samples"),
@@ -173,7 +173,7 @@ def test_expression_count_must_match_order():
 
 def test_diagnostics_must_be_boolean():
     with pytest.raises(ConfigError, match="true/false"):
-        RunConfig.from_dict({**base(), "diagnostics": {"energies": 1}})
+        RunConfig.from_dict({**base(), "diagnostics": {"symmetrizer_certificate": 1}})
 
 
 def test_with_overrides():
@@ -206,8 +206,8 @@ CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 @pytest.mark.parametrize(
     "name, digest",
     [
-        ("wave.yaml", "d000fc1e34ca5190fcb3fcbbadf36cd53306843af5dac037c55c5d2e7c5485ca"),
-        ("weakhyp_nu2.yaml", "7793b2ef7affe1679bc50d84210ff598814bbfdee6c96ac194b3a8eaa53d057a"),
+        ("wave.yaml", "5c96a3f707174d5483bbf2285eb6f86665e759550d2c23035f153103e4ddcd36"),
+        ("weakhyp_nu2.yaml", "68d6228fbb4e467a36a92a478044ee316b25d896a6928a1325502565185db377"),
     ],
 )
 def test_shipped_config_hashes_are_pinned(name, digest):
@@ -244,11 +244,8 @@ ROW_VALUES = {
     "initial": lambda d: expressions("x", d["m"]),
     "nu": lambda d: st.integers(0, 6),
     "K": lambda d: st.integers(8, 5000),
-    "G": lambda d: st.integers(0, 3).map(lambda e: 1 << ((4 * d["K"] - 1).bit_length() + e)),
     "dt": lambda d: number(0.0, d["T"], exclude_min=True, exclude_max=True),
     "snapshot_interval": lambda d: number(0.0, d["T"], exclude_min=True),
-    "diagnostics.energies": lambda d: st.booleans(),
-    "diagnostics.radius": lambda d: st.booleans(),
     "diagnostics.symmetrizer_certificate": lambda d: st.booleans(),
     "constants.C0": lambda d: st.none() | number(1.0, 1e6),
     "constants.N": lambda d: st.none() | st.integers(0, 24),
@@ -256,9 +253,10 @@ ROW_VALUES = {
     "constants.c": lambda d: number(0.0, 1.0),
     "constants.r0": lambda d: number(0.0, 10.0, exclude_min=True),
     "constants.J_max": lambda d: st.integers(max(1, d.get("constants.N") or 0), 170),
-    "constants.eta": lambda d: number(0.0, 1.0, exclude_min=True),
     "constants.s": lambda d: number(0.0, 10.0, exclude_min=True),
-    "certificate.eps_set": lambda d: st.lists(number(0.0, 1.0, exclude_min=True), min_size=1),
+    "certificate.eps_set": lambda d: st.lists(
+        number(0.0, 1.0, exclude_min=True), min_size=1, unique_by=float
+    ),
     "certificate.samples": lambda d: st.integers(1, 10**6),
     "certificate.nd_floor": lambda d: number(0.0, 1.0),
     "certificate.times": lambda d: st.integers(1, 1000),
@@ -387,7 +385,7 @@ def test_schema_round_trip_through_run_meta(data):
     "path",
     [
         "T", "dt", "snapshot_interval", "constants.C0", "constants.C", "constants.c",
-        "constants.r0", "constants.eta", "constants.s",
+        "constants.r0", "constants.s",
         "certificate.nd_floor", "blowup_ceiling",
     ],
 )
@@ -418,13 +416,24 @@ def test_load_config_roundtrip(tmp_path):
         ("", "empty config file"),
         ("- 1\n- 2\n", "top level must be"),
         ("m: [unclosed\n", "not parseable as YAML"),
+        # PyYAML keeps the last of two equal keys, which would silently drop the first
+        ("m: 2\nK: 16\nK: 32\n", "duplicate key 'K' on line 3"),
+        ("constants:\n  r0: 0.1\nconstants:\n  r0: 0.3\n", "duplicate key 'constants' on line 3"),
+        ("constants:\n  r0: 0.1\n  C: 2.0\n  r0: 0.3\n", "duplicate key 'r0' on line 4"),
     ],
 )
 def test_load_config_rejects_malformed_files(tmp_path, text, message):
     path = tmp_path / "bad.yaml"
     path.write_text(text)
-    with pytest.raises(ConfigError, match=message):
+    with pytest.raises(ConfigError, match=message) as err:
         load_config(str(path))
+    assert err.value.field is None
+
+
+def test_loader_lets_a_key_override_a_merged_one():
+    # a merge key brings in the keys of an alias; overriding one is not a repeat
+    text = "a: &x {b: 1, c: 2}\nd:\n  <<: *x\n  b: 3\n"
+    assert yaml.load(text, Loader=config._Loader) == {"a": {"b": 1, "c": 2}, "d": {"b": 3, "c": 2}}
 
 
 # -- CLI --------------------------------------------------------------------
@@ -737,7 +746,7 @@ def test_cli_analyze_fits_n_on_the_run_itself_when_nu_is_zero(tmp_path):
     n_exponent = master_estimate_check(traj, trial).fitted_n
     assert json.loads(text)["ledger"]["N"] == n_exponent == 1
     ledger = build_energy_ledger(
-        traj, problem, c0=c0, n_exponent=n_exponent, j_max=cfg.j_max, r0=cfg.r0, eta=cfg.eta
+        traj, problem, c0=c0, n_exponent=n_exponent, j_max=cfg.j_max, r0=cfg.r0
     )
     assert '\n  "ledger": ' + cli._json_text(ledger.to_dict(), "  ") + ",\n" in text
 
@@ -1184,6 +1193,31 @@ def test_cli_config_errors_are_structured(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "ConfigError"
     assert err["field"] == "mystery"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, field, message",
+    [
+        (WAVE_YAML + "G: 32\n", "G", "unknown key"),
+        (WAVE_YAML + "K: 16\n", None, "duplicate key 'K' on line 15"),
+        (WAVE_YAML + "constants:\n  r0: 0.3\n", None, "duplicate key 'constants' on line 15"),
+        (
+            WAVE_YAML.replace("  times: 3", "  times: 3\n  eps_set: [0.5, 0.1, 0.5]"),
+            "certificate.eps_set",
+            "every eps in (0, 1], and distinct",
+        ),
+    ],
+    ids=["removed-key", "repeated-key", "repeated-section", "repeated-eps"],
+)
+def test_cli_refuses_removed_and_repeated_keys(tmp_path, capsys, text, field, message):
+    out = tmp_path / "out"
+    assert main(["analyze", "--config", write_config(tmp_path, text), "--output", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    err = json.loads(err)
+    assert err["error"] == "ConfigError" and err.get("field") == field
+    assert message in err["message"]
     assert not out.exists()
 
 

@@ -1008,7 +1008,7 @@ def test_build_energy_ledger_wave_relations():
     assert ledger.r_values[0] == pytest.approx(0.25)
     assert (np.diff(ledger.r_values) < 0).all()
     d = ledger.to_dict()
-    for key in ("C0", "N", "C", "M0", "K_N", "M", "L", "r0", "eta", "phi_L",
+    for key in ("C0", "N", "C", "M0", "K_N", "M", "L", "r0", "phi_L",
                 "nu", "J_max", "band", "master", "continuation"):
         assert key in d
 

@@ -27,7 +27,6 @@ from weakhyp.spectral import (
     assemble_state,
     companion_stack,
     convolution_power,
-    default_grid_size,
     simulate,
     step,
 )
@@ -79,9 +78,12 @@ def test_companion_matrix_frozen():
 
 
 def test_default_grid_size():
-    assert default_grid_size(64) == 256
-    assert default_grid_size(65) == 512
-    assert default_grid_size(1) == 4
+    # the data are sampled on the smallest power of two >= 4K: at K = 64 that is
+    # 256 points, where cos(256 x) is 1 at every sample and lands on mode 0;
+    # at K = 65 it is 512 points, which resolve the mode, so mode 0 stays empty
+    spec = CoefficientSpec.from_strings(2, 1.0, ["0", "-1"], 0, ["cos(256*x)", "0"])
+    assert abs(assemble_state(spec.initial, 64)[0, 0]) == pytest.approx(1.0, abs=1e-14)
+    assert abs(assemble_state(spec.initial, 65)[0, 0]) < 1e-14
 
 
 def test_assemble_state_cosine():
@@ -101,14 +103,6 @@ def test_assemble_state_mean_mode():
     assert chain.shape == (5, 2)
     assert chain[0, 0] == pytest.approx(1.0, abs=1e-14)  # k = 0 slot
     assert chain[0, 1] == pytest.approx(2.0, abs=1e-14)
-
-
-def test_assemble_state_grid_validation():
-    spec = CoefficientSpec.from_strings(2, 1.0, ["0", "-1"], 0, ["cos(x)", "0"])
-    with pytest.raises(ValueError):
-        assemble_state(spec.initial, 8, G=24)  # not a power of two
-    with pytest.raises(ValueError):
-        assemble_state(spec.initial, 8, G=16)  # below 4K
 
 
 def test_convolution_cosine_squared():
