@@ -31,7 +31,7 @@ from weakhyp import ConfigError, RunConfig, cli, config, load_config
 from weakhyp.cli import main
 from weakhyp.energy import WeightParams, build_energy_ledger, default_c0, master_estimate_check
 from weakhyp.equation import CoefficientSpec
-from weakhyp.spectral import Trajectory, simulate
+from weakhyp.spectral import Trajectory, assemble_state, simulate
 
 
 def base() -> dict:
@@ -57,6 +57,19 @@ def test_defaults():
     assert cfg.j_max == 24
     assert cfg.threads == 1
     assert cfg.output_dir == "out"
+
+
+def test_grid_default_rounds_up_to_power_of_two():
+    # K = 100 samples the data on 512 points, the smallest power of two >= 4K:
+    # there cos(512 x) is 1 at every sample and lands on mode 0, while cos(256 x)
+    # sits at the Nyquist mode, above K; 256 points would put both on mode 0
+    # and 1024 points neither
+    initial = ["cos(512*x) + cos(256*x)", "0"]
+    cfg = RunConfig.from_dict({**base(), "K": 100, "initial": initial})
+    assert cfg.modes == 100
+    u = assemble_state(cfg.problem().initial, cfg.modes)[:, 0]
+    assert u[0] == pytest.approx(1.0, abs=1e-14)
+    assert np.abs(u[1:]).max() < 1e-14
 
 
 def test_snapshot_interval_scales_with_horizon():
