@@ -9,7 +9,8 @@ Exit codes: 0 success/pass, 1 failed verdict or module error, 2 blow-up
 abort, 3 stability abort.  Each command returns its exit code and its files,
 or raises; ``dispatch`` alone writes them, with ``run_meta.json`` added.
 Every emitted file carries the canonical config hash; CSV numbers use 17
-significant digits so outputs diff bitwise.
+significant digits so outputs diff bitwise.  The run is real, so row -k of
+spectrum.csv is written as the exact conjugate of row k.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from .quasisym import (
     verify_quasi_symmetrizer,
 )
 from .radius import InsufficientBandError, fit_decay
-from .spectral import BlowUpError, StabilityError, Trajectory, _ik_powers, companion_stack, simulate
+from .spectral import BlowUpError, StabilityError, Trajectory, companion_stack, companion_vectors, simulate
 from .symbol import (
     characteristic_roots,
     check_diam,
@@ -146,55 +147,26 @@ def _error_json(exc: Exception) -> str:
 def _spectrum_file(traj: Trajectory) -> tuple[list[str], Any]:
     """spectrum.csv, modes -K..K, one snapshot at a time from the trajectory's modes 0..K.
 
-    The one place that builds the rows -K..-1: column c of V_{-k} is
-    (-ik)^(m-1-c) conj(chain_k), the formula of V at mode -k of a real run.
+    The run is real, so row -k is conj(V_k).  Rows 0..K are formatted by one
+    %.17g template in which a ';' marks the mode number and every imaginary
+    cell; rows -K..-1 are that text reversed with every marked sign toggled.
+    %.17g writes -x as '-' and the text of x, except for a NaN, whose sign it
+    drops, so the bytes are those of formatting conj(V_k) cell by cell.
     """
-    K, m = traj.K, traj.order
-    upper_pow = _ik_powers(traj.modes, m - 1)[:, ::-1]
-    lower_pow = _ik_powers(np.arange(-K, 0), m - 1)[:, ::-1]
-    header, snapshot = _spectrum_format(K, m)
+    header = ["t", "k"] + [f"{part}_V{c}" for c in range(traj.order) for part in ("re", "im")]
+    row = ",".join(["%.17g;%.17g"] * traj.order)
+    # '@' stands for the snapshot time, which no formatted number contains
+    half = "\n".join([f"@;{k}," + row for k in range(traj.K + 1)])
 
     def blocks():
         for t, chain in zip(traj.times.tolist(), traj.chains):
-            yield from snapshot(t, upper_pow * chain, lower_pow * chain[:0:-1].conj())
+            stamp = "%.17g" % t
+            text = half % tuple(companion_vectors(chain).view(float).ravel().tolist())
+            lower = text.replace(";", ";-").replace(";--", ";").replace(";-nan", ";nan")
+            yield "\n".join(lower.split("\n")[:0:-1]).replace(";", ",").replace("@", stamp)
+            yield text.replace(";", ",").replace("@", stamp)
 
     return header, blocks()
-
-
-def _spectrum_format(K: int, m: int) -> tuple[list[str], Any]:
-    """The header of spectrum.csv and its per-snapshot formatter ``(t, rows 0..K, rows -K..-1)``.
-
-    The formatter yields the text of rows -K..-1, then of rows 0..K, each
-    distinct cell formatted once.  The rows 0..K are formatted by one
-    %-template in which a ';' marks the mode number and every imaginary cell.
-    Row -k of a real run is nearly the conjugate mirror of row k, so rows
-    -K..-1 are the same text with the marked signs toggled.  Rows holding a
-    cell whose bits differ from that mirror (zeros of the other sign, last
-    bits of the powers of -ik) or a NaN (whose sign %.17g drops) are
-    formatted directly, so the bytes equal cell-by-cell formatting for every
-    input.
-    """
-    header = ["t", "k"]
-    for comp in range(m):
-        header += [f"re_V{comp}", f"im_V{comp}"]
-    toggle = np.tile(np.uint64([0, 1 << 63]), m)
-    row = ",".join(["%.17g;%.17g"] * m)
-    # '@' stands for the snapshot time, which no formatted number contains
-    half = "\n".join([f"@;{k}," + row for k in range(K + 1)])
-
-    def snapshot(t: float, upper: np.ndarray, lower: np.ndarray):
-        up, low = upper.view(float), lower.view(float)  # (K+1, 2m), (K, 2m)
-        stamp = "%.17g" % t
-        text = half % tuple(up.ravel().tolist())
-        rows = text.replace(";", ";-").replace(";--", ";").split("\n")[:0:-1]  # rows -K..-1
-        mirrored = low[::-1]  # rows -1..-K, against rows 1..K
-        fresh = (mirrored.view(np.uint64) != up[1:].view(np.uint64) ^ toggle) | np.isnan(mirrored)
-        for i in np.flatnonzero(fresh.any(axis=1)).tolist():  # row -(i+1)
-            rows[K - 1 - i] = (f"@;{-1 - i}," + row) % tuple(low[K - 1 - i].tolist())
-        yield "\n".join(rows).replace(";", ",").replace("@", stamp)
-        yield text.replace(";", ",").replace("@", stamp)
-
-    return header, snapshot
 
 
 def _energies_csv(ledger) -> tuple[list[str], list[str]]:

@@ -4,10 +4,13 @@ For real roots lam_1 <= ... <= lam_m the family
 
     Q_eps = Q_0 + eps^2 Q_1 + ... + eps^(2(m-1)) Q_{m-1}
 
-is built layer by layer: Q_r sums, over all root subsets S of size r and all
-j outside S, the rank-one matrices w w^T where w is the coefficient vector of
-the polynomial  prod_{i not in S, i != j} (lam - lam_i)  (degree-l coefficient
-in slot l+1, higher slots zero).
+is built layer by layer (D'Ancona and Spagnolo, Boll. UMI 1998).  Q_r sums,
+over all root subsets S of size r and all j outside S, c_U c_U^T, where c_U
+holds the coefficients of prod_{i in U} (lam - lam_i) over the other roots U
+(degree-l coefficient in slot l+1, higher slots zero).  Each U of size m-1-r
+comes from r+1 such pairs (S, j), so each divisor is formed once:
+
+    Q_r = (r+1) sum_{|U| = m-1-r} c_U c_U^T.
 
 Three measured properties make the certificate:
 
@@ -90,17 +93,12 @@ def build_quasi_symmetrizer(roots: np.ndarray) -> QuasiSymmetrizer:
     if m < 2:
         raise ValueError("need at least two real roots")
     layers = []
-    indices = range(m)
     for size in range(m):
         layer = np.zeros((rows.shape[0], m, m))
-        for subset in itertools.combinations(indices, size):
-            for j in indices:
-                if j in subset:
-                    continue
-                factors = [i for i in indices if i not in subset and i != j]
-                w = _monic_from_roots(rows[:, factors], m)
-                layer += w[:, :, None] * w[:, None, :]
-        layers.append(layer)
+        for chosen in itertools.combinations(range(m), size + 1):  # S and j; U is the rest
+            w = _monic_from_roots(rows[:, [i for i in range(m) if i not in chosen]], m)
+            layer += w[:, :, None] * w[:, None, :]
+        layers.append((size + 1) * layer)
     return QuasiSymmetrizer(roots=rows, layers=tuple(layers))
 
 

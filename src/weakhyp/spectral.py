@@ -50,6 +50,7 @@ __all__ = [
     "BlowUpError",
     "Trajectory",
     "companion_stack",
+    "companion_vectors",
     "assemble_state",
     "convolution_power",
     "step",
@@ -119,6 +120,14 @@ def _ik_powers(modes: np.ndarray, top: int) -> np.ndarray:
 def _v_weights(modes: np.ndarray, m: int) -> np.ndarray:
     """(ik)^(m-1-c) in column c, shape (len(modes), m): V_k is this row times the chain of mode k."""
     return _ik_powers(modes, m - 1)[:, ::-1].copy()
+
+
+def companion_vectors(chains: np.ndarray) -> np.ndarray:
+    """V_k of every chain row, for chains of shape (..., K+1, m) holding the modes k = 0..K.
+
+    The one definition of V: column c is (ik)^(m-1-c) chain[..., c], and V_{-k} = conj(V_k).
+    """
+    return _v_weights(np.arange(chains.shape[-2]), chains.shape[-1]) * chains
 
 
 def _v_norms(chains: np.ndarray, weights: np.ndarray, v: np.ndarray, sq: np.ndarray) -> np.ndarray:
@@ -385,7 +394,7 @@ class Trajectory:
 
     def v_series(self) -> np.ndarray:
         """(S, K+1, m) array of companion vectors at every snapshot."""
-        return _v_weights(self.modes, self.order) * self.chains
+        return companion_vectors(self.chains)
 
     def v_norms(self) -> np.ndarray:
         """(S, K+1) array of the norms |V_k| at every snapshot, by the monitor's ``_v_norms``."""

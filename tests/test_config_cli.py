@@ -19,6 +19,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -376,6 +377,37 @@ def test_every_public_function_is_reached():
     assert unreached_names(sources) == UNREACHED_BY_DESIGN
 
 
+def private_imports(sources: dict) -> set:
+    """(module, name) for each private name that a module of ``sources`` imports
+    from a package module, by a relative or a ``weakhyp`` import."""
+    found = set()
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "weakhyp"
+            ):
+                found |= {(module, alias.name) for alias in node.names if alias.name.startswith("_")}
+    return found
+
+
+def test_private_import_guard_catches_a_private_import():
+    source = """\
+from __future__ import annotations
+from os import _exit
+from .spectral import _ik_powers, simulate
+from weakhyp.energy import _weights
+from . import spectral
+"""
+    assert private_imports({"cli": source}) == {("cli", "_ik_powers"), ("cli", "_weights")}
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # each concept has one home: V, for one, is defined only in spectral
+    package = Path(config.__file__).parent
+    sources = {path.stem: path.read_text() for path in package.glob("*.py")}
+    assert private_imports(sources) == set()
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_schema_round_trip_through_run_meta(data):
@@ -537,18 +569,9 @@ def test_cli_simulate_spectrum_values(tmp_path):
 
 
 def full_layout_v(traj) -> np.ndarray:
-    """Companion vectors of modes -K..K, as the full-layout trajectory computed them.
-
-    Rows -K..-1 of the chains are the conjugate mirror of rows K..1, and
-    column c of V at mode k is (ik)^(m-1-c) * chain[..., c].
-    """
-    chains = np.concatenate([traj.chains[:, :0:-1].conj(), traj.chains], axis=1)
-    ik = 1j * np.arange(-traj.K, traj.K + 1)
-    m = traj.order
-    v = np.empty_like(chains)
-    for c in range(m):
-        v[..., c] = ik ** (m - 1 - c) * chains[..., c]
-    return v
+    """Companion vectors of modes -K..K: rows -K..-1 are the conjugates of rows K..1."""
+    v = traj.v_series()
+    return np.concatenate([v[:, :0:-1].conj(), v], axis=1)
 
 
 def reference_spectrum_bytes(times, v, sha: str) -> bytes:
@@ -573,7 +596,7 @@ def test_spectrum_emitter_matches_cellwise_formatting(tmp_path):
     K, m, S = 5, 3, 4
     chains = rng.standard_normal((S, K + 1, m)) * 10.0 ** rng.integers(-320, 300, (S, K + 1, m))
     chains = chains + 1j * rng.standard_normal((S, K + 1, m))
-    # non-finite, signed-zero and subnormal cells reach the rows -K..-1 through the formula
+    # non-finite, signed-zero and subnormal cells reach the rows -K..-1 as their conjugates
     chains[0, K] = [np.nan, np.inf, -0.0]
     chains[1, 1] = [-np.inf, 0.0, 1e-310]
     chains[2, 0] = [-0.0, complex(0.0, -0.0), 5e-324]
@@ -596,13 +619,9 @@ def test_spectrum_emitter_matches_cellwise_formatting(tmp_path):
 def test_spectrum_emitter_on_mirrored_runs(tmp_path, m, coeffs, initial):
     spec = CoefficientSpec.from_strings(m, 0.1, coeffs, 2, initial)
     traj = simulate(spec, K=16, dt=1e-3, snapshot_interval=0.05)
-    v = full_layout_v(traj)
-    if m == 2:
-        # the all-zero u_t column at t = 0: both imaginary zeros are +0, not mirrored signs
-        zeros = v[0, :, 1].imag
-        assert not zeros.any() and not np.signbit(zeros).any()
     cli._write_files(str(tmp_path), {"spectrum.csv": cli._spectrum_file(traj)}, "abc")
-    assert (tmp_path / "spectrum.csv").read_bytes() == reference_spectrum_bytes(traj.times, v, "abc")
+    want = reference_spectrum_bytes(traj.times, full_layout_v(traj), "abc")
+    assert (tmp_path / "spectrum.csv").read_bytes() == want
 
 
 SIGN = 1 << 63
@@ -626,18 +645,19 @@ def test_spectrum_mirror_sign_toggle_over_raw_bits(data):
     K = data.draw(st.integers(1, 4))
     m = data.draw(st.integers(2, 3))
     S = data.draw(st.integers(1, 2))
-    upper = draw_bits(data, S * (K + 1) * m * 2).reshape(S, K + 1, m, 2)
-    # rows -K..-1: the conjugate mirror of rows K..1, then some cells replaced by arbitrary bits
-    lower = upper[:, :0:-1] ^ np.uint64([0, SIGN])
-    stray = np.array(data.draw(st.lists(st.booleans(), min_size=lower.size, max_size=lower.size)))
-    lower.reshape(-1)[stray] = draw_bits(data, lower.size)[stray]
-    v = np.concatenate([lower, upper], axis=1).view(complex).reshape(S, 2 * K + 1, m)
-    times = np.linspace(0.0, 1.0, S)
-    header, snapshot = cli._spectrum_format(K, m)
-    blocks = [text for t, snap in zip(times.tolist(), v) for text in snapshot(t, snap[K:], snap[:K])]
-    with tempfile.TemporaryDirectory() as out:
-        cli._write_files(out, {"spectrum.csv": (header, blocks)}, "abc")
-        assert (Path(out) / "spectrum.csv").read_bytes() == reference_spectrum_bytes(times, v, "abc")
+    # rows 0..K of V as raw bits, which the writer reads in place of the companion vectors
+    v = draw_bits(data, S * (K + 1) * m * 2).view(complex).reshape(S, K + 1, m)
+    traj = Trajectory(
+        order=m, K=K, dt=0.1, nu=0, times=np.linspace(0.0, 1.0, S), chains=v,
+        forcings=np.zeros((S, K + 1), dtype=complex), completed=True,
+    )
+    with mock.patch.object(cli, "companion_vectors", lambda chain: chain):
+        files = {"spectrum.csv": cli._spectrum_file(traj)}
+        with tempfile.TemporaryDirectory() as out:
+            cli._write_files(out, files, "abc")
+            got = (Path(out) / "spectrum.csv").read_bytes()
+    full = np.concatenate([v[:, :0:-1].conj(), v], axis=1)
+    assert got == reference_spectrum_bytes(traj.times, full, "abc")
 
 
 json_values = st.recursive(

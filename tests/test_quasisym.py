@@ -15,9 +15,12 @@ eps; the near-diagonality constant for the double root (1,1) is
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakhyp import quasisym
 from weakhyp.quasisym import (
@@ -57,6 +60,57 @@ def test_layers_symmetric_psd():
         # the full family must be strictly positive definite for eps > 0
         w = np.linalg.eigvalsh(qs.assemble([0.3]))
         assert w.min() > 0.0
+
+
+def exact_layers(roots):
+    """Layers Q_0..Q_{m-1} by their definition, in exact rational arithmetic.
+
+    Q_r sums, over root subsets S of size r and j outside S, c c^T with c
+    the coefficients of prod (lam - lam_i) over the i neither in S nor j.
+    """
+    m = len(roots)
+    layers = []
+    for size in range(m):
+        layer = [[Fraction(0)] * m for _ in range(m)]
+        for subset in itertools.combinations(range(m), size):
+            for j in (j for j in range(m) if j not in subset):
+                c = [Fraction(1)] + [Fraction(0)] * (m - 1)
+                for i in (i for i in range(m) if i not in subset and i != j):
+                    c = [(c[deg - 1] if deg else 0) - roots[i] * c[deg] for deg in range(m)]
+                for a in range(m):
+                    for b in range(m):
+                        layer[a][b] += c[a] * c[b]
+        layers.append(layer)
+    return layers
+
+
+@st.composite
+def clustered_roots(draw):
+    """m = 2..5 real roots at a scale 1e-6..1e6, drawn from a few values, zero among them,
+    so that roots coincide at zero and away from it."""
+    m = draw(st.integers(2, 5))
+    scale = 10.0 ** draw(st.floats(-6.0, 6.0))
+    unit = st.floats(-1.0, 1.0).filter(lambda x: abs(x) >= 1e-3)
+    values = [0.0] + [scale * x for x in draw(st.lists(unit, min_size=1, max_size=3))]
+    return sorted(draw(st.lists(st.sampled_from(values), min_size=m, max_size=m)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(clustered_roots())
+def test_layers_match_the_exact_definition_on_clustered_roots(roots):
+    # Q_r is formed from C(m, r+1) rank-one terms, each entry a product of two
+    # coefficients of at most m-1 rounded steps: within (4m + C(m, r+1)) eps of
+    # the same sum over the magnitudes |lam_i|, which is the entry's rounding scale
+    m = len(roots)
+    layers = build_quasi_symmetrizer(np.array([roots])).layers
+    exact = exact_layers([Fraction(x) for x in roots])
+    scale = exact_layers([-Fraction(abs(x)) for x in roots])
+    eps = Fraction(np.finfo(float).eps)
+    for r, (got, want, size) in enumerate(zip(layers, exact, scale)):
+        bound = (4 * m + math.comb(m, r + 1)) * eps
+        for a in range(m):
+            for b in range(m):
+                assert abs(Fraction(got[0, a, b]) - want[a][b]) <= bound * size[a][b], (r, a, b)
 
 
 def test_certificate_frozen_separated_roots():
@@ -176,23 +230,22 @@ def test_table_routines_refuse_one_row():
 
 
 def reference_layers(roots):
-    """Layers Q_0..Q_{m-1} for one root set, built one rank-one term at a time."""
+    """Layers Q_0..Q_{m-1} for one root set by the subset formula, one rank-one term at a time."""
     m = len(roots)
     layers = []
     for size in range(m):
         layer = np.zeros((m, m))
-        for subset in itertools.combinations(range(m), size):
-            for j in (j for j in range(m) if j not in subset):
-                w = np.zeros(m)
-                w[0] = 1.0
-                factors = [roots[i] for i in range(m) if i not in subset and i != j]
-                for deg, root in enumerate(factors):
-                    prev = w[: deg + 1].copy()
-                    w[: deg + 2] = 0.0
-                    w[1 : deg + 2] += prev
-                    w[: deg + 1] -= root * prev
-                layer += np.outer(w, w)
-        layers.append(layer)
+        for chosen in itertools.combinations(range(m), size + 1):
+            w = np.zeros(m)
+            w[0] = 1.0
+            factors = [roots[i] for i in range(m) if i not in chosen]
+            for deg, root in enumerate(factors):
+                prev = w[: deg + 1].copy()
+                w[: deg + 2] = 0.0
+                w[1 : deg + 2] += prev
+                w[: deg + 1] -= root * prev
+            layer += np.outer(w, w)
+        layers.append((size + 1) * layer)
     return layers
 
 
