@@ -3,7 +3,9 @@
 Four subcommands share one config schema: ``check`` (root-separation and
 discriminant verdicts), ``simulate`` (trajectory files), ``analyze``
 (energy ledger, radius fits, continuation verdict) and ``symmetrizer``
-(certificate of the quasi-symmetrizer inequalities).
+(certificate of the quasi-symmetrizer inequalities, with its quotients at
+the extremal vectors and a random-direction audit of the two rows that set
+its aggregate).
 
 Exit codes: 0 success/pass, 1 failed verdict or module error, 2 blow-up
 abort, 3 stability abort.  Each command returns its exit code and its files,
@@ -37,8 +39,8 @@ from .energy import (
 )
 from .parallel import ordered_map
 from .quasisym import (
+    audit_binding_rows,
     build_quasi_symmetrizer,
-    sample_moments,
     verify_quasi_symmetrizer,
 )
 from .radius import InsufficientBandError, fit_decay
@@ -200,18 +202,22 @@ def _radius_csv(cfg: RunConfig, times, fits) -> tuple[list[str], list[str]]:
 
 
 def _certificate_payload(cfg: RunConfig) -> dict:
+    """certificate.json; no verdict reads the witness gap, the eps slope or the sampled values."""
     times = np.linspace(0.0, cfg.horizon, cfg.cert_times)
     table = cfg.problem().coefficient_table(times)
-    moments = sample_moments(cfg.order, cfg.samples, cfg.seed)
     qs = build_quasi_symmetrizer(characteristic_roots(table, times=times))
-    certs = verify_quasi_symmetrizer(
-        qs, companion_stack(table), cfg.eps_set, moments, nd_floor=cfg.nd_floor
-    )
+    companions = companion_stack(table)
+    certs = verify_quasi_symmetrizer(qs, companions, cfg.eps_set, nd_floor=cfg.nd_floor)
+    sampled_comm, sampled_nd = audit_binding_rows(qs, companions, certs, cfg.samples, cfg.seed)
     aggregate = {
         "C_lower": max(c.c_lower for c in certs),
         "C_upper": max(c.c_upper for c in certs),
         "C_comm": max(c.c_comm for c in certs),
         "c_nd": min(c.c_nd for c in certs),
+        "c_nd_eps_slope": min(certs, key=lambda c: c.c_nd).c_nd_eps_slope,
+        "witness_gap": max(c.witness_gap for c in certs),
+        "sampled_C_comm": sampled_comm,
+        "sampled_c_nd": sampled_nd,
         "pass": all(c.passed for c in certs),
     }
     return {

@@ -1,4 +1,4 @@
-"""Quasi-symmetrizer construction and its randomized/spectral certificate.
+"""Quasi-symmetrizer construction and its spectral certificate.
 
 For real roots lam_1 <= ... <= lam_m the family
 
@@ -20,6 +20,10 @@ Three measured properties make the certificate:
   * near-diagonality:  (Q_eps V, V) >= c_nd * sum_j q_jj |v_j|^2,
     which degenerates as eps -> 0 exactly when a nonzero root coincidence
     violates the separation condition.
+
+C_comm and c_nd are exact generalized-eigenvalue extremals, each evaluated
+again as a quotient at its extremal vector (its witness).  Random directions
+audit only the two (time, eps) rows that set the run's C_comm and c_nd.
 """
 
 from __future__ import annotations
@@ -39,8 +43,8 @@ __all__ = [
     "SymmetrizerCertificate",
     "build_quasi_symmetrizer",
     "verify_quasi_symmetrizer",
+    "audit_binding_rows",
     "sample_unit_vectors",
-    "sample_moments",
 ]
 
 _DRAW_ROWS = 1024  # rows of sample directions drawn at a time
@@ -130,8 +134,7 @@ def _draw_blocks(m: int, count: int, seed: int):
 def sample_unit_vectors(m: int, count: int, seed: int) -> np.ndarray:
     """Complex unit vectors drawn from ``seed``, rows of shape (count, m).
 
-    The draw is that of ``_draw_blocks``; ``sample_moments`` reads the same
-    stream.
+    The draw is that of ``_draw_blocks``, which the sampled audit streams.
     """
     out = np.empty((count, m), dtype=complex)
     for start, x, y in _draw_blocks(m, count, seed):
@@ -141,34 +144,22 @@ def sample_unit_vectors(m: int, count: int, seed: int) -> np.ndarray:
     return out
 
 
-def sample_moments(m: int, count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Moment rows of the ``count`` directions ``sample_unit_vectors`` draws.
+def _forms(q: np.ndarray, b: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """(Q v, v), |(B v, v)| and sum_j q_jj |v_j|^2, shape (..., n), at the rows v = x + iy.
 
-    With r_ij + i s_ij = conj(v_i) v_j, returns the rows r_ij for i <= j,
-    shape (m(m+1)/2, count), and s_ij for i < j, shape (m(m-1)/2, count),
-    each pair in ``np.triu_indices`` order: the input of
-    ``verify_quasi_symmetrizer``.  The directions are consumed a draw block
-    at a time and never stored, and each row is written in place, so the
-    moments are all this allocates beyond one block.
+    ``q`` (symmetric) and ``b`` (antisymmetric) are real stacks (..., m, m)
+    that broadcast against ``x`` and ``y``, (..., n, m).  In reals,
+    (Q v, v) = x^T Q x + y^T Q y and (B v, v) = 2i x^T B y.
     """
-    iu, ju = np.triu_indices(m)
-    il, jl = np.triu_indices(m, 1)
-    re = np.empty((iu.size, count))
-    im = np.empty((il.size, count))
-    for start, x, y in _draw_blocks(m, count, seed):
-        cols = slice(start, start + len(x))
-        for row, i, j in zip(re, iu.tolist(), ju.tolist()):
-            np.multiply(x[:, i], x[:, j], out=row[cols])
-            row[cols] += y[:, i] * y[:, j]
-        for row, i, j in zip(im, il.tolist(), jl.tolist()):
-            np.multiply(x[:, i], y[:, j], out=row[cols])
-            row[cols] -= y[:, i] * x[:, j]
-    return re, im
+    quad = (x @ q * x).sum(axis=-1) + (y @ q * y).sum(axis=-1)
+    comm = 2.0 * np.abs((x @ b * y).sum(axis=-1))
+    diag = ((x * x + y * y) @ np.diagonal(q, axis1=-2, axis2=-1)[..., None])[..., 0]
+    return quad, comm, diag
 
 
 @dataclass
 class SymmetrizerCertificate:
-    """Measured extremal ratios over an eps set, plus directional audits."""
+    """Measured extremal ratios over an eps set, and their quotients at the extremal vectors."""
 
     eps_set: tuple[float, ...]
     c_lower: float
@@ -177,10 +168,9 @@ class SymmetrizerCertificate:
     c_comm_by_eps: dict[float, float]
     c_nd: float
     c_nd_by_eps: dict[float, float]
-    sampled_c_comm: float
-    sampled_c_nd: float
+    witness_c_comm: float
+    witness_c_nd: float
     diam: float
-    samples: int
     nd_floor: float
     qs1_pass: bool
     qs2_pass: bool
@@ -189,6 +179,26 @@ class SymmetrizerCertificate:
     @property
     def passed(self) -> bool:
         return self.qs1_pass and self.qs2_pass and self.nd_pass
+
+    @property
+    def witness_gap(self) -> float:
+        """The largest relative gap of a witness quotient to its finite constant."""
+        pairs = [(self.witness_c_comm, self.c_comm), (self.witness_c_nd, self.c_nd)]
+        gaps = [abs(w - c) / abs(c) if c else math.inf for w, c in pairs if w != c and math.isfinite(c)]
+        return max(gaps, default=0.0)
+
+    @property
+    def c_nd_eps_slope(self) -> float | None:
+        """ln(c_nd ratio) / ln(eps ratio) over the two smallest eps.
+
+        The observed exponent p of c_nd ~ eps^p: about 2 at a nonzero double
+        root, about 0 where the roots stay apart.  None with fewer than two
+        eps or where some c_nd is not positive.
+        """
+        if len(self.c_nd_by_eps) < 2 or not min(self.c_nd_by_eps.values()) > 0:
+            return None
+        (eps_1, nd_1), (eps_2, nd_2) = sorted(self.c_nd_by_eps.items())[:2]
+        return math.log(nd_2 / nd_1) / math.log(eps_2 / eps_1)
 
     def to_dict(self) -> dict:
         return {
@@ -199,10 +209,9 @@ class SymmetrizerCertificate:
             "C_comm_by_eps": {repr(k): v for k, v in self.c_comm_by_eps.items()},
             "c_nd": self.c_nd,
             "c_nd_by_eps": {repr(k): v for k, v in self.c_nd_by_eps.items()},
-            "sampled_C_comm": self.sampled_c_comm,
-            "sampled_c_nd": self.sampled_c_nd,
+            "witness_C_comm": self.witness_c_comm,
+            "witness_c_nd": self.witness_c_nd,
             "diam_ratio": self.diam,
-            "samples": self.samples,
             "nd_floor": self.nd_floor,
             "pass": {
                 "qs1": self.qs1_pass,
@@ -217,7 +226,7 @@ def verify_quasi_symmetrizer(
     qs: QuasiSymmetrizer,
     a_matrix: np.ndarray,
     eps_set: Sequence[float],
-    moments: tuple[np.ndarray, np.ndarray] | None = None,
+    *,
     nd_floor: float = 0.0,
 ) -> list[SymmetrizerCertificate]:
     """Measure the certificate constants for a symmetrizer against its A.
@@ -227,11 +236,11 @@ def verify_quasi_symmetrizer(
     eps in one batch.
     Spectral bounds come from exact symmetric eigensolves; the commutator and
     near-diagonality constants are exact generalized-eigenvalue extremals,
-    cross-audited on random directions v_1 ... v_n given by their ``moments``
-    (r, s), r_ij + i s_ij = conj(v_i) v_j: r of shape (m(m+1)/2, n) over
-    i <= j, s of shape (m(m-1)/2, n) over i < j, each in ``np.triu_indices``
-    order, as ``sample_moments`` returns them.  Without moments there are no
-    directions.  Raises ``ValueError`` on dimension mismatch.
+    also evaluated as quotients at their witnesses: v = Q^(-1/2) g, g the
+    top-|lambda| eigenvector of Q^(-1/2) (iB) Q^(-1/2), and x = D^(-1/2) e,
+    e the bottom eigenvector of D^(-1/2) Q D^(-1/2), D = diag(Q).  The
+    vectors come from an ``eigh`` of their own, so the constants keep the bits
+    of ``eigvalsh``.  Raises ``ValueError`` on dimension mismatch.
     """
     n, m = qs.roots.shape
     a_matrix = np.asarray(a_matrix, dtype=float)
@@ -240,15 +249,6 @@ def verify_quasi_symmetrizer(
     eps_set = tuple(float(e) for e in eps_set)
     if any(e <= 0 for e in eps_set):
         raise ValueError("eps values must be positive")
-    n_re, n_im = m * (m + 1) // 2, m * (m - 1) // 2
-    if moments is None:
-        moments = np.zeros((n_re, 0)), np.zeros((n_im, 0))
-    re, im = (np.ascontiguousarray(mom, dtype=float) for mom in moments)
-    count = re.shape[-1]
-    if (re.shape, im.shape) != ((n_re, count), (n_im, count)):
-        raise ValueError(
-            f"moment rows must have shapes ({n_re}, n) and ({n_im}, n), got {re.shape} and {im.shape}"
-        )
 
     # rows of every stack below run over (time, eps), eps fastest
     n_eps = len(eps_set)
@@ -265,23 +265,31 @@ def verify_quasi_symmetrizer(
 
     b = q @ a - a.transpose(0, 2, 1) @ q  # real antisymmetric
     comm = np.full(n * n_eps, np.inf)
+    witness_comm = np.full(n * n_eps, np.inf)
     if pos.any():
         up = u[pos]
         inv_sqrt = (up * w[pos, None, :] ** -0.5) @ up.transpose(0, 2, 1)
-        gen_eigs = np.linalg.eigvalsh(inv_sqrt @ (1j * b[pos]) @ inv_sqrt)
-        comm[pos] = np.abs(gen_eigs).max(axis=1) / eps_rows[pos]
+        pencil = inv_sqrt @ (1j * b[pos]) @ inv_sqrt
+        comm[pos] = np.abs(np.linalg.eigvalsh(pencil)).max(axis=1) / eps_rows[pos]
+        gen_eigs, g = np.linalg.eigh(pencil)
+        g_top = np.take_along_axis(g, np.abs(gen_eigs).argmax(axis=1)[:, None, None], axis=2)
+        v = (inv_sqrt @ g_top).transpose(0, 2, 1)  # one row per (time, eps)
+        quad, num, _ = _forms(q[pos], b[pos], v.real, v.imag)
+        witness_comm[pos] = num[:, 0] / quad[:, 0] / eps_rows[pos]
 
     d = np.diagonal(q, axis1=1, axis2=2)
     dpos = (d > 0).all(axis=1)
     nd = np.zeros(n * n_eps)
+    witness_nd = np.zeros(n * n_eps)
     if dpos.any():
         dd = d[dpos]
         norm = q[dpos] / np.sqrt(dd[:, :, None] * dd[:, None, :])
         nd[dpos] = np.linalg.eigvalsh(norm)[:, 0]
+        x = np.linalg.eigh(norm)[1][:, None, :, 0] / np.sqrt(dd)[:, None, :]
+        quad, _, diag_quad = _forms(q[dpos], b[dpos], x, np.zeros_like(x))
+        witness_nd[dpos] = quad[:, 0] / diag_quad[:, 0]
 
-    sampled_comm, sampled_nd = _sampled_audit(re, im, q, b, eps_rows, n_eps)
     diams = diam_ratio(qs.roots).tolist()
-
     certs = []
     for i in range(n):
         rows = slice(i * n_eps, (i + 1) * n_eps)
@@ -301,10 +309,9 @@ def verify_quasi_symmetrizer(
                 c_comm_by_eps=comm_by_eps,
                 c_nd=c_nd,
                 c_nd_by_eps=nd_by_eps,
-                sampled_c_comm=max([0.0, *sampled_comm[rows].tolist()]),
-                sampled_c_nd=min(sampled_nd[rows].tolist()) if count else float("nan"),
+                witness_c_comm=max(witness_comm[rows].tolist()),
+                witness_c_nd=min(witness_nd[rows].tolist()),
                 diam=diams[i],
-                samples=count,
                 nd_floor=nd_floor,
                 qs1_pass=math.isfinite(c_lower) and math.isfinite(c_upper),
                 qs2_pass=math.isfinite(c_comm),
@@ -314,68 +321,47 @@ def verify_quasi_symmetrizer(
     return certs
 
 
-def _sampled_audit(
-    re: np.ndarray,
-    im: np.ndarray,
-    q: np.ndarray,
-    b: np.ndarray,
-    eps_rows: np.ndarray,
-    n_eps: int,
+def _sampled_extremes(
+    q: np.ndarray, b: np.ndarray, eps: np.ndarray, blocks
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Directional audit per row of the stacks q (symmetric), b (antisymmetric).
+    """Directional audit of a few rows of the stacks q (symmetric), b (antisymmetric).
 
-    Returns the largest |(B v, v)| / (eps (Q v, v)) and the smallest
-    (Q v, v) / sum_j q_jj |v_j|^2 over the sample directions v with
-    (Q v, v) > 0 (-inf and +inf where there are none).
-
-    The directions come as their moment rows, C-contiguous: with
-    r_ij + i s_ij = conj(v_i) v_j, r symmetric and s antisymmetric, ``re``
-    holds r_ij for i <= j and ``im`` holds s_ij for i < j, one column per
-    direction, in ``np.triu_indices`` order.  Then
-
-        (Q v, v)             = sum_{i<=j} r_ij (q_ij + q_ji [i < j]),
-        sum_j q_jj |v_j|^2   = sum_j r_jj q_jj,
-        |(B v, v)|           = |sum_{i<j} s_ij (b_ij - b_ji)|,
-
-    so m(m+1)/2 and m(m-1)/2 moment rows stand in for m^2 each.  The rows of
-    one time (``n_eps`` of them) are taken at a time into two buffers of
-    (rows, samples) allocated once.  The coefficient stacks are made
-    C-contiguous: fancy indexing leaves them column-major, a row block of
-    which is no BLAS operand, and numpy's own loop sums in another order, so
-    a time's bits would depend on the stack it sits in.
+    Returns, per row, the largest |(B v, v)| / (eps (Q v, v)) and the
+    smallest (Q v, v) / sum_j q_jj |v_j|^2 over the directions v with
+    (Q v, v) > 0 (-inf and +inf where there are none).  The directions come
+    as ``_draw_blocks`` yields them, and each block is read once for all rows.
     """
-    rows, m = q.shape[:2]
-    sampled_comm = np.full(rows, -np.inf)
-    sampled_nd = np.full(rows, np.inf)
-    count = re.shape[1]
-    if not count:
-        return sampled_comm, sampled_nd
-    iu, ju = np.triu_indices(m)
-    il, jl = np.triu_indices(m, 1)
-    on_diag = iu == ju
-    upper = q[:, iu, ju]
-    q_rows = np.where(on_diag, upper, upper + q[:, ju, iu]).reshape(-1, n_eps, iu.size)
-    d_rows = np.where(on_diag, upper, 0.0).reshape(-1, n_eps, iu.size)
-    # per time: the n_eps rows of (Q v, v), then those of sum_j q_jj |v_j|^2
-    qd_coef = np.ascontiguousarray(np.concatenate((q_rows, d_rows), axis=1))
-    b_coef = np.ascontiguousarray(b[:, il, jl] - b[:, jl, il]).reshape(-1, n_eps, il.size)
-    qd = np.empty((2 * n_eps, count))
-    c = np.empty((n_eps, count))
-    quad, diag_quad = qd[:n_eps], qd[n_eps:]
+    comm = np.full(len(q), -np.inf)
+    nd = np.full(len(q), np.inf)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for i in range(rows // n_eps):
-            blk = slice(i * n_eps, (i + 1) * n_eps)
-            np.matmul(qd_coef[i], re, out=qd)
-            np.matmul(b_coef[i], im, out=c)
-            c /= quad
-            np.abs(c, out=c)
-            nd_ratio = np.divide(quad, diag_quad, out=diag_quad)
-            if not quad.min() > 0:  # also when some (Q v, v) is NaN
-                bad = ~(quad > 0)
-                c[bad] = -np.inf
-                nd_ratio[bad] = np.inf
-            sampled_comm[blk] = c.max(axis=1)
-            sampled_nd[blk] = nd_ratio.min(axis=1)
-    sampled_comm /= eps_rows
-    return sampled_comm, sampled_nd
+        for _, x, y in blocks:
+            quad, num, diag_quad = _forms(q, b, x, y)
+            good = quad > 0  # also False where (Q v, v) is NaN
+            comm = np.maximum(comm, np.where(good, num / quad, -np.inf).max(axis=1))
+            nd = np.minimum(nd, np.where(good, quad / diag_quad, np.inf).min(axis=1))
+    return comm / eps, nd
 
+
+def audit_binding_rows(
+    qs: QuasiSymmetrizer,
+    a_matrix: np.ndarray,
+    certs: Sequence[SymmetrizerCertificate],
+    count: int,
+    seed: int,
+) -> tuple[float, float]:
+    """Sampled C_comm and c_nd of ``certs``, which ``verify_quasi_symmetrizer`` made of ``qs``.
+
+    Each is audited on the ``count`` directions of ``seed`` at the (time, eps)
+    row that sets its aggregate, the first in time then eps order.  A sampled
+    extremum can fall short of the exact one, never beyond it.
+    """
+    rows = [(i, eps) for i, cert in enumerate(certs) for eps in cert.eps_set]
+    comm_row = max(rows, key=lambda row: certs[row[0]].c_comm_by_eps[row[1]])
+    nd_row = min(rows, key=lambda row: certs[row[0]].c_nd_by_eps[row[1]])
+    binding = (comm_row, nd_row)
+    q = np.stack([qs.assemble([eps])[i, 0] for i, eps in binding])
+    a = np.asarray(a_matrix, dtype=float)[[i for i, _ in binding]]
+    b = q @ a - a.transpose(0, 2, 1) @ q
+    eps = np.array([eps for _, eps in binding])
+    comm, nd = _sampled_extremes(q, b, eps, _draw_blocks(qs.roots.shape[1], count, seed))
+    return float(comm[0]), float(nd[1])

@@ -323,7 +323,7 @@ def test_every_config_field_is_read():
 # public names that no package code reaches, each kept for a reason outside the package
 UNREACHED_BY_DESIGN = {
     "convolution_power",  # the ring forcing's test oracle, which perfbench/tracing.py rebinds
-    "sample_unit_vectors",  # the documented draw that the moment tests compare with
+    "sample_unit_vectors",  # the documented draw that the sampled-audit tests compare with
     "phi_weight",  # criterion 6 integrates it against rho_weight
     "energy_inequality_check",  # criterion 8, and ROADMAP item 3
     "fit_moment_radius",  # ROADMAP item 7
@@ -1381,16 +1381,19 @@ def test_cli_symmetrizer_matches_the_benchmark_reference(tmp_path):
     assert main(["symmetrizer", "--config", cfg, "--output", str(tmp_path / "out")]) == 0
     aggregate = json.loads((tmp_path / "out" / "certificate.json").read_text())["aggregate"]
     assert aggregate["pass"] is True
-    assert set(frozen["aggregate"]) == set(aggregate) - {"pass"}
+    reported = {"c_nd_eps_slope", "witness_gap", "sampled_C_comm", "sampled_c_nd"}
+    assert set(frozen["aggregate"]) == set(aggregate) - {"pass"} - reported
     for name, text in frozen["aggregate"].items():
         assert aggregate[name] == pytest.approx(float(text), rel=1e-9, abs=0.0), name
 
 
 def test_certificate_payload_memory(tmp_path):
-    # the audit reads the directions' moments block by block from the random
-    # stream and takes each time's forms into buffers allocated once: no
-    # (samples, m) direction array and no per-time (rows, samples) temporary
-    # (a repeat call peaked at 3.04 MB while they existed)
+    # the random directions are streamed block by block and audited only at
+    # the two rows that set the aggregate: no (samples, m) direction array and
+    # no (rows, samples) form table.  A repeat call peaks at 0.61 MB; the
+    # all-rows audit of the moments peaked at 1.84 MB, and at 3.04 MB with a
+    # direction array.  The bound keeps the 1.2 margin of the 2.2 MB bound
+    # that held the 1.84 MB peak.
     cfg = load_config(write_config(tmp_path, CERTIFY_M3_YAML))
     cli._certificate_payload(cfg)  # first call: imports and caches
     tracemalloc.start()
@@ -1400,7 +1403,7 @@ def test_certificate_payload_memory(tmp_path):
     finally:
         tracemalloc.stop()
     assert payload["aggregate"]["pass"] is True and len(payload["per_time"]) == 129
-    assert peak < 2.2e6, peak
+    assert peak < 7.3e5, peak
 
 
 def test_cli_symmetrizer_seed_moves_only_the_sampled_audit(tmp_path):
@@ -1415,10 +1418,7 @@ def test_cli_symmetrizer_seed_moves_only_the_sampled_audit(tmp_path):
     three, four = certs
     assert three.pop("config_sha256") != four.pop("config_sha256")  # the seed is part of the config
     sampled = ("sampled_C_comm", "sampled_c_nd")
-    moved = 0
-    for a, b in zip(three["per_time"], four["per_time"]):
-        moved += sum(a.pop(key) != b.pop(key) for key in sampled)
-    assert moved > 0
+    assert all(three["aggregate"].pop(key) != four["aggregate"].pop(key) for key in sampled)
     assert three == four and three["aggregate"]["pass"] is True
 
 

@@ -1,4 +1,4 @@
-"""Quasi-symmetrizer layers, certificate constants and the sampled audit.
+"""Quasi-symmetrizer layers, certificate constants, witnesses and the sampled audit.
 
 Closed forms used as oracles (order 2, roots lam1, lam2):
 
@@ -12,6 +12,7 @@ eps; the near-diagonality constant for the double root (1,1) is
 1 - 1/sqrt(1+eps^2) ~ eps^2/2, decaying below any eps-linear floor.
 """
 
+import dataclasses
 import itertools
 import math
 import random
@@ -24,9 +25,10 @@ from hypothesis import strategies as st
 
 from weakhyp import quasisym
 from weakhyp.quasisym import (
-    _sampled_audit,
+    _draw_blocks,
+    _sampled_extremes,
+    audit_binding_rows,
     build_quasi_symmetrizer,
-    sample_moments,
     sample_unit_vectors,
     verify_quasi_symmetrizer,
 )
@@ -165,15 +167,76 @@ def test_near_diagonality_negative_control():
 
 def test_sampled_audit_consistent_with_exact():
     rng = np.random.default_rng(23)
-    moments = sample_moments(3, 2000, 23)
     for _ in range(20):
-        roots = np.sort(rng.uniform(-2.0, 2.0, size=3))
-        coeffs = np.poly(roots)[1:]
-        qs = build_quasi_symmetrizer(roots[None])
-        (cert,) = verify_quasi_symmetrizer(qs, companion_stack(coeffs[None]), [1.0, 0.1], moments)
+        roots = np.sort(rng.uniform(-2.0, 2.0, size=(4, 3)), axis=1)
+        qs = build_quasi_symmetrizer(roots)
+        a = companion_stack(np.array([np.poly(r)[1:] for r in roots]))
+        certs = verify_quasi_symmetrizer(qs, a, [1.0, 0.1])
+        sampled_comm, sampled_nd = audit_binding_rows(qs, a, certs, 2000, 23)
         # random directions can only underestimate the extremal ratios
-        assert cert.sampled_c_comm <= cert.c_comm * (1.0 + 1e-9)
-        assert cert.sampled_c_nd >= cert.c_nd - 1e-9
+        assert sampled_comm <= max(c.c_comm for c in certs) * (1.0 + 1e-9)
+        assert sampled_nd >= min(c.c_nd for c in certs) - 1e-9
+
+
+def separated_and_double(eps_set):
+    """The certificates of roots (-1, 1) and (1, 1) over ``eps_set``."""
+    ((sep,), (double,)) = (
+        verify_quasi_symmetrizer(build_quasi_symmetrizer([roots]), companion_stack([coeffs]), eps_set)
+        for roots, coeffs in (([-1.0, 1.0], [0.0, -1.0]), ([1.0, 1.0], [-2.0, 1.0]))
+    )
+    return sep, double
+
+
+def test_witnesses_reproduce_the_closed_forms():
+    # roots (-1, 1): C_comm = eps sqrt(2) / sqrt(2 + 2 eps^2), c_nd = 1 (Q is diagonal);
+    # roots (1, 1): c_nd = 1 - 1/sqrt(1 + eps^2)
+    for eps in (1.0, 0.1, 0.01):
+        sep, double = separated_and_double([eps])
+        expected = eps * math.sqrt(2.0) / math.sqrt(2.0 + 2.0 * eps * eps)
+        assert sep.witness_c_comm == pytest.approx(expected, rel=1e-14)
+        assert sep.witness_c_nd == pytest.approx(1.0, rel=1e-15)
+        expected = 1.0 - 1.0 / math.sqrt(1.0 + eps * eps)
+        assert double.witness_c_nd == pytest.approx(expected, rel=1e-6, abs=1e-15)
+        assert double.witness_gap <= 1e-6
+
+
+def test_c_nd_eps_slope():
+    # the nonzero double root: c_nd ~ eps^2 / 2, so the exponent tends to 2;
+    # the separated roots: c_nd = 1 at every eps
+    sep, double = separated_and_double([1.0, 1e-3, 1e-4])
+    assert double.c_nd_eps_slope == pytest.approx(2.0, abs=1e-6)
+    assert sep.c_nd_eps_slope == 0.0
+    assert all(cert.c_nd_eps_slope is None for cert in separated_and_double([0.1]))
+    # where some c_nd is 0 (a diagonal entry of Q_eps is not positive) there is no exponent
+    assert dataclasses.replace(double, c_nd_by_eps={1.0: 0.5, 0.1: 0.0}).c_nd_eps_slope is None
+    # a zero diagonal entry of Q gives c_nd = 0: no exponent
+    zero = dataclasses.replace(double, c_nd_by_eps={1.0: 0.5, 0.1: 0.0})
+    assert zero.c_nd_eps_slope is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(clustered_roots(), st.lists(st.sampled_from([1.0, 0.3, 0.1, 0.01]), min_size=1, max_size=3, unique=True))
+def test_witnesses_and_binding_rows_against_the_exact_constants(roots, eps_set):
+    # rounding bounds, with u the unit roundoff and kappa = cond(Q_eps) over eps_set:
+    # the C_comm quotients are formed against Q, which loses up to m^2 u kappa
+    # relative; the c_nd quotients are those of D^(-1/2) Q D^(-1/2), whose
+    # entries lie in [-1, 1], and lose up to m^2 u absolute.  A margin of 4
+    # over the largest loss seen (0.92 and 0.33 of these, 2000 examples).
+    m = len(roots)
+    u = np.finfo(float).eps
+    qs = build_quasi_symmetrizer(np.array([roots]))
+    a = companion_stack(np.poly(roots)[1:][None])
+    (cert,) = verify_quasi_symmetrizer(qs, a, eps_set)
+    w = np.linalg.eigvalsh(qs.assemble(eps_set)[0])
+    kappa = np.max(np.where(w[:, 0] > 0, w[:, -1] / w[:, 0], np.inf))
+    comm_tol = 4 * m * m * u * kappa
+    nd_tol = 4 * m * m * u
+    assert abs(cert.witness_c_nd - cert.c_nd) <= nd_tol
+    if kappa <= 1e8:  # well-conditioned Q_eps
+        assert abs(cert.witness_c_comm - cert.c_comm) <= comm_tol * cert.c_comm
+    sampled_comm, sampled_nd = audit_binding_rows(qs, a, [cert], 500, m)
+    assert sampled_comm <= cert.c_comm * (1.0 + comm_tol)
+    assert sampled_nd >= cert.c_nd - nd_tol
 
 
 def test_certificate_to_dict_keys():
@@ -182,8 +245,8 @@ def test_certificate_to_dict_keys():
     d = cert.to_dict()
     assert set(d) == {
         "eps_set", "C_lower", "C_upper", "C_comm", "C_comm_by_eps", "c_nd",
-        "c_nd_by_eps", "sampled_C_comm", "sampled_c_nd", "diam_ratio",
-        "samples", "nd_floor", "pass",
+        "c_nd_by_eps", "witness_C_comm", "witness_c_nd", "diam_ratio",
+        "nd_floor", "pass",
     }
     assert d["pass"]["all"] is True
 
@@ -196,26 +259,6 @@ def test_verify_rejects_mismatched_dimensions():
         verify_quasi_symmetrizer(qs, companion_stack([[0.0, -1.0]])[0], [1.0])
     with pytest.raises(ValueError):
         verify_quasi_symmetrizer(qs, companion_stack([[0.0, -1.0]]), [0.0])
-
-
-@pytest.mark.parametrize(
-    "shapes",
-    [((3, 5), (1, 4)), ((6, 5), (3, 5)), ((3, 5), (2, 5)), ((3,), (1,)), ((5, 3), (5, 1))],
-)
-def test_verify_rejects_moment_rows_of_the_wrong_shape(shapes):
-    # order 2: three real rows and one imaginary row, one column per direction
-    qs = build_quasi_symmetrizer([[-1.0, 1.0]])
-    re, im = (np.zeros(shape) for shape in shapes)
-    with pytest.raises(ValueError, match=r"must have shapes \(3, n\) and \(1, n\), got "):
-        verify_quasi_symmetrizer(qs, companion_stack([[0.0, -1.0]]), [1.0], (re, im))
-
-
-@pytest.mark.parametrize("moments", [None, sample_moments(2, 0, 1)])
-def test_verify_without_directions(moments):
-    qs = build_quasi_symmetrizer([[-1.0, 1.0]])
-    (cert,) = verify_quasi_symmetrizer(qs, companion_stack([[0.0, -1.0]]), [1.0, 0.1], moments)
-    assert cert.samples == 0 and cert.sampled_c_comm == 0.0 and math.isnan(cert.sampled_c_nd)
-    assert cert.passed
 
 
 def test_table_routines_refuse_one_row():
@@ -249,18 +292,15 @@ def reference_layers(roots):
     return layers
 
 
-def reference_certificate(layers, a, eps_set, samples):
+def reference_certificate(layers, a, eps_set):
     """Certificate constants of one time, one eps after the other.
 
-    Also bounds how far the sampled ratios may move when (Q v, v) and
-    (B v, v) are summed in another order: each sum of m^2 terms then
-    changes by at most gamma times the same sum over absolute values.
+    The witness quotients are formed from each witness v as the complex forms
+    v^H B v and v^H Q v; ``kappa`` is the largest condition number of Q_eps.
     """
     m = a.shape[0]
-    out = {"c_lower": 0.0, "c_upper": 0.0, "comm": {}, "nd": {}, "s_comm": 0.0, "s_nd": math.inf}
-    gamma = 2 * (m * m + 3) * np.finfo(float).eps
-    av = np.abs(samples)
-    out["s_comm_tol"] = out["s_nd_tol"] = 0.0
+    out = {"c_lower": 0.0, "c_upper": 0.0, "comm": {}, "nd": {}, "w_comm": -math.inf, "w_nd": math.inf}
+    out["kappa"] = 1.0
     for eps in eps_set:
         q = np.zeros((m, m))
         for r, layer in enumerate(layers):
@@ -268,22 +308,28 @@ def reference_certificate(layers, a, eps_set, samples):
         w, u = np.linalg.eigh(q)
         out["c_upper"] = max(out["c_upper"], float(w[-1]))
         out["c_lower"] = max(out["c_lower"], eps ** (2 * (m - 1)) / w[0] if w[0] > 0 else math.inf)
+        out["kappa"] = max(out["kappa"], w[-1] / w[0] if w[0] > 0 else math.inf)
         b = q @ a - a.T @ q
         inv_sqrt = u @ np.diag(w**-0.5) @ u.T
-        out["comm"][eps] = float(np.abs(np.linalg.eigvalsh(inv_sqrt @ (1j * b) @ inv_sqrt)).max()) / eps
+        pencil = inv_sqrt @ (1j * b) @ inv_sqrt
+        out["comm"][eps] = float(np.abs(np.linalg.eigvalsh(pencil)).max()) / eps
+        gen_eigs, g = np.linalg.eigh(pencil)
+        v = inv_sqrt @ g[:, np.abs(gen_eigs).argmax()]
+        w_comm = abs(v.conj() @ b @ v) / (eps * (v.conj() @ q @ v).real)
+        out["w_comm"] = max(out["w_comm"], float(w_comm))
         d = np.diag(q)
-        out["nd"][eps] = float(np.linalg.eigvalsh(q / np.sqrt(np.outer(d, d)))[0])
-        quad = np.einsum("ij,ij->i", samples.conj(), samples @ q.T).real
-        comm_num = np.abs(np.einsum("ij,ij->i", samples.conj(), samples @ b.T))
-        out["s_comm"] = max(out["s_comm"], float((comm_num / (eps * quad)).max()))
-        diag_quad = (np.abs(samples) ** 2 * d).sum(axis=1)
-        out["s_nd"] = min(out["s_nd"], float((quad / diag_quad).min()))
-        q_abs = np.einsum("si,ij,sj->s", av, np.abs(q), av)
-        b_abs = np.einsum("si,ij,sj->s", av, np.abs(b), av)
-        comm_tol = gamma * (b_abs + comm_num / quad * q_abs) / (eps * quad)
-        out["s_comm_tol"] = max(out["s_comm_tol"], float(comm_tol.max()))
-        out["s_nd_tol"] = max(out["s_nd_tol"], float((gamma * (q_abs + quad) / diag_quad).max()))
+        norm = q / np.sqrt(np.outer(d, d))
+        out["nd"][eps] = float(np.linalg.eigvalsh(norm)[0])
+        x = np.linalg.eigh(norm)[1][:, 0] / np.sqrt(d)
+        out["w_nd"] = min(out["w_nd"], float(x @ q @ x / (d @ (x * x))))
     return out
+
+
+def assert_witnesses_match(cert, ref, m):
+    # the rounding bounds of test_witnesses_and_binding_rows_against_the_exact_constants
+    u = np.finfo(float).eps
+    assert abs(cert.witness_c_comm - ref["w_comm"]) <= 8 * m * m * u * ref["kappa"] * ref["w_comm"]
+    assert abs(cert.witness_c_nd - ref["w_nd"]) <= 8 * m * m * u
 
 
 @pytest.mark.parametrize("eps_set", [(1.0, 0.1, 0.01), (0.05,)])
@@ -294,24 +340,21 @@ def test_batched_certificate_matches_per_time_algorithm(m, eps_set):
     roots[::3, 0] = 0.0  # a zero root in every third set
     roots[1::4, :2] = 0.0  # a double zero root
     table = np.array([np.poly(r)[1:] for r in roots])
-    samples = sample_unit_vectors(m, 300, 40 + m)
-    moments = sample_moments(m, 300, 40 + m)
     qs = build_quasi_symmetrizer(roots)
-    certs = verify_quasi_symmetrizer(qs, companion_stack(table), eps_set, moments)
+    certs = verify_quasi_symmetrizer(qs, companion_stack(table), eps_set)
     assert len(certs) == roots.shape[0]
     for i, cert in enumerate(certs):
         layers = reference_layers(roots[i])
         for got, want in zip(qs.layers, layers):
             assert np.array_equal(got[i], want)
-        ref = reference_certificate(layers, companion_stack(table)[i], eps_set, samples)
+        ref = reference_certificate(layers, companion_stack(table)[i], eps_set)
         assert (cert.c_lower, cert.c_upper) == (ref["c_lower"], ref["c_upper"])
         assert cert.c_comm_by_eps == ref["comm"] and cert.c_comm == max(ref["comm"].values())
         assert cert.c_nd_by_eps == ref["nd"] and cert.c_nd == min(ref["nd"].values())
-        assert abs(cert.sampled_c_comm - ref["s_comm"]) <= ref["s_comm_tol"]
-        assert abs(cert.sampled_c_nd - ref["s_nd"]) <= ref["s_nd_tol"]
+        assert_witnesses_match(cert, ref, m)
         # one time's bits do not depend on the stack it sits in
         single = verify_quasi_symmetrizer(
-            build_quasi_symmetrizer(roots[i : i + 1]), companion_stack(table[i : i + 1]), eps_set, moments
+            build_quasi_symmetrizer(roots[i : i + 1]), companion_stack(table[i : i + 1]), eps_set
         )
         assert single == [cert]
 
@@ -322,31 +365,41 @@ def test_batched_certificate_on_roots_minus_t_zero_t():
     roots = np.stack([-t, 0.0 * t, t], axis=1)
     table = np.stack([0.0 * t, -t * t, 0.0 * t], axis=1)
     eps_set = (1.0, 0.1, 0.01)
-    samples = sample_unit_vectors(3, 10000, 7)
-    certs = verify_quasi_symmetrizer(
-        build_quasi_symmetrizer(roots), companion_stack(table), eps_set, sample_moments(3, 10000, 7)
-    )
-    for i, cert in enumerate(certs):
-        ref = reference_certificate(
-            reference_layers(roots[i]), companion_stack(table)[i], eps_set, samples
-        )
+    qs = build_quasi_symmetrizer(roots)
+    a = companion_stack(table)
+    certs = verify_quasi_symmetrizer(qs, a, eps_set)
+    refs = [reference_certificate(reference_layers(roots[i]), a[i], eps_set) for i in range(len(t))]
+    for cert, ref in zip(certs, refs):
         assert (cert.c_lower, cert.c_upper) == (ref["c_lower"], ref["c_upper"])
         assert cert.c_comm_by_eps == ref["comm"] and cert.c_nd_by_eps == ref["nd"]
-        assert cert.sampled_c_comm == pytest.approx(ref["s_comm"], rel=1e-15, abs=0.0)
-        assert cert.sampled_c_nd == pytest.approx(ref["s_nd"], rel=1e-15, abs=0.0)
+        assert_witnesses_match(cert, ref, 3)
+    # the sampled audit runs at the first row of the largest C_comm and of the smallest c_nd
+    rows = [(i, eps) for i in range(len(t)) for eps in eps_set]
+    binding = [
+        max(rows, key=lambda row: refs[row[0]]["comm"][row[1]]),
+        min(rows, key=lambda row: refs[row[0]]["nd"][row[1]]),
+    ]
+    q = np.stack(
+        [sum(eps ** (2 * r) * layer for r, layer in enumerate(reference_layers(roots[i]))) for i, eps in binding]
+    )
+    a_rows = a[[i for i, _ in binding]]
+    b = q @ a_rows - a_rows.transpose(0, 2, 1) @ q
+    ref = plain_audit(sample_unit_vectors(3, 10000, 7), q, b, np.array([eps for _, eps in binding]))
+    sampled_comm, sampled_nd = audit_binding_rows(qs, a, certs, 10000, 7)
+    assert abs(sampled_comm - ref["comm"][0]) <= ref["comm_tol"][0]
+    assert abs(sampled_nd - ref["nd"][1]) <= ref["nd_tol"][1]
+    assert sampled_comm < max(c.c_comm for c in certs) and sampled_nd > min(c.c_nd for c in certs)
 
 
 # -- the sampled audit against a plain per-sample reference ---------------------
 
 
-def moments_of(samples):
-    """The moment rows conj(v_i) v_j of directions ``samples`` (rows of
-    length m): real parts over i <= j, imaginary parts over i < j."""
-    m = samples.shape[1]
-    iu, ju = np.triu_indices(m)
-    il, jl = np.triu_indices(m, 1)
-    x, y = samples.real.T, samples.imag.T
-    return x[iu] * x[ju] + y[iu] * y[ju], x[il] * y[jl] - y[il] * x[jl]
+def blocks_of(samples, rows):
+    """Directions ``samples`` as ``_draw_blocks`` yields them, ``rows`` at a time."""
+    return [
+        (start, samples[start : start + rows].real, samples[start : start + rows].imag)
+        for start in range(0, len(samples), rows)
+    ]
 
 
 def plain_audit(samples, q, b, eps_rows):
@@ -416,8 +469,8 @@ def test_sampled_audit_against_plain_reference(m):
     assert ref["margin"] > 1e3  # no form sits within rounding of 0
     for row in (1, 2):  # some samples masked, some not
         assert (ref["quad"][row] <= 0).any() and (ref["quad"][row] > 0).any()
-    for n_eps in (1, 2, 3, 6):
-        comm, nd = _sampled_audit(*moments_of(samples), q, b, eps_rows, n_eps)
+    for rows in (1, 7, 64, 400):
+        comm, nd = _sampled_extremes(q, b, eps_rows, blocks_of(samples, rows))
         assert np.all(np.abs(comm[:3] - ref["comm"][:3]) <= ref["comm_tol"][:3])
         assert np.all(np.abs(nd[:3] - ref["nd"][:3]) <= ref["nd_tol"][:3])
         assert np.isfinite(comm[:3]).all() and np.isfinite(nd[:3]).all()
@@ -429,24 +482,23 @@ def test_sampled_audit_against_plain_reference(m):
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_sampled_audit_without_samples(m):
     q, b = audit_stack(m, np.random.default_rng(m))
-    comm, nd = _sampled_audit(*sample_moments(m, 0, 1), q, b, np.ones(6), 3)
+    comm, nd = _sampled_extremes(q, b, np.ones(6), _draw_blocks(m, 0, 1))
     assert (comm == -np.inf).all() and (nd == np.inf).all()
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 def test_sampled_audit_masking_leaves_positive_rows_alone(m):
-    # positive rows once paired with masked rows (the block is masked) and
-    # once with positive rows (no masking): both give the same bits
+    # positive rows once stacked with masked rows and once with positive rows
+    # give the same bits
     rng = np.random.default_rng(90 + m)
-    moments = sample_moments(m, 500, 90 + m)
     q, b = audit_stack(m, rng)
     positive = [q[0], 2.0 * q[0], q[0] + np.eye(m)]
     masked = np.stack([positive[0], q[3], positive[1], q[4], positive[2], 0.0 * q[1]])
     paired = np.stack([positive[0], positive[0], positive[1], positive[1], positive[2], positive[2]])
     bb = b[[0, 1, 2, 0, 1, 2]]
     eps_rows = np.full(6, 0.1)
-    comm_m, nd_m = _sampled_audit(*moments, masked, bb, eps_rows, 2)
-    comm_f, nd_f = _sampled_audit(*moments, paired, bb, eps_rows, 2)
+    comm_m, nd_m = _sampled_extremes(masked, bb, eps_rows, _draw_blocks(m, 500, 90 + m))
+    comm_f, nd_f = _sampled_extremes(paired, bb, eps_rows, _draw_blocks(m, 500, 90 + m))
     assert np.array_equal(comm_m[::2], comm_f[::2]) and np.array_equal(nd_m[::2], nd_f[::2])
     assert (comm_m[1::2] == -np.inf).all() and (nd_m[1::2] == np.inf).all()
 
@@ -529,25 +581,3 @@ def test_sample_unit_vectors_drawn_in_blocks_equal_one_draw(monkeypatch, rows):
     whole = sample_unit_vectors(3, count, 13)
     monkeypatch.setattr(quasisym, "_DRAW_ROWS", rows)
     assert np.array_equal(sample_unit_vectors(3, count, 13).view(float), whole.view(float))
-
-
-# -- the moments of the sample directions ---------------------------------------
-
-
-@pytest.mark.parametrize("count", [0, 1, 7, 1023, 1024, 1025, 10000])
-@pytest.mark.parametrize("m", [2, 3, 4, 5])
-def test_sample_moments_are_those_of_the_sample_directions(m, count):
-    re, im = sample_moments(m, count, 31 + m)
-    want_re, want_im = moments_of(sample_unit_vectors(m, count, 31 + m))
-    assert re.shape == want_re.shape and im.shape == want_im.shape
-    assert np.array_equal(re, want_re) and np.array_equal(im, want_im)
-
-
-@pytest.mark.parametrize("rows", [1, 7, 1024, 4096])
-def test_sample_moments_do_not_depend_on_the_draw_block(monkeypatch, rows):
-    count = 9000  # not a multiple of any block size above
-    monkeypatch.setattr(quasisym, "_DRAW_ROWS", count)
-    whole = sample_moments(4, count, 17)
-    monkeypatch.setattr(quasisym, "_DRAW_ROWS", rows)
-    for got, want in zip(sample_moments(4, count, 17), whole):
-        assert np.array_equal(got, want)
