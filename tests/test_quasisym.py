@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from weakhyp import quasisym
 from weakhyp.quasisym import (
     _draw_blocks,
+    _forms,
     _sampled_extremes,
     audit_binding_rows,
     build_quasi_symmetrizer,
@@ -581,3 +582,68 @@ def test_sample_unit_vectors_drawn_in_blocks_equal_one_draw(monkeypatch, rows):
     whole = sample_unit_vectors(3, count, 13)
     monkeypatch.setattr(quasisym, "_DRAW_ROWS", rows)
     assert np.array_equal(sample_unit_vectors(3, count, 13).view(float), whole.view(float))
+
+
+# -- the moments of the sample directions ---------------------------------------
+#
+# The audit reads each direction v only through its moments (Q v, v),
+# |(B v, v)| and sum_j q_jj |v_j|^2, formed in reals on each block of the
+# stream.
+
+
+def streamed_moments(q, b, m, count, seed):
+    """The directions of ``_draw_blocks`` and the audit's moments at them, blocks joined.
+
+    Returns x and y, shape (count, m), and the three moments, shape (3, rows of q, count).
+    """
+    x, y, moments = [np.empty((0, m))], [np.empty((0, m))], [np.empty((3, len(q), 0))]
+    for _, bx, by in _draw_blocks(m, count, seed):
+        x.append(bx)
+        y.append(by)
+        moments.append(np.stack(_forms(q, b, bx, by)))
+    return np.concatenate(x), np.concatenate(y), np.concatenate(moments, axis=-1)
+
+
+def moments_of(samples, q, b):
+    """The three moments of directions ``samples`` in complex arithmetic, and
+    the rounding bound of either way of forming them, gamma times the same
+    sum over absolute values (the gamma of ``plain_audit``)."""
+    m = q.shape[1]
+    gamma = 2 * (m * m + 3) * np.finfo(float).eps
+    av = np.abs(samples)
+    moments = np.stack([
+        np.einsum("si,rij,sj->rs", samples.conj(), q, samples).real,
+        np.abs(np.einsum("si,rij,sj->rs", samples.conj(), b, samples)),
+        np.einsum("rj,sj->rs", np.diagonal(q, axis1=1, axis2=2), av * av),
+    ])
+    q_abs = np.einsum("si,rij,sj->rs", av, np.abs(q), av)
+    b_abs = np.einsum("si,rij,sj->rs", av, np.abs(b), av)
+    return moments, gamma * np.stack([q_abs, b_abs, q_abs])
+
+
+@pytest.mark.parametrize("count", [0, 1, 7, 1023, 1024, 1025, 10000])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_sample_moments_are_those_of_the_sample_directions(m, count):
+    # positive definite, singular and indefinite q, each with its own b
+    q, b = (stack[:3] for stack in audit_stack(m, np.random.default_rng(31 + m)))
+    x, y, got = streamed_moments(q, b, m, count, 31 + m)
+    samples = sample_unit_vectors(m, count, 31 + m)
+    assert x.shape == y.shape == (count, m) and got.shape == (3, 3, count)
+    assert np.array_equal(x, samples.real) and np.array_equal(y, samples.imag)
+    want, tol = moments_of(samples, q, b)
+    assert np.all(np.abs(got - want) <= tol)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1024, 4096])
+def test_sample_moments_do_not_depend_on_the_draw_block(monkeypatch, rows):
+    # the directions keep their bits; the moments may round differently, since
+    # a block of one row takes another matmul path
+    count = 9000  # not a multiple of any block size above
+    q, b = (stack[:3] for stack in audit_stack(4, np.random.default_rng(17)))
+    monkeypatch.setattr(quasisym, "_DRAW_ROWS", count)
+    whole_x, whole_y, whole = streamed_moments(q, b, 4, count, 17)
+    monkeypatch.setattr(quasisym, "_DRAW_ROWS", rows)
+    x, y, got = streamed_moments(q, b, 4, count, 17)
+    assert np.array_equal(x, whole_x) and np.array_equal(y, whole_y)
+    _, tol = moments_of(x + 1j * y, q, b)
+    assert np.all(np.abs(got - whole) <= tol)
