@@ -8,11 +8,18 @@ the extremal vectors and a random-direction audit of the two rows that set
 its aggregate).
 
 Exit codes: 0 success/pass, 1 failed verdict or module error, 2 blow-up
-abort, 3 stability abort.  Each command returns its exit code and its files,
-or raises; ``dispatch`` alone writes them, with ``run_meta.json`` added.
-Every emitted file carries the canonical config hash; CSV numbers use 17
-significant digits so outputs diff bitwise.  The run is real, so row -k of
-spectrum.csv is written as the exact conjugate of row k.
+abort, 3 stability abort.  Each command takes the config and the run's
+spectrum sink and returns its exit code and its files, or raises;
+``dispatch`` alone writes them, with ``run_meta.json`` added.  Every emitted
+file carries the canonical config hash; CSV numbers use 17 significant
+digits so outputs diff bitwise.  The run is real, so row -k of spectrum.csv
+is written as the exact conjugate of row k.
+
+spectrum.csv is formatted while the RK4 loop runs: ``simulate`` hands each
+recorded snapshot to the sink, which on POSIX forks one child at the first
+snapshot and streams it the raw chains over a pipe.  The child formats them
+as they arrive and sends the text back once the run ends.  Where there is no
+``os.fork`` the sink formats inline, as the file is written.
 """
 
 from __future__ import annotations
@@ -123,7 +130,7 @@ def _write_files(out_dir: str, files: dict, sha: str) -> None:
 
     The output directory is created here, so a run that writes nothing
     leaves nothing behind.  A dict is a JSON payload; anything else is a CSV
-    ``(header, lines)`` pair.
+    ``(header, chunks)`` pair, whose text chunks are written as they are.
     """
     os.makedirs(out_dir, exist_ok=True)
     for name, content in files.items():
@@ -131,11 +138,9 @@ def _write_files(out_dir: str, files: dict, sha: str) -> None:
             if isinstance(content, dict):
                 handle.write(_json_text({**content, "config_sha256": sha}) + "\n")
                 continue
-            header, lines = content
+            header, chunks = content
             handle.write(f"# config_sha256={sha}\n" + ",".join(header) + "\n")
-            for line in lines:
-                handle.write(line)
-                handle.write("\n")
+            handle.writelines(chunks)
 
 
 def _error_json(exc: Exception) -> str:
@@ -146,29 +151,168 @@ def _error_json(exc: Exception) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _spectrum_file(traj: Trajectory) -> tuple[list[str], Any]:
-    """spectrum.csv, modes -K..K, one snapshot at a time from the trajectory's modes 0..K.
+def _spectrum_header(m: int) -> list[str]:
+    return ["t", "k"] + [f"{part}_V{c}" for c in range(m) for part in ("re", "im")]
 
-    The run is real, so row -k is conj(V_k).  Rows 0..K are formatted by one
-    %.17g template in which a ';' marks the mode number and every imaginary
-    cell; rows -K..-1 are that text reversed with every marked sign toggled.
-    %.17g writes -x as '-' and the text of x, except for a NaN, whose sign it
-    drops, so the bytes are those of formatting conj(V_k) cell by cell.
+
+def _spectrum_rows(K: int, m: int) -> str:
+    """The %.17g template of rows 0..K, with '@' for the time and ';' marking the signs to toggle."""
+    row = ",".join(["%.17g;%.17g"] * m)
+    return "\n".join([f"@;{k}," + row for k in range(K + 1)])
+
+
+def _spectrum_block(t: float, chain: np.ndarray, rows: str) -> str:
+    """spectrum.csv's rows -K..K at time t, from the (K+1, m) chain of modes 0..K: the one formatter.
+
+    The run is real, so row -k is conj(V_k).  Rows 0..K are formatted by the
+    template ``rows``, in which a ';' marks the mode number and every
+    imaginary cell; rows -K..-1 are that text reversed with every marked
+    sign toggled.  %.17g writes -x as '-' and the text of x, except for a
+    NaN, whose sign it drops, so the bytes are those of formatting conj(V_k)
+    cell by cell.
     """
-    header = ["t", "k"] + [f"{part}_V{c}" for c in range(traj.order) for part in ("re", "im")]
-    row = ",".join(["%.17g;%.17g"] * traj.order)
-    # '@' stands for the snapshot time, which no formatted number contains
-    half = "\n".join([f"@;{k}," + row for k in range(traj.K + 1)])
+    text = rows % tuple(companion_vectors(chain).view(float).ravel().tolist())
+    lower = text.replace(";", ";-").replace(";--", ";").replace(";-nan", ";nan")
+    block = "\n".join(lower.split("\n")[:0:-1]) + "\n" + text + "\n"
+    return block.replace(";", ",").replace("@", "%.17g" % t)
 
-    def blocks():
-        for t, chain in zip(traj.times.tolist(), traj.chains):
-            stamp = "%.17g" % t
-            text = half % tuple(companion_vectors(chain).view(float).ravel().tolist())
-            lower = text.replace(";", ";-").replace(";--", ";").replace(";-nan", ";nan")
-            yield "\n".join(lower.split("\n")[:0:-1]).replace(";", ",").replace("@", stamp)
-            yield text.replace(";", ",").replace("@", stamp)
 
-    return header, blocks()
+def _spectrum_csv(K: int, m: int, snapshots) -> tuple[list[str], Any]:
+    """spectrum.csv of the (t, chain) snapshots, each formatted as the file is written."""
+    rows = _spectrum_rows(K, m)
+    return _spectrum_header(m), (_spectrum_block(t, chain, rows) for t, chain in snapshots)
+
+
+_PIPE_CHUNK = 1 << 16  # the text is read back and written in pieces of at most this many bytes
+
+
+def _spectrum_child(source: int, sink: int, K: int, m: int):
+    """The formatter process: never returns, and writes nothing but its result to ``sink``.
+
+    It reads snapshots from ``source`` (the time as a float64, then the raw
+    chain) and formats each as it arrives.  At EOF it writes an 8-byte
+    signed length and the text, or the one's complement of the length and
+    the error's text if formatting failed.
+    """
+    status = 1
+    try:
+        size = 8 + (K + 1) * m * 16
+        rows = _spectrum_rows(K, m)
+        try:
+            blocks = []
+            with open(source, "rb") as snapshots:
+                while record := snapshots.read(size):
+                    t = float(np.frombuffer(record, float, 1)[0])
+                    chain = np.frombuffer(record, complex, offset=8).reshape(K + 1, m)
+                    blocks.append(_spectrum_block(t, chain, rows).encode("ascii"))
+            head = sum(map(len, blocks))
+        except Exception as exc:  # raised again in the parent
+            blocks = [f"{type(exc).__name__}: {exc}".encode("utf-8", "replace")]
+            head = ~len(blocks[0])
+        with open(sink, "wb") as out:
+            out.write(head.to_bytes(8, "little", signed=True))
+            out.writelines(blocks)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+class _SpectrumSink:
+    """spectrum.csv of a run, fed by ``simulate``'s snapshot hook; a context manager that reaps.
+
+    Where ``os.fork`` exists, the first snapshot forks one child that formats
+    each snapshot as it arrives (``_spectrum_child``), while the RK4 loop
+    runs on.  ``csv`` reads the child's length header, so a failed child
+    raises before any output file is opened, and the text is then read back
+    in pieces as the file is written.  ``close`` reaps the child, so the
+    exiting child's teardown overlaps the writing of the other files.
+    Without ``os.fork`` the snapshots are kept and formatted inline as the
+    file is written.  Either way each snapshot goes through
+    ``_spectrum_block``, so the bytes are the same.
+    """
+
+    def __init__(self) -> None:
+        self.shape: tuple[int, ...] | None = None
+        self.snapshots: list[tuple[float, np.ndarray]] = []  # the inline transport's
+        self.pid: int | None = None
+        self.feed: int | None = None  # write end of the snapshot pipe
+        self.result = None  # read end of the text pipe
+
+    def __enter__(self) -> "_SpectrumSink":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _fork(self, K: int, m: int) -> None:
+        source, feed = os.pipe()
+        result, sink = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (source, feed, result, sink):
+                os.close(fd)
+            raise
+        if pid == 0:
+            os.close(feed)
+            os.close(result)
+            _spectrum_child(source, sink, K, m)
+        os.close(source)
+        os.close(sink)
+        self.pid, self.feed, self.result = pid, feed, open(result, "rb")
+
+    def add(self, t: float, chain: np.ndarray) -> None:
+        """Take one recorded snapshot; the first one forks the child, where there is a fork."""
+        if self.shape is None:
+            self.shape = chain.shape
+            if hasattr(os, "fork"):
+                self._fork(chain.shape[0] - 1, chain.shape[1])
+        if self.pid is None:
+            self.snapshots.append((t, chain))
+        elif self.feed is not None:
+            record = memoryview(np.float64(t).tobytes() + chain.tobytes())
+            try:
+                while record:
+                    record = record[os.write(self.feed, record) :]
+            except BrokenPipeError:  # the child has stopped; ``csv`` raises its error
+                os.close(self.feed)
+                self.feed = None
+
+    def csv(self) -> tuple[list[str], Any]:
+        """The CSV ``(header, chunks)`` of every snapshot taken; raises if the child failed."""
+        K, m = self.shape[0] - 1, self.shape[1]
+        if self.pid is None:
+            return _spectrum_csv(K, m, self.snapshots)
+        if self.feed is not None:
+            os.close(self.feed)
+            self.feed = None
+        head = self.result.read(8)
+        if len(head) < 8:
+            raise RuntimeError("spectrum.csv formatter ended without a result")
+        size = int.from_bytes(head, "little", signed=True)
+        if size < 0:
+            message = self.result.read(~size).decode("utf-8", "replace")
+            raise RuntimeError(f"spectrum.csv formatter failed: {message}")
+        return _spectrum_header(m), self._text(size)
+
+    def _text(self, size: int):
+        while size:
+            chunk = self.result.read(min(size, _PIPE_CHUNK))
+            if not chunk:
+                raise RuntimeError("spectrum.csv formatter output ended early")
+            size -= len(chunk)
+            yield chunk.decode("ascii")
+
+    def close(self) -> None:
+        """Reap the child, if one was forked; text not yet read is dropped."""
+        if self.pid is None:
+            return
+        self.result.close()
+        if self.feed is not None:
+            os.close(self.feed)
+            self.feed = None
+        os.waitpid(self.pid, 0)
+        self.pid = None
 
 
 def _energies_csv(ledger) -> tuple[list[str], list[str]]:
@@ -185,7 +329,7 @@ def _energies_csv(ledger) -> tuple[list[str], list[str]]:
             ledger.master.per_time,
         ]
     )
-    row = ",".join(["%.17g"] * len(header))
+    row = ",".join(["%.17g"] * len(header)) + "\n"
     return header, [row % tuple(cells) for cells in table.tolist()]
 
 
@@ -198,7 +342,7 @@ def _radius_csv(cfg: RunConfig, times, fits) -> tuple[list[str], list[str]]:
         else (t, fit.r_hat, fit.residual, fit.band_lo, fit.band_hi, fit.s)
         for t, fit in zip(times.tolist(), fits)
     ]
-    return header, ["%.17g,%.17g,%.17g,%d,%d,%.17g" % row for row in rows]
+    return header, ["%.17g,%.17g,%.17g,%d,%d,%.17g\n" % row for row in rows]
 
 
 def _certificate_payload(cfg: RunConfig) -> dict:
@@ -239,11 +383,15 @@ class _GuardAbort(Exception):
         self.code, self.error, self.files = code, error, files
 
 
-def _simulate(cfg: RunConfig, calibrate: bool = False) -> Trajectory:
+def _simulate(
+    cfg: RunConfig, calibrate: bool = False, *, spectrum: _SpectrumSink | None = None
+) -> Trajectory:
     """Integrate the problem; a stability veto or a blow-up of the run raises _GuardAbort.
 
-    A blow-up of the linear calibration member alone is not an abort of the
-    run: it propagates as an error (exit 1).
+    Each snapshot is fed to ``spectrum``, whose text is the spectrum.csv of
+    the run, or of a blow-up's partial record.  A blow-up of the linear
+    calibration member alone is not an abort of the run: it propagates as an
+    error (exit 1).
     """
     try:
         return simulate(
@@ -253,6 +401,7 @@ def _simulate(cfg: RunConfig, calibrate: bool = False) -> Trajectory:
             snapshot_interval=cfg.snapshot_interval,
             blowup_ceiling=cfg.blowup_ceiling,
             calibrate=calibrate,
+            on_snapshot=None if spectrum is None else spectrum.add,
         )
     except StabilityError as exc:
         report = {"completed": False, "abort_reason": "stability", "message": str(exc)}
@@ -261,7 +410,7 @@ def _simulate(cfg: RunConfig, calibrate: bool = False) -> Trajectory:
         if exc.member != 0:
             raise
         partial = exc.trajectory
-        files: dict = {"spectrum.csv": _spectrum_file(partial)} if len(partial) else {}
+        files: dict = {"spectrum.csv": spectrum.csv()} if spectrum is not None and len(partial) else {}
         files["report.json"] = {
             "completed": False,
             "abort_reason": partial.abort_reason,
@@ -282,7 +431,7 @@ def _integration_facts(cfg: RunConfig, traj: Trajectory) -> dict:
     }
 
 
-def _cmd_check(cfg: RunConfig) -> tuple[int, dict]:
+def _cmd_check(cfg: RunConfig, spectrum: _SpectrumSink) -> tuple[int, dict]:
     problem = cfg.problem()
     grid = np.linspace(0.0, cfg.horizon, cfg.check_grid)
     diam = check_diam(problem, grid)
@@ -307,8 +456,8 @@ def _cmd_check(cfg: RunConfig) -> tuple[int, dict]:
     return (0 if diam.satisfied else 1), {"report.json": payload}
 
 
-def _cmd_simulate(cfg: RunConfig) -> tuple[int, dict]:
-    traj = _simulate(cfg)
+def _cmd_simulate(cfg: RunConfig, spectrum: _SpectrumSink) -> tuple[int, dict]:
+    traj = _simulate(cfg, spectrum=spectrum)
     payload = {
         "command": "simulate",
         "completed": True,
@@ -318,14 +467,14 @@ def _cmd_simulate(cfg: RunConfig) -> tuple[int, dict]:
         "final_sup_v": float(traj.v_norms()[-1].max()),
         "integration": _integration_facts(cfg, traj),
     }
-    return 0, {"spectrum.csv": _spectrum_file(traj), "report.json": payload}
+    return 0, {"spectrum.csv": spectrum.csv(), "report.json": payload}
 
 
-def _cmd_analyze(cfg: RunConfig) -> tuple[int, dict]:
+def _cmd_analyze(cfg: RunConfig, spectrum: _SpectrumSink) -> tuple[int, dict]:
     """Simulate, then ledger and fits; the one place that resolves C0, N and the scan target C."""
     problem = cfg.problem()
     calibrate = cfg.n_override is None and cfg.nonlinearity >= 1
-    traj = _simulate(cfg, calibrate=calibrate)
+    traj = _simulate(cfg, calibrate=calibrate, spectrum=spectrum)
     c_target = cfg.c_override if cfg.c_override is not None else DEFAULT_C_TARGET
     c0 = cfg.c0_override if cfg.c0_override is not None else default_c0(problem)
     n_exponent = cfg.n_override
@@ -365,7 +514,7 @@ def _cmd_analyze(cfg: RunConfig) -> tuple[int, dict]:
     fits = ordered_map(fit_row, range(len(traj)), cfg.threads)
     good = [f.r_hat for f in fits if f is not None]
     files = {
-        "spectrum.csv": _spectrum_file(traj),
+        "spectrum.csv": spectrum.csv(),
         "energies.csv": _energies_csv(ledger),
         "radius.csv": _radius_csv(cfg, traj.times, fits),
         "report.json": {
@@ -391,7 +540,7 @@ def _cmd_analyze(cfg: RunConfig) -> tuple[int, dict]:
     return (0 if ledger.continuation.passed else 1), files
 
 
-def _cmd_symmetrizer(cfg: RunConfig) -> tuple[int, dict]:
+def _cmd_symmetrizer(cfg: RunConfig, spectrum: _SpectrumSink) -> tuple[int, dict]:
     payload = _certificate_payload(cfg)
     return (0 if payload["aggregate"]["pass"] else 1), {"certificate.json": payload}
 
@@ -411,14 +560,16 @@ def dispatch(command: str, cfg: RunConfig) -> int:
     aborts the run; an error (exit 1) writes none, and creates no output
     directory.  Floating-point warnings are silenced: non-finite values
     reach the verdicts, and stderr carries at most the one JSON error, so a
-    guard's error is printed once its files are written.
+    guard's error is printed once its files are written.  The run's
+    spectrum sink, which only ``simulate`` and ``analyze`` feed, is closed
+    (its formatter process reaped) before this returns, on every path.
     """
     abort = None
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), _SpectrumSink() as spectrum:
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
             try:
-                code, files = _COMMANDS[command](cfg)
+                code, files = _COMMANDS[command](cfg, spectrum)
             except _GuardAbort as exc:
                 abort, code, files = exc, exc.code, exc.files
             files["run_meta.json"] = cfg.to_meta()

@@ -14,11 +14,13 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -32,7 +34,7 @@ from weakhyp import ConfigError, RunConfig, cli, config, load_config
 from weakhyp.cli import main
 from weakhyp.energy import WeightParams, build_energy_ledger, default_c0, master_estimate_check
 from weakhyp.equation import CoefficientSpec
-from weakhyp.spectral import Trajectory, assemble_state, simulate
+from weakhyp.spectral import BlowUpError, Trajectory, assemble_state, simulate
 
 
 def base() -> dict:
@@ -574,6 +576,11 @@ def full_layout_v(traj) -> np.ndarray:
     return np.concatenate([v[:, :0:-1].conj(), v], axis=1)
 
 
+def spectrum_csv(traj):
+    """spectrum.csv's (header, chunks) of a trajectory, formatted inline."""
+    return cli._spectrum_csv(traj.K, traj.order, zip(traj.times.tolist(), traj.chains))
+
+
 def reference_spectrum_bytes(times, v, sha: str) -> bytes:
     """spectrum.csv of the companion vectors v (S, 2K+1, m), formatted cell by cell with %.17g."""
     m = v.shape[2]
@@ -604,11 +611,47 @@ def test_spectrum_emitter_matches_cellwise_formatting(tmp_path):
         order=m, K=K, dt=0.1, nu=0, times=np.array([0.0, 1 / 3, 0.7, 1.0]),
         chains=chains, forcings=np.zeros((S, K + 1), dtype=complex), completed=True,
     )
-    cli._write_files(str(tmp_path), {"spectrum.csv": cli._spectrum_file(traj)}, "abc")
+    cli._write_files(str(tmp_path), {"spectrum.csv": spectrum_csv(traj)}, "abc")
     want = reference_spectrum_bytes(traj.times, full_layout_v(traj), "abc")
     assert (tmp_path / "spectrum.csv").read_bytes() == want
 
 
+@pytest.fixture
+def children(monkeypatch):
+    """The pids forked during the test, and the (pid, exit code) of each child reaped."""
+    log = SimpleNamespace(forked=[], reaped=[])
+    fork, waitpid = os.fork, os.waitpid
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            log.forked.append(pid)
+        return pid
+
+    def counted_waitpid(pid, options):
+        got, status = waitpid(pid, options)
+        if got:
+            log.reaped.append((got, os.waitstatus_to_exitcode(status)))
+        return got, status
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(os, "waitpid", counted_waitpid)
+    return log
+
+
+def assert_all_reaped(children, forked: int, status: int = 0):
+    """``forked`` children were forked, each was reaped with exit code ``status``, and none is left.
+
+    A formatter exits 0 once its result is sent, and 1 when the parent
+    dropped the result unread.
+    """
+    assert len(children.forked) == forked
+    assert children.reaped == [(pid, status) for pid in children.forked]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("transport", ["forked", "inline"])
 @pytest.mark.parametrize(
     "m, coeffs, initial",
     [
@@ -616,12 +659,64 @@ def test_spectrum_emitter_matches_cellwise_formatting(tmp_path):
         (3, ["0", "-1 - t^2", "0.3*t"], ["0.2/(1.25 - cos(x))", "0.1*cos(3*x)", "0.05*sin(x)"]),
     ],
 )
-def test_spectrum_emitter_on_mirrored_runs(tmp_path, m, coeffs, initial):
+def test_spectrum_emitter_on_mirrored_runs(tmp_path, monkeypatch, children, m, coeffs, initial, transport):
+    # both transports of the run's spectrum sink write the cell-by-cell bytes
+    if transport == "inline":
+        monkeypatch.delattr(os, "fork")
     spec = CoefficientSpec.from_strings(m, 0.1, coeffs, 2, initial)
-    traj = simulate(spec, K=16, dt=1e-3, snapshot_interval=0.05)
-    cli._write_files(str(tmp_path), {"spectrum.csv": cli._spectrum_file(traj)}, "abc")
+    with cli._SpectrumSink() as spectrum:
+        traj = simulate(spec, K=16, dt=1e-3, snapshot_interval=0.05, on_snapshot=spectrum.add)
+        cli._write_files(str(tmp_path), {"spectrum.csv": spectrum.csv()}, "abc")
+    assert_all_reaped(children, forked=transport == "forked")
     want = reference_spectrum_bytes(traj.times, full_layout_v(traj), "abc")
     assert (tmp_path / "spectrum.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_cli_formats_the_spectrum_in_one_reaped_child(tmp_path, monkeypatch, children, command):
+    # exit 0: one formatter process, reaped before main returns; every file
+    # is the same as where the spectrum is formatted inline
+    cfg = write_config(tmp_path)
+    forked, inline = tmp_path / "forked", tmp_path / "inline"
+    assert main([command, "--config", cfg, "--output", str(forked)]) == 0
+    assert_all_reaped(children, forked=1)
+    monkeypatch.delattr(os, "fork")
+    assert main([command, "--config", cfg, "--output", str(inline)]) == 0
+    assert "spectrum.csv" in written(forked) and written(forked) == written(inline)
+    for name in written(forked):
+        assert (forked / name).read_bytes() == (inline / name).read_bytes(), name
+
+
+def broken_block(t, chain, rows):
+    raise ValueError("no text")
+
+
+def silent_child(source, sink, K, m):
+    os._exit(3)
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize(
+    "target, stand_in, status, message",
+    [
+        ("_spectrum_block", broken_block, 0, "spectrum.csv formatter failed: ValueError: no text"),
+        ("_spectrum_child", silent_child, 3, "spectrum.csv formatter ended without a result"),
+    ],
+)
+def test_cli_failed_spectrum_formatter_is_one_error(
+    tmp_path, capfd, monkeypatch, children, target, stand_in, status, message, command
+):
+    # a formatter that raises reports its error, one that dies reports nothing;
+    # either leaves by os._exit, so nothing of the child reaches stdio, and the
+    # parent raises before any output file is opened
+    monkeypatch.setattr(cli, target, stand_in)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path), "--output", str(out)]) == 1
+    assert_all_reaped(children, forked=1, status=status)
+    captured = capfd.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert json.loads(captured.err) == {"error": "RuntimeError", "message": message}
+    assert not out.exists()
 
 
 SIGN = 1 << 63
@@ -652,7 +747,7 @@ def test_spectrum_mirror_sign_toggle_over_raw_bits(data):
         forcings=np.zeros((S, K + 1), dtype=complex), completed=True,
     )
     with mock.patch.object(cli, "companion_vectors", lambda chain: chain):
-        files = {"spectrum.csv": cli._spectrum_file(traj)}
+        files = {"spectrum.csv": spectrum_csv(traj)}
         with tempfile.TemporaryDirectory() as out:
             cli._write_files(out, files, "abc")
             got = (Path(out) / "spectrum.csv").read_bytes()
@@ -897,8 +992,7 @@ def test_cli_symmetrizer_thread_count_is_invisible_in_outputs(tmp_path):
     assert len(cert["per_time"]) == 9 and cert["aggregate"]["pass"] is True
 
 
-def test_cli_blowup_exit_two(tmp_path, capsys):
-    text = """\
+BLOWUP_YAML = """\
 m: 2
 T: 1.0
 coefficients: ["0", "-1"]
@@ -909,9 +1003,13 @@ dt: 0.001
 snapshot_interval: 0.1
 blowup_ceiling: 1000.0
 """
-    cfg = write_config(tmp_path, text)
+
+
+def test_cli_blowup_exit_two(tmp_path, capsys, children):
+    cfg = write_config(tmp_path, BLOWUP_YAML)
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
+    assert_all_reaped(children, forked=1)
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "BlowUpError"
     report = json.loads((out / "report.json").read_text())
@@ -919,6 +1017,18 @@ blowup_ceiling: 1000.0
     assert report["abort_reason"] == "blow-up"
     assert 0.0 < report["last_valid_time"] <= report["abort_time"] < 1.0
     assert written(out) == ["report.json", "run_meta.json", "spectrum.csv"]  # the partial run
+    # the forked formatter's text is the inline formatting of the partial trajectory
+    run = load_config(cfg)
+    with pytest.raises(BlowUpError) as info:
+        simulate(
+            run.problem(), K=run.modes, dt=run.dt,
+            snapshot_interval=run.snapshot_interval, blowup_ceiling=run.blowup_ceiling,
+        )
+    partial = info.value.trajectory
+    assert 0 < len(partial) < 11
+    inline = tmp_path / "inline"
+    cli._write_files(str(inline), {"spectrum.csv": spectrum_csv(partial)}, run.sha256())
+    assert (out / "spectrum.csv").read_bytes() == (inline / "spectrum.csv").read_bytes()
 
 
 # u_tt = u^2 starting below the ceiling (see zero_mode_spec in test_spectral):
@@ -936,11 +1046,12 @@ blowup_ceiling: 0.99
 """
 
 
-def test_cli_analyze_calibration_abort_exit_one(tmp_path, capsys):
+def test_cli_analyze_calibration_abort_exit_one(tmp_path, capsys, children):
     # the linear calibration member's |V_1| grows like t past the ceiling; the problem completes
     cfg = write_config(tmp_path, ZERO_MODE_YAML.format(horizon=0.4))
     out = tmp_path / "out"
     assert main(["analyze", "--config", cfg, "--output", str(out)]) == 1
+    assert_all_reaped(children, forked=1, status=1)  # the run's text is dropped unread
     err = json.loads(capsys.readouterr().err.strip())
     assert err == {
         "error": "BlowUpError",
@@ -962,13 +1073,14 @@ def test_cli_analyze_problem_abort_exit_two_after_calibration_abort(tmp_path, ca
 
 
 @pytest.mark.parametrize("command", ["simulate", "analyze"])
-def test_cli_initial_state_above_the_ceiling_exit_two(tmp_path, capsys, command):
+def test_cli_initial_state_above_the_ceiling_exit_two(tmp_path, capsys, children, command):
     # |u_0'| = 1 at t = 0 is already past the 0.99 ceiling: no step is taken
     text = ZERO_MODE_YAML.format(horizon=0.4).replace('["0", "0"]', '["0", "-1"]')
     text = text.replace('["-1.4", "1.9*cos(x)"]', '["2", "-1"]')
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--output", str(out)]) == 2
+    assert_all_reaped(children, forked=0)  # no snapshot was recorded
     err = json.loads(capsys.readouterr().err.strip())
     assert err["message"] == "blow-up: sup|V| = 1 exceeds ceiling 0.99 at t = 0"
     report = json.loads((out / "report.json").read_text())
@@ -1194,7 +1306,7 @@ def test_cli_symmetrizer_non_hyperbolic_names_the_time(tmp_path, capsys):
         assert err["message"].startswith("non-real characteristic root at t = 0.0: |Im| = 1.0")
 
 
-def test_cli_stability_exit_three(tmp_path, capsys):
+def test_cli_stability_exit_three(tmp_path, capsys, children):
     text = """\
 m: 2
 T: 1.0
@@ -1207,6 +1319,7 @@ snapshot_interval: 0.5
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--output", str(out)]) == 3
+    assert_all_reaped(children, forked=0)  # the veto comes before the first snapshot
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "StabilityError"
     report = json.loads((out / "report.json").read_text())
@@ -1348,6 +1461,8 @@ certificate:
 
 # hashlib loads OpenSSL, and so does numpy.random (through secrets)
 OPENSSL = {"_hashlib", "numpy.random"}
+# the spectrum formatter is a bare os.fork over two os.pipe pipes
+PROCESS_TOOLING = {"tempfile", "subprocess", "multiprocessing"}
 
 
 def test_cli_analyze_loads_no_openssl_and_no_thread_pool(tmp_path):
@@ -1357,6 +1472,7 @@ def test_cli_analyze_loads_no_openssl_and_no_thread_pool(tmp_path):
     cfg = write_config(tmp_path, text.replace('initial: ["cos(x)", "0"]', 'nu: 2\ninitial: ["0.1*cos(x)", "0"]'))
     code, loaded, _ = run_fresh(["analyze", "--config", cfg, "--output", str(tmp_path / "out")])
     assert code == 0 and loaded.isdisjoint(OPENSSL | {"concurrent.futures"}), loaded
+    assert loaded.isdisjoint(PROCESS_TOOLING), loaded
     assert written(tmp_path / "out") == ["energies.csv", "radius.csv", "report.json", "run_meta.json", "spectrum.csv"]
     argv = ["analyze", "--config", str(CONFIGS / "wave.yaml"), "--output", str(tmp_path / "cert")]
     code, loaded, _ = run_fresh(argv)
