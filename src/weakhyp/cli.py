@@ -16,10 +16,12 @@ digits so outputs diff bitwise.  The run is real, so row -k of spectrum.csv
 is written as the exact conjugate of row k.
 
 spectrum.csv is formatted while the RK4 loop runs: ``simulate`` hands each
-recorded snapshot to the sink, which on POSIX forks one child at the first
-snapshot and streams it the raw chains over a pipe.  The child formats them
-as they arrive and sends the text back once the run ends.  Where there is no
-``os.fork`` the sink formats inline, as the file is written.
+recorded snapshot to the sink, which at the first snapshot opens an unlinked
+temporary file for the text and, on POSIX, forks one child and streams it
+the raw chains over a pipe.  The child appends each snapshot's text to the
+file as it arrives and reports through its exit status; the parent copies
+the file into spectrum.csv.  Where there is no ``os.fork`` the sink appends
+the same text itself, as each snapshot is taken.
 """
 
 from __future__ import annotations
@@ -29,7 +31,9 @@ import functools
 import json
 import math
 import os
+import shutil
 import sys
+import tempfile
 import warnings
 from json.encoder import encode_basestring_ascii
 from typing import Any
@@ -130,7 +134,8 @@ def _write_files(out_dir: str, files: dict, sha: str) -> None:
 
     The output directory is created here, so a run that writes nothing
     leaves nothing behind.  A dict is a JSON payload; anything else is a CSV
-    ``(header, chunks)`` pair, whose text chunks are written as they are.
+    ``(header, body)`` pair, whose body is a list of text chunks or a text
+    file, copied as it is.
     """
     os.makedirs(out_dir, exist_ok=True)
     for name, content in files.items():
@@ -138,9 +143,12 @@ def _write_files(out_dir: str, files: dict, sha: str) -> None:
             if isinstance(content, dict):
                 handle.write(_json_text({**content, "config_sha256": sha}) + "\n")
                 continue
-            header, chunks = content
+            header, body = content
             handle.write(f"# config_sha256={sha}\n" + ",".join(header) + "\n")
-            handle.writelines(chunks)
+            if isinstance(body, list):
+                handle.writelines(body)
+            else:
+                shutil.copyfileobj(body, handle)
 
 
 def _error_json(exc: Exception) -> str:
@@ -177,66 +185,55 @@ def _spectrum_block(t: float, chain: np.ndarray, rows: str) -> str:
     return block.replace(";", ",").replace("@", "%.17g" % t)
 
 
-def _spectrum_csv(K: int, m: int, snapshots) -> tuple[list[str], Any]:
-    """spectrum.csv of the (t, chain) snapshots, each formatted as the file is written."""
-    rows = _spectrum_rows(K, m)
-    return _spectrum_header(m), (_spectrum_block(t, chain, rows) for t, chain in snapshots)
-
-
-_PIPE_CHUNK = 1 << 16  # the text is read back and written in pieces of at most this many bytes
-
-
-def _spectrum_child(source: int, sink: int, K: int, m: int):
-    """The formatter process: never returns, and writes nothing but its result to ``sink``.
+def _spectrum_child(source: int, text, shape: tuple[int, int], rows: str):
+    """The formatter process: never returns, and reports only through its exit status.
 
     It reads snapshots from ``source`` (the time as a float64, then the raw
-    chain) and formats each as it arrives.  At EOF it writes an 8-byte
-    signed length and the text, or the one's complement of the length and
-    the error's text if formatting failed.
+    chain of ``shape``) and appends each one's block to the file ``text`` as
+    it arrives.  It exits 0 when the text is complete, and 1 when formatting
+    raised, with ``Type: message`` in the text's place.
     """
-    status = 1
+    status = 2
     try:
-        size = 8 + (K + 1) * m * 16
-        rows = _spectrum_rows(K, m)
+        size = 8 + 16 * shape[0] * shape[1]
         try:
-            blocks = []
             with open(source, "rb") as snapshots:
                 while record := snapshots.read(size):
                     t = float(np.frombuffer(record, float, 1)[0])
-                    chain = np.frombuffer(record, complex, offset=8).reshape(K + 1, m)
-                    blocks.append(_spectrum_block(t, chain, rows).encode("ascii"))
-            head = sum(map(len, blocks))
+                    chain = np.frombuffer(record, complex, offset=8).reshape(shape)
+                    text.write(_spectrum_block(t, chain, rows))
+            text.flush()
+            status = 0
         except Exception as exc:  # raised again in the parent
-            blocks = [f"{type(exc).__name__}: {exc}".encode("utf-8", "replace")]
-            head = ~len(blocks[0])
-        with open(sink, "wb") as out:
-            out.write(head.to_bytes(8, "little", signed=True))
-            out.writelines(blocks)
-        status = 0
+            text.seek(0)
+            text.truncate()
+            text.write(f"{type(exc).__name__}: {exc}")
+            text.flush()
+            status = 1
     finally:
         os._exit(status)
 
 
 class _SpectrumSink:
-    """spectrum.csv of a run, fed by ``simulate``'s snapshot hook; a context manager that reaps.
+    """spectrum.csv's text of a run, fed by ``simulate``'s snapshot hook; a context manager that reaps.
 
-    Where ``os.fork`` exists, the first snapshot forks one child that formats
-    each snapshot as it arrives (``_spectrum_child``), while the RK4 loop
-    runs on.  ``csv`` reads the child's length header, so a failed child
-    raises before any output file is opened, and the text is then read back
-    in pieces as the file is written.  ``close`` reaps the child, so the
-    exiting child's teardown overlaps the writing of the other files.
-    Without ``os.fork`` the snapshots are kept and formatted inline as the
-    file is written.  Either way each snapshot goes through
-    ``_spectrum_block``, so the bytes are the same.
+    The text has one home, an unlinked temporary file opened at the first
+    snapshot.  Where ``os.fork`` exists, that snapshot forks one child that
+    appends each snapshot's block to the file as it arrives
+    (``_spectrum_child``), while the RK4 loop runs on; ``csv`` ends the feed
+    and reaps the child, so a failed child raises before any output file is
+    opened.  Without ``os.fork`` each block is appended as the snapshot is
+    taken.  Either way the text is ``_spectrum_block``'s, so the bytes are
+    the same.  ``close`` reaps a child whose text was never read, and closes
+    the file.
     """
 
     def __init__(self) -> None:
         self.shape: tuple[int, ...] | None = None
-        self.snapshots: list[tuple[float, np.ndarray]] = []  # the inline transport's
+        self.rows = ""
+        self.text = None  # the temporary file that holds the text
         self.pid: int | None = None
         self.feed: int | None = None  # write end of the snapshot pipe
-        self.result = None  # read end of the text pipe
 
     def __enter__(self) -> "_SpectrumSink":
         return self
@@ -244,75 +241,66 @@ class _SpectrumSink:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _fork(self, K: int, m: int) -> None:
+    def _fork(self) -> None:
         source, feed = os.pipe()
-        result, sink = os.pipe()
         try:
             pid = os.fork()
         except OSError:
-            for fd in (source, feed, result, sink):
-                os.close(fd)
+            os.close(source)
+            os.close(feed)
             raise
         if pid == 0:
             os.close(feed)
-            os.close(result)
-            _spectrum_child(source, sink, K, m)
+            _spectrum_child(source, self.text, self.shape, self.rows)
         os.close(source)
-        os.close(sink)
-        self.pid, self.feed, self.result = pid, feed, open(result, "rb")
+        self.pid, self.feed = pid, feed
+
+    def _close_feed(self) -> None:
+        if self.feed is not None:
+            os.close(self.feed)
+            self.feed = None
 
     def add(self, t: float, chain: np.ndarray) -> None:
-        """Take one recorded snapshot; the first one forks the child, where there is a fork."""
-        if self.shape is None:
+        """Take one recorded snapshot; the first one opens the file and forks the child, where there is a fork."""
+        if self.text is None:
             self.shape = chain.shape
+            self.rows = _spectrum_rows(chain.shape[0] - 1, chain.shape[1])
+            self.text = tempfile.TemporaryFile("w+", encoding="utf-8", errors="replace")
             if hasattr(os, "fork"):
-                self._fork(chain.shape[0] - 1, chain.shape[1])
+                self._fork()
         if self.pid is None:
-            self.snapshots.append((t, chain))
+            self.text.write(_spectrum_block(t, chain, self.rows))
         elif self.feed is not None:
             record = memoryview(np.float64(t).tobytes() + chain.tobytes())
             try:
                 while record:
                     record = record[os.write(self.feed, record) :]
             except BrokenPipeError:  # the child has stopped; ``csv`` raises its error
-                os.close(self.feed)
-                self.feed = None
+                self._close_feed()
 
     def csv(self) -> tuple[list[str], Any]:
-        """The CSV ``(header, chunks)`` of every snapshot taken; raises if the child failed."""
-        K, m = self.shape[0] - 1, self.shape[1]
-        if self.pid is None:
-            return _spectrum_csv(K, m, self.snapshots)
-        if self.feed is not None:
-            os.close(self.feed)
-            self.feed = None
-        head = self.result.read(8)
-        if len(head) < 8:
+        """The CSV ``(header, file)`` of every snapshot taken; raises if the child failed."""
+        code = 0
+        if self.pid is not None:
+            self._close_feed()
+            _, status = os.waitpid(self.pid, 0)
+            self.pid = None
+            code = os.waitstatus_to_exitcode(status)
+        self.text.seek(0)
+        if code == 1:
+            raise RuntimeError(f"spectrum.csv formatter failed: {self.text.read()}")
+        if code:
             raise RuntimeError("spectrum.csv formatter ended without a result")
-        size = int.from_bytes(head, "little", signed=True)
-        if size < 0:
-            message = self.result.read(~size).decode("utf-8", "replace")
-            raise RuntimeError(f"spectrum.csv formatter failed: {message}")
-        return _spectrum_header(m), self._text(size)
-
-    def _text(self, size: int):
-        while size:
-            chunk = self.result.read(min(size, _PIPE_CHUNK))
-            if not chunk:
-                raise RuntimeError("spectrum.csv formatter output ended early")
-            size -= len(chunk)
-            yield chunk.decode("ascii")
+        return _spectrum_header(self.shape[1]), self.text
 
     def close(self) -> None:
-        """Reap the child, if one was forked; text not yet read is dropped."""
-        if self.pid is None:
-            return
-        self.result.close()
-        if self.feed is not None:
-            os.close(self.feed)
-            self.feed = None
-        os.waitpid(self.pid, 0)
-        self.pid = None
+        """Reap a child whose text was never read, and close the file."""
+        self._close_feed()
+        if self.pid is not None:
+            os.waitpid(self.pid, 0)
+            self.pid = None
+        if self.text is not None:
+            self.text.close()
 
 
 def _energies_csv(ledger) -> tuple[list[str], list[str]]:

@@ -577,8 +577,10 @@ def full_layout_v(traj) -> np.ndarray:
 
 
 def spectrum_csv(traj):
-    """spectrum.csv's (header, chunks) of a trajectory, formatted inline."""
-    return cli._spectrum_csv(traj.K, traj.order, zip(traj.times.tolist(), traj.chains))
+    """spectrum.csv's (header, chunks) of a trajectory, one _spectrum_block per snapshot."""
+    rows = cli._spectrum_rows(traj.K, traj.order)
+    blocks = [cli._spectrum_block(t, chain, rows) for t, chain in zip(traj.times.tolist(), traj.chains)]
+    return cli._spectrum_header(traj.order), blocks
 
 
 def reference_spectrum_bytes(times, v, sha: str) -> bytes:
@@ -642,8 +644,8 @@ def children(monkeypatch):
 def assert_all_reaped(children, forked: int, status: int = 0):
     """``forked`` children were forked, each was reaped with exit code ``status``, and none is left.
 
-    A formatter exits 0 once its result is sent, and 1 when the parent
-    dropped the result unread.
+    A formatter exits 0 once its text is complete in the run's file, read
+    or not, and 1 when formatting raised.
     """
     assert len(children.forked) == forked
     assert children.reaped == [(pid, status) for pid in children.forked]
@@ -691,7 +693,7 @@ def broken_block(t, chain, rows):
     raise ValueError("no text")
 
 
-def silent_child(source, sink, K, m):
+def silent_child(*args):
     os._exit(3)
 
 
@@ -699,7 +701,7 @@ def silent_child(source, sink, K, m):
 @pytest.mark.parametrize(
     "target, stand_in, status, message",
     [
-        ("_spectrum_block", broken_block, 0, "spectrum.csv formatter failed: ValueError: no text"),
+        ("_spectrum_block", broken_block, 1, "spectrum.csv formatter failed: ValueError: no text"),
         ("_spectrum_child", silent_child, 3, "spectrum.csv formatter ended without a result"),
     ],
 )
@@ -716,6 +718,19 @@ def test_cli_failed_spectrum_formatter_is_one_error(
     captured = capfd.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1
     assert json.loads(captured.err) == {"error": "RuntimeError", "message": message}
+    assert not out.exists()
+
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+def test_cli_inline_formatter_error_writes_nothing(tmp_path, capsys, monkeypatch, command):
+    # without a fork the formatter runs as each snapshot is taken, so its
+    # error stops the run before any output file is opened
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(cli, "_spectrum_block", broken_block)
+    out = tmp_path / "out"
+    assert main([command, "--config", write_config(tmp_path), "--output", str(out)]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": "no text"}
     assert not out.exists()
 
 
@@ -1051,7 +1066,7 @@ def test_cli_analyze_calibration_abort_exit_one(tmp_path, capsys, children):
     cfg = write_config(tmp_path, ZERO_MODE_YAML.format(horizon=0.4))
     out = tmp_path / "out"
     assert main(["analyze", "--config", cfg, "--output", str(out)]) == 1
-    assert_all_reaped(children, forked=1, status=1)  # the run's text is dropped unread
+    assert_all_reaped(children, forked=1)  # the run's text is complete, and dropped unread
     err = json.loads(capsys.readouterr().err.strip())
     assert err == {
         "error": "BlowUpError",
@@ -1327,6 +1342,42 @@ snapshot_interval: 0.5
     assert written(out) == ["report.json", "run_meta.json"]
 
 
+SINK_PATHS = {
+    "simulate": ("simulate", WAVE_YAML, None, 0),
+    "analyze": ("analyze", WAVE_YAML, None, 0),
+    "formatter-raises": ("analyze", WAVE_YAML, ("_spectrum_block", broken_block), 1),
+    "formatter-dies": ("analyze", WAVE_YAML, ("_spectrum_child", silent_child), 1),
+    "blow-up": ("simulate", BLOWUP_YAML, None, 2),
+    "calibration-blow-up": ("analyze", ZERO_MODE_YAML.format(horizon=0.4), None, 1),
+    "stability-veto": ("simulate", WAVE_YAML.replace("K: 8", "K: 512"), None, 3),
+    "check": ("check", WAVE_YAML, None, 0),
+    "symmetrizer": ("symmetrizer", WAVE_YAML, None, 0),
+}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("transport", ["forked", "inline"])
+@pytest.mark.parametrize("path", list(SINK_PATHS))
+def test_cli_leaves_no_descriptor_or_temporary_file(tmp_path, monkeypatch, capsys, path, transport):
+    # every file descriptor main opens is closed again, and the spectrum's
+    # temporary file leaves no entry behind; the autouse guard checks that
+    # no child is left
+    command, text, stand_in, code = SINK_PATHS[path]
+    if stand_in is not None:
+        monkeypatch.setattr(cli, *stand_in)
+    if transport == "inline":
+        monkeypatch.delattr(os, "fork")
+        code = 0 if path == "formatter-dies" else code  # no child to die
+    temp = tmp_path / "temp"
+    temp.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temp))
+    cfg = write_config(tmp_path, text)
+    before = os.listdir("/proc/self/fd")
+    assert main([command, "--config", cfg, "--output", str(tmp_path / "out")]) == code
+    assert os.listdir("/proc/self/fd") == before
+    assert list(temp.iterdir()) == []
+
+
 def test_cli_config_errors_are_structured(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["check", "--config", str(tmp_path / "missing.yaml"), "--output", str(out)]) == 1
@@ -1461,8 +1512,11 @@ certificate:
 
 # hashlib loads OpenSSL, and so does numpy.random (through secrets)
 OPENSSL = {"_hashlib", "numpy.random"}
-# the spectrum formatter is a bare os.fork over two os.pipe pipes
-PROCESS_TOOLING = {"tempfile", "subprocess", "multiprocessing"}
+# modules that start processes, none of which a run needs: the spectrum
+# formatter is a bare os.fork.  tempfile, which holds the formatter's text, is
+# not listed: numpy imports it, so a module set taken beyond a bare
+# ``import numpy`` cannot show it
+PROCESS_TOOLING = {"subprocess", "multiprocessing"}
 
 
 def test_cli_analyze_loads_no_openssl_and_no_thread_pool(tmp_path):
