@@ -8,20 +8,13 @@ the extremal vectors and a random-direction audit of the two rows that set
 its aggregate).
 
 Exit codes: 0 success/pass, 1 failed verdict or module error, 2 blow-up
-abort, 3 stability abort.  Each command takes the config and the run's
-spectrum sink and returns its exit code and its files, or raises;
-``dispatch`` alone writes them, with ``run_meta.json`` added.  Every emitted
-file carries the canonical config hash; CSV numbers use 17 significant
-digits so outputs diff bitwise.  The run is real, so row -k of spectrum.csv
-is written as the exact conjugate of row k.
-
-spectrum.csv is formatted while the RK4 loop runs: ``simulate`` hands each
-recorded snapshot to the sink, which at the first snapshot opens an unlinked
-temporary file for the text and, on POSIX, forks one child and streams it
-the raw chains over a pipe.  The child appends each snapshot's text to the
-file as it arrives and reports through its exit status; the parent copies
-the file into spectrum.csv.  Where there is no ``os.fork`` the sink appends
-the same text itself, as each snapshot is taken.
+abort, 3 stability abort.  Each command takes the config and returns its
+exit code and its files, or raises; ``dispatch`` alone writes them, with
+``run_meta.json`` added.  Every emitted file carries the canonical config
+hash.  Every CSV number is the text of ``'%.17g' % x``, so outputs diff
+bitwise; one vectorized writer (``_cells``) produces it, and spectrum.csv is
+formatted one snapshot at a time as the file is written.  The run is real,
+so row -k of spectrum.csv is written as the exact conjugate of row k.
 """
 
 from __future__ import annotations
@@ -31,12 +24,10 @@ import functools
 import json
 import math
 import os
-import shutil
 import sys
-import tempfile
 import warnings
 from json.encoder import encode_basestring_ascii
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -134,8 +125,7 @@ def _write_files(out_dir: str, files: dict, sha: str) -> None:
 
     The output directory is created here, so a run that writes nothing
     leaves nothing behind.  A dict is a JSON payload; anything else is a CSV
-    ``(header, body)`` pair, whose body is a list of text chunks or a text
-    file, copied as it is.
+    ``(header, body)`` pair, whose body is an iterable of text chunks.
     """
     os.makedirs(out_dir, exist_ok=True)
     for name, content in files.items():
@@ -145,10 +135,7 @@ def _write_files(out_dir: str, files: dict, sha: str) -> None:
                 continue
             header, body = content
             handle.write(f"# config_sha256={sha}\n" + ",".join(header) + "\n")
-            if isinstance(body, list):
-                handle.writelines(body)
-            else:
-                shutil.copyfileobj(body, handle)
+            handle.writelines(body)
 
 
 def _error_json(exc: Exception) -> str:
@@ -159,148 +146,163 @@ def _error_json(exc: Exception) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
-def _spectrum_header(m: int) -> list[str]:
-    return ["t", "k"] + [f"{part}_V{c}" for c in range(m) for part in ("re", "im")]
+_CELL = 25  # bytes of a CSV cell: sign, then up to 23 of text, then the separator
+_ZERO, _POINT, _MINUS = b"0.-"
+_HALF = 1 << 63  # one half, in units of the 64 bits after D's last digit
 
 
-def _spectrum_rows(K: int, m: int) -> str:
-    """The %.17g template of rows 0..K, with '@' for the time and ';' marking the signs to toggle."""
-    row = ",".join(["%.17g;%.17g"] * m)
-    return "\n".join([f"@;{k}," + row for k in range(K + 1)])
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, ...]:
+    """The tables of ``_cells``, built on first use.
 
-
-def _spectrum_block(t: float, chain: np.ndarray, rows: str) -> str:
-    """spectrum.csv's rows -K..K at time t, from the (K+1, m) chain of modes 0..K: the one formatter.
-
-    The run is real, so row -k is conj(V_k).  Rows 0..K are formatted by the
-    template ``rows``, in which a ';' marks the mode number and every
-    imaginary cell; rows -K..-1 are that text reversed with every marked
-    sign toggled.  %.17g writes -x as '-' and the text of x, except for a
-    NaN, whose sign it drops, so the bytes are those of formatting conj(V_k)
-    cell by cell.
+    ``limbs[j, s]`` is the 32-bit limb j (least significant first) of 5^s
+    scaled into [2^127, 2^128) and truncated, and ``scale[s]`` the power of
+    two dropped (the truncation is exact where it is not positive: 5^s is
+    odd).  ``quads[g]`` holds the four digits of g as four bytes, and
+    ``quads[10000 + g]`` the same with trailing zeros NUL.  ``suffix[e]`` is
+    'e-' and the exponent e >= 5 as the bytes of a word; ``suffix[0]`` is
+    empty.  ``layout[X + 4, n]`` places the text of a number in fixed
+    notation (-4 <= X <= 16) with n significant digits: the index of each
+    byte in the row NUL, '0', '.', d0, ..., d16.
     """
-    text = rows % tuple(companion_vectors(chain).view(float).ravel().tolist())
-    lower = text.replace(";", ";-").replace(";--", ";").replace(";-nan", ";nan")
-    block = "\n".join(lower.split("\n")[:0:-1]) + "\n" + text + "\n"
-    return block.replace(";", ",").replace("@", "%.17g" % t)
+    powers = [5**s for s in range(346)]
+    scale = np.array([power.bit_length() - 128 for power in powers])
+    tops = [power << 128 >> power.bit_length() for power in powers]
+    limbs = np.array([[top >> 32 * j & 0xFFFFFFFF for top in tops] for j in range(4)], np.uint64)
+    q = np.arange(10000, dtype=np.int32)[:, None]
+    place = 10 ** np.arange(3, -1, -1, dtype=np.int32)
+    quad = (q // place % 10 + _ZERO).astype(np.uint8)
+    quads = np.concatenate([quad, quad * (q % (10 * place) != 0)])
+    suffix = b"".join((b"e-%02d" % e if e >= 5 else b"").ljust(8, b"\0") for e in range(325))
+    layout = np.zeros((21, 18, 23), np.uint8)
+    for X in range(-4, 17):
+        for n in range(1, 18):
+            digits = list(range(3, 3 + max(n, X + 1)))
+            if X < 0:  # '0.', -X - 1 zeros, the digits
+                chars = [1, 2] + [1] * (-X - 1) + digits
+            else:  # the point after digit X, where a digit follows
+                chars = digits[: X + 1] + [2] * (n > X + 1) + digits[X + 1 :]
+            layout[X + 4, n, : len(chars)] = chars
+    return limbs, scale, quads.view("<u4").ravel(), np.frombuffer(suffix, "<u8"), layout
 
 
-def _spectrum_child(source: int, text, shape: tuple[int, int], rows: str):
-    """The formatter process: never returns, and reports only through its exit status.
+def _python_cell(x: float) -> np.ndarray:
+    """The cell of ``'%.17g' % x`` by Python's formatter: where ``_cells`` cannot decide."""
+    text = b"%.17g" % x
+    return np.frombuffer((text if text.startswith(b"-") else b"\0" + text).ljust(_CELL, b"\0"), np.uint8)
 
-    It reads snapshots from ``source`` (the time as a float64, then the raw
-    chain of ``shape``) and appends each one's block to the file ``text`` as
-    it arrives.  It exits 0 when the text is complete, and 1 when formatting
-    raised, with ``Type: message`` in the text's place.
+
+def _cells(values) -> np.ndarray:
+    """The text of ``'%.17g' % x`` for every float64 x, as NUL-padded uint8 cells of shape (..., _CELL).
+
+    Byte 0 is the sign ('-' or NUL); the last byte is left NUL for a
+    separator.  For finite 0 < |x| < 1e17 the 17 digits D and the decimal
+    exponent X = floor(log10|x|) come from exact integer arithmetic (Steele
+    and White's correctly rounded conversion, table-driven as in Adams' Ryu
+    printf): with |x| = M 2^e and s = 16 - X, D is M 5^s 2^(e+s) rounded
+    half to even, from the product of M with the leading 128 bits of 5^s.
+    Where that truncated product cannot decide the rounding, where D leaves
+    [1e16, 1e17) (log10 off by one, or a carry into an 18th digit), and for
+    NaN, inf and |x| >= 1e17, the cell is Python's (``_python_cell``).  Zero
+    is written '0'.  Trailing zeros are dropped; -4 <= X < 17 is written in
+    fixed notation, and X < -4 as d.ddde-XX.
     """
-    status = 2
-    try:
-        size = 8 + 16 * shape[0] * shape[1]
-        try:
-            with open(source, "rb") as snapshots:
-                while record := snapshots.read(size):
-                    t = float(np.frombuffer(record, float, 1)[0])
-                    chain = np.frombuffer(record, complex, offset=8).reshape(shape)
-                    text.write(_spectrum_block(t, chain, rows))
-            text.flush()
-            status = 0
-        except Exception as exc:  # raised again in the parent
-            text.seek(0)
-            text.truncate()
-            text.write(f"{type(exc).__name__}: {exc}")
-            text.flush()
-            status = 1
-    finally:
-        os._exit(status)
+    x = np.asarray(values, dtype=np.float64)
+    flat = x.ravel()
+    limbs, scale, quads, suffix, layout = _digit_tables()
+    a = np.abs(flat)
+    with np.errstate(all="ignore"):
+        mant, ex = np.frexp(a)
+        M = (mant * 2.0**53).astype(np.uint64)
+        X = np.floor(np.log10(a))
+    zero = a == 0
+    ok = (X > -400) & (X <= 16)  # finite, nonzero, below 1e17
+    s = (16 - np.where(ok, X, 16)).astype(np.intp)
+    X = 16 - s
+    sh = 53 - ex - s - scale[s]  # D = P >> sh, with P = M * T[s]
+    ok &= np.abs(sh - 125) <= 2
+    r = ((sh - 96) & 31).astype(np.uint64)
+    # P in six 32-bit columns p[0..5], least significant first, from eight partial products
+    t = limbs.take(s, axis=1)
+    low, high = t * (M & 0xFFFFFFFF), t * (M >> 32)
+    p = np.zeros((6, flat.size), np.uint64)
+    p[:4] = low & 0xFFFFFFFF
+    p[1:5] += low >> 32
+    p[1:5] += high & 0xFFFFFFFF
+    p[2:] += high >> 32
+    for c in range(1, 6):
+        p[c] += p[c - 1] >> 32
+    p[:5] &= 0xFFFFFFFF
+    D = (((p[5] << 32) | p[4]) << (32 - r)) | (p[3] >> r)
+    F = (p[3] << (64 - r)) | (p[2] << (32 - r)) | (p[1] >> r)  # the next 64 bits
+    ok &= D - 10**16 < 9 * 10**16 - 1  # 17 digits, and no carry into an 18th
+    near = F - (_HALF - 1) <= 1
+    if near.any():
+        # T[s] short of 5^s (scale > 0) leaves P short of M 5^s by less than M, under one unit of F
+        inexact = scale[s] > 0
+        ok &= ~(near & inexact & (F != _HALF))
+        sticky = (p[1] & ((1 << r) - 1)) | p[0] != 0
+        D += (F == _HALF) & (inexact | sticky | (D & 1 != 0))
+    D += F > _HALF
+    D[~ok] = 10**16
+    # the digits: d0, then four groups of four, whose trailing zeros are NUL where all later digits are 0
+    d0 = D // 10**16
+    rest = (D - d0 * 10**16).astype(np.int64)
+    hi, lo = np.divmod(rest, 10**8)
+    groups = np.stack([hi // 10000, hi % 10000, lo // 10000, lo % 10000], axis=1)
+    ends = np.stack([(lo == 0) & (groups[:, 1] == 0), lo == 0, groups[:, 3] == 0, np.ones_like(zero)], axis=1)
+    # d.ddde-XX, and zero as '0'; the cells in fixed notation are rewritten below
+    cells = np.zeros((flat.size, _CELL), np.uint8)
+    cells[:, 0] = np.signbit(flat) * _MINUS
+    cells[:, 1] = np.where(zero, _ZERO, d0 + _ZERO)
+    cells[:, 2] = (rest != 0) * _POINT
+    cells[:, 3:19] = quads.take(groups + ends * 10000).view(np.uint8).reshape(-1, 16)
+    cells[:, 19:24] = suffix.take(np.where(X < -4, -X, 0)).view(np.uint8).reshape(-1, 8)[:, :5]
+    fixed = np.flatnonzero(ok & (X >= -4))
+    if fixed.size:
+        source = np.zeros((fixed.size, 20), np.uint8)  # NUL, '0', '.', then the 17 digits
+        source[:, 1:3] = [_ZERO, _POINT]
+        source[:, 3] = cells[fixed, 1]
+        source[:, 4:] = quads.take(groups[fixed]).view(np.uint8)
+        shown = 17 - np.argmax(source[:, :2:-1] != _ZERO, axis=1)  # digits up to the last nonzero
+        cells[fixed, 1:24] = np.take_along_axis(source, layout[X[fixed] + 4, shown], axis=1)
+    for i in np.flatnonzero(~(ok | zero)):
+        cells[i] = _python_cell(flat[i])
+    return cells.reshape(x.shape + (_CELL,))
 
 
-class _SpectrumSink:
-    """spectrum.csv's text of a run, fed by ``simulate``'s snapshot hook; a context manager that reaps.
+def _csv_rows(cells: np.ndarray) -> str:
+    """CSV text of (rows, columns, _CELL) cells, whose last bytes become ',' and, ending a row, a newline."""
+    cells[..., -1] = ord(",")
+    cells[:, -1, -1] = ord("\n")
+    return cells.tobytes().translate(None, b"\0").decode("ascii")
 
-    The text has one home, an unlinked temporary file opened at the first
-    snapshot.  Where ``os.fork`` exists, that snapshot forks one child that
-    appends each snapshot's block to the file as it arrives
-    (``_spectrum_child``), while the RK4 loop runs on; ``csv`` ends the feed
-    and reaps the child, so a failed child raises before any output file is
-    opened.  Without ``os.fork`` each block is appended as the snapshot is
-    taken.  Either way the text is ``_spectrum_block``'s, so the bytes are
-    the same.  ``close`` reaps a child whose text was never read, and closes
-    the file.
+
+def _spectrum_csv(traj: Trajectory) -> tuple[list[str], Iterator[str]]:
+    """spectrum.csv, modes -K..K, formatted one snapshot at a time as the file is written.
+
+    The run is real, so row -k is conj(V_k).  Rows 0..K are formatted, and
+    rows -K..-1 take the cells of rows K..1 with the sign byte of the mode
+    number and of every imaginary part toggled.  %.17g writes -x as '-' and
+    the text of x, except for a NaN, whose sign it drops, so the bytes are
+    those of formatting conj(V_k) cell by cell.
     """
+    K, m = traj.K, traj.order
 
-    def __init__(self) -> None:
-        self.shape: tuple[int, ...] | None = None
-        self.rows = ""
-        self.text = None  # the temporary file that holds the text
-        self.pid: int | None = None
-        self.feed: int | None = None  # write end of the snapshot pipe
+    def blocks() -> Iterator[str]:
+        table = np.empty((2 * K + 1, 2 + 2 * m, _CELL), np.uint8)
+        upper = table[K:, 1:]
+        upper[:, 0] = _cells(np.arange(K + 1))
+        for time_cell, chain in zip(_cells(traj.times), traj.chains):
+            table[:, 0] = time_cell
+            upper[:, 1:] = _cells(companion_vectors(chain).view(float))
+            table[:K, 1:] = upper[:0:-1]
+            signs = table[:K, 1::2]  # the mode number and the imaginary parts
+            signs[..., 0] ^= np.where(signs[..., 1] == ord("n"), 0, _MINUS).astype(np.uint8)
+            yield _csv_rows(table)
 
-    def __enter__(self) -> "_SpectrumSink":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _fork(self) -> None:
-        source, feed = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:
-            os.close(source)
-            os.close(feed)
-            raise
-        if pid == 0:
-            os.close(feed)
-            _spectrum_child(source, self.text, self.shape, self.rows)
-        os.close(source)
-        self.pid, self.feed = pid, feed
-
-    def _close_feed(self) -> None:
-        if self.feed is not None:
-            os.close(self.feed)
-            self.feed = None
-
-    def add(self, t: float, chain: np.ndarray) -> None:
-        """Take one recorded snapshot; the first one opens the file and forks the child, where there is a fork."""
-        if self.text is None:
-            self.shape = chain.shape
-            self.rows = _spectrum_rows(chain.shape[0] - 1, chain.shape[1])
-            self.text = tempfile.TemporaryFile("w+", encoding="utf-8", errors="replace")
-            if hasattr(os, "fork"):
-                self._fork()
-        if self.pid is None:
-            self.text.write(_spectrum_block(t, chain, self.rows))
-        elif self.feed is not None:
-            record = memoryview(np.float64(t).tobytes() + chain.tobytes())
-            try:
-                while record:
-                    record = record[os.write(self.feed, record) :]
-            except BrokenPipeError:  # the child has stopped; ``csv`` raises its error
-                self._close_feed()
-
-    def csv(self) -> tuple[list[str], Any]:
-        """The CSV ``(header, file)`` of every snapshot taken; raises if the child failed."""
-        code = 0
-        if self.pid is not None:
-            self._close_feed()
-            _, status = os.waitpid(self.pid, 0)
-            self.pid = None
-            code = os.waitstatus_to_exitcode(status)
-        self.text.seek(0)
-        if code == 1:
-            raise RuntimeError(f"spectrum.csv formatter failed: {self.text.read()}")
-        if code:
-            raise RuntimeError("spectrum.csv formatter ended without a result")
-        return _spectrum_header(self.shape[1]), self.text
-
-    def close(self) -> None:
-        """Reap a child whose text was never read, and close the file."""
-        self._close_feed()
-        if self.pid is not None:
-            os.waitpid(self.pid, 0)
-            self.pid = None
-        if self.text is not None:
-            self.text.close()
+    header = ["t", "k"] + [f"{part}_V{c}" for c in range(m) for part in ("re", "im")]
+    return header, blocks()
 
 
 def _energies_csv(ledger) -> tuple[list[str], list[str]]:
@@ -317,12 +319,15 @@ def _energies_csv(ledger) -> tuple[list[str], list[str]]:
             ledger.master.per_time,
         ]
     )
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    return header, [row % tuple(cells) for cells in table.tolist()]
+    return header, [_csv_rows(_cells(table))]
 
 
 def _radius_csv(cfg: RunConfig, times, fits) -> tuple[list[str], list[str]]:
-    """radius.csv; a snapshot without a fit has r_hat and residual nan and an empty band."""
+    """radius.csv; a snapshot without a fit has r_hat and residual nan and an empty band.
+
+    The band columns are integers, written by ``_cells`` as the floats they
+    equal exactly: %.17g of an integer below 2^53 is its %d text.
+    """
     header = ["t", "r_hat", "residual", "band_lo", "band_hi", "s"]
     rows = [
         (t, math.nan, math.nan, 0, 0, cfg.s)
@@ -330,7 +335,7 @@ def _radius_csv(cfg: RunConfig, times, fits) -> tuple[list[str], list[str]]:
         else (t, fit.r_hat, fit.residual, fit.band_lo, fit.band_hi, fit.s)
         for t, fit in zip(times.tolist(), fits)
     ]
-    return header, ["%.17g,%.17g,%.17g,%d,%d,%.17g\n" % row for row in rows]
+    return header, [_csv_rows(_cells(rows))]
 
 
 def _certificate_payload(cfg: RunConfig) -> dict:
@@ -371,15 +376,12 @@ class _GuardAbort(Exception):
         self.code, self.error, self.files = code, error, files
 
 
-def _simulate(
-    cfg: RunConfig, calibrate: bool = False, *, spectrum: _SpectrumSink | None = None
-) -> Trajectory:
+def _simulate(cfg: RunConfig, calibrate: bool = False) -> Trajectory:
     """Integrate the problem; a stability veto or a blow-up of the run raises _GuardAbort.
 
-    Each snapshot is fed to ``spectrum``, whose text is the spectrum.csv of
-    the run, or of a blow-up's partial record.  A blow-up of the linear
-    calibration member alone is not an abort of the run: it propagates as an
-    error (exit 1).
+    A blow-up's files hold the spectrum.csv of its partial record.  A
+    blow-up of the linear calibration member alone is not an abort of the
+    run: it propagates as an error (exit 1).
     """
     try:
         return simulate(
@@ -389,7 +391,6 @@ def _simulate(
             snapshot_interval=cfg.snapshot_interval,
             blowup_ceiling=cfg.blowup_ceiling,
             calibrate=calibrate,
-            on_snapshot=None if spectrum is None else spectrum.add,
         )
     except StabilityError as exc:
         report = {"completed": False, "abort_reason": "stability", "message": str(exc)}
@@ -398,7 +399,7 @@ def _simulate(
         if exc.member != 0:
             raise
         partial = exc.trajectory
-        files: dict = {"spectrum.csv": spectrum.csv()} if spectrum is not None and len(partial) else {}
+        files: dict = {"spectrum.csv": _spectrum_csv(partial)} if len(partial) else {}
         files["report.json"] = {
             "completed": False,
             "abort_reason": partial.abort_reason,
@@ -419,7 +420,7 @@ def _integration_facts(cfg: RunConfig, traj: Trajectory) -> dict:
     }
 
 
-def _cmd_check(cfg: RunConfig, spectrum: _SpectrumSink) -> tuple[int, dict]:
+def _cmd_check(cfg: RunConfig) -> tuple[int, dict]:
     problem = cfg.problem()
     grid = np.linspace(0.0, cfg.horizon, cfg.check_grid)
     diam = check_diam(problem, grid)
@@ -444,8 +445,8 @@ def _cmd_check(cfg: RunConfig, spectrum: _SpectrumSink) -> tuple[int, dict]:
     return (0 if diam.satisfied else 1), {"report.json": payload}
 
 
-def _cmd_simulate(cfg: RunConfig, spectrum: _SpectrumSink) -> tuple[int, dict]:
-    traj = _simulate(cfg, spectrum=spectrum)
+def _cmd_simulate(cfg: RunConfig) -> tuple[int, dict]:
+    traj = _simulate(cfg)
     payload = {
         "command": "simulate",
         "completed": True,
@@ -455,14 +456,14 @@ def _cmd_simulate(cfg: RunConfig, spectrum: _SpectrumSink) -> tuple[int, dict]:
         "final_sup_v": float(traj.v_norms()[-1].max()),
         "integration": _integration_facts(cfg, traj),
     }
-    return 0, {"spectrum.csv": spectrum.csv(), "report.json": payload}
+    return 0, {"spectrum.csv": _spectrum_csv(traj), "report.json": payload}
 
 
-def _cmd_analyze(cfg: RunConfig, spectrum: _SpectrumSink) -> tuple[int, dict]:
+def _cmd_analyze(cfg: RunConfig) -> tuple[int, dict]:
     """Simulate, then ledger and fits; the one place that resolves C0, N and the scan target C."""
     problem = cfg.problem()
     calibrate = cfg.n_override is None and cfg.nonlinearity >= 1
-    traj = _simulate(cfg, calibrate=calibrate, spectrum=spectrum)
+    traj = _simulate(cfg, calibrate=calibrate)
     c_target = cfg.c_override if cfg.c_override is not None else DEFAULT_C_TARGET
     c0 = cfg.c0_override if cfg.c0_override is not None else default_c0(problem)
     n_exponent = cfg.n_override
@@ -502,7 +503,7 @@ def _cmd_analyze(cfg: RunConfig, spectrum: _SpectrumSink) -> tuple[int, dict]:
     fits = ordered_map(fit_row, range(len(traj)), cfg.threads)
     good = [f.r_hat for f in fits if f is not None]
     files = {
-        "spectrum.csv": spectrum.csv(),
+        "spectrum.csv": _spectrum_csv(traj),
         "energies.csv": _energies_csv(ledger),
         "radius.csv": _radius_csv(cfg, traj.times, fits),
         "report.json": {
@@ -528,7 +529,7 @@ def _cmd_analyze(cfg: RunConfig, spectrum: _SpectrumSink) -> tuple[int, dict]:
     return (0 if ledger.continuation.passed else 1), files
 
 
-def _cmd_symmetrizer(cfg: RunConfig, spectrum: _SpectrumSink) -> tuple[int, dict]:
+def _cmd_symmetrizer(cfg: RunConfig) -> tuple[int, dict]:
     payload = _certificate_payload(cfg)
     return (0 if payload["aggregate"]["pass"] else 1), {"certificate.json": payload}
 
@@ -548,16 +549,14 @@ def dispatch(command: str, cfg: RunConfig) -> int:
     aborts the run; an error (exit 1) writes none, and creates no output
     directory.  Floating-point warnings are silenced: non-finite values
     reach the verdicts, and stderr carries at most the one JSON error, so a
-    guard's error is printed once its files are written.  The run's
-    spectrum sink, which only ``simulate`` and ``analyze`` feed, is closed
-    (its formatter process reaped) before this returns, on every path.
+    guard's error is printed once its files are written.
     """
     abort = None
-    with warnings.catch_warnings(), _SpectrumSink() as spectrum:
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         try:
             try:
-                code, files = _COMMANDS[command](cfg, spectrum)
+                code, files = _COMMANDS[command](cfg)
             except _GuardAbort as exc:
                 abort, code, files = exc, exc.code, exc.files
             files["run_meta.json"] = cfg.to_meta()

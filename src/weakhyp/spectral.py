@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -439,8 +439,6 @@ def simulate(
     snapshot_interval: float | None = None,
     blowup_ceiling: float = 1e9,
     calibrate: bool = False,
-    *,
-    on_snapshot: Callable[[float, np.ndarray], object] | None = None,
 ) -> Trajectory:
     """Integrate the problem from t = 0 to T with fixed steps.
 
@@ -459,10 +457,6 @@ def simulate(
     result's ``calibration``.  A blow-up of that member does not stop the
     run: its BlowUpError (``member`` 1) is raised once the problem itself has
     completed, and a blow-up of the problem takes precedence.
-
-    ``on_snapshot(t, chain)`` is called each time a snapshot is recorded,
-    with the problem's (member 0) recorded (K+1, m) chain, a row of the
-    returned trajectory that no later step changes.
     """
     T = problem.horizon
     n_steps = int(round(T / dt))
@@ -526,8 +520,6 @@ def simulate(
                 record.times[rows] = t
                 record.chains[rows] = chain
                 record.forcings[rows] = forcing
-            if on_snapshot is not None:
-                on_snapshot(t, live[0].chains[rows])
             rows += 1
             if nu >= 1:
                 residual = max(residual, kernel.galerkin_residual(K))

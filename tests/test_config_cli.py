@@ -577,10 +577,8 @@ def full_layout_v(traj) -> np.ndarray:
 
 
 def spectrum_csv(traj):
-    """spectrum.csv's (header, chunks) of a trajectory, one _spectrum_block per snapshot."""
-    rows = cli._spectrum_rows(traj.K, traj.order)
-    blocks = [cli._spectrum_block(t, chain, rows) for t, chain in zip(traj.times.tolist(), traj.chains)]
-    return cli._spectrum_header(traj.order), blocks
+    """spectrum.csv's (header, chunks) of a trajectory, as the CLI writes it."""
+    return cli._spectrum_csv(traj)
 
 
 def reference_spectrum_bytes(times, v, sha: str) -> bytes:
@@ -619,41 +617,35 @@ def test_spectrum_emitter_matches_cellwise_formatting(tmp_path):
 
 
 @pytest.fixture
-def children(monkeypatch):
-    """The pids forked during the test, and the (pid, exit code) of each child reaped."""
-    log = SimpleNamespace(forked=[], reaped=[])
-    fork, waitpid = os.fork, os.waitpid
+def no_process(monkeypatch):
+    """os.fork and os.pipe raise for the test's duration: weakhyp starts no process."""
 
-    def counted_fork():
-        pid = fork()
-        if pid:
-            log.forked.append(pid)
-        return pid
+    def refuse(*args):
+        raise AssertionError("weakhyp started a process")
 
-    def counted_waitpid(pid, options):
-        got, status = waitpid(pid, options)
-        if got:
-            log.reaped.append((got, os.waitstatus_to_exitcode(status)))
-        return got, status
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(os, "waitpid", counted_waitpid)
-    return log
+    monkeypatch.setattr(os, "fork", refuse, raising=False)
+    monkeypatch.setattr(os, "pipe", refuse)
 
 
-def assert_all_reaped(children, forked: int, status: int = 0):
-    """``forked`` children were forked, each was reaped with exit code ``status``, and none is left.
-
-    A formatter exits 0 once its text is complete in the run's file, read
-    or not, and 1 when formatting raised.
-    """
-    assert len(children.forked) == forked
-    assert children.reaped == [(pid, status) for pid in children.forked]
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+def on_platform(monkeypatch, platform: str) -> None:
+    """'forked': a platform with os.fork, which the guard makes raise; 'inline': one without it."""
+    if platform == "inline":
+        monkeypatch.delattr(os, "fork", raising=False)
 
 
-@pytest.mark.parametrize("transport", ["forked", "inline"])
+MIRRORED_RUN_YAML = """\
+m: {m}
+T: 0.1
+coefficients: {coeffs}
+nu: 2
+initial: {initial}
+K: 16
+dt: 0.001
+snapshot_interval: 0.05
+"""
+
+
+@pytest.mark.parametrize("platform", ["forked", "inline"])
 @pytest.mark.parametrize(
     "m, coeffs, initial",
     [
@@ -661,77 +653,17 @@ def assert_all_reaped(children, forked: int, status: int = 0):
         (3, ["0", "-1 - t^2", "0.3*t"], ["0.2/(1.25 - cos(x))", "0.1*cos(3*x)", "0.05*sin(x)"]),
     ],
 )
-def test_spectrum_emitter_on_mirrored_runs(tmp_path, monkeypatch, children, m, coeffs, initial, transport):
-    # both transports of the run's spectrum sink write the cell-by-cell bytes
-    if transport == "inline":
-        monkeypatch.delattr(os, "fork")
+def test_spectrum_emitter_on_mirrored_runs(tmp_path, monkeypatch, no_process, m, coeffs, initial, platform):
+    # simulate's spectrum.csv is the cell-by-cell formatting of the run, on either platform
+    on_platform(monkeypatch, platform)
+    text = MIRRORED_RUN_YAML.format(m=m, coeffs=json.dumps(coeffs), initial=json.dumps(initial))
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--output", str(out)]) == 0
     spec = CoefficientSpec.from_strings(m, 0.1, coeffs, 2, initial)
-    with cli._SpectrumSink() as spectrum:
-        traj = simulate(spec, K=16, dt=1e-3, snapshot_interval=0.05, on_snapshot=spectrum.add)
-        cli._write_files(str(tmp_path), {"spectrum.csv": spectrum.csv()}, "abc")
-    assert_all_reaped(children, forked=transport == "forked")
-    want = reference_spectrum_bytes(traj.times, full_layout_v(traj), "abc")
-    assert (tmp_path / "spectrum.csv").read_bytes() == want
-
-
-@pytest.mark.parametrize("command", ["simulate", "analyze"])
-def test_cli_formats_the_spectrum_in_one_reaped_child(tmp_path, monkeypatch, children, command):
-    # exit 0: one formatter process, reaped before main returns; every file
-    # is the same as where the spectrum is formatted inline
-    cfg = write_config(tmp_path)
-    forked, inline = tmp_path / "forked", tmp_path / "inline"
-    assert main([command, "--config", cfg, "--output", str(forked)]) == 0
-    assert_all_reaped(children, forked=1)
-    monkeypatch.delattr(os, "fork")
-    assert main([command, "--config", cfg, "--output", str(inline)]) == 0
-    assert "spectrum.csv" in written(forked) and written(forked) == written(inline)
-    for name in written(forked):
-        assert (forked / name).read_bytes() == (inline / name).read_bytes(), name
-
-
-def broken_block(t, chain, rows):
-    raise ValueError("no text")
-
-
-def silent_child(*args):
-    os._exit(3)
-
-
-@pytest.mark.parametrize("command", ["simulate", "analyze"])
-@pytest.mark.parametrize(
-    "target, stand_in, status, message",
-    [
-        ("_spectrum_block", broken_block, 1, "spectrum.csv formatter failed: ValueError: no text"),
-        ("_spectrum_child", silent_child, 3, "spectrum.csv formatter ended without a result"),
-    ],
-)
-def test_cli_failed_spectrum_formatter_is_one_error(
-    tmp_path, capfd, monkeypatch, children, target, stand_in, status, message, command
-):
-    # a formatter that raises reports its error, one that dies reports nothing;
-    # either leaves by os._exit, so nothing of the child reaches stdio, and the
-    # parent raises before any output file is opened
-    monkeypatch.setattr(cli, target, stand_in)
-    out = tmp_path / "out"
-    assert main([command, "--config", write_config(tmp_path), "--output", str(out)]) == 1
-    assert_all_reaped(children, forked=1, status=status)
-    captured = capfd.readouterr()
-    assert captured.out == "" and captured.err.count("\n") == 1
-    assert json.loads(captured.err) == {"error": "RuntimeError", "message": message}
-    assert not out.exists()
-
-
-
-@pytest.mark.parametrize("command", ["simulate", "analyze"])
-def test_cli_inline_formatter_error_writes_nothing(tmp_path, capsys, monkeypatch, command):
-    # without a fork the formatter runs as each snapshot is taken, so its
-    # error stops the run before any output file is opened
-    monkeypatch.delattr(os, "fork")
-    monkeypatch.setattr(cli, "_spectrum_block", broken_block)
-    out = tmp_path / "out"
-    assert main([command, "--config", write_config(tmp_path), "--output", str(out)]) == 1
-    assert json.loads(capsys.readouterr().err) == {"error": "ValueError", "message": "no text"}
-    assert not out.exists()
+    traj = simulate(spec, K=16, dt=1e-3, snapshot_interval=0.05)
+    want = reference_spectrum_bytes(traj.times, full_layout_v(traj), load_config(cfg).sha256())
+    assert (out / "spectrum.csv").read_bytes() == want
 
 
 SIGN = 1 << 63
@@ -768,6 +700,121 @@ def test_spectrum_mirror_sign_toggle_over_raw_bits(data):
             got = (Path(out) / "spectrum.csv").read_bytes()
     full = np.concatenate([v[:, :0:-1].conj(), v], axis=1)
     assert got == reference_spectrum_bytes(traj.times, full, "abc")
+
+
+def cell_texts(values) -> list[str]:
+    """The text of each of ``cli._cells``'s cells, NULs dropped."""
+    return [cell.tobytes().replace(b"\0", b"").decode() for cell in cli._cells(values)]
+
+
+def python_texts(values) -> list[str]:
+    return ["%.17g" % x for x in np.asarray(values, dtype=np.float64).tolist()]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(float_bits, min_size=1, max_size=64))
+@example(SPECIAL_BITS)
+def test_cells_match_python_formatting_over_raw_bits(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert cell_texts(values) == python_texts(values)
+
+
+def around(values, ulps: int) -> np.ndarray:
+    """``values`` and their neighbours up to ``ulps`` units in the last place on either side."""
+    steps = [np.asarray(values, dtype=np.float64)]
+    for direction in (0.0, np.inf):
+        step = steps[0]
+        for _ in range(ulps):
+            step = np.nextafter(step, direction)
+            steps.append(step)
+    return np.concatenate(steps)
+
+
+def short_decimals(seed: int = 5, per_length: int = 200) -> np.ndarray:
+    """Decimals of 1 to 9 significant digits at exponents 1e-330..1e16, whose %.17g ends in zeros."""
+    rng = np.random.default_rng(seed)
+    return np.array([
+        float(f"{m}e{k}")
+        for n in range(1, 10)
+        for m, k in zip(rng.integers(10 ** (n - 1), 10**n, per_length), rng.integers(-330, 17, per_length))
+    ])
+
+
+_exponents, _mantissas = np.meshgrid(np.arange(80), np.arange(1, 200))
+EDGE_FAMILIES = {
+    # m 2^-e: the decimal ties of 17 significant digits are among these
+    "exact ties": (_mantissas * 2.0**-_exponents).ravel(),
+    "powers of ten": around([float(f"1e{k}") for k in range(-320, 21)], 1),
+    # trailing zeros inside a group of four digits, and whole groups of them
+    "short decimals": short_decimals(),
+    # fixed notation from 1e-4, exponent notation below it and from 1e17
+    "notation switches": around([1e-4, 1e17, 1e16, 1.0], 8),
+    "subnormals": np.concatenate(
+        [np.arange(1, 4096, dtype=np.uint64), (1 << 52) - np.arange(1, 4096, dtype=np.uint64)]
+    ).view(np.float64),
+    "nan payloads": (
+        np.uint64(0x7FF0000000000000) | np.array([1, 2, 1 << 51, (1 << 52) - 1], dtype=np.uint64)
+    ).view(np.float64),
+}
+
+
+@pytest.mark.parametrize("family", list(EDGE_FAMILIES))
+def test_cells_match_python_formatting_on_edge_families(family):
+    values = EDGE_FAMILIES[family]
+    for signed in (values, np.negative(values)):  # np.negative sets a NaN's sign bit too
+        assert cell_texts(signed) == python_texts(signed)
+
+
+def test_radius_csv_writes_the_band_as_integer_cells():
+    # %d of the band, %.17g of the rest; a snapshot without a fit has nan and an empty band
+    fit = SimpleNamespace(r_hat=0.6931471805599453, residual=1e-12, band_lo=3, band_hi=512, s=1.5)
+    run = SimpleNamespace(s=0.25)
+    header, body = cli._radius_csv(run, np.array([0.0, 0.1]), [None, fit])
+    rows = [(0.0, math.nan, math.nan, 0, 0, 0.25), (0.1, fit.r_hat, fit.residual, 3, 512, 1.5)]
+    assert header == ["t", "r_hat", "residual", "band_lo", "band_hi", "s"]
+    assert "".join(body) == "".join("%.17g,%.17g,%.17g,%d,%d,%.17g\n" % row for row in rows)
+
+
+def test_energies_csv_is_the_percent_template_of_its_table():
+    # every column is %.17g, with non-finite values as Python writes them
+    S, j_max = 3, 8
+    e_j = np.outer([1.0, 2.5e-7, math.inf], 10.0 ** -np.arange(j_max + 1))
+    ledger = SimpleNamespace(
+        j_max=j_max, times=np.array([0.0, 0.5, 1.0]), e_j=e_j, l_const=1 / 3,
+        energies=SimpleNamespace(f_values=np.array([1.0, -0.0, math.nan]), g_values=np.full(S, 1e300)),
+        r_values=np.array([0.18, 0.1799999999999999, 5e-324]), master=SimpleNamespace(per_time=np.full(S, -math.inf)),
+    )
+    header, body = cli._energies_csv(ledger)
+    table = np.column_stack(
+        [ledger.times, e_j[:, [0, 1, 2, 4, 8]], ledger.energies.f_values, ledger.energies.g_values,
+         np.full(S, ledger.l_const), ledger.r_values, ledger.master.per_time]
+    )
+    assert len(header) == table.shape[1]
+    assert "".join(body) == "".join(",".join(["%.17g"] * len(header)) % tuple(row) + "\n" for row in table.tolist())
+
+
+@pytest.mark.parametrize(
+    "values, fallbacks",
+    [
+        ([2.0**-25, 1e15 + 0.25, 0.5, 1e-4, 1e16], 0),  # decimal ties and exact powers: decided here
+        ([0.0, -0.0, 5e-324, -123.0], 0),
+        ([1e17, math.nan, -math.inf, 1.7976931348623157e308], 4),  # Python's
+    ],
+)
+def test_cells_leave_only_non_finite_and_large_values_to_python(monkeypatch, values, fallbacks):
+    calls = []
+    python_cell = cli._python_cell
+    monkeypatch.setattr(cli, "_python_cell", lambda x: calls.append(x) or python_cell(x))
+    assert cell_texts(values) == python_texts(values)
+    assert len(calls) == fallbacks
+
+
+def test_cells_format_a_run_without_python(tmp_path, monkeypatch):
+    # the fallback is for the rare cell: a run's spectrum.csv, energies.csv and radius.csv need none
+    calls = []
+    monkeypatch.setattr(cli, "_python_cell", lambda x: calls.append(x))
+    assert main(["analyze", "--config", str(CONFIGS / "weakhyp_nu2.yaml"), "--output", str(tmp_path)]) == 0
+    assert calls == []
 
 
 json_values = st.recursive(
@@ -1020,11 +1067,10 @@ blowup_ceiling: 1000.0
 """
 
 
-def test_cli_blowup_exit_two(tmp_path, capsys, children):
+def test_cli_blowup_exit_two(tmp_path, capsys, no_process):
     cfg = write_config(tmp_path, BLOWUP_YAML)
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--output", str(out)]) == 2
-    assert_all_reaped(children, forked=1)
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "BlowUpError"
     report = json.loads((out / "report.json").read_text())
@@ -1032,7 +1078,7 @@ def test_cli_blowup_exit_two(tmp_path, capsys, children):
     assert report["abort_reason"] == "blow-up"
     assert 0.0 < report["last_valid_time"] <= report["abort_time"] < 1.0
     assert written(out) == ["report.json", "run_meta.json", "spectrum.csv"]  # the partial run
-    # the forked formatter's text is the inline formatting of the partial trajectory
+    # spectrum.csv is the formatting of the partial trajectory
     run = load_config(cfg)
     with pytest.raises(BlowUpError) as info:
         simulate(
@@ -1061,12 +1107,11 @@ blowup_ceiling: 0.99
 """
 
 
-def test_cli_analyze_calibration_abort_exit_one(tmp_path, capsys, children):
+def test_cli_analyze_calibration_abort_exit_one(tmp_path, capsys, no_process):
     # the linear calibration member's |V_1| grows like t past the ceiling; the problem completes
     cfg = write_config(tmp_path, ZERO_MODE_YAML.format(horizon=0.4))
     out = tmp_path / "out"
     assert main(["analyze", "--config", cfg, "--output", str(out)]) == 1
-    assert_all_reaped(children, forked=1)  # the run's text is complete, and dropped unread
     err = json.loads(capsys.readouterr().err.strip())
     assert err == {
         "error": "BlowUpError",
@@ -1088,14 +1133,13 @@ def test_cli_analyze_problem_abort_exit_two_after_calibration_abort(tmp_path, ca
 
 
 @pytest.mark.parametrize("command", ["simulate", "analyze"])
-def test_cli_initial_state_above_the_ceiling_exit_two(tmp_path, capsys, children, command):
+def test_cli_initial_state_above_the_ceiling_exit_two(tmp_path, capsys, no_process, command):
     # |u_0'| = 1 at t = 0 is already past the 0.99 ceiling: no step is taken
     text = ZERO_MODE_YAML.format(horizon=0.4).replace('["0", "0"]', '["0", "-1"]')
     text = text.replace('["-1.4", "1.9*cos(x)"]', '["2", "-1"]')
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--output", str(out)]) == 2
-    assert_all_reaped(children, forked=0)  # no snapshot was recorded
     err = json.loads(capsys.readouterr().err.strip())
     assert err["message"] == "blow-up: sup|V| = 1 exceeds ceiling 0.99 at t = 0"
     report = json.loads((out / "report.json").read_text())
@@ -1321,7 +1365,7 @@ def test_cli_symmetrizer_non_hyperbolic_names_the_time(tmp_path, capsys):
         assert err["message"].startswith("non-real characteristic root at t = 0.0: |Im| = 1.0")
 
 
-def test_cli_stability_exit_three(tmp_path, capsys, children):
+def test_cli_stability_exit_three(tmp_path, capsys, no_process):
     text = """\
 m: 2
 T: 1.0
@@ -1334,7 +1378,6 @@ snapshot_interval: 0.5
     cfg = write_config(tmp_path, text)
     out = tmp_path / "out"
     assert main(["simulate", "--config", cfg, "--output", str(out)]) == 3
-    assert_all_reaped(children, forked=0)  # the veto comes before the first snapshot
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "StabilityError"
     report = json.loads((out / "report.json").read_text())
@@ -1342,11 +1385,15 @@ snapshot_interval: 0.5
     assert written(out) == ["report.json", "run_meta.json"]
 
 
-SINK_PATHS = {
+def broken_cells(values):
+    raise ValueError("no text")
+
+
+CLI_PATHS = {
     "simulate": ("simulate", WAVE_YAML, None, 0),
     "analyze": ("analyze", WAVE_YAML, None, 0),
-    "formatter-raises": ("analyze", WAVE_YAML, ("_spectrum_block", broken_block), 1),
-    "formatter-dies": ("analyze", WAVE_YAML, ("_spectrum_child", silent_child), 1),
+    # the CSV writer raises while spectrum.csv is open: it is formatted as it is written
+    "formatter-raises": ("simulate", WAVE_YAML, ("_cells", broken_cells), 1),
     "blow-up": ("simulate", BLOWUP_YAML, None, 2),
     "calibration-blow-up": ("analyze", ZERO_MODE_YAML.format(horizon=0.4), None, 1),
     "stability-veto": ("simulate", WAVE_YAML.replace("K: 8", "K: 512"), None, 3),
@@ -1356,18 +1403,16 @@ SINK_PATHS = {
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
-@pytest.mark.parametrize("transport", ["forked", "inline"])
-@pytest.mark.parametrize("path", list(SINK_PATHS))
-def test_cli_leaves_no_descriptor_or_temporary_file(tmp_path, monkeypatch, capsys, path, transport):
-    # every file descriptor main opens is closed again, and the spectrum's
-    # temporary file leaves no entry behind; the autouse guard checks that
-    # no child is left
-    command, text, stand_in, code = SINK_PATHS[path]
+@pytest.mark.parametrize("platform", ["forked", "inline"])
+@pytest.mark.parametrize("path", list(CLI_PATHS))
+def test_cli_leaves_no_descriptor_or_temporary_file(tmp_path, monkeypatch, capsys, no_process, path, platform):
+    # on every path every file descriptor main opens is closed again, no
+    # temporary file is left, and no process is started, whether or not the
+    # platform has os.fork
+    command, text, stand_in, code = CLI_PATHS[path]
     if stand_in is not None:
         monkeypatch.setattr(cli, *stand_in)
-    if transport == "inline":
-        monkeypatch.delattr(os, "fork")
-        code = 0 if path == "formatter-dies" else code  # no child to die
+    on_platform(monkeypatch, platform)
     temp = tmp_path / "temp"
     temp.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(temp))
@@ -1498,6 +1543,19 @@ def test_cli_parser_is_built_once_and_parses_as_before(tmp_path, capsys):
         assert helps[0] == helps[1] != ""
 
 
+def test_cli_check_and_symmetrizer_build_no_digit_tables(tmp_path):
+    # the CSV writer's tables are built on first use, which check and symmetrizer never make
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); from weakhyp import cli\n"
+        "for command in ('check', 'symmetrizer'):\n"
+        "    assert cli.main([command, '--config', sys.argv[2], '--output', sys.argv[3] + command]) == 0\n"
+        "print(cli._digit_tables.cache_info().currsize)"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = [sys.executable, "-c", probe, src, write_config(tmp_path), str(tmp_path / "out-")]
+    assert subprocess.run(argv, capture_output=True, text=True, check=True).stdout == "0\n"
+
+
 # The certify_m3 benchmark's certificate: roots {-t, 0, t} on 129 times
 CERTIFY_M3_YAML = """\
 m: 3
@@ -1512,10 +1570,8 @@ certificate:
 
 # hashlib loads OpenSSL, and so does numpy.random (through secrets)
 OPENSSL = {"_hashlib", "numpy.random"}
-# modules that start processes, none of which a run needs: the spectrum
-# formatter is a bare os.fork.  tempfile, which holds the formatter's text, is
-# not listed: numpy imports it, so a module set taken beyond a bare
-# ``import numpy`` cannot show it
+# modules that start processes, none of which a run loads: weakhyp starts no
+# process (the no_process guard holds os.fork and os.pipe to that)
 PROCESS_TOOLING = {"subprocess", "multiprocessing"}
 
 
